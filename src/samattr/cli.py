@@ -22,6 +22,7 @@ from .experiments import (
     cmd_valuate,
     load_config,
 )
+from .influence import ESTIMATORS
 from .report import emit_report
 
 EXIT_OK = 0
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
         p.add_argument(
             "--estimator",
-            choices=["if-fast", "hif", "gif"],
+            choices=[e.replace("_", "-") for e in ESTIMATORS],
             default=None,
             help="influence estimator (overrides config)",
         )

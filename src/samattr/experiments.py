@@ -14,7 +14,7 @@ import numpy as np
 
 from . import datasets, model as mod, oracle
 from .errors import ConfigError
-from .influence import NeumannConfig, sam_gif, sam_hif, sam_if_fast
+from .influence import ESTIMATORS, NeumannConfig, influence_vectors
 from .report import Report
 from .samtrain import SAMConfig, train_sam, write_trajectory
 
@@ -61,7 +61,7 @@ class ExperimentConfig:
         if not 0.0 <= self.flip_fraction <= 0.5:
             raise ConfigError("flip fraction must lie in [0, 0.5]")
         est = self.estimator.replace("-", "_")
-        if est not in ("if_fast", "hif", "gif"):
+        if est not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         object.__setattr__(self, "estimator", est)
         if self.model not in ("logistic", "mlp"):
@@ -90,9 +90,6 @@ class ExperimentConfig:
             damp=self.neumann_damp,
             zeta=self.neumann_zeta,
         )
-
-
-_BOOL_KEYS = {"epoch_shuffled"}
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -130,9 +127,7 @@ def _build_config(values: dict, origin: str) -> ExperimentConfig:
             continue
         default = getattr(ExperimentConfig, key)
         try:
-            if key in _BOOL_KEYS:
-                kwargs[key] = value.lower() in ("1", "true", "yes")
-            elif isinstance(default, bool):
+            if isinstance(default, bool):
                 kwargs[key] = value.lower() in ("1", "true", "yes")
             elif isinstance(default, int):
                 kwargs[key] = int(value)
@@ -192,19 +187,10 @@ def score_all(
     Returns (scores[n], ifvecs[n, P]); scores are oriented positive =
     valuable (removal predicted to raise validation loss).
     """
-    rows = ds.indices("train")
-    val_rows = ds.indices("val")
-    n = rows.size
-    ncfg = cfg.neumann()
-    _, gval = mod.subset_loss_grad(spec, params, ds, val_rows, 1.0)
-    ifvecs = np.empty((n, spec.param_count))
-    for k in range(n):
-        if cfg.estimator == "if_fast":
-            ifvecs[k] = sam_if_fast(spec, ds, params, sam.rho, sam.p, sam.lam, k, ncfg)
-        elif cfg.estimator == "hif":
-            ifvecs[k] = sam_hif(spec, ds, params, sam.rho, sam.p, sam.lam, k, ncfg)
-        else:
-            ifvecs[k] = sam_gif(trajectory, spec, ds, k, cfg.gif_mode)
+    n = ds.indices("train").size
+    _, gval = mod.subset_loss_grad(spec, params, ds, ds.indices("val"), 1.0)
+    ifvecs = influence_vectors(cfg.estimator, spec, ds, params, sam.rho, sam.p, sam.lam,
+                               cfg.neumann(), range(n), trajectory, cfg.gif_mode)
     scores = -(ifvecs @ gval)
     return scores, ifvecs
 

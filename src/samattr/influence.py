@@ -14,13 +14,16 @@ point is removed, i.e. positive = valuable, negative = harmful.
   at perturbed checkpoints, gated by batch membership.
 
 Inverse operators are applied via a damped, scaled truncated Neumann
-iteration; no Hessian is ever materialized here.
+iteration; no Hessian is ever materialized here. ``influence_vectors``
+builds the linearization (w_pert, full-train gradient, Neumann alpha)
+once per call, e.g. once per ``score_all`` or calibrate call, and each
+scored point then costs one gradient and one solve.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
 import numpy as np
@@ -28,7 +31,7 @@ import numpy as np
 from . import model as mod
 from .errors import DivergenceError, InvalidInputError
 from .numcore import p_norm
-from .samtrain import Trajectory, worst_perturbation
+from .samtrain import Trajectory, sam_perturbation, worst_perturbation
 
 Array = np.ndarray
 LinearOperator = Callable[[Array], Array]
@@ -134,36 +137,38 @@ def perturbed_params(
     """params + worst-case perturbation of the full train loss; also the
     perturbation itself."""
     rows = _train_rows(dataset)
-    _, g = mod.subset_loss_grad(spec, params, dataset, rows, 1.0 / rows.size)
-    eps = worst_perturbation(g, rho, p)
+    _, eps = sam_perturbation(spec, params, dataset, rows, 1.0 / rows.size, rho, p)
     return params + eps, eps
 
 
-def sam_if_fast(
-    spec: mod.ModelSpec,
-    dataset: mod.Dataset,
-    params: Array,
-    rho: float,
-    p: float,
-    lam: float,
-    k: int,
-    ncfg: NeumannConfig,
-) -> Array:
-    """Fast estimator: -(H + lam*I)^{-1} grad_k, both taken at the
-    perturbed optimum, with the perturbation held fixed."""
+def _eps_jacobian(
+    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float
+) -> LinearOperator:
+    """v -> (d eps / d w) v at params; the full-train gradient it needs
+    is taken once, here, not per application."""
+    if rho == 0.0:
+        return np.zeros_like
     rows = _train_rows(dataset)
-    if not 0 <= k < rows.size:
-        raise InvalidInputError(f"training index {k} out of range")
-    w_pert, _ = perturbed_params(spec, dataset, params, rho, p)
     scale = 1.0 / rows.size
-    _, gk = mod.subset_loss_grad(spec, w_pert, dataset, rows[k], scale)
-    if not np.any(gk):
-        return np.zeros_like(gk)
+    _, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
+    gnorm = p_norm(g, 2.0)
+    if gnorm == 0.0:
+        raise InvalidInputError("perturbation Jacobian is singular at a zero gradient")
 
-    def apply_A(v: Array) -> Array:
-        return mod.hvp(spec, w_pert, dataset, rows, v, scale) + lam * v
+    def apply_J(v: Array) -> Array:
+        if not np.any(v):
+            return np.zeros_like(v)
+        if p == 2.0:
+            Hv = mod.hvp(spec, params, dataset, rows, v, scale)
+            return rho * (Hv / gnorm - g * float(g @ Hv) / gnorm**3)
+        h = 1e-4 * max(p_norm(params, 2.0), 1.0) / p_norm(v, 2.0)
+        _, g_plus = mod.subset_loss_grad(spec, params + h * v, dataset, rows, scale)
+        _, g_minus = mod.subset_loss_grad(spec, params - h * v, dataset, rows, scale)
+        eps_plus = worst_perturbation(g_plus, rho, p)
+        eps_minus = worst_perturbation(g_minus, rho, p)
+        return (eps_plus - eps_minus) / (2.0 * h)
 
-    return -neumann_ihvp(apply_A, gk, ncfg)
+    return apply_J
 
 
 def eps_jacobian_vec(
@@ -181,26 +186,73 @@ def eps_jacobian_vec(
     gradient's sign pattern is stable, so a zero full-train gradient is
     rejected as singular.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if rho == 0.0:
-        return np.zeros_like(v)
+    return _eps_jacobian(spec, dataset, params, rho, p)(np.asarray(v, dtype=np.float64))
+
+
+def _linearize(
+    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float, lam: float,
+    total: bool, ncfg: NeumannConfig,
+) -> tuple[Array, LinearOperator, NeumannConfig]:
+    """The operator the Hessian estimators solve against, built once:
+    A v = H_pert (v + J_eps v) + lam v, with H_pert the full-train Hessian
+    at the perturbed optimum and J_eps the perturbation's Jacobian (total
+    only). Returns w_pert, A, and ncfg with alpha fixed if it was auto."""
     rows = _train_rows(dataset)
     scale = 1.0 / rows.size
-    _, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
-    gnorm = p_norm(g, 2.0)
-    if gnorm == 0.0:
-        raise InvalidInputError("perturbation Jacobian is singular at a zero gradient")
-    if not np.any(v):
-        return np.zeros_like(v)
-    if p == 2.0:
-        Hv = mod.hvp(spec, params, dataset, rows, v, scale)
-        return rho * (Hv / gnorm - g * float(g @ Hv) / gnorm**3)
-    h = 1e-4 * max(p_norm(params, 2.0), 1.0) / p_norm(v, 2.0)
-    _, g_plus = mod.subset_loss_grad(spec, params + h * v, dataset, rows, scale)
-    _, g_minus = mod.subset_loss_grad(spec, params - h * v, dataset, rows, scale)
-    eps_plus = worst_perturbation(g_plus, rho, p)
-    eps_minus = worst_perturbation(g_minus, rho, p)
-    return (eps_plus - eps_minus) / (2.0 * h)
+    w_pert, _ = perturbed_params(spec, dataset, params, rho, p)
+    apply_J = _eps_jacobian(spec, dataset, params, rho, p) if total and rho > 0.0 else None
+
+    def apply_A(v: Array) -> Array:
+        u = v if apply_J is None else v + apply_J(v)
+        return mod.hvp(spec, w_pert, dataset, rows, u, scale) + lam * v
+
+    if ncfg.alpha is None:
+        ncfg = dc_replace(ncfg, alpha=_auto_alpha(apply_A, spec.param_count))
+    return w_pert, apply_A, ncfg
+
+
+def influence_vectors(
+    estimator: str, spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float,
+    p: float, lam: float, ncfg: NeumannConfig, ks, trajectory: Trajectory | None, gif_mode: str,
+) -> Array:
+    """Influence vectors IF(k), one row per training index in ks. The
+    Hessian estimators share one linearization, so each point costs one
+    gradient and one solve; gif replays the trajectory per point."""
+    if estimator not in ESTIMATORS:
+        raise InvalidInputError(f"unknown estimator {estimator!r}")
+    out = np.zeros((len(ks), spec.param_count))
+    if estimator == "gif":
+        if trajectory is None:
+            raise InvalidInputError("gif estimator needs a trajectory")
+        for j, k in enumerate(ks):
+            out[j] = sam_gif(trajectory, spec, dataset, k, gif_mode)
+        return out
+    rows = _train_rows(dataset)
+    for k in ks:
+        if not 0 <= k < rows.size:
+            raise InvalidInputError(f"training index {k} out of range")
+    w_pert, apply_A, ncfg = _linearize(spec, dataset, params, rho, p, lam, estimator == "hif", ncfg)
+    for j, k in enumerate(ks):
+        _, gk = mod.subset_loss_grad(spec, w_pert, dataset, rows[k], 1.0 / rows.size)
+        if np.any(gk):
+            out[j] = -neumann_ihvp(apply_A, gk, ncfg)
+    return out
+
+
+def sam_if_fast(
+    spec: mod.ModelSpec,
+    dataset: mod.Dataset,
+    params: Array,
+    rho: float,
+    p: float,
+    lam: float,
+    k: int,
+    ncfg: NeumannConfig,
+) -> Array:
+    """Fast estimator: -(H + lam*I)^{-1} grad_k, both taken at the
+    perturbed optimum, with the perturbation held fixed."""
+    out = influence_vectors("if_fast", spec, dataset, params, rho, p, lam, ncfg, [k], None, "sgd")
+    return out[0]
 
 
 def sam_hif(
@@ -216,23 +268,8 @@ def sam_hif(
     """Total-Hessian estimator: like the fast one, but the operator also
     carries the curvature applied to the perturbation's parameter
     Jacobian. At rho = 0 the extra term vanishes exactly."""
-    rows = _train_rows(dataset)
-    if not 0 <= k < rows.size:
-        raise InvalidInputError(f"training index {k} out of range")
-    w_pert, _ = perturbed_params(spec, dataset, params, rho, p)
-    scale = 1.0 / rows.size
-    _, gk = mod.subset_loss_grad(spec, w_pert, dataset, rows[k], scale)
-    if not np.any(gk):
-        return np.zeros_like(gk)
-
-    def apply_A(v: Array) -> Array:
-        out = mod.hvp(spec, w_pert, dataset, rows, v, scale) + lam * v
-        if rho > 0.0:
-            jv = eps_jacobian_vec(spec, dataset, params, rho, p, v)
-            out = out + mod.hvp(spec, w_pert, dataset, rows, jv, scale)
-        return out
-
-    return -neumann_ihvp(apply_A, gk, ncfg)
+    out = influence_vectors("hif", spec, dataset, params, rho, p, lam, ncfg, [k], None, "sgd")
+    return out[0]
 
 
 def sam_gif(
@@ -269,11 +306,10 @@ def sam_gif(
             continue
         if mode == "sgd" and k not in ck.batch:
             continue
-        batch_rows = rows[ck.batch]
-        _, g_batch = mod.subset_loss_grad(
-            spec, ck.params, dataset, batch_rows, 1.0 / ck.batch.size
+        _, eps = sam_perturbation(
+            spec, ck.params, dataset, rows[ck.batch], 1.0 / ck.batch.size,
+            trajectory.rho, trajectory.p,
         )
-        eps = worst_perturbation(g_batch, trajectory.rho, trajectory.p)
         _, gk = mod.subset_loss_grad(spec, ck.params + eps, dataset, rows[k], 1.0)
         total += ck.weight * gk
     return -total
@@ -327,14 +363,8 @@ def compute_influence(
     """Run one estimator for one training point and score it against the
     validation split (or explicit validation rows)."""
     start = time.perf_counter()
-    if request.estimator == "if_fast":
-        base = sam_if_fast(spec, dataset, params, rho, p, lam, request.k, ncfg)
-    elif request.estimator == "hif":
-        base = sam_hif(spec, dataset, params, rho, p, lam, request.k, ncfg)
-    else:
-        if trajectory is None:
-            raise InvalidInputError("gif estimator needs a trajectory")
-        base = sam_gif(trajectory, spec, dataset, request.k, gif_mode)
+    base = influence_vectors(request.estimator, spec, dataset, params, rho, p, lam, ncfg,
+                             [request.k], trajectory, gif_mode)[0]
     # delta scales the up-weighting; removal (delta=-1) is the identity here.
     ifvec = (-request.delta) * base
     if val_indices is None:

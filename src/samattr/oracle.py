@@ -16,12 +16,8 @@ from scipy import stats
 
 from . import model as mod
 from .errors import InvalidInputError
-from .influence import (
-    InfluenceRequest,
-    NeumannConfig,
-    compute_influence,
-    influence_score,
-)
+from .influence import NeumannConfig, influence_score, influence_vectors
+from .influence import compute_influence  # noqa: F401  re-exported; bench/ traces it here
 from .numcore import BatchSchedule, sample_batches
 from .samtrain import SAMConfig, train_sam
 
@@ -181,30 +177,18 @@ def calibrate_estimator(
         sample = np.sort(
             np.random.default_rng(config.seed).choice(n, size=sample_size, replace=False)
         )
-    predicted = np.empty(sample.size)
+    if callable(estimator):
+        # Custom estimator hook: (spec, dataset, params, k) -> influence vector.
+        ifvecs = [estimator(spec, dataset, params, int(k)) for k in sample]
+        est_name = getattr(estimator, "__name__", "custom")
+    else:
+        ifvecs = influence_vectors(estimator, spec, dataset, params, config.rho, config.p,
+                                   config.lam, ncfg, sample, traj, gif_mode)
+        est_name = estimator
+    val_rows = dataset.indices("val")
+    predicted = np.array([influence_score(spec, params, dataset, val_rows, v) for v in ifvecs])
     actual = np.empty(sample.size)
     for j, k in enumerate(sample):
-        if callable(estimator):
-            # Custom estimator hook: (spec, dataset, params, k) -> influence vector.
-            ifvec = estimator(spec, dataset, params, int(k))
-            score = influence_score(spec, params, dataset, dataset.indices("val"), ifvec)
-            est_name = getattr(estimator, "__name__", "custom")
-        else:
-            rec = compute_influence(
-                InfluenceRequest(k=int(k), estimator=estimator),
-                spec,
-                dataset,
-                params,
-                config.rho,
-                config.p,
-                config.lam,
-                ncfg,
-                trajectory=traj,
-                gif_mode=gif_mode,
-            )
-            score = rec.score
-            est_name = estimator
-        predicted[j] = score
         w_k = loo_retrain(spec, dataset, int(k), config)
         # Removal-induced loss change: positive means removal hurt.
         actual[j] = validation_loss(spec, w_k, dataset) - base_val

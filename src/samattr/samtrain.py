@@ -111,12 +111,6 @@ class Trajectory:
     rho: float | None = None
     p: float | None = None
 
-    def checkpoint_at(self, step: int) -> Checkpoint:
-        for ck in self.checkpoints:
-            if ck.step == step:
-                return ck
-        raise InvalidInputError(f"trajectory has no checkpoint at step {step}")
-
     @property
     def final_params(self) -> Array:
         return self.checkpoints[-1].params
@@ -144,25 +138,14 @@ def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
     return rho * num / denom
 
 
-def sam_gradient(
-    spec: mod.ModelSpec,
-    params: Array,
-    dataset: mod.Dataset,
-    indices,
-    rho: float,
-    p: float,
-    lam: float,
-    scale: float | None = None,
-) -> Array:
-    """Gradient of the batch loss at the worst-case perturbed point, plus
-    the L2 term. scale defaults to the batch mean (1 / #indices)."""
-    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    if scale is None:
-        scale = 1.0 / indices.size
-    _, g = mod.subset_loss_grad(spec, params, dataset, indices, scale)
-    eps = worst_perturbation(g, rho, p)
-    _, g_pert = mod.subset_loss_grad(spec, params + eps, dataset, indices, scale)
-    return g_pert + lam * np.asarray(params, dtype=np.float64)
+def sam_perturbation(
+    spec: mod.ModelSpec, params: Array, dataset: mod.Dataset, rows, scale: float,
+    rho: float, p: float,
+) -> tuple[float, Array]:
+    """First half of a SAM step: the loss of the given rows at params
+    (weighted by scale) and the worst-case perturbation of that loss."""
+    loss, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
+    return loss, worst_perturbation(g, rho, p)
 
 
 def train_sam(
@@ -209,10 +192,9 @@ def train_sam(
         eta = config.eta_at(t)
         scale = loss_scale / batch.size
         rows = train_rows[batch]
-        loss, g = mod.subset_loss_grad(spec, w, dataset, rows, scale)
+        loss, eps = sam_perturbation(spec, w, dataset, rows, scale, config.rho, config.p)
         if not math.isfinite(loss) or loss > 1e6:
             raise DivergenceError(f"training diverged at step {t} (batch loss {loss})")
-        eps = worst_perturbation(g, config.rho, config.p)
         _, g_pert = mod.subset_loss_grad(spec, w + eps, dataset, rows, scale)
         g_sam = g_pert + config.lam * w
         if t % config.record_stride == 0:
@@ -241,8 +223,7 @@ def stationarity_report(
     L2 term; both are reported because they vanish together only at lam=0."""
     rows = dataset.indices("train")
     scale = 1.0 / rows.size
-    _, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
-    eps = worst_perturbation(g, config.rho, config.p)
+    _, eps = sam_perturbation(spec, params, dataset, rows, scale, config.rho, config.p)
     _, g_pert = mod.subset_loss_grad(spec, params + eps, dataset, rows, scale)
     return {
         "grad_norm": p_norm(g_pert, 2.0),

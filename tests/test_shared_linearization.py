@@ -1,0 +1,50 @@
+"""score_all builds one linearization for every point; the per-point
+entry points build their own. Both must give the same vectors."""
+
+import numpy as np
+import pytest
+
+from samattr.datasets import make_blobs
+from samattr.experiments import ExperimentConfig, score_all
+from samattr.influence import (
+    InfluenceRequest,
+    compute_influence,
+    sam_gif,
+    sam_hif,
+    sam_if_fast,
+)
+from samattr.model import ModelSpec
+from samattr.samtrain import SAMConfig, train_sam
+
+
+@pytest.fixture(scope="module")
+def trained():
+    ds = make_blobs(24, 3, 2, 2.0, seed=21)
+    spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+    sam = SAMConfig(rho=0.05, lam=0.1, eta=0.5, batch_size=8, steps=40, seed=21)
+    params, traj = train_sam(spec, ds, sam)
+    return spec, ds, sam, params, traj
+
+
+@pytest.mark.parametrize("estimator", ["if_fast", "hif", "gif"])
+def test_score_all_matches_per_point_estimators(trained, estimator):
+    spec, ds, sam, params, traj = trained
+    cfg = ExperimentConfig(estimator=estimator, neumann_order=400, neumann_zeta=1e-10)
+    ncfg = cfg.neumann()
+    _, ifvecs = score_all(cfg, spec, ds, sam, params, traj)
+
+    def per_point(k):
+        if estimator == "gif":
+            return sam_gif(traj, spec, ds, k, cfg.gif_mode)
+        fn = sam_if_fast if estimator == "if_fast" else sam_hif
+        return fn(spec, ds, params, sam.rho, sam.p, sam.lam, k, ncfg)
+
+    n = ds.indices("train").size
+    assert np.array_equal(ifvecs, np.stack([per_point(k) for k in range(n)]))
+    for k in (0, n // 2, n - 1):
+        rec = compute_influence(
+            InfluenceRequest(k=k, estimator=estimator),
+            spec, ds, params, sam.rho, sam.p, sam.lam, ncfg,
+            trajectory=traj, gif_mode=cfg.gif_mode,
+        )
+        assert np.array_equal(rec.influence, ifvecs[k])
