@@ -15,9 +15,13 @@ point is removed, i.e. positive = valuable, negative = harmful.
 
 Inverse operators are applied via a damped, scaled truncated Neumann
 iteration; no Hessian is ever materialized here. ``influence_vectors``
-builds the linearization (w_pert, full-train gradient, Neumann alpha)
-once per call, e.g. once per ``score_all`` or calibrate call, and each
-scored point then costs one gradient and one solve.
+scores every requested point in one pass. The Hessian estimators build
+the linearization (w_pert, full-train gradient, Neumann alpha) once per
+call, e.g. once per ``score_all`` or calibrate call, take all points'
+gradients in one per-example call and solve them as blocks of right-hand
+sides, one block HVP per iteration. The trajectory estimator replays the
+trajectory once: one perturbation per checkpoint, then one per-example
+gradient call for the scored points that checkpoint used.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ Array = np.ndarray
 LinearOperator = Callable[[Array], Array]
 
 ESTIMATORS = ("if_fast", "hif", "gif")
+
+# Tangent rows per block HVP: the right-hand sides of one block Neumann
+# solve, or the unit columns of one dense_hessian step. A block HVP holds
+# (rows, n_train, width) tangent arrays, so this bounds peak memory
+# whatever the number of points.
+HVP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -103,25 +113,32 @@ def neumann_ihvp(apply_A: LinearOperator, g: Array, cfg: NeumannConfig) -> Array
     """Approximate (A + damp*I)^{-1} g by the scaled Neumann iteration
     v_{j+1} = alpha*g + v_j - alpha*(A + damp*I) v_j, v_0 = alpha*g.
 
-    Stops early once the L1 step shrinks below zeta. Convergence needs
-    the damped, scaled operator to have spectral radius below one;
-    divergence raises with advice to shrink alpha or raise damp.
+    g is one right-hand side (P,) or a block (m, P) of them, one per row;
+    for a block, apply_A takes blocks of rows. Each row stops early once
+    its own L1 step shrinks below zeta, and only rows still running go
+    to apply_A, so a row's result is that of its solve alone. Convergence
+    needs the damped, scaled operator to have spectral radius below one;
+    divergence of any row raises with advice to shrink alpha or raise damp.
     """
     g = np.asarray(g, dtype=np.float64)
-    alpha = cfg.alpha if cfg.alpha is not None else _auto_alpha(apply_A, g.size)
-    ag = alpha * g
+    alpha = cfg.alpha if cfg.alpha is not None else _auto_alpha(apply_A, g.shape[-1])
+    op = apply_A if g.ndim == 2 else (lambda rows: apply_A(rows[0])[None])
+    ag = alpha * np.atleast_2d(g)
     v = ag.copy()
+    active = np.arange(v.shape[0])
     for _ in range(cfg.order):
-        v_next = ag + v - alpha * (apply_A(v) + cfg.damp * v)
+        if active.size == 0:
+            break
+        va = v[active]
+        v_next = ag[active] + va - alpha * (op(va) + cfg.damp * va)
         if not np.all(np.isfinite(v_next)):
             raise DivergenceError(
                 "Neumann iteration diverged; reduce alpha or increase damp"
             )
-        step = p_norm(v_next - v, 1.0)
-        v = v_next
-        if step <= cfg.zeta:
-            break
-    return v
+        steps = np.abs(v_next - va).sum(axis=1)
+        v[active] = v_next
+        active = active[steps > cfg.zeta]
+    return v.reshape(g.shape)
 
 
 def _train_rows(dataset: mod.Dataset) -> Array:
@@ -144,8 +161,8 @@ def perturbed_params(
 def _eps_jacobian(
     spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float
 ) -> LinearOperator:
-    """v -> (d eps / d w) v at params; the full-train gradient it needs
-    is taken once, here, not per application."""
+    """v -> (d eps / d w) v at params, for one v or a block of rows; the
+    full-train gradient it needs is taken once, here, not per application."""
     if rho == 0.0:
         return np.zeros_like
     rows = _train_rows(dataset)
@@ -156,11 +173,14 @@ def _eps_jacobian(
         raise InvalidInputError("perturbation Jacobian is singular at a zero gradient")
 
     def apply_J(v: Array) -> Array:
-        if not np.any(v):
-            return np.zeros_like(v)
         if p == 2.0:
             Hv = mod.hvp(spec, params, dataset, rows, v, scale)
-            return rho * (Hv / gnorm - g * float(g @ Hv) / gnorm**3)
+            # g . Hv as a stack of one-row products, so no row depends on its block
+            return rho * (Hv / gnorm - g * (Hv[..., None, :] @ g) / gnorm**3)
+        if v.ndim == 2:  # the difference step below depends on each row's norm
+            return np.stack([apply_J(row) for row in v])
+        if not np.any(v):
+            return np.zeros_like(v)
         h = 1e-4 * max(p_norm(params, 2.0), 1.0) / p_norm(v, 2.0)
         _, g_plus = mod.subset_loss_grad(spec, params + h * v, dataset, rows, scale)
         _, g_minus = mod.subset_loss_grad(spec, params - h * v, dataset, rows, scale)
@@ -196,7 +216,8 @@ def _linearize(
     """The operator the Hessian estimators solve against, built once:
     A v = H_pert (v + J_eps v) + lam v, with H_pert the full-train Hessian
     at the perturbed optimum and J_eps the perturbation's Jacobian (total
-    only). Returns w_pert, A, and ncfg with alpha fixed if it was auto."""
+    only). A takes one v or a block of rows. Returns w_pert, A, and ncfg
+    with alpha fixed if it was auto."""
     rows = _train_rows(dataset)
     scale = 1.0 / rows.size
     w_pert, _ = perturbed_params(spec, dataset, params, rho, p)
@@ -211,31 +232,39 @@ def _linearize(
     return w_pert, apply_A, ncfg
 
 
+def _check_ks(ks, n: int) -> Array:
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    bad = ks[(ks < 0) | (ks >= n)]
+    if bad.size:
+        raise InvalidInputError(f"training index {bad[0]} out of range")
+    return ks
+
+
 def influence_vectors(
     estimator: str, spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float,
     p: float, lam: float, ncfg: NeumannConfig, ks, trajectory: Trajectory | None, gif_mode: str,
 ) -> Array:
-    """Influence vectors IF(k), one row per training index in ks. The
-    Hessian estimators share one linearization, so each point costs one
-    gradient and one solve; gif replays the trajectory per point."""
+    """Influence vectors IF(k), one row per training index in ks, in one
+    pass. The Hessian estimators build one linearization and solve all
+    points' gradients against it, HVP_BLOCK rows at a time; gif replays
+    the trajectory once for all of ks."""
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"unknown estimator {estimator!r}")
-    out = np.zeros((len(ks), spec.param_count))
     if estimator == "gif":
         if trajectory is None:
             raise InvalidInputError("gif estimator needs a trajectory")
-        for j, k in enumerate(ks):
-            out[j] = sam_gif(trajectory, spec, dataset, k, gif_mode)
-        return out
+        return _gif_vectors(trajectory, spec, dataset, ks, gif_mode)
     rows = _train_rows(dataset)
-    for k in ks:
-        if not 0 <= k < rows.size:
-            raise InvalidInputError(f"training index {k} out of range")
+    ks = _check_ks(ks, rows.size)
     w_pert, apply_A, ncfg = _linearize(spec, dataset, params, rho, p, lam, estimator == "hif", ncfg)
-    for j, k in enumerate(ks):
-        _, gk = mod.subset_loss_grad(spec, w_pert, dataset, rows[k], 1.0 / rows.size)
-        if np.any(gk):
-            out[j] = -neumann_ihvp(apply_A, gk, ncfg)
+    out = np.zeros((ks.size, spec.param_count))
+    if ks.size == 0:
+        return out
+    grads = (1.0 / rows.size) * mod.example_grads(spec, w_pert, dataset, rows[ks])
+    live = np.flatnonzero(np.any(grads, axis=1))  # zero-gradient rows stay exactly zero
+    for start in range(0, live.size, HVP_BLOCK):
+        block = live[start : start + HVP_BLOCK]
+        out[block] = -neumann_ihvp(apply_A, grads[block], ncfg)
     return out
 
 
@@ -286,6 +315,15 @@ def sam_gif(
     The perturbation at each checkpoint is recomputed from that step's
     batch gradient, matching what the trainer actually applied.
     """
+    return _gif_vectors(trajectory, spec, dataset, [k], mode)[0]
+
+
+def _gif_vectors(
+    trajectory: Trajectory, spec: mod.ModelSpec, dataset: mod.Dataset, ks, mode: str
+) -> Array:
+    """sam_gif for every training index in ks from one replay: each
+    checkpoint's perturbation is computed once, then the gradients of all
+    scored points it used come from one per-example gradient call."""
     if mode not in ("gd", "sgd"):
         raise InvalidInputError(f"unknown gif mode {mode!r}")
     if trajectory.param_count != spec.param_count:
@@ -293,25 +331,24 @@ def sam_gif(
     rows = _train_rows(dataset)
     if rows.size != trajectory.n_train:
         raise InvalidInputError("trajectory train size does not match the dataset")
-    if not 0 <= k < rows.size:
-        raise InvalidInputError(f"training index {k} out of range")
+    ks = _check_ks(ks, rows.size)
     if trajectory.rho is None or trajectory.p is None:
         raise InvalidInputError(
             "trajectory is missing its SAM settings; set trajectory.rho and "
             "trajectory.p before computing trajectory influence"
         )
-    total = np.zeros(spec.param_count)
+    total = np.zeros((ks.size, spec.param_count))
     for ck in trajectory.checkpoints:
         if ck.batch.size == 0:  # final-state checkpoint, no update at this step
             continue
-        if mode == "sgd" and k not in ck.batch:
+        used = np.flatnonzero(np.isin(ks, ck.batch)) if mode == "sgd" else np.arange(ks.size)
+        if used.size == 0:
             continue
         _, eps = sam_perturbation(
             spec, ck.params, dataset, rows[ck.batch], 1.0 / ck.batch.size,
             trajectory.rho, trajectory.p,
         )
-        _, gk = mod.subset_loss_grad(spec, ck.params + eps, dataset, rows[k], 1.0)
-        total += ck.weight * gk
+        total[used] += ck.weight * mod.example_grads(spec, ck.params + eps, dataset, rows[ks[used]])
     return -total
 
 

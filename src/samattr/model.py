@@ -115,6 +115,29 @@ def _pack(parts: list[tuple[Array, Array]]) -> Array:
     return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in parts])
 
 
+def _unpack_rows(spec: ModelSpec, V: Array) -> list[tuple[Array, Array]]:
+    """_unpack for each row of a block V (m, P): W (m, fan_out, fan_in), b (m, fan_out).
+    Kept apart from _unpack so the single-vector path stays as cheap as it is."""
+    m = V.shape[0]
+    layers = []
+    off = 0
+    sizes = spec.layer_sizes
+    for i in range(len(sizes) - 1):
+        fan_in, fan_out = sizes[i], sizes[i + 1]
+        W = V[:, off : off + fan_in * fan_out].reshape(m, fan_out, fan_in)
+        off += fan_in * fan_out
+        layers.append((W, V[:, off : off + fan_out]))
+        off += fan_out
+    return layers
+
+
+def _pack_rows(parts: list[tuple[Array, Array]]) -> Array:
+    """Inverse of _unpack_rows: one packed parameter row per leading index."""
+    return np.concatenate(
+        [np.concatenate([W.reshape(len(W), -1), b], axis=1) for W, b in parts], axis=1
+    )
+
+
 def init_params(spec: ModelSpec, seed: int) -> Array:
     """Zero-mean uniform weights scaled by 1/sqrt(fan_in); biases zero."""
     rng = np.random.default_rng(seed)
@@ -231,6 +254,34 @@ def subset_loss_grad(
     return scale * loss, scale * grad
 
 
+def example_grads(spec: ModelSpec, params: Array, dataset: Dataset, indices) -> Array:
+    """Per-example loss gradients, one row per dataset row in indices.
+
+    Each example is propagated as its own one-row stack, so row i equals
+    subset_loss_grad over indices[i] alone, bit for bit, whichever other
+    rows share the call; the rows sum to the subset gradient up to rounding.
+    """
+    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+    if indices.size == 0:
+        raise InvalidInputError("example_grads: empty index set")
+    if indices.min() < 0 or indices.max() >= dataset.n:
+        raise InvalidInputError("example_grads: index out of range")
+    X, y = _check_examples(spec, dataset.features[indices], dataset.labels[indices])
+    layers = _unpack(spec, params)
+    acts = _forward(spec, layers, X[:, None, :])  # (rows, 1, width) per layer
+    Z = acts[-1]
+    m = Z - Z.max(axis=-1, keepdims=True)
+    delta = np.exp(m - np.log(np.exp(m).sum(axis=-1, keepdims=True)))
+    delta[np.arange(len(y)), 0, y] -= 1.0  # dLoss/dZ_L per example
+
+    grads: list[tuple[Array, Array]] = [None] * len(layers)
+    for l in range(len(layers) - 1, -1, -1):
+        grads[l] = (np.swapaxes(delta, -1, -2) @ acts[l], delta[:, 0])
+        if l > 0:
+            delta = _act_deriv(spec, acts[l]) * (delta @ layers[l][0])
+    return _pack_rows(grads)
+
+
 def hvp(
     spec: ModelSpec,
     params: Array,
@@ -241,29 +292,33 @@ def hvp(
 ) -> Array:
     """Exact Hessian-vector product scale * (sum_i d2 loss_i) v.
 
-    Forward-mode tangents (seeded by v) are carried through the forward
-    pass and then through the backward pass, yielding the directional
-    derivative of the gradient.
+    v is one tangent (P,) or a block of tangents (m, P), one per row; the
+    result has v's shape. Forward-mode tangents (seeded by v) are carried
+    through the forward pass and then through the backward pass, yielding
+    the directional derivative of the gradient. Each tangent row goes
+    through its own stacked products, so a row's result does not depend
+    on the other rows of the block.
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     if indices.size == 0:
         raise InvalidInputError("hvp: empty index set")
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (spec.param_count,):
+    if v.ndim not in (1, 2) or v.shape[-1] != spec.param_count:
         raise InvalidInputError("hvp: tangent vector length mismatch")
     X, y = _check_examples(spec, dataset.features[indices], dataset.labels[indices])
     layers = _unpack(spec, params)
-    tangents = _unpack(spec, v)
+    tangents = _unpack_rows(spec, v.reshape(-1, spec.param_count))
 
-    # Forward pass with tangents; dZs keeps the pre-activation tangents,
-    # needed by the second-derivative term of the backward sweep.
+    # Forward pass with tangents, one leading axis per tangent row; dZs
+    # keeps the pre-activation tangents, needed by the second-derivative
+    # term of the backward sweep.
     acts = [X]
     dacts = [np.zeros_like(X)]
     dZs = [np.zeros_like(X)]
     L = len(layers)
     for l, ((W, b), (dW, db)) in enumerate(zip(layers, tangents)):
         Z = acts[-1] @ W.T + b
-        dZ = acts[-1] @ dW.T + dacts[-1] @ W.T + db
+        dZ = acts[-1] @ np.swapaxes(dW, -1, -2) + dacts[-1] @ W.T + db[:, None, :]
         dZs.append(dZ)
         if l == L - 1:
             acts.append(Z)
@@ -278,12 +333,12 @@ def hvp(
     delta = P.copy()
     delta[np.arange(len(y)), y] -= 1.0
     # Tangent of softmax: dP = P * (dZ - sum(P * dZ)).
-    ddelta = P * (dZ - (P * dZ).sum(axis=1, keepdims=True))
+    ddelta = P * (dZ - (P * dZ).sum(axis=-1, keepdims=True))
 
     hparts: list[tuple[Array, Array]] = [None] * L
     for l in range(L - 1, -1, -1):
         A_prev, dA_prev = acts[l], dacts[l]
-        hparts[l] = (ddelta.T @ A_prev + delta.T @ dA_prev, ddelta.sum(axis=0))
+        hparts[l] = (np.swapaxes(ddelta, -1, -2) @ A_prev + delta.T @ dA_prev, ddelta.sum(axis=-2))
         if l > 0:
             W, dW = layers[l][0], tangents[l][0]
             s = delta @ W
@@ -293,7 +348,7 @@ def hvp(
             phi2 = _act_second_deriv(spec, A)
             ddelta = phi2 * dZs[l] * s + phi1 * ds
             delta = phi1 * s
-    return scale * _pack(hparts)
+    return (scale * _pack_rows(hparts)).reshape(v.shape)
 
 
 def predict(spec: ModelSpec, params: Array, x: Array) -> tuple[int, Array]:

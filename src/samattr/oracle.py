@@ -16,7 +16,7 @@ from scipy import stats
 
 from . import model as mod
 from .errors import InvalidInputError
-from .influence import NeumannConfig, influence_score, influence_vectors
+from .influence import HVP_BLOCK, NeumannConfig, influence_vectors
 from .influence import compute_influence  # noqa: F401  re-exported; bench/ traces it here
 from .numcore import BatchSchedule, sample_batches
 from .samtrain import SAMConfig, train_sam
@@ -105,7 +105,8 @@ def dense_hessian(
     indices=None,
     scale: float | None = None,
 ) -> Array:
-    """Materialize scale * sum_i d2 loss_i + lam*I column-by-column.
+    """Materialize scale * sum_i d2 loss_i + lam*I, HVP_BLOCK columns
+    (block HVPs of unit vectors) at a time.
 
     Refuses parameter counts above the guard; this exists to audit the
     matrix-free operators, not to be a solver path.
@@ -119,11 +120,9 @@ def dense_hessian(
     if scale is None:
         scale = 1.0 / indices.size
     H = np.empty((P, P))
-    e = np.zeros(P)
-    for i in range(P):
-        e[i] = 1.0
-        H[:, i] = mod.hvp(spec, params, dataset, indices, e, scale)
-        e[i] = 0.0
+    for start in range(0, P, HVP_BLOCK):
+        units = np.eye(min(HVP_BLOCK, P - start), P, k=start)  # e_start, e_start+1, ...
+        H[:, start : start + len(units)] = mod.hvp(spec, params, dataset, indices, units, scale).T
     H[np.diag_indices(P)] += lam
     return H
 
@@ -179,14 +178,15 @@ def calibrate_estimator(
         )
     if callable(estimator):
         # Custom estimator hook: (spec, dataset, params, k) -> influence vector.
-        ifvecs = [estimator(spec, dataset, params, int(k)) for k in sample]
+        ifvecs = np.stack([estimator(spec, dataset, params, int(k)) for k in sample])
         est_name = getattr(estimator, "__name__", "custom")
     else:
         ifvecs = influence_vectors(estimator, spec, dataset, params, config.rho, config.p,
                                    config.lam, ncfg, sample, traj, gif_mode)
         est_name = estimator
-    val_rows = dataset.indices("val")
-    predicted = np.array([influence_score(spec, params, dataset, val_rows, v) for v in ifvecs])
+    # Same orientation as influence_score: positive = removal hurts.
+    _, gval = mod.subset_loss_grad(spec, params, dataset, dataset.indices("val"), 1.0)
+    predicted = -(ifvecs @ gval)
     actual = np.empty(sample.size)
     for j, k in enumerate(sample):
         w_k = loo_retrain(spec, dataset, int(k), config)
