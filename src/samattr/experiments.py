@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -205,19 +205,24 @@ def rank_ascending(scores: Array) -> Array:
     return np.lexsort((np.arange(scores.size), scores))
 
 
-def retrain_without(
-    spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig, drop_positions
-) -> Array:
-    """Fresh training run with the given train-split positions removed."""
-    drop_positions = np.asarray(drop_positions, dtype=np.int64)
-    rows = ds.indices("train")
-    keep = np.ones(ds.n, dtype=bool)
-    keep[rows[drop_positions]] = False
-    reduced = mod.Dataset(ds.features[keep], ds.labels[keep], ds.split[keep])
-    n_left = int(reduced.indices("train").size)
-    cfg = dc_replace(sam, batch_size=min(sam.batch_size, n_left))
-    params, _ = train_sam(spec, reduced, cfg)
-    return params
+def _removal_accuracies(
+    cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig,
+    params: Array, order: Array, salt: int,
+) -> tuple[list, list, list]:
+    """Per removal fraction f: test accuracy after retraining without the
+    first round(f*n) points of order, and without a seeded random set of
+    the same size (both via the oracle), and the fraction's wall time."""
+    n = order.size
+    acc_ranked, acc_random, walls = [], [], []
+    for fi, f in enumerate(cfg.removal_fractions):
+        start = time.perf_counter()
+        m = int(round(f * n))
+        rand = np.random.default_rng([cfg.seed, salt, fi]).choice(n, size=m, replace=False)
+        for removed, accs in ((order[:m], acc_ranked), (rand, acc_random)):
+            w = oracle.loo_retrain(spec, ds, removed, sam) if m else params
+            accs.append(mod.accuracy(spec, w, ds, "test"))
+        walls.append(time.perf_counter() - start)
+    return acc_ranked, acc_random, walls
 
 
 def cmd_train(cfg: ExperimentConfig) -> Report:
@@ -267,22 +272,11 @@ def cmd_valuate(cfg: ExperimentConfig) -> Report:
     n = scores.size
     order = rank_descending(scores)
     fractions = list(cfg.removal_fractions)
-    acc_retrain, acc_edit, acc_random, walls = [], [], [], []
-    for fi, f in enumerate(fractions):
-        start = time.perf_counter()
-        m = int(round(f * n))
-        removed = order[:m]
-        if m == 0:
-            w_retrain, w_edit = params, params
-        else:
-            w_retrain = retrain_without(spec, ds, sam, removed)
-            w_edit = params - ifvecs[removed].sum(axis=0)
-        acc_retrain.append(mod.accuracy(spec, w_retrain, ds, "test"))
-        acc_edit.append(mod.accuracy(spec, w_edit, ds, "test"))
-        rand_removed = np.random.default_rng([cfg.seed, 0x7A, fi]).choice(n, size=m, replace=False)
-        w_rand = retrain_without(spec, ds, sam, rand_removed) if m else params
-        acc_random.append(mod.accuracy(spec, w_rand, ds, "test"))
-        walls.append(time.perf_counter() - start)
+    acc_retrain, acc_random, walls = _removal_accuracies(cfg, spec, ds, sam, params, order, 0x7A)
+    acc_edit = [
+        mod.accuracy(spec, params - ifvecs[order[: int(round(f * n))]].sum(axis=0), ds, "test")
+        for f in fractions
+    ]
     report = Report()
     digest = cfg.digest()
     report.add("valuate", digest, "acc_retrain", fractions, acc_retrain, walls)
@@ -322,16 +316,7 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
     report.add("detect_noise", digest, "recall_random", _RECALL_GRID, recall_curve(random_order))
 
     fractions = list(cfg.removal_fractions)
-    acc_is, acc_random, walls = [], [], []
-    for fi, f in enumerate(fractions):
-        start = time.perf_counter()
-        m = int(round(f * n))
-        w_is = retrain_without(spec, noisy, sam, order[:m]) if m else params
-        rand = np.random.default_rng([cfg.seed, 0x4F, fi]).choice(n, size=m, replace=False)
-        w_rand = retrain_without(spec, noisy, sam, rand) if m else params
-        acc_is.append(mod.accuracy(spec, w_is, noisy, "test"))
-        acc_random.append(mod.accuracy(spec, w_rand, noisy, "test"))
-        walls.append(time.perf_counter() - start)
+    acc_is, acc_random, walls = _removal_accuracies(cfg, spec, noisy, sam, params, order, 0x4F)
     report.add("detect_noise", digest, "acc_removed_is", fractions, acc_is, walls)
     report.add("detect_noise", digest, "acc_removed_random", fractions, acc_random)
     return report
@@ -368,15 +353,16 @@ def cmd_trace(cfg: ExperimentConfig) -> Report:
 def cmd_edit(cfg: ExperimentConfig) -> Report:
     """Edit the model by subtracting summed influence vectors of the
     removal set (explicit indices, or the bottom fraction by score) and
-    compare against actually retraining without those points."""
+    compare against retraining without those points (the oracle's
+    replayed schedule)."""
     spec, ds, sam = setup(cfg)
     params, traj = train_sam(spec, ds, sam)
     scores, ifvecs = score_all(cfg, spec, ds, sam, params, traj)
     n = scores.size
     if cfg.edit_indices:
         removed = np.asarray(cfg.edit_indices, dtype=np.int64)
-        if removed.min() < 0 or removed.max() >= n:
-            raise ConfigError("edit_indices out of range")
+        if removed.min() < 0 or removed.max() >= n or np.unique(removed).size != removed.size:
+            raise ConfigError(f"edit_indices must be distinct train positions in 0..{n - 1}")
     else:
         f = cfg.removal_fractions[0] if cfg.removal_fractions else 0.1
         removed = rank_ascending(scores)[: int(round(f * n))]
@@ -384,7 +370,7 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     w_edit = params - ifvecs[removed].sum(axis=0)
     edit_wall = time.perf_counter() - start
     start = time.perf_counter()
-    w_retrain = retrain_without(spec, ds, sam, removed) if removed.size else params
+    w_retrain = oracle.loo_retrain(spec, ds, removed, sam) if removed.size else params
     retrain_wall = time.perf_counter() - start
     report = Report()
     digest = cfg.digest()

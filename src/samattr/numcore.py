@@ -81,12 +81,16 @@ def sample_batches(
     rng = np.random.default_rng(seed)
     steps: list[np.ndarray] = []
     if epoch_shuffled:
-        pool: list[int] = []
+        queue = np.empty(0, dtype=np.int64)
         for _ in range(T):
-            while len(pool) < b:
-                pool.extend(rng.permutation(n).tolist())
-            steps.append(np.sort(np.asarray(pool[:b], dtype=np.int64)))
-            del pool[:b]
+            if queue.size < b:
+                # Epoch boundary: the next permutation tops the leftovers up
+                # with points they do not hold; the points it skips stay queued.
+                fresh = rng.permutation(n)
+                fill = np.flatnonzero(~np.isin(fresh, queue))[: b - queue.size]
+                queue = np.concatenate([queue, fresh[fill], np.delete(fresh, fill)])
+            steps.append(np.sort(queue[:b]))
+            queue = queue[b:]
     else:
         for _ in range(T):
             if b == n:

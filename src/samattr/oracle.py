@@ -1,10 +1,12 @@
 """Ground-truth machinery the estimators are judged against.
 
-Leave-one-out retraining replays the original run's batch schedule with
-the removed point's slots resampled deterministically, so at desk scale
-the single-point effect is not swamped by fresh schedule noise. The
-dense Hessian is assembled column-by-column from Hessian-vector
-products and only exists as an audit tool for small parameter counts.
+loo_retrain is the package's one "retrain without these points", for a
+single training point (leave-one-out) or a removal set: it replays the
+original batch schedule with the removed points' slots resampled
+deterministically and keeps the 1/n per-example weight, so at desk scale
+the removal's effect is not swamped by fresh schedule noise. The dense
+Hessian is assembled from Hessian-vector products and only exists as an
+audit tool for small parameter counts.
 """
 
 from __future__ import annotations
@@ -35,65 +37,71 @@ class CalibrationReport:
     estimator: str
 
 
-def loo_schedule(n: int, k: int, config: SAMConfig) -> BatchSchedule:
-    """The original seeded schedule with index k removed.
+def _removal_set(n: int, removed, who: str) -> Array:
+    """Sorted, validated train positions of a removal set (one index or several)."""
+    S = np.sort(np.atleast_1d(np.asarray(removed)))
+    if S.ndim != 1 or (S.size and not np.issubdtype(S.dtype, np.integer)):
+        raise InvalidInputError(f"{who}: removal set must be integer indices")
+    S = S.astype(np.int64)
+    if S.size and not 0 <= S[0] <= S[-1] < n:
+        raise InvalidInputError(f"{who}: index out of range 0..{n - 1}")
+    if np.any(S[1:] == S[:-1]):
+        raise InvalidInputError(f"{who}: removal set repeats an index")
+    if S.size >= n:
+        raise InvalidInputError(f"{who}: removing all {n} training points leaves none")
+    return S
 
-    Slots holding k are resampled (seeded by config.seed and k) from the
-    points outside the batch; for full-batch steps the slot is dropped
-    instead. Indices are then remapped onto the reduced range 0..n-2.
+
+def loo_schedule(n: int, removed, config: SAMConfig) -> BatchSchedule:
+    """The original seeded schedule with the removal set S (one index or
+    several) taken out.
+
+    Slots holding a removed index are resampled (seeded by config.seed and
+    S) from the points neither in the batch nor in S, or dropped when there
+    are none (full batch). Indices are remapped onto 0..n-|S|-1.
     """
-    if not 0 <= k < n:
-        raise InvalidInputError(f"loo_schedule: index {k} out of range")
+    S = _removal_set(n, removed, "loo_schedule")
     base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
-    rng = np.random.default_rng([config.seed & 0xFFFFFFFF, k, 0x10E])
+    rng = np.random.default_rng([config.seed & 0xFFFFFFFF, *S.tolist(), 0x10E])
+    is_removed = np.zeros(n, dtype=bool)
+    is_removed[S] = True
     steps = []
     for batch in base.steps:
-        batch = batch.copy()
-        if k in batch:
-            if batch.size == n:
-                batch = batch[batch != k]
-            else:
-                forbidden = set(batch.tolist())
-                candidates = np.asarray(
-                    [i for i in range(n) if i not in forbidden], dtype=np.int64
-                )
-                batch[batch == k] = rng.choice(candidates)
-        batch = np.where(batch > k, batch - 1, batch)
-        steps.append(np.sort(batch))
-    b_new = min(config.batch_size, n - 1)
-    return BatchSchedule(steps=steps, batch_size=b_new, seed=config.seed)
+        hits = np.flatnonzero(is_removed[batch])
+        if hits.size:
+            batch, free = batch.copy(), ~is_removed
+            free[batch] = False
+            for slot in hits:
+                candidates = np.flatnonzero(free)
+                if candidates.size:  # else the slot keeps its removed index and is dropped
+                    batch[slot] = rng.choice(candidates)
+                    free[batch[slot]] = False
+            batch = batch[~is_removed[batch]]
+        steps.append(np.sort(batch - np.searchsorted(S, batch)))
+    return BatchSchedule(steps=steps, batch_size=min(config.batch_size, n - S.size), seed=config.seed)
 
 
-def drop_train_point(dataset: mod.Dataset, k: int) -> mod.Dataset:
-    """Dataset with the k-th *train-split* row removed; other splits kept."""
+def drop_train_point(dataset: mod.Dataset, removed) -> mod.Dataset:
+    """Dataset without the given *train-split* rows; other splits kept."""
     rows = dataset.indices("train")
-    if not 0 <= k < rows.size:
-        raise InvalidInputError(f"drop_train_point: index {k} out of range")
+    S = _removal_set(rows.size, removed, "drop_train_point")
     keep = np.ones(dataset.n, dtype=bool)
-    keep[rows[k]] = False
-    return mod.Dataset(
-        features=dataset.features[keep],
-        labels=dataset.labels[keep],
-        split=dataset.split[keep],
-    )
+    keep[rows[S]] = False
+    return mod.Dataset(dataset.features[keep], dataset.labels[keep], dataset.split[keep])
 
 
-def loo_retrain(
-    spec: mod.ModelSpec, dataset: mod.Dataset, k: int, config: SAMConfig
-) -> Array:
-    """Retrain with the k-th training point removed, replaying the
-    original schedule with k's slots resampled. Deterministic."""
-    rows = dataset.indices("train")
-    n = int(rows.size)
-    if n < 2:
-        raise InvalidInputError("loo_retrain needs at least two training points")
-    schedule = loo_schedule(n, k, config)
-    reduced = drop_train_point(dataset, k)
+def loo_retrain(spec: mod.ModelSpec, dataset: mod.Dataset, removed, config: SAMConfig) -> Array:
+    """Retrain with the given training points (one index or several)
+    removed, replaying the original schedule with their slots resampled.
+    Deterministic; the result does not depend on the order of the set."""
+    n = int(dataset.indices("train").size)
+    S = _removal_set(n, removed, "loo_retrain")
+    schedule = loo_schedule(n, S, config)
+    reduced = drop_train_point(dataset, S)
     cfg = dc_replace(config, batch_size=schedule.batch_size)
-    # Keep the original per-example weight 1/n: the reduced run's data
-    # loss is (n-1)/n of a batch mean, so the L2 term keeps its relative
-    # strength and the only change is the removed point itself.
-    params, _ = train_sam(spec, reduced, cfg, schedule=schedule, loss_scale=(n - 1) / n)
+    # Keep the original per-example weight 1/n (data loss (n-|S|)/n of a batch
+    # mean): the L2 term keeps its relative strength; only S changes.
+    params, _ = train_sam(spec, reduced, cfg, schedule=schedule, loss_scale=(n - S.size) / n)
     return params
 
 
@@ -162,10 +170,9 @@ def calibrate_estimator(
 ) -> CalibrationReport:
     """Compare predicted influence scores against actual leave-one-out
     validation-loss changes for a seeded sample of training points."""
-    rows = dataset.indices("train")
-    n = int(rows.size)
-    if sample_size > n:
-        raise InvalidInputError("sample_size exceeds number of training points")
+    n = int(dataset.indices("train").size)
+    if not 1 <= sample_size <= n:
+        raise InvalidInputError(f"sample_size must lie in 1..{n}, got {sample_size}")
     ncfg = ncfg or NeumannConfig()
     params, traj = train_sam(spec, dataset, config)
     base_val = validation_loss(spec, params, dataset)

@@ -15,7 +15,6 @@ from samattr.experiments import (
     ExperimentConfig,
     rank_ascending,
     rank_descending,
-    retrain_without,
     score_all,
 )
 from samattr.influence import NeumannConfig, neumann_ihvp, sam_gif, sam_hif, sam_if_fast
@@ -281,7 +280,7 @@ def test_model_editing():
     scores, ifvecs = score_all(exp_config(), spec, ds, sam, params, traj)
     removed = rank_ascending(scores)[: scores.size // 10]
     w_edit = params - ifvecs[removed].sum(axis=0)
-    w_retrain = retrain_without(spec, ds, sam, removed)
+    w_retrain = loo_retrain(spec, ds, removed, sam)
     acc_gap = abs(
         mod.accuracy(spec, w_edit, ds, "test") - mod.accuracy(spec, w_retrain, ds, "test")
     )
@@ -308,8 +307,8 @@ def test_valuation_direction():
         scores, _ = score_all(cfg, spec, ds, sam, params, traj)
         top = rank_descending(scores)[:20]
         rand = np.random.default_rng([seed, 0x7A]).choice(200, size=20, replace=False)
-        drops_top.append(base - mod.accuracy(spec, retrain_without(spec, ds, sam, top), ds, "test"))
-        drops_rand.append(base - mod.accuracy(spec, retrain_without(spec, ds, sam, rand), ds, "test"))
+        drops_top.append(base - mod.accuracy(spec, loo_retrain(spec, ds, top, sam), ds, "test"))
+        drops_rand.append(base - mod.accuracy(spec, loo_retrain(spec, ds, rand, sam), ds, "test"))
     mean_top, mean_rand = float(np.mean(drops_top)), float(np.mean(drops_rand))
     report(
         "valuation direction",

@@ -48,6 +48,15 @@ class TestExitCodes:
     def test_detect_noise_without_flips_is_config_error(self, tmp_path):
         assert main(["detect-noise", "--config", write_config(tmp_path)]) == 2
 
+    def test_edit_repeated_indices_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, edit_indices="2,2")
+        assert main(["edit", "--config", cfg]) == 2
+
+    def test_calibrate_negative_sample_size_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sample_size=-3)
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert "sample_size" in capsys.readouterr().err
+
 
 class TestOverrides:
     def test_seed_override_changes_digest(self, tmp_path, capsys):

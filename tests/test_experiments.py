@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samattr.errors import ConfigError
+from samattr.errors import ConfigError, InvalidInputError
 from samattr.experiments import (
     ExperimentConfig,
     cmd_attribute,
@@ -225,3 +225,13 @@ class TestDrivers:
         cfg = fast_config(out=str(tmp_path), edit_indices=(999,))
         with pytest.raises(ConfigError):
             cmd_edit(cfg)
+
+    def test_edit_indices_repeated(self, tmp_path):
+        cfg = fast_config(out=str(tmp_path), edit_indices=(2, 2))
+        with pytest.raises(ConfigError, match="distinct"):
+            cmd_edit(cfg)
+
+    def test_valuate_removing_every_point_is_named(self, tmp_path):
+        cfg = fast_config(out=str(tmp_path), removal_fractions=(1.0,), neumann_order=2000)
+        with pytest.raises(InvalidInputError, match="leaves none"):
+            cmd_valuate(cfg)

@@ -98,3 +98,20 @@ class TestSampleBatches:
         sched = sample_batches(12, 4, 3, seed=0, epoch_shuffled=True)
         seen = np.concatenate(sched.steps)
         assert sorted(seen.tolist()) == list(range(12))
+
+    def test_epoch_shuffled_batches_distinct_when_b_does_not_divide_n(self):
+        # 32 does not divide 40: batches straddle epoch boundaries.
+        sched = sample_batches(40, 32, 30, seed=0, epoch_shuffled=True)
+        for step in sched.steps:
+            assert step.size == 32 and np.unique(step).size == 32
+            assert step.min() >= 0 and step.max() < 40
+        # Skipped points stay queued, so per-point counts differ by at most one.
+        counts = np.bincount(np.concatenate(sched.steps), minlength=40)
+        assert counts.max() - counts.min() <= 1
+
+    def test_epoch_shuffled_is_consecutive_permutations_when_b_divides_n(self):
+        sched = sample_batches(12, 4, 9, seed=5, epoch_shuffled=True)
+        rng = np.random.default_rng(5)
+        stream = np.concatenate([rng.permutation(12) for _ in range(3)])
+        for t, step in enumerate(sched.steps):
+            assert np.array_equal(step, np.sort(stream[4 * t : 4 * t + 4]))

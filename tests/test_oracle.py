@@ -14,6 +14,7 @@ from samattr.oracle import (
     loo_schedule,
     validation_loss,
 )
+from samattr.numcore import sample_batches
 from samattr.samtrain import SAMConfig, train_sam
 
 
@@ -114,6 +115,129 @@ class TestLooRetrain:
             loo_retrain(spec, ds, 0, SAMConfig(batch_size=1, steps=1))
 
 
+def _single_point_schedule_reference(n, k, config):
+    """Leave-one-out schedule as a plain loop: the definition a single index
+    must keep bit for bit."""
+    base = sample_batches(n, config.batch_size, config.steps, config.seed)
+    rng = np.random.default_rng([config.seed & 0xFFFFFFFF, k, 0x10E])
+    steps = []
+    for batch in base.steps:
+        batch = batch.copy()
+        if k in batch:
+            if batch.size == n:
+                batch = batch[batch != k]
+            else:
+                candidates = np.asarray([i for i in range(n) if i not in set(batch.tolist())])
+                batch[batch == k] = rng.choice(candidates)
+        steps.append(np.sort(np.where(batch > k, batch - 1, batch)))
+    return steps
+
+
+class TestRemovalSets:
+    N = 30
+
+    def cfg(self, **kw):
+        base = dict(rho=0.05, lam=0.1, eta=0.3, batch_size=8, steps=40, seed=11)
+        base.update(kw)
+        return SAMConfig(**base)
+
+    @pytest.mark.parametrize("b", [8, 30])
+    def test_singleton_set_equals_int(self, b):
+        cfg = self.cfg(batch_size=b)
+        for k in (0, 13, 29):
+            a, s = loo_schedule(self.N, k, cfg), loo_schedule(self.N, [k], cfg)
+            assert a.batch_size == s.batch_size
+            assert all(np.array_equal(x, y) for x, y in zip(a.steps, s.steps))
+
+    @pytest.mark.parametrize("b", [1, 8, 29, 30])
+    def test_single_index_matches_loop_reference(self, b):
+        cfg = self.cfg(batch_size=b)
+        for k in range(self.N):
+            got = loo_schedule(self.N, k, cfg)
+            assert got.batch_size == min(b, self.N - 1)
+            ref = _single_point_schedule_reference(self.N, k, cfg)
+            assert all(np.array_equal(x, y) for x, y in zip(got.steps, ref))
+
+    def test_singleton_set_retrain_equals_int(self):
+        ds = make_blobs(self.N, 3, 2, 2.0, seed=11)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        n = ds.indices("train").size
+        cfg = self.cfg(batch_size=min(8, n))
+        assert np.array_equal(loo_retrain(spec, ds, 4, cfg), loo_retrain(spec, ds, [4], cfg))
+
+    @pytest.mark.parametrize("b", [8, 26, 30])
+    def test_set_schedule_drops_and_remaps(self, b):
+        removed = [2, 3, 17, 29]
+        cfg = self.cfg(batch_size=b)
+        base = sample_batches(self.N, b, cfg.steps, cfg.seed)
+        sched = loo_schedule(self.N, removed, cfg)
+        kept = np.setdiff1d(np.arange(self.N), removed)  # reduced index j -> original kept[j]
+        b_new = min(b, self.N - len(removed))
+        assert sched.batch_size == b_new
+        for orig, step in zip(base.steps, sched.steps):
+            assert step.size == b_new and np.unique(step).size == b_new
+            assert step.min() >= 0 and step.max() < self.N - len(removed)
+            # Back in original indices: no removed point, and every
+            # surviving point of the original batch is still there.
+            back = kept[step]
+            assert not np.isin(back, removed).any()
+            assert np.isin(np.setdiff1d(orig, removed), back).all()
+
+    def test_full_batch_steps_shrink_by_set_size(self):
+        cfg = self.cfg(batch_size=self.N)
+        sched = loo_schedule(self.N, [0, 5, 6], cfg)
+        assert sched.batch_size == self.N - 3
+        for step in sched.steps:
+            assert np.array_equal(step, np.arange(self.N - 3))
+
+    def test_order_of_set_does_not_matter(self):
+        cfg = self.cfg()
+        a = loo_schedule(self.N, [21, 4, 9], cfg)
+        b = loo_schedule(self.N, np.array([4, 9, 21]), cfg)
+        assert all(np.array_equal(x, y) for x, y in zip(a.steps, b.steps))
+        ds = make_blobs(self.N, 3, 2, 2.0, seed=11)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        assert np.array_equal(
+            loo_retrain(spec, ds, (9, 4), cfg), loo_retrain(spec, ds, [4, 9], cfg)
+        )
+
+    def test_set_retrain_keeps_one_over_n_weight(self):
+        # Full-batch GD without SAM converges to the stationary point of
+        # (1/n) * sum over the kept points + lam/2 ||w||^2, not of the
+        # renormalized 1/(n-|S|) mean.
+        ds = make_blobs(self.N, 3, 2, 2.0, seed=12)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        rows = ds.indices("train")
+        n = rows.size
+        cfg = SAMConfig(rho=0.0, lam=0.1, eta=0.5, batch_size=n, steps=2000, seed=0)
+        removed = [0, 3, 7]
+        w = loo_retrain(spec, ds, removed, cfg)
+        kept = np.delete(rows, removed)
+        _, g = mod.subset_loss_grad(spec, w, ds, kept, 1.0)
+        assert np.linalg.norm(g / n + cfg.lam * w) < 1e-8
+        assert np.linalg.norm(g / kept.size + cfg.lam * w) > 1e-3
+
+    def test_drop_train_point_set(self):
+        ds = make_blobs(20, 3, 2, 2.0, seed=0)
+        reduced = drop_train_point(ds, [5, 1])
+        rows = ds.indices("train")
+        keep = np.delete(np.arange(ds.n), rows[[1, 5]])
+        np.testing.assert_array_equal(reduced.features, ds.features[keep])
+        assert reduced.indices("val").size == ds.indices("val").size
+
+    @pytest.mark.parametrize("bad", [[1, 1], [-1], [0, 30], [0.5], [[1, 2]]])
+    def test_invalid_sets(self, bad):
+        with pytest.raises(InvalidInputError):
+            loo_schedule(self.N, bad, self.cfg())
+
+    def test_removing_every_point_is_named(self):
+        ds = make_blobs(20, 3, 2, 2.0, seed=0)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        n = ds.indices("train").size
+        with pytest.raises(InvalidInputError, match="leaves none"):
+            loo_retrain(spec, ds, range(n), SAMConfig(batch_size=n, steps=5))
+
+
 class TestDenseHessian:
     def setup_method(self):
         self.ds = make_blobs(20, 3, 2, 2.0, seed=5)
@@ -209,3 +333,11 @@ class TestCalibrate:
         cfg = SAMConfig(batch_size=10, steps=10)
         with pytest.raises(InvalidInputError):
             calibrate_estimator(spec, ds, cfg, "if_fast", sample_size=11)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_sample_size_below_one(self, size):
+        ds = make_blobs(10, 3, 2, 2.0, seed=0)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        cfg = SAMConfig(batch_size=10, steps=10)
+        with pytest.raises(InvalidInputError, match="sample_size"):
+            calibrate_estimator(spec, ds, cfg, "if_fast", sample_size=size)
