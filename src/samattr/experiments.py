@@ -14,7 +14,7 @@ import numpy as np
 
 from . import datasets, model as mod, oracle
 from .errors import ConfigError
-from .influence import ESTIMATORS, NeumannConfig, influence_vectors
+from .influence import ESTIMATORS, NeumannConfig, influence_scores, influence_vectors
 from .report import Report
 from .samtrain import SAMConfig, train_sam, write_trajectory
 
@@ -174,6 +174,35 @@ def setup(cfg: ExperimentConfig) -> tuple[mod.ModelSpec, mod.Dataset, SAMConfig]
     return spec, ds, sam
 
 
+def _scores(
+    cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig, params: Array,
+    trajectory, queries: Array,
+) -> Array:
+    """scores[n, m] of every training point against m query gradients."""
+    return influence_scores(cfg.estimator, spec, ds, params, sam.rho, sam.p, sam.lam,
+                            cfg.neumann(), range(ds.indices("train").size), trajectory,
+                            cfg.gif_mode, queries)
+
+
+def _val_scores(
+    cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig, params: Array,
+    trajectory,
+) -> Array:
+    """scores[n] against the validation loss gradient, one solve for all
+    points; positive = valuable (removal predicted to raise validation loss)."""
+    _, gval = mod.subset_loss_grad(spec, params, ds, ds.indices("val"), 1.0)
+    return _scores(cfg, spec, ds, sam, params, trajectory, gval[None])[:, 0]
+
+
+def _vectors(
+    cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig, params: Array,
+    trajectory, ks,
+) -> Array:
+    """Influence vectors of the training points ks, one row per point."""
+    return influence_vectors(cfg.estimator, spec, ds, params, sam.rho, sam.p, sam.lam,
+                             cfg.neumann(), ks, trajectory, cfg.gif_mode)
+
+
 def score_all(
     cfg: ExperimentConfig,
     spec: mod.ModelSpec,
@@ -184,15 +213,14 @@ def score_all(
 ) -> tuple[Array, Array]:
     """Influence vectors and scores for every training point.
 
-    Returns (scores[n], ifvecs[n, P]); scores are oriented positive =
-    valuable (removal predicted to raise validation loss).
+    Returns (scores[n], ifvecs[n, P]); scores are the commands' scores
+    (one transposed solve against the validation gradient), oriented
+    positive = valuable. The vectors cost one solve per point; the
+    commands ask only for those of the points they remove.
     """
     n = ds.indices("train").size
-    _, gval = mod.subset_loss_grad(spec, params, ds, ds.indices("val"), 1.0)
-    ifvecs = influence_vectors(cfg.estimator, spec, ds, params, sam.rho, sam.p, sam.lam,
-                               cfg.neumann(), range(n), trajectory, cfg.gif_mode)
-    scores = -(ifvecs @ gval)
-    return scores, ifvecs
+    scores = _val_scores(cfg, spec, ds, sam, params, trajectory)
+    return scores, _vectors(cfg, spec, ds, sam, params, trajectory, range(n))
 
 
 def rank_descending(scores: Array) -> Array:
@@ -248,7 +276,7 @@ def cmd_attribute(cfg: ExperimentConfig) -> Report:
     spec, ds, sam = setup(cfg)
     params, traj = train_sam(spec, ds, sam)
     start = time.perf_counter()
-    scores, _ = score_all(cfg, spec, ds, sam, params, traj)
+    scores = _val_scores(cfg, spec, ds, sam, params, traj)
     wall = time.perf_counter() - start
     report = Report()
     report.add(
@@ -268,15 +296,14 @@ def cmd_valuate(cfg: ExperimentConfig) -> Report:
     removing a random set of the same size."""
     spec, ds, sam = setup(cfg)
     params, traj = train_sam(spec, ds, sam)
-    scores, ifvecs = score_all(cfg, spec, ds, sam, params, traj)
+    scores = _val_scores(cfg, spec, ds, sam, params, traj)
     n = scores.size
     order = rank_descending(scores)
     fractions = list(cfg.removal_fractions)
     acc_retrain, acc_random, walls = _removal_accuracies(cfg, spec, ds, sam, params, order, 0x7A)
-    acc_edit = [
-        mod.accuracy(spec, params - ifvecs[order[: int(round(f * n))]].sum(axis=0), ds, "test")
-        for f in fractions
-    ]
+    sizes = [int(round(f * n)) for f in fractions]
+    top = _vectors(cfg, spec, ds, sam, params, traj, order[: max(sizes, default=0)])
+    acc_edit = [mod.accuracy(spec, params - top[:m].sum(axis=0), ds, "test") for m in sizes]
     report = Report()
     digest = cfg.digest()
     report.add("valuate", digest, "acc_retrain", fractions, acc_retrain, walls)
@@ -296,7 +323,7 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
     spec, ds, sam = setup(cfg)
     noisy, flipped = datasets.flip_labels(ds, cfg.flip_fraction, cfg.seed)
     params, traj = train_sam(spec, noisy, sam)
-    scores, _ = score_all(cfg, spec, noisy, sam, params, traj)
+    scores = _val_scores(cfg, spec, noisy, sam, params, traj)
     n = scores.size
     order = rank_ascending(scores)  # most harmful (most negative) first
     random_order = np.random.default_rng([cfg.seed, 0x4E]).permutation(n)
@@ -336,12 +363,10 @@ def cmd_trace(cfg: ExperimentConfig) -> Report:
     if mis.size == 0:
         return report
     start = time.perf_counter()
-    _, ifvecs = score_all(cfg, spec, ds, sam, params, traj)
-    n = ifvecs.shape[0]
-    m = min(cfg.top_m, n)
-    for row in mis:
-        _, g_test = mod.subset_loss_grad(spec, params, ds, [row], 1.0)
-        point_scores = -(ifvecs @ g_test)
+    g_test = np.stack([mod.subset_loss_grad(spec, params, ds, [row], 1.0)[1] for row in mis])
+    scores = _scores(cfg, spec, ds, sam, params, traj, g_test)  # one column per test point
+    m = min(cfg.top_m, scores.shape[0])
+    for row, point_scores in zip(mis, scores.T):
         helpful = rank_descending(point_scores)[:m]
         harmful = rank_ascending(point_scores)[:m]
         report.add("trace", digest, f"helpful_test{row}", helpful, point_scores[helpful])
@@ -356,18 +381,18 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     compare against retraining without those points (the oracle's
     replayed schedule)."""
     spec, ds, sam = setup(cfg)
+    n = int(ds.indices("train").size)
+    removed = np.asarray(cfg.edit_indices, dtype=np.int64)
+    if removed.size and (
+        removed.min() < 0 or removed.max() >= n or np.unique(removed).size != removed.size
+    ):
+        raise ConfigError(f"edit_indices must be distinct train positions in 0..{n - 1}")
     params, traj = train_sam(spec, ds, sam)
-    scores, ifvecs = score_all(cfg, spec, ds, sam, params, traj)
-    n = scores.size
-    if cfg.edit_indices:
-        removed = np.asarray(cfg.edit_indices, dtype=np.int64)
-        if removed.min() < 0 or removed.max() >= n or np.unique(removed).size != removed.size:
-            raise ConfigError(f"edit_indices must be distinct train positions in 0..{n - 1}")
-    else:
+    if not removed.size:
         f = cfg.removal_fractions[0] if cfg.removal_fractions else 0.1
-        removed = rank_ascending(scores)[: int(round(f * n))]
+        removed = rank_ascending(_val_scores(cfg, spec, ds, sam, params, traj))[: int(round(f * n))]
     start = time.perf_counter()
-    w_edit = params - ifvecs[removed].sum(axis=0)
+    w_edit = params - _vectors(cfg, spec, ds, sam, params, traj, removed).sum(axis=0)
     edit_wall = time.perf_counter() - start
     start = time.perf_counter()
     w_retrain = oracle.loo_retrain(spec, ds, removed, sam) if removed.size else params

@@ -14,14 +14,21 @@ point is removed, i.e. positive = valuable, negative = harmful.
   at perturbed checkpoints, gated by batch membership.
 
 Inverse operators are applied via a damped, scaled truncated Neumann
-iteration; no Hessian is ever materialized here. ``influence_vectors``
-scores every requested point in one pass. The Hessian estimators build
-the linearization (w_pert, full-train gradient, Neumann alpha) once per
-call, e.g. once per ``score_all`` or calibrate call, take all points'
-gradients in one per-example call and solve them as blocks of right-hand
-sides, one block HVP per iteration. The trajectory estimator replays the
-trajectory once: one perturbation per checkpoint, then one per-example
-gradient call for the scored points that checkpoint used.
+iteration; no Hessian is ever materialized here. One dispatch serves two
+entry points. ``influence_scores`` scores points against query gradients
+(the validation loss, a test point): the Hessian estimators solve the
+transposed operator once per query, A^T s = q, and the score of point k
+is g_k . s, so scoring every point costs one solve per query, not one
+per point. ``influence_vectors`` returns IF(k) itself, one solve per
+point, for the few points a caller removes or edits. Either way the
+linearization (w_pert, full-train gradient, Neumann alpha) is built once
+per call, the points' gradients come from one per-example call, and
+right-hand sides are solved as blocks, one block HVP per iteration. The
+perturbation's Jacobian is the closed form (d eps / d g) H for every p,
+symmetric in its gradient factor, which is what makes A^T as cheap as A.
+The trajectory estimator replays the trajectory once: one perturbation
+per checkpoint, then one per-example gradient call for the scored points
+that checkpoint used; its scores are its vectors' dot products.
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ import numpy as np
 
 from . import model as mod
 from .errors import DivergenceError, InvalidInputError
-from .numcore import p_norm
-from .samtrain import Trajectory, sam_perturbation, worst_perturbation
+from .numcore import dual_exponent
+from .samtrain import Trajectory, sam_perturbation
+from .samtrain import worst_perturbation  # noqa: F401  re-exported; bench/ traces it here
 
 Array = np.ndarray
 LinearOperator = Callable[[Array], Array]
@@ -158,37 +166,49 @@ def perturbed_params(
     return params + eps, eps
 
 
-def _eps_jacobian(
+def _eps_grad_jacobian(g: Array, rho: float, p: float) -> LinearOperator:
+    """h -> (d eps / d g) h for the worst-case perturbation of gradient g.
+
+    d eps / d g = rho/N [(q-1) diag(|g|^(q-2)) - (q/p) u u^T / sum|g|^q]
+    with u = sign(g)|g|^(q-1), N = (sum|g|^q)^(1/p) and q the dual
+    exponent; at p = 2 this is the projection rho/|g| (I - g g^T/|g|^2).
+    The matrix is symmetric, so the map is its own transpose. It is
+    singular at a zero gradient and, for p > 2 (q < 2), at a zero entry.
+    """
+    if not np.any(g):
+        raise InvalidInputError("perturbation Jacobian is singular at a zero gradient")
+    q = dual_exponent(p)
+    if q < 2.0 and not np.all(g):
+        raise InvalidInputError(
+            f"perturbation Jacobian is singular at p={p}: the gradient has a zero entry"
+        )
+    m = float(np.abs(g).max())
+    a = np.abs(g) / m  # eps is scale-invariant in g, so d eps / d g scales as 1/m
+    u = np.sign(g) * np.power(a, q - 1.0)
+    diag = (q - 1.0) * np.power(a, q - 2.0)
+    total = np.power(a, q).sum()
+    coef = rho / (np.power(total, 1.0 / p) * m)
+    outer = q / (p * total)
+
+    def apply_D(h: Array) -> Array:
+        # u . h as a stack of one-row products, so no row depends on its block
+        return coef * (diag * h - outer * u * (h[..., None, :] @ u))
+
+    return apply_D
+
+
+def _eps_factors(
     spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float
-) -> LinearOperator:
-    """v -> (d eps / d w) v at params, for one v or a block of rows; the
-    full-train gradient it needs is taken once, here, not per application."""
-    if rho == 0.0:
-        return np.zeros_like
+) -> tuple[LinearOperator, LinearOperator]:
+    """(H, D) with d eps / d w = D H at params: H the full-train Hessian
+    and D = d eps / d g, both symmetric, so J = D H and J^T = H D. Each
+    takes one vector or a block of rows; the full-train gradient D needs
+    is taken once, here, not per application."""
     rows = _train_rows(dataset)
     scale = 1.0 / rows.size
     _, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
-    gnorm = p_norm(g, 2.0)
-    if gnorm == 0.0:
-        raise InvalidInputError("perturbation Jacobian is singular at a zero gradient")
-
-    def apply_J(v: Array) -> Array:
-        if p == 2.0:
-            Hv = mod.hvp(spec, params, dataset, rows, v, scale)
-            # g . Hv as a stack of one-row products, so no row depends on its block
-            return rho * (Hv / gnorm - g * (Hv[..., None, :] @ g) / gnorm**3)
-        if v.ndim == 2:  # the difference step below depends on each row's norm
-            return np.stack([apply_J(row) for row in v])
-        if not np.any(v):
-            return np.zeros_like(v)
-        h = 1e-4 * max(p_norm(params, 2.0), 1.0) / p_norm(v, 2.0)
-        _, g_plus = mod.subset_loss_grad(spec, params + h * v, dataset, rows, scale)
-        _, g_minus = mod.subset_loss_grad(spec, params - h * v, dataset, rows, scale)
-        eps_plus = worst_perturbation(g_plus, rho, p)
-        eps_minus = worst_perturbation(g_minus, rho, p)
-        return (eps_plus - eps_minus) / (2.0 * h)
-
-    return apply_J
+    apply_D = _eps_grad_jacobian(g, rho, p)
+    return (lambda v: mod.hvp(spec, params, dataset, rows, v, scale)), apply_D
 
 
 def eps_jacobian_vec(
@@ -201,35 +221,64 @@ def eps_jacobian_vec(
 ) -> Array:
     """Directional derivative of the worst-case perturbation: (d eps / d w) v.
 
-    p = 2 uses the analytic projection form; other p fall back to a
-    central difference of the closed-form perturbation. Assumes the
-    gradient's sign pattern is stable, so a zero full-train gradient is
-    rejected as singular.
+    The closed form (d eps / d g) H v, exact for every p in (1, inf). A
+    zero full-train gradient, or for p > 2 a zero gradient entry, makes
+    the Jacobian singular and is rejected.
     """
-    return _eps_jacobian(spec, dataset, params, rho, p)(np.asarray(v, dtype=np.float64))
+    v = np.asarray(v, dtype=np.float64)
+    if rho == 0.0:
+        return np.zeros_like(v)
+    apply_H, apply_D = _eps_factors(spec, dataset, params, rho, p)
+    return apply_D(apply_H(v))
 
 
 def _linearize(
     spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float, lam: float,
     total: bool, ncfg: NeumannConfig,
-) -> tuple[Array, LinearOperator, NeumannConfig]:
+) -> tuple[Array, LinearOperator, LinearOperator, NeumannConfig]:
     """The operator the Hessian estimators solve against, built once:
-    A v = H_pert (v + J_eps v) + lam v, with H_pert the full-train Hessian
-    at the perturbed optimum and J_eps the perturbation's Jacobian (total
-    only). A takes one v or a block of rows. Returns w_pert, A, and ncfg
-    with alpha fixed if it was auto."""
+    A v = H_pert (v + J v) + lam v, with H_pert the full-train Hessian at
+    the perturbed optimum and J = D H the perturbation's Jacobian (total
+    only). Its transpose is A^T u = h + H (D h) + lam u with h = H_pert u;
+    without J, A is symmetric and A^T is A itself. Both take one vector or
+    a block of rows. Returns w_pert, A, A^T, and ncfg with alpha fixed
+    (from A) if it was auto."""
     rows = _train_rows(dataset)
     scale = 1.0 / rows.size
     w_pert, _ = perturbed_params(spec, dataset, params, rho, p)
-    apply_J = _eps_jacobian(spec, dataset, params, rho, p) if total and rho > 0.0 else None
 
-    def apply_A(v: Array) -> Array:
-        u = v if apply_J is None else v + apply_J(v)
-        return mod.hvp(spec, w_pert, dataset, rows, u, scale) + lam * v
+    def apply_Hpert(v: Array) -> Array:
+        return mod.hvp(spec, w_pert, dataset, rows, v, scale)
+
+    if total and rho > 0.0:
+        apply_H, apply_D = _eps_factors(spec, dataset, params, rho, p)
+
+        def apply_A(v: Array) -> Array:
+            return apply_Hpert(v + apply_D(apply_H(v))) + lam * v
+
+        def apply_AT(u: Array) -> Array:
+            h = apply_Hpert(u)
+            return h + apply_H(apply_D(h)) + lam * u
+    else:
+        def apply_A(v: Array) -> Array:
+            return apply_Hpert(v) + lam * v
+
+        apply_AT = apply_A
 
     if ncfg.alpha is None:
         ncfg = dc_replace(ncfg, alpha=_auto_alpha(apply_A, spec.param_count))
-    return w_pert, apply_A, ncfg
+    return w_pert, apply_A, apply_AT, ncfg
+
+
+def _block_solve(apply_A: LinearOperator, rhs: Array, ncfg: NeumannConfig) -> Array:
+    """neumann_ihvp over the rows of rhs, HVP_BLOCK rows at a time; zero
+    rows stay exactly zero and cost nothing."""
+    out = np.zeros_like(rhs)
+    live = np.flatnonzero(np.any(rhs, axis=1))
+    for start in range(0, live.size, HVP_BLOCK):
+        block = live[start : start + HVP_BLOCK]
+        out[block] = neumann_ihvp(apply_A, rhs[block], ncfg)
+    return out
 
 
 def _check_ks(ks, n: int) -> Array:
@@ -240,32 +289,66 @@ def _check_ks(ks, n: int) -> Array:
     return ks
 
 
+def _influence(
+    estimator: str, spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float,
+    p: float, lam: float, ncfg: NeumannConfig, ks, trajectory: Trajectory | None, gif_mode: str,
+    queries: Array | None,
+) -> Array:
+    """The one estimator dispatch. Without queries: IF(k), one row per
+    training index in ks. With queries (m, P): scores[len(ks), m] =
+    -IF(k) . q. The Hessian estimators build one linearization; vectors
+    solve A against every point's gradient, scores solve A^T against
+    every query and dot the points' gradients with the results. gif
+    replays the trajectory once for all of ks either way."""
+    if estimator not in ESTIMATORS:
+        raise InvalidInputError(f"unknown estimator {estimator!r}")
+    if queries is not None:
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if queries.ndim != 2 or queries.shape[1] != spec.param_count:
+            raise InvalidInputError("queries must be (m, P) gradients of the model's parameters")
+    if estimator == "gif":
+        if trajectory is None:
+            raise InvalidInputError("gif estimator needs a trajectory")
+        vectors = _gif_vectors(trajectory, spec, dataset, ks, gif_mode)
+        return vectors if queries is None else -(vectors @ queries.T)
+    rows = _train_rows(dataset)
+    ks = _check_ks(ks, rows.size)
+    w_pert, apply_A, apply_AT, ncfg = _linearize(
+        spec, dataset, params, rho, p, lam, estimator == "hif", ncfg
+    )
+    if ks.size == 0:
+        return np.zeros((0, spec.param_count if queries is None else queries.shape[0]))
+    grads = (1.0 / rows.size) * mod.example_grads(spec, w_pert, dataset, rows[ks])
+    if queries is None:
+        return -_block_solve(apply_A, grads, ncfg)
+    return grads @ _block_solve(apply_AT, queries, ncfg).T
+
+
 def influence_vectors(
     estimator: str, spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float,
     p: float, lam: float, ncfg: NeumannConfig, ks, trajectory: Trajectory | None, gif_mode: str,
 ) -> Array:
     """Influence vectors IF(k), one row per training index in ks, in one
-    pass. The Hessian estimators build one linearization and solve all
-    points' gradients against it, HVP_BLOCK rows at a time; gif replays
-    the trajectory once for all of ks."""
-    if estimator not in ESTIMATORS:
-        raise InvalidInputError(f"unknown estimator {estimator!r}")
-    if estimator == "gif":
-        if trajectory is None:
-            raise InvalidInputError("gif estimator needs a trajectory")
-        return _gif_vectors(trajectory, spec, dataset, ks, gif_mode)
-    rows = _train_rows(dataset)
-    ks = _check_ks(ks, rows.size)
-    w_pert, apply_A, ncfg = _linearize(spec, dataset, params, rho, p, lam, estimator == "hif", ncfg)
-    out = np.zeros((ks.size, spec.param_count))
-    if ks.size == 0:
-        return out
-    grads = (1.0 / rows.size) * mod.example_grads(spec, w_pert, dataset, rows[ks])
-    live = np.flatnonzero(np.any(grads, axis=1))  # zero-gradient rows stay exactly zero
-    for start in range(0, live.size, HVP_BLOCK):
-        block = live[start : start + HVP_BLOCK]
-        out[block] = -neumann_ihvp(apply_A, grads[block], ncfg)
-    return out
+    pass: one solve per point for the Hessian estimators (HVP_BLOCK rows
+    at a time), one trajectory replay for gif. A row does not depend on
+    which other points share the call."""
+    return _influence(estimator, spec, dataset, params, rho, p, lam, ncfg, ks, trajectory,
+                      gif_mode, None)
+
+
+def influence_scores(
+    estimator: str, spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float,
+    p: float, lam: float, ncfg: NeumannConfig, ks, trajectory: Trajectory | None, gif_mode: str,
+    queries: Array,
+) -> Array:
+    """Influence scores scores[i, j] = -IF(ks[i]) . queries[j] for m query
+    gradients (m, P), e.g. a validation or test-point loss gradient;
+    positive = removing the point is predicted to raise that loss.
+
+    The Hessian estimators cost one transposed solve per query, not one
+    solve per point: -IF(k) . q = g_k . A^-T q."""
+    return _influence(estimator, spec, dataset, params, rho, p, lam, ncfg, ks, trajectory,
+                      gif_mode, queries)
 
 
 def sam_if_fast(

@@ -18,7 +18,7 @@ from scipy import stats
 
 from . import model as mod
 from .errors import InvalidInputError
-from .influence import HVP_BLOCK, NeumannConfig, influence_vectors
+from .influence import HVP_BLOCK, NeumannConfig, influence_scores
 from .influence import compute_influence  # noqa: F401  re-exported; bench/ traces it here
 from .numcore import BatchSchedule, sample_batches
 from .samtrain import SAMConfig, train_sam
@@ -183,17 +183,17 @@ def calibrate_estimator(
         sample = np.sort(
             np.random.default_rng(config.seed).choice(n, size=sample_size, replace=False)
         )
+    # Same orientation as influence_score: positive = removal hurts.
+    _, gval = mod.subset_loss_grad(spec, params, dataset, dataset.indices("val"), 1.0)
     if callable(estimator):
         # Custom estimator hook: (spec, dataset, params, k) -> influence vector.
         ifvecs = np.stack([estimator(spec, dataset, params, int(k)) for k in sample])
+        predicted = -(ifvecs @ gval)
         est_name = getattr(estimator, "__name__", "custom")
     else:
-        ifvecs = influence_vectors(estimator, spec, dataset, params, config.rho, config.p,
-                                   config.lam, ncfg, sample, traj, gif_mode)
+        predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
+                                     config.lam, ncfg, sample, traj, gif_mode, gval[None])[:, 0]
         est_name = estimator
-    # Same orientation as influence_score: positive = removal hurts.
-    _, gval = mod.subset_loss_grad(spec, params, dataset, dataset.indices("val"), 1.0)
-    predicted = -(ifvecs @ gval)
     actual = np.empty(sample.size)
     for j, k in enumerate(sample):
         w_k = loo_retrain(spec, dataset, int(k), config)
