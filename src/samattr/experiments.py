@@ -246,9 +246,12 @@ def _removal_accuracies(
         start = time.perf_counter()
         m = int(round(f * n))
         rand = np.random.default_rng([cfg.seed, salt, fi]).choice(n, size=m, replace=False)
-        for removed, accs in ((order[:m], acc_ranked), (rand, acc_random)):
-            w = oracle.loo_retrain(spec, ds, removed, sam) if m else params
-            accs.append(mod.accuracy(spec, w, ds, "test"))
+        # Equal sizes give equal batch sizes: both retrains run as one block.
+        w_ranked, w_random = (
+            oracle.loo_retrain_many(spec, ds, [order[:m], rand], sam) if m else (params, params)
+        )
+        acc_ranked.append(mod.accuracy(spec, w_ranked, ds, "test"))
+        acc_random.append(mod.accuracy(spec, w_random, ds, "test"))
         walls.append(time.perf_counter() - start)
     return acc_ranked, acc_random, walls
 

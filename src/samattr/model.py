@@ -92,12 +92,17 @@ class Dataset:
         return np.nonzero(self.split == split)[0].astype(np.int64)
 
 
-def _unpack(spec: ModelSpec, params: Array) -> list[tuple[Array, Array]]:
+def _check_params(spec: ModelSpec, params: Array) -> Array:
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.param_count,):
         raise InvalidInputError(
             f"parameter vector has length {params.shape}, expected ({spec.param_count},)"
         )
+    return params
+
+
+def _unpack(spec: ModelSpec, params: Array) -> list[tuple[Array, Array]]:
+    params = _check_params(spec, params)
     layers = []
     off = 0
     sizes = spec.layer_sizes
@@ -171,11 +176,14 @@ def _act_second_deriv(spec: ModelSpec, A: Array) -> Array:
 
 
 def _forward(spec: ModelSpec, layers, X: Array) -> list[Array]:
-    """Return activations [A0=X, A1, ..., Z_L]; the last entry is raw logits."""
+    """Return activations [A0=X, A1, ..., Z_L]; the last entry is raw logits.
+
+    layers come from _unpack, or from _unpack_rows with X stacked (R, b, d)
+    to match: each stack row then goes through its own matmuls."""
     acts = [X]
     L = len(layers)
     for idx, (W, b) in enumerate(layers):
-        Z = acts[-1] @ W.T + b
+        Z = acts[-1] @ W.swapaxes(-1, -2) + b[..., None, :]
         acts.append(Z if idx == L - 1 else _act(spec, Z))
     return acts
 
@@ -213,27 +221,30 @@ def example_loss(spec: ModelSpec, params: Array, example: tuple[Array, int]) -> 
     return _batch_loss(spec, params, X, yv)
 
 
-def _batch_loss_grad(spec: ModelSpec, params: Array, X: Array, y: Array):
-    """Sum of per-example losses and the summed gradient over the batch."""
-    layers = _unpack(spec, params)
+def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Array, Array]:
+    """Sum of per-example losses (R,) and summed gradients (R, P) for R
+    parameter rows W (R, P), row r over its own batch X[r] (b, d), y[r] (b,).
+
+    Inputs are not checked; callers validate them once. Every row goes
+    through its own stacked matmuls, so row r does not depend on the other
+    rows of the stack, bit for bit.
+    """
+    layers = _unpack_rows(spec, W)
     acts = _forward(spec, layers, X)
     Z = acts[-1]
-    m = Z - Z.max(axis=1, keepdims=True)
-    logp = m - np.log(np.exp(m).sum(axis=1, keepdims=True))
-    loss = float(-logp[np.arange(len(y)), y].sum())
-
-    P = np.exp(logp)
-    delta = P.copy()
-    delta[np.arange(len(y)), y] -= 1.0  # dLoss/dZ_L per example
+    m = Z - Z.max(axis=-1, keepdims=True)
+    logp = m - np.log(np.exp(m).sum(axis=-1, keepdims=True))
+    label = np.arange(y.size) * Z.shape[-1] + y.ravel()  # flat position of each label logit
+    loss = -logp.reshape(-1)[label].reshape(y.shape).sum(axis=-1)
+    delta = np.exp(logp)
+    delta.reshape(-1)[label] -= 1.0  # dLoss/dZ_L per example
 
     grads: list[tuple[Array, Array]] = [None] * len(layers)
     for l in range(len(layers) - 1, -1, -1):
-        A_prev = acts[l]
-        grads[l] = (delta.T @ A_prev, delta.sum(axis=0))
+        grads[l] = (delta.swapaxes(-1, -2) @ acts[l], delta.sum(axis=-2))
         if l > 0:
-            s = delta @ layers[l][0]
-            delta = _act_deriv(spec, acts[l]) * s
-    return loss, _pack(grads)
+            delta = _act_deriv(spec, acts[l]) * (delta @ layers[l][0])
+    return loss, _pack_rows(grads)
 
 
 def subset_loss_grad(
@@ -250,8 +261,8 @@ def subset_loss_grad(
     if indices.min() < 0 or indices.max() >= dataset.n:
         raise InvalidInputError("subset_loss_grad: index out of range")
     X, y = _check_examples(spec, dataset.features[indices], dataset.labels[indices])
-    loss, grad = _batch_loss_grad(spec, params, X, y)
-    return scale * loss, scale * grad
+    loss, grad = stacked_loss_grad(spec, _check_params(spec, params)[None], X[None], y[None])
+    return scale * float(loss[0]), scale * grad[0]
 
 
 def example_grads(spec: ModelSpec, params: Array, dataset: Dataset, indices) -> Array:

@@ -1,17 +1,21 @@
 """Ground-truth machinery the estimators are judged against.
 
-loo_retrain is the package's one "retrain without these points", for a
-single training point (leave-one-out) or a removal set: it replays the
-original batch schedule with the removed points' slots resampled
-deterministically and keeps the 1/n per-example weight, so at desk scale
-the removal's effect is not swamped by fresh schedule noise. The dense
-Hessian is assembled from Hessian-vector products and only exists as an
-audit tool for small parameter counts.
+loo_retrain_many is the package's one "retrain without these points":
+one retrain per removal set, each a single training point (leave-one-out)
+or several. A retrain replays the original batch schedule with the removed
+points' slots resampled deterministically and keeps the 1/n per-example
+weight, so at desk scale the removal's effect is not swamped by fresh
+schedule noise. Every replica's schedule comes from one draw of the
+original schedule, and replicas with the same batch size train together
+as one stacked (R, P) SAM run, bitwise equal to training each on its own.
+loo_retrain is its one-set case. The dense Hessian is assembled from
+Hessian-vector products and only exists as an audit tool for small
+parameter counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -21,11 +25,15 @@ from .errors import InvalidInputError
 from .influence import HVP_BLOCK, NeumannConfig, influence_scores
 from .influence import compute_influence  # noqa: F401  re-exported; bench/ traces it here
 from .numcore import BatchSchedule, sample_batches
-from .samtrain import SAMConfig, train_sam
+from .samtrain import SAMConfig, train_sam, train_sam_many
 
 Array = np.ndarray
 
 DENSE_HESSIAN_MAX_P = 2000
+# Replicas per stacked removal retrain. On the benchmark configs (2-vCPU
+# x86-64, OpenBLAS) time per replica falls up to about 20 per block and is
+# flat within noise from there to 64; a block's activations grow with it.
+RETRAIN_BLOCK = 32
 
 
 @dataclass
@@ -52,33 +60,51 @@ def _removal_set(n: int, removed, who: str) -> Array:
     return S
 
 
-def loo_schedule(n: int, removed, config: SAMConfig) -> BatchSchedule:
-    """The original seeded schedule with the removal set S (one index or
-    several) taken out.
+def _replayed_steps(base: Array, n: int, S: Array, config: SAMConfig) -> Array:
+    """Steps (T, min(b, n-|S|)) of the base schedule (T, b) with the removal
+    set S taken out, in original train positions, sorted within each step.
 
     Slots holding a removed index are resampled (seeded by config.seed and
     S) from the points neither in the batch nor in S, or dropped when there
-    are none (full batch). Indices are remapped onto 0..n-|S|-1.
+    are none (full batch).
     """
-    S = _removal_set(n, removed, "loo_schedule")
-    base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
-    rng = np.random.default_rng([config.seed & 0xFFFFFFFF, *S.tolist(), 0x10E])
     is_removed = np.zeros(n, dtype=bool)
     is_removed[S] = True
-    steps = []
-    for batch in base.steps:
-        hits = np.flatnonzero(is_removed[batch])
-        if hits.size:
-            batch, free = batch.copy(), ~is_removed
-            free[batch] = False
-            for slot in hits:
-                candidates = np.flatnonzero(free)
-                if candidates.size:  # else the slot keeps its removed index and is dropped
-                    batch[slot] = rng.choice(candidates)
-                    free[batch[slot]] = False
-            batch = batch[~is_removed[batch]]
-        steps.append(np.sort(batch - np.searchsorted(S, batch)))
-    return BatchSchedule(steps=steps, batch_size=min(config.batch_size, n - S.size), seed=config.seed)
+    T, b = base.shape
+    if b == n:  # nothing to resample into: every step is the kept points
+        return np.broadcast_to(np.flatnonzero(~is_removed), (T, n - S.size))
+    rng = np.random.default_rng([config.seed & 0xFFFFFFFF, *S.tolist(), 0x10E])
+    hit = is_removed[base]
+    # Steps without a removed point stay as drawn. When b > n-|S|, every
+    # step holds one and shrinks to n-|S|.
+    steps = base.copy() if b <= n - S.size else np.empty((T, n - S.size), dtype=np.int64)
+    for t in np.flatnonzero(hit.any(axis=1)):
+        batch, free = base[t].copy(), ~is_removed
+        free[batch] = False
+        for slot in np.flatnonzero(hit[t]):
+            candidates = np.flatnonzero(free)
+            if not candidates.size:  # this slot and the later ones keep their index and are dropped
+                break
+            batch[slot] = rng.choice(candidates)
+            free[batch[slot]] = False
+        steps[t] = np.sort(batch[~is_removed[batch]])
+    return steps
+
+
+def _base_steps(n: int, config: SAMConfig) -> Array:
+    """The original seeded schedule of a run on n training points, as (T, b)."""
+    return np.stack(
+        sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled).steps
+    )
+
+
+def loo_schedule(n: int, removed, config: SAMConfig) -> BatchSchedule:
+    """The original seeded schedule with the removal set S (one index or
+    several) taken out, remapped onto 0..n-|S|-1 (see _replayed_steps)."""
+    S = _removal_set(n, removed, "loo_schedule")
+    steps = _replayed_steps(_base_steps(n, config), n, S, config)
+    steps = steps - np.searchsorted(S, steps)
+    return BatchSchedule(steps=list(steps), batch_size=steps.shape[1], seed=config.seed)
 
 
 def drop_train_point(dataset: mod.Dataset, removed) -> mod.Dataset:
@@ -90,19 +116,44 @@ def drop_train_point(dataset: mod.Dataset, removed) -> mod.Dataset:
     return mod.Dataset(dataset.features[keep], dataset.labels[keep], dataset.split[keep])
 
 
+def loo_retrain_many(
+    spec: mod.ModelSpec, dataset: mod.Dataset, removal_sets, config: SAMConfig
+) -> Array:
+    """Retrain once per removal set (one index or several each), replaying
+    the original schedule with the set's slots resampled; row r of the
+    (R, P) result is the run without removal_sets[r].
+
+    Replicas with the same batch size min(b, n-|S|) train together as one
+    stacked (R, P) run, RETRAIN_BLOCK at a time; each row is bitwise the
+    run of its set on its own. Deterministic; a row does not depend on
+    the order of its set.
+    """
+    n = int(dataset.indices("train").size)
+    sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
+    base = _base_steps(n, config)
+    init = mod.init_params(spec, config.seed)
+    out = np.empty((len(sets), spec.param_count))
+    groups: dict[int, list[int]] = {}
+    for r, S in enumerate(sets):
+        groups.setdefault(min(config.batch_size, n - S.size), []).append(r)
+    for members in groups.values():
+        for start in range(0, len(members), RETRAIN_BLOCK):
+            block = members[start : start + RETRAIN_BLOCK]
+            batches = np.stack([_replayed_steps(base, n, sets[r], config) for r in block], axis=1)
+            # Keep the original per-example weight 1/n (data loss (n-|S|)/n of
+            # a batch mean): the L2 term keeps its relative strength; only S changes.
+            loss_scales = np.array([(n - sets[r].size) / n for r in block])
+            labels = [f"retrain without training points {sets[r].tolist()}" for r in block]
+            out[block] = train_sam_many(
+                spec, dataset, config, batches, loss_scales, labels, np.tile(init, (len(block), 1))
+            )
+    return out
+
+
 def loo_retrain(spec: mod.ModelSpec, dataset: mod.Dataset, removed, config: SAMConfig) -> Array:
     """Retrain with the given training points (one index or several)
-    removed, replaying the original schedule with their slots resampled.
-    Deterministic; the result does not depend on the order of the set."""
-    n = int(dataset.indices("train").size)
-    S = _removal_set(n, removed, "loo_retrain")
-    schedule = loo_schedule(n, S, config)
-    reduced = drop_train_point(dataset, S)
-    cfg = dc_replace(config, batch_size=schedule.batch_size)
-    # Keep the original per-example weight 1/n (data loss (n-|S|)/n of a batch
-    # mean): the L2 term keeps its relative strength; only S changes.
-    params, _ = train_sam(spec, reduced, cfg, schedule=schedule, loss_scale=(n - S.size) / n)
-    return params
+    removed: loo_retrain_many with one set."""
+    return loo_retrain_many(spec, dataset, [removed], config)[0]
 
 
 def dense_hessian(
@@ -140,8 +191,8 @@ def validation_loss(spec: mod.ModelSpec, params: Array, dataset: mod.Dataset) ->
     val_rows = dataset.indices("val")
     if val_rows.size == 0:
         raise InvalidInputError("dataset has no val split rows")
-    loss, _ = mod.subset_loss_grad(spec, params, dataset, val_rows, 1.0)
-    return loss
+    X, y = mod._check_examples(spec, dataset.features[val_rows], dataset.labels[val_rows])
+    return mod._batch_loss(spec, params, X, y)
 
 
 def _sign_agreement(a: Array, b: Array) -> float:
@@ -194,11 +245,9 @@ def calibrate_estimator(
         predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
                                      config.lam, ncfg, sample, traj, gif_mode, gval[None])[:, 0]
         est_name = estimator
-    actual = np.empty(sample.size)
-    for j, k in enumerate(sample):
-        w_k = loo_retrain(spec, dataset, int(k), config)
-        # Removal-induced loss change: positive means removal hurt.
-        actual[j] = validation_loss(spec, w_k, dataset) - base_val
+    retrained = loo_retrain_many(spec, dataset, sample, config)
+    # Removal-induced loss change: positive means removal hurt.
+    actual = np.array([validation_loss(spec, w_k, dataset) - base_val for w_k in retrained])
     return CalibrationReport(
         pearson=_corr_or_zero(stats.pearsonr, predicted, actual),
         spearman=_corr_or_zero(stats.spearmanr, predicted, actual),

@@ -6,7 +6,8 @@ gradient, step to the worst-case point inside the rho-ball (closed-form
 dual-norm ascent direction), take the gradient there, descend. The
 ascent direction's derivative w.r.t. the parameters is dropped, as in
 the standard practical algorithm. L2 regularization applies only to the
-outer descent gradient.
+outer descent gradient. The one step loop trains R replicas at once as an
+(R, P) block; a single run is its R = 1 case.
 
 Checkpoints record the parameters *before* each update together with
 the batch and the effective per-example coefficient eta_t / b actually
@@ -16,7 +17,6 @@ applied, which is what the trajectory-based influence estimator needs.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -120,22 +120,32 @@ def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
     """Closed-form ascent direction on the boundary of the rho-ball.
 
     epsilon = rho * sign(g) * |g|^(q-1) / (||g||_q^q)^(1/p) with the dual
-    exponent q. Zero gradient or rho = 0 returns the zero vector.
+    exponent q. grad is one gradient (P,) or a stack of rows (R, P), each
+    perturbed on its own ball. A zero gradient row or rho = 0 gives zeros.
     """
     g = np.asarray(grad, dtype=np.float64)
     if rho < 0.0:
         raise InvalidInputError("rho must be >= 0")
-    if rho == 0.0 or not np.any(g):
-        return np.zeros_like(g)
+    G = g.reshape(-1, g.shape[-1])
+    if not np.all(np.isfinite(G)):
+        raise InvalidInputError("worst_perturbation: gradient has non-finite entries")
+    live = G.any(axis=1)
+    if rho == 0.0 or not live.all():
+        eps = np.zeros_like(G)
+        if rho > 0.0 and live.any():
+            eps[live] = worst_perturbation(G[live], rho, p)
+        return eps.reshape(g.shape)
     if p == 2.0:
-        return rho * g / p_norm(g, 2.0)
-    q = dual_exponent(p)
-    a = np.abs(g)
-    m = a.max()
-    a = a / m  # rescale; the formula is scale-invariant in g
-    num = np.sign(g) * np.power(a, q - 1.0)
-    denom = np.power(np.power(a, q).sum(), 1.0 / p)
-    return rho * num / denom
+        # Per-row dot products through matmul, bit for bit np.dot(g, g).
+        eps = rho * G / np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0]
+    else:
+        q = dual_exponent(p)
+        a = np.abs(G)
+        a = a / a.max(axis=1, keepdims=True)  # rescale; the formula is scale-invariant in g
+        num = np.sign(G) * np.power(a, q - 1.0)
+        denom = np.power(np.power(a, q).sum(axis=1, keepdims=True), 1.0 / p)
+        eps = rho * num / denom
+    return eps.reshape(g.shape)
 
 
 def sam_perturbation(
@@ -148,6 +158,59 @@ def sam_perturbation(
     return loss, worst_perturbation(g, rho, p)
 
 
+def train_sam_many(
+    spec: mod.ModelSpec,
+    dataset: mod.Dataset,
+    config: SAMConfig,
+    batches,
+    loss_scales: Array,
+    labels: list[str],
+    init: Array,
+    record=None,
+) -> Array:
+    """The SAM step loop, run for R replicas at once as one (R, P) block.
+
+    batches[t] is an (R, b) array of train-split positions: replica r's
+    batch at step t. Replica r starts from init[r], weights its batch-mean
+    data loss by loss_scales[r] and is named labels[r] if it diverges.
+    Every replica row is bitwise what a run of its own would give.
+    record(t, eta, scale, W), if given, is called before each update at a
+    step that is a multiple of config.record_stride.
+    """
+    train_rows = dataset.indices("train")
+    X_train, y_train = mod._check_examples(
+        spec, dataset.features[train_rows], dataset.labels[train_rows]
+    )
+    W = np.array(init, dtype=np.float64, ndmin=2)
+    if W.shape != (len(labels), spec.param_count) or len(loss_scales) != len(labels):
+        raise InvalidInputError(
+            f"train_sam_many: need one {spec.param_count}-parameter init row, loss scale and "
+            f"label per replica, got init {W.shape} for {len(labels)} labels"
+        )
+    for t in range(config.steps):
+        batch = batches[t]
+        eta = config.eta_at(t)
+        scale = loss_scales / batch.shape[1]
+        X, y = X_train[batch], y_train[batch]
+        loss, G = mod.stacked_loss_grad(spec, W, X, y)
+        loss, G = scale * loss, scale[:, None] * G
+        bad = ~np.isfinite(loss) | (loss > 1e6)
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise DivergenceError(f"{labels[r]} diverged at step {t} (batch loss {float(loss[r])})")
+        eps = worst_perturbation(G, config.rho, config.p)
+        _, G_pert = mod.stacked_loss_grad(spec, W + eps, X, y)
+        G_sam = scale[:, None] * G_pert + config.lam * W
+        if record is not None and t % config.record_stride == 0:
+            record(t, eta, scale, W)
+        W = W - eta * G_sam
+    bad = ~np.all(np.isfinite(W), axis=1)
+    if bad.any():
+        label = labels[int(np.argmax(bad))]
+        raise DivergenceError(f"{label} diverged at step {config.steps} (non-finite weights)")
+    return W
+
+
 def train_sam(
     spec: mod.ModelSpec,
     dataset: mod.Dataset,
@@ -156,17 +219,17 @@ def train_sam(
     init: Array | None = None,
     loss_scale: float = 1.0,
 ) -> tuple[Array, Trajectory]:
-    """Run T SAM steps over the dataset's train split.
+    """Run T SAM steps over the dataset's train split (train_sam_many with
+    one replica) and record the trajectory.
 
     Batch indices are positions within the train split (0..n_train-1).
-    A custom schedule overrides the seeded default; the leave-one-out
-    oracle uses this to replay a run with one point's slots resampled.
+    A custom schedule overrides the seeded default; the removal oracle uses
+    this to replay a run with a removal set S's slots resampled.
     loss_scale multiplies the batch-mean data loss; the oracle passes
-    (n-1)/n so that removal keeps the original per-example weight 1/n
+    (n-|S|)/n so that removal keeps the original per-example weight 1/n
     instead of silently re-normalizing against the L2 penalty.
     """
-    train_rows = dataset.indices("train")
-    n = int(train_rows.size)
+    n = int(dataset.indices("train").size)
     if n == 0:
         raise ConfigError("dataset has no train split rows")
     if config.batch_size > n:
@@ -178,7 +241,6 @@ def train_sam(
     if schedule.num_steps < config.steps:
         raise ConfigError("batch schedule shorter than the configured step count")
 
-    w = init.astype(np.float64).copy() if init is not None else mod.init_params(spec, config.seed)
     traj = Trajectory(
         param_count=spec.param_count,
         n_train=n,
@@ -187,23 +249,18 @@ def train_sam(
         rho=config.rho,
         p=config.p,
     )
-    for t in range(config.steps):
-        batch = schedule.steps[t]
-        eta = config.eta_at(t)
-        scale = loss_scale / batch.size
-        rows = train_rows[batch]
-        loss, eps = sam_perturbation(spec, w, dataset, rows, scale, config.rho, config.p)
-        if not math.isfinite(loss) or loss > 1e6:
-            raise DivergenceError(f"training diverged at step {t} (batch loss {loss})")
-        _, g_pert = mod.subset_loss_grad(spec, w + eps, dataset, rows, scale)
-        g_sam = g_pert + config.lam * w
-        if t % config.record_stride == 0:
-            traj.checkpoints.append(
-                Checkpoint(step=t, params=w.copy(), eta=eta, batch=batch.copy(), weight=eta * scale)
-            )
-        w = w - eta * g_sam
-    if not np.all(np.isfinite(w)):
-        raise DivergenceError(f"training diverged at step {config.steps} (non-finite weights)")
+
+    def record(t, eta, scale, W):
+        traj.checkpoints.append(Checkpoint(
+            step=t, params=W[0].copy(), eta=eta, batch=schedule.steps[t].copy(),
+            weight=eta * float(scale[0]),
+        ))
+
+    w = init.astype(np.float64) if init is not None else mod.init_params(spec, config.seed)
+    w = train_sam_many(
+        spec, dataset, config, [batch[None] for batch in schedule.steps],
+        np.array([loss_scale]), ["training"], w, record,
+    )[0]
     traj.checkpoints.append(
         Checkpoint(
             step=config.steps,

@@ -1,0 +1,270 @@
+"""The stacked removal oracle: R replicas trained as one (R, P) SAM run.
+
+Every replica row must be bitwise what a run of its own gives. The
+reference here is a frozen plain loop (one 2-D gradient kernel, one
+1-D perturbation, one replica per run) kept apart from the package
+code, so a change to the shared trainer cannot move both sides at once.
+"""
+
+import numpy as np
+import pytest
+
+from samattr import experiments, oracle
+from samattr import model as mod
+from samattr.datasets import make_blobs
+from samattr.errors import DivergenceError
+from samattr.model import Dataset, ModelSpec
+from samattr.numcore import sample_batches
+from samattr.oracle import drop_train_point, loo_retrain, loo_retrain_many, loo_schedule
+from samattr.samtrain import SAMConfig, train_sam, worst_perturbation
+
+SPECS = {
+    "logistic": ModelSpec("logistic", (4, 3)),
+    "tanh": ModelSpec("mlp", (4, 6, 3), "tanh"),
+    "relu": ModelSpec("mlp", (4, 5, 4, 3), "relu"),
+}
+
+
+def _plain_loss_grad(spec, w, X, y):
+    """Summed loss and gradient over one batch, one parameter vector."""
+    sizes, layers, off = spec.layer_sizes, [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        W = w[off : off + fan_in * fan_out].reshape(fan_out, fan_in)
+        off += fan_in * fan_out
+        layers.append((W, w[off : off + fan_out]))
+        off += fan_out
+    acts = [X]
+    for l, (W, b) in enumerate(layers):
+        Z = acts[-1] @ W.T + b
+        if l < len(layers) - 1:
+            Z = np.tanh(Z) if spec.activation == "tanh" else np.maximum(Z, 0.0)
+        acts.append(Z)
+    Z = acts[-1]
+    m = Z - Z.max(axis=1, keepdims=True)
+    logp = m - np.log(np.exp(m).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(len(y)), y].sum())
+    delta = np.exp(logp)
+    delta[np.arange(len(y)), y] -= 1.0
+    grads = [None] * len(layers)
+    for l in range(len(layers) - 1, -1, -1):
+        grads[l] = (delta.T @ acts[l], delta.sum(axis=0))
+        if l > 0:
+            A = acts[l]
+            deriv = 1.0 - A * A if spec.activation == "tanh" else (A > 0.0).astype(np.float64)
+            delta = deriv * (delta @ layers[l][0])
+    return loss, np.concatenate([np.concatenate([W.ravel(), b]) for W, b in grads])
+
+
+def _plain_worst_perturbation(g, rho, p):
+    if rho == 0.0 or not np.any(g):
+        return np.zeros_like(g)
+    if p == 2.0:
+        return rho * g / float(np.sqrt(np.dot(g, g)))
+    q = p / (p - 1.0)
+    a = np.abs(g)
+    a = a / a.max()
+    num = np.sign(g) * np.power(a, q - 1.0)
+    return rho * num / np.power(np.power(a, q).sum(), 1.0 / p)
+
+
+def _plain_train_sam(spec, ds, cfg, schedule=None, loss_scale=1.0):
+    """One replica, one step at a time: params and (step, params, eta,
+    batch, weight) per recorded step."""
+    rows = ds.indices("train")
+    if schedule is None:
+        schedule = sample_batches(rows.size, cfg.batch_size, cfg.steps, cfg.seed, cfg.epoch_shuffled)
+    w = mod.init_params(spec, cfg.seed)
+    record = []
+    for t in range(cfg.steps):
+        batch = schedule.steps[t]
+        eta, scale = cfg.eta_at(t), loss_scale / batch.size
+        X, y = ds.features[rows[batch]], ds.labels[rows[batch]]
+        _, g = _plain_loss_grad(spec, w, X, y)
+        eps = _plain_worst_perturbation(scale * g, cfg.rho, cfg.p)
+        _, g_pert = _plain_loss_grad(spec, w + eps, X, y)
+        g_sam = scale * g_pert + cfg.lam * w
+        if t % cfg.record_stride == 0:
+            record.append((t, w.copy(), eta, batch.copy(), eta * scale))
+        w = w - eta * g_sam
+    return w, record
+
+
+def _plain_retrain(spec, ds, removed, cfg):
+    """Removal retrain spelled out: replayed schedule, reduced dataset,
+    per-example weight 1/n."""
+    n = ds.indices("train").size
+    S = np.atleast_1d(removed)
+    schedule = loo_schedule(n, S, cfg)
+    w, _ = _plain_train_sam(spec, drop_train_point(ds, S), cfg, schedule, (n - S.size) / n)
+    return w
+
+
+def _problem(kind, seed=0, n=24):
+    spec = SPECS[kind]
+    return spec, make_blobs(n, spec.input_dim, spec.num_classes, 2.0, seed=seed)
+
+
+def _cfg(schedule, n, **kw):
+    base = dict(rho=0.05, p=2.0, lam=0.01, eta=0.2, batch_size=6, steps=25, seed=3)
+    if schedule == "full":
+        base["batch_size"] = n
+    elif schedule == "epoch":
+        base.update(batch_size=5, epoch_shuffled=True)
+    base.update(kw)
+    return SAMConfig(**base)
+
+
+def _assert_rows_equal(spec, ds, sets, cfg):
+    W = loo_retrain_many(spec, ds, sets, cfg)
+    assert W.shape == (len(sets), spec.param_count)
+    for row, S in zip(W, sets):
+        assert np.array_equal(row, loo_retrain(spec, ds, S, cfg))
+        assert np.array_equal(row, _plain_retrain(spec, ds, S, cfg))
+
+
+def test_worst_perturbation_rows_are_independent():
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((5, 30)) * np.array([[1e-6], [1.0], [3e2], [1.0], [7.0]])
+    G[3] = 0.0
+    for p in (1.5, 2.0, 3.0):
+        for rho in (0.0, 0.07):
+            E = worst_perturbation(G, rho, p)
+            for g, e in zip(G, E):
+                assert np.array_equal(e, _plain_worst_perturbation(g, rho, p))
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_stacked_kernel_rows_match_plain_kernel(kind):
+    spec, ds = _problem(kind)
+    rng = np.random.default_rng(1)
+    W = 0.5 * rng.standard_normal((4, spec.param_count))
+    idx = np.stack([np.sort(rng.choice(ds.n, size=7, replace=False)) for _ in W])
+    loss, G = mod.stacked_loss_grad(spec, W, ds.features[idx], ds.labels[idx])
+    for r in range(len(W)):
+        ref_loss, ref_grad = _plain_loss_grad(spec, W[r], ds.features[idx[r]], ds.labels[idx[r]])
+        assert loss[r] == ref_loss and np.array_equal(G[r], ref_grad)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("kind,schedule,p", [
+    ("logistic", "mini", 2.0), ("tanh", "full", 3.0), ("relu", "epoch", 2.0), ("tanh", "mini", 3.0),
+])
+def test_train_sam_matches_plain_loop(kind, schedule, p, stride):
+    spec, ds = _problem(kind)
+    cfg = _cfg(schedule, ds.indices("train").size, p=p, record_stride=stride)
+    w, traj = train_sam(spec, ds, cfg)
+    ref_w, ref_record = _plain_train_sam(spec, ds, cfg)
+    assert np.array_equal(w, ref_w)
+    assert len(traj.checkpoints) == len(ref_record) + 1
+    for ck, (t, params, eta, batch, weight) in zip(traj.checkpoints, ref_record):
+        assert (ck.step, ck.eta, ck.weight) == (t, eta, weight)
+        assert np.array_equal(ck.params, params) and np.array_equal(ck.batch, batch)
+    assert np.array_equal(traj.checkpoints[-1].params, ref_w)
+
+
+@pytest.mark.parametrize("kind,schedule,p", [
+    ("logistic", "mini", 2.0), ("logistic", "full", 3.0), ("tanh", "mini", 3.0),
+    ("tanh", "epoch", 2.0), ("relu", "full", 2.0), ("relu", "mini", 2.0),
+])
+def test_rows_equal_per_set_retrains(kind, schedule, p):
+    spec, ds = _problem(kind)
+    cfg = _cfg(schedule, ds.indices("train").size, p=p)
+    _assert_rows_equal(spec, ds, [0, 7, [3], 23, [5, 11]], cfg)
+
+
+@pytest.mark.parametrize("schedule", ["mini", "near-full", "full"])
+def test_sets_of_mixed_sizes_in_one_call(schedule):
+    # near-full: b = n-2, so sets of 1 and 2 points keep batch b and sets of
+    # 3 and 5 shrink it; with a full batch every size is its own group.
+    spec, ds = _problem("tanh", seed=2)
+    n = ds.indices("train").size
+    cfg = _cfg("mini", n, batch_size={"mini": 6, "near-full": n - 2, "full": n}[schedule])
+    sets = [[4, 9, 13], 2, [0, 1, 2, 3, 20], [8, 22], 17, [6, 12, 18]]
+    _assert_rows_equal(spec, ds, sets, cfg)
+
+
+def test_block_boundary(monkeypatch):
+    spec, ds = _problem("logistic", seed=4, n=oracle.RETRAIN_BLOCK + 8)
+    cfg = _cfg("mini", ds.indices("train").size, steps=10)
+    sets = list(range(oracle.RETRAIN_BLOCK + 3))
+    W = loo_retrain_many(spec, ds, sets, cfg)
+    monkeypatch.setattr(oracle, "RETRAIN_BLOCK", 2)
+    sets_small = [[1, 2], 5, 9, [0, 3], 14]
+    W_small = loo_retrain_many(spec, ds, sets_small, cfg)
+    for k in (0, len(sets) // 2, len(sets) - 1):
+        assert np.array_equal(W[k], _plain_retrain(spec, ds, sets[k], cfg))
+    for row, S in zip(W_small, sets_small):
+        assert np.array_equal(row, _plain_retrain(spec, ds, S, cfg))
+
+
+def test_one_diverging_replica_names_its_set():
+    # A far outlier that no step of the original schedule holds: a retrain
+    # whose replayed schedule draws it into a resampled slot diverges, and
+    # the retrains that never draw it do not.
+    n, cfg = 24, SAMConfig(rho=0.05, eta=0.1, batch_size=4, steps=8, seed=1)
+    rng = np.random.default_rng(0)
+    base = sample_batches(n, cfg.batch_size, cfg.steps, cfg.seed)
+    used = np.unique(np.concatenate(base.steps))
+    outlier = int(np.setdiff1d(np.arange(n), used)[-1])
+    spec = ModelSpec("logistic", (3, 2))
+    X = rng.standard_normal((n, 3))
+    w0 = mod.init_params(spec, cfg.seed)
+    X[outlier] = 1e9 * (w0[3:6] - w0[0:3])  # far on the class-1 side of the start weights ...
+    y = rng.integers(0, 2, n)
+    y[outlier] = 0  # ... and labelled 0
+    ds = Dataset(X, y)
+
+    first_draw = {}
+    for k in used.tolist():
+        steps = loo_schedule(n, k, cfg).steps
+        hit = [t for t, s in enumerate(steps) if outlier - (outlier > k) in s]
+        first_draw[k] = hit[0] if hit else None
+    bad = [k for k, t in first_draw.items() if t is not None]
+    good = [k for k, t in first_draw.items() if t is None]
+    assert bad and len(good) >= 2
+    sets = [good[0], bad[0], good[1]]
+    with pytest.raises(DivergenceError, match=rf"points \[{bad[0]}\] diverged at step {first_draw[bad[0]]} "):
+        loo_retrain_many(spec, ds, sets, cfg)
+    W = loo_retrain_many(spec, ds, [good[0], good[1]], cfg)
+    assert np.all(np.isfinite(W))
+
+
+def test_calibrate_retrains_its_sample_in_one_call(monkeypatch):
+    spec, ds = _problem("logistic", seed=5)
+    cfg = _cfg("mini", ds.indices("train").size, steps=10)
+    calls = []
+    real = oracle.loo_retrain_many
+
+    def counted(spec_, ds_, sets, cfg_):
+        calls.append(len(sets))
+        return real(spec_, ds_, sets, cfg_)
+
+    monkeypatch.setattr(oracle, "loo_retrain_many", counted)
+    report = oracle.calibrate_estimator(spec, ds, cfg, "if_fast", 9)
+    assert calls == [9] and report.n_points == 9
+
+
+def test_removal_fractions_retrain_ranked_and_random_together(monkeypatch):
+    spec, ds = _problem("logistic", seed=6)
+    cfg = _cfg("mini", ds.indices("train").size, steps=10)
+    calls = []
+    real = oracle.loo_retrain_many
+
+    def counted(spec_, ds_, sets, cfg_):
+        calls.append([len(S) for S in sets])
+        return real(spec_, ds_, sets, cfg_)
+
+    monkeypatch.setattr(oracle, "loo_retrain_many", counted)
+    ecfg = experiments.ExperimentConfig(removal_fractions=(0.0, 0.25, 0.5), seed=6)
+    order = np.arange(ds.indices("train").size)[::-1]
+    params, _ = train_sam(spec, ds, cfg)
+    ranked, rand, _ = experiments._removal_accuracies(ecfg, spec, ds, cfg, params, order, 0x7A)
+    assert calls == [[6, 6], [12, 12]]
+    assert ranked[1] == mod.accuracy(spec, _plain_retrain(spec, ds, order[:6], cfg), ds, "test")
+
+
+def test_validation_loss_is_the_gradient_paths_loss():
+    spec, ds = _problem("tanh", seed=7, n=80)
+    w = mod.init_params(spec, 7)
+    expected, _ = mod.subset_loss_grad(spec, w, ds, ds.indices("val"), 1.0)
+    assert oracle.validation_loss(spec, w, ds) == expected
