@@ -21,6 +21,7 @@ from .samtrain import SAMConfig, train_sam, write_trajectory
 Array = np.ndarray
 
 _RECALL_GRID = [round(0.05 * i, 2) for i in range(1, 21)]
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model kind {self.model!r}")
 
     def digest(self) -> str:
-        parts = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+        """Hash of every field but `out`: it names the experiment, not where
+        it was written, so output file names do not depend on the directory."""
+        parts = [f"{f.name}={getattr(self, f.name)}" for f in fields(self) if f.name != "out"]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
     def parsed_eta(self):
@@ -128,7 +131,7 @@ def _build_config(values: dict, origin: str) -> ExperimentConfig:
         default = getattr(ExperimentConfig, key)
         try:
             if isinstance(default, bool):
-                kwargs[key] = value.lower() in ("1", "true", "yes")
+                kwargs[key] = _BOOLEANS[value.lower()]
             elif isinstance(default, int):
                 kwargs[key] = int(value)
             elif isinstance(default, float):
@@ -142,7 +145,7 @@ def _build_config(values: dict, origin: str) -> ExperimentConfig:
                     kwargs[key] = tuple(int(v) for v in value.split(","))
             else:
                 kwargs[key] = value
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"{origin}: bad value for {key!r}: {value!r}") from None
     return ExperimentConfig(**kwargs)
 

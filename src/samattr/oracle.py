@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import model as mod
 from .errors import InvalidInputError
@@ -203,11 +202,51 @@ def _sign_agreement(a: Array, b: Array) -> float:
     return float(credit.mean())
 
 
-def _corr_or_zero(fn, a: Array, b: Array) -> float:
-    if len(a) < 2 or np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+def _pearson(a: Array, b: Array) -> float:
+    """Pearson r of two non-constant vectors in scipy.stats.pearsonr's order
+    of operations, so the value is bitwise scipy's: centre, scale each side
+    by its max-abs before the 2-norm, dot, clip, round when n = 2."""
+
+    def unit(v: Array) -> Array:
+        centred = v - v.mean()
+        vmax = np.max(np.abs(centred))
+        scaled = centred / vmax
+        return centred / (vmax * np.sqrt(np.sum(scaled * scaled)))
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.clip(np.dot(unit(a), unit(b)), -1.0, 1.0)
+    return float(np.round(r) if a.size == 2 else r)
+
+
+def _average_ranks(v: Array) -> Array:
+    """1-based ranks of v, ties sharing their mean rank (scipy.stats.rankdata's
+    method="average")."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, v.size])
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(a: Array, b: Array) -> float:
+    """Spearman rho of two non-constant vectors, bitwise scipy.stats.spearmanr's:
+    the correlation matrix of the two average-rank rows."""
+    return float(np.corrcoef(np.vstack((_average_ranks(a), _average_ranks(b))))[1, 0])
+
+
+def _corr_or_zero(a: Array, b: Array, ranked: bool = False) -> float:
+    """Pearson (ranked: Spearman) correlation of a and b, or 0.0 where it is
+    undefined: fewer than two points, a constant side, any NaN, or a
+    non-finite result (an infinite score leaves Pearson undefined; its
+    rank still counts for Spearman)."""
+    if len(a) < 2 or np.isnan(a).any() or np.isnan(b).any():
         return 0.0
-    r = fn(a, b)[0]
-    return float(r) if np.isfinite(r) else 0.0
+    if (a == a[0]).all() or (b == b[0]).all():
+        return 0.0
+    r = _spearman(a, b) if ranked else _pearson(a, b)
+    return r if np.isfinite(r) else 0.0
 
 
 def calibrate_estimator(
@@ -249,8 +288,8 @@ def calibrate_estimator(
     # Removal-induced loss change: positive means removal hurt.
     actual = np.array([validation_loss(spec, w_k, dataset) - base_val for w_k in retrained])
     return CalibrationReport(
-        pearson=_corr_or_zero(stats.pearsonr, predicted, actual),
-        spearman=_corr_or_zero(stats.spearmanr, predicted, actual),
+        pearson=_corr_or_zero(predicted, actual),
+        spearman=_corr_or_zero(predicted, actual, ranked=True),
         sign_agreement=_sign_agreement(predicted, actual),
         n_points=int(sample.size),
         estimator=est_name,

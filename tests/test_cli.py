@@ -120,3 +120,28 @@ class TestDeterminism:
             path = list((tmp_path / run_dir).glob("edited_params_*.npy"))[0]
             params.append(np.load(path))
         np.testing.assert_array_equal(params[0], params[1])
+
+
+class TestConfigValues:
+    def test_misspelt_boolean_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epoch_shuffled="ture")
+        assert main(["train", "--config", cfg]) == 2
+        assert "epoch_shuffled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,extra", [("train", {}), ("edit", {"edit_indices": "1,4"})]
+    )
+    def test_out_directory_leaves_file_names_and_contents_alone(
+        self, tmp_path, capsys, command, extra
+    ):
+        cfg = write_config(tmp_path, **extra)
+        dirs = [tmp_path / "first", tmp_path / "second"]
+        for run_dir in dirs:
+            assert main([command, "--config", cfg, "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        names = [sorted(p.name for p in d.iterdir()) for d in dirs]
+        assert names[0] == names[1]
+        assert any(name.endswith(".tsv") for name in names[0])
+        for name in names[0]:
+            if name.endswith(".tsv"):
+                assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()

@@ -235,3 +235,27 @@ class TestDrivers:
         cfg = fast_config(out=str(tmp_path), removal_fractions=(1.0,), neumann_order=2000)
         with pytest.raises(InvalidInputError, match="leaves none"):
             cmd_valuate(cfg)
+
+
+class TestBooleanValues:
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+    )
+    def test_accepted_spellings(self, tmp_path, text, expected):
+        path = tmp_path / "exp.conf"
+        path.write_text(f"epoch_shuffled = {text}\n")
+        assert load_config(str(path)).epoch_shuffled is expected
+
+    @pytest.mark.parametrize("text", ["ture", "2", "on", "y", ""])
+    def test_anything_else_names_the_key(self, tmp_path, text):
+        path = tmp_path / "exp.conf"
+        path.write_text(f"epoch_shuffled = {text}\n")
+        with pytest.raises(ConfigError, match="epoch_shuffled"):
+            load_config(str(path))
+
+
+class TestDigestLeavesOutOut:
+    def test_out_does_not_change_the_digest(self):
+        assert ExperimentConfig(out="a").digest() == ExperimentConfig(out="b").digest()
+        assert ExperimentConfig(out="a", seed=1).digest() != ExperimentConfig(out="a").digest()
