@@ -4,7 +4,7 @@ Subpackages:
   numcore    norms, dual exponents, seeded batch schedules
   model      small differentiable classifiers (gradients, exact HVPs)
   samtrain   SAM optimizer, trajectory recording and persistence
-  influence  the three influence estimators, Neumann iHVP, model editing
+  influence  the three influence estimators, GMRES and Neumann iHVP, model editing
   oracle     leave-one-out retraining ground truth and calibration
   datasets   blobs / CSV / IDX ingestion, label flipping
   experiments, report, cli   batch experiment drivers and report emission

@@ -18,7 +18,8 @@ class ConfigError(SamAttrError):
 
 
 class DivergenceError(SamAttrError):
-    """A numerical iteration diverged (training loss blow-up, Neumann runaway)."""
+    """A numerical iteration diverged or missed its tolerance (training loss
+    blow-up, Neumann runaway, a GMRES solve that did not converge)."""
 
 
 class FormatError(SamAttrError):

@@ -49,10 +49,8 @@ class ExperimentConfig:
     max_trace_points: int = 10
     edit_indices: tuple[int, ...] = ()
     sample_size: int = 0  # 0 = every training point (calibrate)
-    neumann_order: int = 500
-    neumann_alpha: float = 0.0  # 0 = auto
+    neumann_order: int = 500  # GMRES iteration cap
     neumann_damp: float = 0.01
-    neumann_zeta: float = 1e-9
     out: str = "out"
     seed: int = 0
 
@@ -69,9 +67,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model kind {self.model!r}")
 
     def digest(self) -> str:
-        """Hash of every field but `out`: it names the experiment, not where
-        it was written, so output file names do not depend on the directory."""
-        parts = [f"{f.name}={getattr(self, f.name)}" for f in fields(self) if f.name != "out"]
+        """Hash of every field as the run uses it: `eta` parsed, so equal
+        schedules written differently hash alike, and neither `out` (where
+        the run is written) nor, for a logistic model, the MLP-only
+        `hidden` and `activation`."""
+        unused = {"out"} | ({"hidden", "activation"} if self.model == "logistic" else set())
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in unused}
+        values["eta"] = self.parsed_eta()
+        parts = [f"{name}={value}" for name, value in values.items()]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
     def parsed_eta(self):
@@ -87,12 +90,7 @@ class ExperimentConfig:
             raise ConfigError(f"malformed eta schedule {self.eta!r}") from None
 
     def neumann(self) -> NeumannConfig:
-        return NeumannConfig(
-            order=self.neumann_order,
-            alpha=self.neumann_alpha or None,
-            damp=self.neumann_damp,
-            zeta=self.neumann_zeta,
-        )
+        return NeumannConfig(order=self.neumann_order, damp=self.neumann_damp)
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:

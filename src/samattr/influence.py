@@ -13,28 +13,34 @@ point is removed, i.e. positive = valuable, negative = harmful.
 * trajectory estimator: sums learning-rate-weighted per-point gradients
   at perturbed checkpoints, gated by batch membership.
 
-Inverse operators are applied via a damped, scaled truncated Neumann
-iteration; no Hessian is ever materialized here. One dispatch serves two
-entry points. ``influence_scores`` scores points against query gradients
-(the validation loss, a test point): the Hessian estimators solve the
-transposed operator once per query, A^T s = q, and the score of point k
-is g_k . s, so scoring every point costs one solve per query, not one
-per point. ``influence_vectors`` returns IF(k) itself, one solve per
-point, for the few points a caller removes or edits. Either way the
-linearization (w_pert, full-train gradient, Neumann alpha) is built once
-per call, the points' gradients come from one per-example call, and
-right-hand sides are solved as blocks, one block HVP per iteration. The
-perturbation's Jacobian is the closed form (d eps / d g) H for every p,
-symmetric in its gradient factor, which is what makes A^T as cheap as A.
-The trajectory estimator replays the trajectory once: one perturbation
-per checkpoint, then one per-example gradient call for the scored points
-that checkpoint used; its scores are its vectors' dot products.
+Inverse operators are applied by GMRES (``gmres_solve``) on the damped
+operator, to a relative residual of KRYLOV_RTOL; a solve that misses it
+within its iteration cap raises DivergenceError (CLI exit 3) instead of
+returning an unconverged vector. No Hessian is ever materialized here.
+``neumann_ihvp``, a scaled truncated Neumann series, is kept as a library
+function; the commands do not use it.
+
+One dispatch serves two entry points. ``influence_scores`` scores points
+against query gradients (the validation loss, a test point): the Hessian
+estimators solve the transposed operator once per query, A^T s = q, and
+the score of point k is g_k . s, so scoring every point costs one solve
+per query, not one per point. ``influence_vectors`` returns IF(k)
+itself, one solve per point, for the few points a caller removes or
+edits. Either way the linearization (w_pert, full-train gradient) is
+built once per call, the points' gradients come from one per-example
+call, and right-hand sides are solved as blocks, one block HVP per
+iteration. The perturbation's Jacobian is the closed form (d eps / d g) H
+for every p, symmetric in its gradient factor, which is what makes A^T as
+cheap as A. The trajectory estimator replays the trajectory once: one
+perturbation per checkpoint, then one per-example gradient call for the
+scored points that checkpoint used; its scores are its vectors' dot
+products.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,15 +56,28 @@ LinearOperator = Callable[[Array], Array]
 
 ESTIMATORS = ("if_fast", "hif", "gif")
 
-# Tangent rows per block HVP: the right-hand sides of one block Neumann
+# Tangent rows per block HVP: the right-hand sides of one block GMRES
 # solve, or the unit columns of one dense_hessian step. A block HVP holds
 # (rows, n_train, width) tangent arrays, so this bounds peak memory
 # whatever the number of points.
 HVP_BLOCK = 64
 
+# A GMRES row stops once its relative residual ||(A + damp I) x - b|| / ||b||
+# is at most this, checked against the true residual.
+KRYLOV_RTOL = 1e-10
+
+# Floats of Krylov basis and Hessenberg matrices one block solve should
+# stay within; a large model's block solves get fewer than HVP_BLOCK rows.
+KRYLOV_BASIS_FLOATS = 2**23
+
 
 @dataclass(frozen=True)
 class NeumannConfig:
+    """Solve settings. order caps the iterations of one solve and damp is
+    added to the operator's diagonal, for gmres_solve (every estimator
+    call) and neumann_ihvp alike; alpha and zeta are neumann_ihvp's step
+    size and L1 stop rule only."""
+
     order: int = 500  # max iterations J
     alpha: float | None = None  # None: auto from a trace estimate
     damp: float = 0.01
@@ -147,6 +166,115 @@ def neumann_ihvp(apply_A: LinearOperator, g: Array, cfg: NeumannConfig) -> Array
         v[active] = v_next
         active = active[steps > cfg.zeta]
     return v.reshape(g.shape)
+
+
+def _row_dots(X: Array, Y: Array) -> Array:
+    """Row-wise dot products of two (m, n) arrays, each row its own product."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def _check_finite(a: Array, iteration: int) -> None:
+    if not np.all(np.isfinite(a)):
+        raise DivergenceError(f"GMRES operator returned a non-finite value at iteration {iteration}")
+
+
+def gmres_solve(apply_A: LinearOperator, rhs: Array, damp: float, order: int) -> Array:
+    """Solve (A + damp*I) x = b by full (unrestarted) GMRES from x = 0.
+
+    rhs is one right-hand side b (P,) or a block (m, P) of them, one per
+    row; for a block, apply_A takes blocks of rows. A need not be symmetric
+    or definite. Rows run in lockstep, one operator call per iteration on
+    the rows still running, and each row's arithmetic is its own, so a
+    row's result is that of its solve alone. Each iteration extends a row's
+    orthonormal Krylov basis (classical Gram-Schmidt, applied twice) and
+    updates its residual estimate ||b - (A + damp*I) x|| / ||b|| through
+    the last row of the Hessenberg matrix's Givens factor. Once the
+    estimate reaches KRYLOV_RTOL, the row's x comes from the small least
+    squares problem and one more operator call checks its true residual;
+    a row that passes retires, one that fails keeps iterating. Zero rows
+    stay exactly zero and cost nothing, and the basis grows as it is used.
+    A non-finite value, or a row still above the tolerance after `order`
+    iterations, raises DivergenceError.
+    """
+    b = np.asarray(rhs, dtype=np.float64)
+    op = apply_A if b.ndim == 2 else (lambda rows: apply_A(rows[0])[None])
+    B = np.atleast_2d(b)
+    out = np.zeros_like(B)
+    norms = np.sqrt(_row_dots(B, B))
+    if not np.all(np.isfinite(norms)):
+        raise DivergenceError("GMRES right-hand side is not finite")
+    run = np.flatnonzero(norms > 0.0)  # rows of B still running
+    beta = norms[run]
+    size = min(order + 1, 16)  # basis vectors allocated so far
+    V = np.zeros((run.size, size, B.shape[1]))
+    V[:, 0] = B[run] / beta[:, None]
+    H = np.zeros((run.size, size, size))  # Hessenberg matrix, (j + 2, j + 1) used
+    q = np.zeros((run.size, size))  # last row of the Givens factor Q^T
+    q[:, 0] = 1.0
+    est = np.ones(run.size)  # estimated relative residual
+    true = np.full(run.size, np.nan)  # true relative residual, once checked
+    for j in range(order):
+        if run.size == 0:
+            break
+        if j + 2 > size:
+            grow = min(2 * size, order + 1) - size
+            size += grow
+            V = np.pad(V, ((0, 0), (0, grow), (0, 0)))
+            H = np.pad(H, ((0, 0), (0, grow), (0, grow)))
+            q = np.pad(q, ((0, 0), (0, grow)))
+        v = V[:, j]
+        w = op(v) + damp * v
+        _check_finite(w, j + 1)
+        basis = V[:, : j + 1]
+        h = np.zeros((run.size, j + 1))
+        for _ in range(2):  # classical Gram-Schmidt, applied twice
+            c = (basis @ w[:, :, None])[:, :, 0]
+            w = w - (c[:, None, :] @ basis)[:, 0]
+            h += c
+        nu = np.sqrt(_row_dots(w, w))
+        H[:, : j + 1, j] = h
+        H[:, j + 1, j] = nu
+        # r is the new column's diagonal entry after the earlier Givens
+        # rotations; the next rotation takes (r, nu) onto (d, 0), and the
+        # least squares residual shrinks by |sin|.
+        r = _row_dots(q[:, : j + 1], h)
+        d = np.hypot(r, nu)
+        live = d > 0.0
+        cos = np.divide(r, d, out=np.ones_like(d), where=live)
+        sin = np.divide(nu, d, out=np.zeros_like(d), where=live)
+        est *= np.abs(sin)
+        q[:, : j + 1] *= -sin[:, None]
+        q[:, j + 1] = cos
+        V[:, j + 1] = np.divide(w, nu[:, None], out=np.zeros_like(w), where=nu[:, None] > 0.0)
+        check = np.flatnonzero(est <= KRYLOV_RTOL)
+        if check.size == 0:
+            continue
+        # x = V y with y minimizing ||beta e1 - H y||, then its true residual.
+        e1 = np.eye(j + 2, 1)[:, 0]
+        X = np.stack([
+            np.linalg.lstsq(H[i, : j + 2, : j + 1], beta[i] * e1, rcond=None)[0] @ V[i, : j + 1]
+            for i in check
+        ])
+        R = B[run[check]] - (op(X) + damp * X)
+        _check_finite(R, j + 1)
+        true[check] = np.sqrt(_row_dots(R, R)) / beta[check]
+        passed = true[check] <= KRYLOV_RTOL
+        if np.any(nu[check[~passed]] == 0.0):
+            raise DivergenceError(
+                f"GMRES broke down at iteration {j + 1} with relative residual "
+                f"{true[check[~passed]].max():.3e}: the operator is singular"
+            )
+        out[run[check[passed]]] = X[passed]
+        keep = np.ones(run.size, dtype=bool)
+        keep[check[passed]] = False
+        run, beta, V, H, q, est, true = (a[keep] for a in (run, beta, V, H, q, est, true))
+    if run.size:
+        worst = float(np.fmax(est, true).max())
+        raise DivergenceError(
+            f"GMRES did not converge in {order} iterations: relative residual {worst:.3e} "
+            f"> {KRYLOV_RTOL:g}; raise neumann_order or neumann_damp"
+        )
+    return out.reshape(b.shape)
 
 
 def _train_rows(dataset: mod.Dataset) -> Array:
@@ -241,8 +369,8 @@ def _linearize(
     the perturbed optimum and J = D H the perturbation's Jacobian (total
     only). Its transpose is A^T u = h + H (D h) + lam u with h = H_pert u;
     without J, A is symmetric and A^T is A itself. Both take one vector or
-    a block of rows. Returns w_pert, A, A^T, and ncfg with alpha fixed
-    (from A) if it was auto."""
+    a block of rows. Returns w_pert, A, A^T and ncfg, the settings their
+    solves use."""
     rows = _train_rows(dataset)
     scale = 1.0 / rows.size
     w_pert, _ = perturbed_params(spec, dataset, params, rho, p)
@@ -264,20 +392,22 @@ def _linearize(
             return apply_Hpert(v) + lam * v
 
         apply_AT = apply_A
-
-    if ncfg.alpha is None:
-        ncfg = dc_replace(ncfg, alpha=_auto_alpha(apply_A, spec.param_count))
     return w_pert, apply_A, apply_AT, ncfg
 
 
 def _block_solve(apply_A: LinearOperator, rhs: Array, ncfg: NeumannConfig) -> Array:
-    """neumann_ihvp over the rows of rhs, HVP_BLOCK rows at a time; zero
-    rows stay exactly zero and cost nothing."""
+    """gmres_solve over the rows of rhs, a block of rows at a time: at most
+    HVP_BLOCK, and fewer when the block's Krylov basis and Hessenberg
+    matrices, k (P + k) floats a row for k basis vectors, could outgrow
+    KRYLOV_BASIS_FLOATS. In exact arithmetic GMRES ends within P
+    iterations, so k <= P + 1."""
+    P = rhs.shape[1]
+    k = min(ncfg.order, P) + 1
+    rows = max(1, min(HVP_BLOCK, KRYLOV_BASIS_FLOATS // (k * (P + k))))
     out = np.zeros_like(rhs)
-    live = np.flatnonzero(np.any(rhs, axis=1))
-    for start in range(0, live.size, HVP_BLOCK):
-        block = live[start : start + HVP_BLOCK]
-        out[block] = neumann_ihvp(apply_A, rhs[block], ncfg)
+    for start in range(0, rhs.shape[0], rows):
+        out[start : start + rows] = gmres_solve(apply_A, rhs[start : start + rows], ncfg.damp,
+                                                ncfg.order)
     return out
 
 

@@ -44,7 +44,7 @@ def suite_problem():
 
 
 def exp_config() -> ExperimentConfig:
-    return ExperimentConfig(estimator="if_fast", neumann_order=2000, neumann_zeta=1e-11)
+    return ExperimentConfig(estimator="if_fast", neumann_order=2000)
 
 
 def test_gradient_audit():

@@ -259,3 +259,24 @@ class TestDigestLeavesOutOut:
     def test_out_does_not_change_the_digest(self):
         assert ExperimentConfig(out="a").digest() == ExperimentConfig(out="b").digest()
         assert ExperimentConfig(out="a", seed=1).digest() != ExperimentConfig(out="a").digest()
+
+
+class TestDigestHashesValuesAsUsed:
+    def test_equal_eta_schedules_share_a_digest(self):
+        assert ExperimentConfig(eta="0.5").digest() == ExperimentConfig(eta=".5").digest()
+        assert (ExperimentConfig(eta="0:0.5,100:.05").digest()
+                == ExperimentConfig(eta=" 0:.50,100:0.05").digest())
+
+    def test_mlp_keys_do_not_change_a_logistic_digest(self):
+        base = ExperimentConfig(model="logistic", hidden=(8,), activation="tanh").digest()
+        assert ExperimentConfig(model="logistic", hidden=(16,)).digest() == base
+        assert ExperimentConfig(model="logistic", activation="relu").digest() == base
+
+    def test_real_differences_change_the_digest(self):
+        base = ExperimentConfig()
+        assert ExperimentConfig(eta="0.25").digest() != base.digest()
+        assert ExperimentConfig(eta="0:0.5,100:0.05").digest() != base.digest()
+        mlp = ExperimentConfig(model="mlp")
+        assert mlp.digest() != base.digest()
+        assert ExperimentConfig(model="mlp", hidden=(16,)).digest() != mlp.digest()
+        assert ExperimentConfig(model="mlp", activation="relu").digest() != mlp.digest()

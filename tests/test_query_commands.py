@@ -79,16 +79,18 @@ def test_trace_ranks_against_each_test_point(tmp_path, capsys):
 
 def test_attribute_makes_one_one_row_solve(tmp_path, monkeypatch):
     calls = []
-    solve = influence.neumann_ihvp
+    solve = influence.gmres_solve
 
-    def recording(apply_A, g, cfg):
-        calls.append(np.shape(g))
-        return solve(apply_A, g, cfg)
+    def recording(apply_A, rhs, damp, order):
+        calls.append(np.shape(rhs))
+        return solve(apply_A, rhs, damp, order)
 
-    monkeypatch.setattr(influence, "neumann_ihvp", recording)
-    cfg = load_config(_config(tmp_path))
-    experiments.cmd_attribute(cfg)
-    assert calls == [(1, mod.ModelSpec("logistic", (4, 2)).param_count)]
+    monkeypatch.setattr(influence, "gmres_solve", recording)
+    for estimator in ("if_fast", "hif"):
+        calls.clear()
+        cfg = load_config(_config(tmp_path, estimator=estimator))
+        experiments.cmd_attribute(cfg)
+        assert calls == [(1, mod.ModelSpec("logistic", (4, 2)).param_count)]
 
 
 @pytest.mark.parametrize("indices", [(2, 2), (0, 999), (-1,)])

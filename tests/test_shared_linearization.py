@@ -29,7 +29,7 @@ def trained():
 @pytest.mark.parametrize("estimator", ["if_fast", "hif", "gif"])
 def test_score_all_matches_per_point_estimators(trained, estimator):
     spec, ds, sam, params, traj = trained
-    cfg = ExperimentConfig(estimator=estimator, neumann_order=400, neumann_zeta=1e-10)
+    cfg = ExperimentConfig(estimator=estimator, neumann_order=400)
     ncfg = cfg.neumann()
     _, ifvecs = score_all(cfg, spec, ds, sam, params, traj)
 
