@@ -39,7 +39,6 @@ class ExperimentConfig:
     eta: str = "0.5"  # constant, or step-decay "0:0.5,500:0.05"
     batch_size: int = 0  # 0 = full batch
     steps: int = 1000
-    record_stride: int = 1
     epoch_shuffled: bool = False
     estimator: str = "if_fast"
     gif_mode: str = "sgd"
@@ -169,7 +168,6 @@ def setup(cfg: ExperimentConfig) -> tuple[mod.ModelSpec, mod.Dataset, SAMConfig]
         batch_size=cfg.batch_size or n_train,
         steps=cfg.steps,
         seed=cfg.seed,
-        record_stride=cfg.record_stride,
         epoch_shuffled=cfg.epoch_shuffled,
     )
     return spec, ds, sam

@@ -362,15 +362,14 @@ def eps_jacobian_vec(
 
 def _linearize(
     spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float, lam: float,
-    total: bool, ncfg: NeumannConfig,
-) -> tuple[Array, LinearOperator, LinearOperator, NeumannConfig]:
+    total: bool,
+) -> tuple[Array, LinearOperator, LinearOperator]:
     """The operator the Hessian estimators solve against, built once:
     A v = H_pert (v + J v) + lam v, with H_pert the full-train Hessian at
     the perturbed optimum and J = D H the perturbation's Jacobian (total
     only). Its transpose is A^T u = h + H (D h) + lam u with h = H_pert u;
     without J, A is symmetric and A^T is A itself. Both take one vector or
-    a block of rows. Returns w_pert, A, A^T and ncfg, the settings their
-    solves use."""
+    a block of rows. Returns w_pert, A and A^T."""
     rows = _train_rows(dataset)
     scale = 1.0 / rows.size
     w_pert, _ = perturbed_params(spec, dataset, params, rho, p)
@@ -392,7 +391,7 @@ def _linearize(
             return apply_Hpert(v) + lam * v
 
         apply_AT = apply_A
-    return w_pert, apply_A, apply_AT, ncfg
+    return w_pert, apply_A, apply_AT
 
 
 def _block_solve(apply_A: LinearOperator, rhs: Array, ncfg: NeumannConfig) -> Array:
@@ -443,9 +442,7 @@ def _influence(
         return vectors if queries is None else -(vectors @ queries.T)
     rows = _train_rows(dataset)
     ks = _check_ks(ks, rows.size)
-    w_pert, apply_A, apply_AT, ncfg = _linearize(
-        spec, dataset, params, rho, p, lam, estimator == "hif", ncfg
-    )
+    w_pert, apply_A, apply_AT = _linearize(spec, dataset, params, rho, p, lam, estimator == "hif")
     if ks.size == 0:
         return np.zeros((0, spec.param_count if queries is None else queries.shape[0]))
     grads = (1.0 / rows.size) * mod.example_grads(spec, w_pert, dataset, rows[ks])
@@ -549,6 +546,11 @@ def _gif_vectors(
         raise InvalidInputError(
             "trajectory is missing its SAM settings; set trajectory.rho and "
             "trajectory.p before computing trajectory influence"
+        )
+    if [ck.step for ck in trajectory.checkpoints] != list(range(trajectory.total_steps + 1)):
+        raise InvalidInputError(
+            f"trajectory influence needs one checkpoint at each step 0..{trajectory.total_steps} "
+            "in order; a thinned trajectory (one recorded with a stride) cannot be used"
         )
     total = np.zeros((ks.size, spec.param_count))
     for ck in trajectory.checkpoints:

@@ -101,28 +101,8 @@ def _check_params(spec: ModelSpec, params: Array) -> Array:
     return params
 
 
-def _unpack(spec: ModelSpec, params: Array) -> list[tuple[Array, Array]]:
-    params = _check_params(spec, params)
-    layers = []
-    off = 0
-    sizes = spec.layer_sizes
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        W = params[off : off + fan_in * fan_out].reshape(fan_out, fan_in)
-        off += fan_in * fan_out
-        b = params[off : off + fan_out]
-        off += fan_out
-        layers.append((W, b))
-    return layers
-
-
-def _pack(parts: list[tuple[Array, Array]]) -> Array:
-    return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in parts])
-
-
 def _unpack_rows(spec: ModelSpec, V: Array) -> list[tuple[Array, Array]]:
-    """_unpack for each row of a block V (m, P): W (m, fan_out, fan_in), b (m, fan_out).
-    Kept apart from _unpack so the single-vector path stays as cheap as it is."""
+    """Layers of each row of a block V (m, P): W (m, fan_out, fan_in), b (m, fan_out)."""
     m = V.shape[0]
     layers = []
     off = 0
@@ -134,6 +114,11 @@ def _unpack_rows(spec: ModelSpec, V: Array) -> list[tuple[Array, Array]]:
         layers.append((W, V[:, off : off + fan_out]))
         off += fan_out
     return layers
+
+
+def _unpack(spec: ModelSpec, params: Array) -> list[tuple[Array, Array]]:
+    """Layers of one parameter vector: the one-row case of _unpack_rows."""
+    return [(W[0], b[0]) for W, b in _unpack_rows(spec, _check_params(spec, params)[None])]
 
 
 def _pack_rows(parts: list[tuple[Array, Array]]) -> Array:
@@ -151,9 +136,9 @@ def init_params(spec: ModelSpec, seed: int) -> Array:
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
         bound = 1.0 / np.sqrt(fan_in)
-        W = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        parts.append((W, np.zeros(fan_out)))
-    return _pack(parts)
+        W = rng.uniform(-bound, bound, size=(1, fan_out, fan_in))
+        parts.append((W, np.zeros((1, fan_out))))
+    return _pack_rows(parts)[0]
 
 
 def _act(spec: ModelSpec, Z: Array) -> Array:
@@ -179,7 +164,8 @@ def _forward(spec: ModelSpec, layers, X: Array) -> list[Array]:
     """Return activations [A0=X, A1, ..., Z_L]; the last entry is raw logits.
 
     layers come from _unpack, or from _unpack_rows with X stacked (R, b, d)
-    to match: each stack row then goes through its own matmuls."""
+    to match (one parameter row broadcasts over every stack): each stack
+    row then goes through its own matmuls."""
     acts = [X]
     L = len(layers)
     for idx, (W, b) in enumerate(layers):
@@ -247,6 +233,17 @@ def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Ar
     return loss, _pack_rows(grads)
 
 
+def _rows(spec: ModelSpec, dataset: Dataset, indices, who: str) -> tuple[Array, Array]:
+    """Checked features and labels of the given dataset rows: a non-empty
+    index set within 0..n-1 (no negative indices counting from the end)."""
+    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+    if indices.size == 0:
+        raise InvalidInputError(f"{who}: empty index set")
+    if indices.min() < 0 or indices.max() >= dataset.n:
+        raise InvalidInputError(f"{who}: index out of range 0..{dataset.n - 1}")
+    return _check_examples(spec, dataset.features[indices], dataset.labels[indices])
+
+
 def subset_loss_grad(
     spec: ModelSpec,
     params: Array,
@@ -255,12 +252,7 @@ def subset_loss_grad(
     scale: float = 1.0,
 ) -> tuple[float, Array]:
     """scale * (sum loss, sum gradient) over the given dataset rows."""
-    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    if indices.size == 0:
-        raise InvalidInputError("subset_loss_grad: empty index set")
-    if indices.min() < 0 or indices.max() >= dataset.n:
-        raise InvalidInputError("subset_loss_grad: index out of range")
-    X, y = _check_examples(spec, dataset.features[indices], dataset.labels[indices])
+    X, y = _rows(spec, dataset, indices, "subset_loss_grad")
     loss, grad = stacked_loss_grad(spec, _check_params(spec, params)[None], X[None], y[None])
     return scale * float(loss[0]), scale * grad[0]
 
@@ -272,25 +264,8 @@ def example_grads(spec: ModelSpec, params: Array, dataset: Dataset, indices) -> 
     subset_loss_grad over indices[i] alone, bit for bit, whichever other
     rows share the call; the rows sum to the subset gradient up to rounding.
     """
-    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    if indices.size == 0:
-        raise InvalidInputError("example_grads: empty index set")
-    if indices.min() < 0 or indices.max() >= dataset.n:
-        raise InvalidInputError("example_grads: index out of range")
-    X, y = _check_examples(spec, dataset.features[indices], dataset.labels[indices])
-    layers = _unpack(spec, params)
-    acts = _forward(spec, layers, X[:, None, :])  # (rows, 1, width) per layer
-    Z = acts[-1]
-    m = Z - Z.max(axis=-1, keepdims=True)
-    delta = np.exp(m - np.log(np.exp(m).sum(axis=-1, keepdims=True)))
-    delta[np.arange(len(y)), 0, y] -= 1.0  # dLoss/dZ_L per example
-
-    grads: list[tuple[Array, Array]] = [None] * len(layers)
-    for l in range(len(layers) - 1, -1, -1):
-        grads[l] = (np.swapaxes(delta, -1, -2) @ acts[l], delta[:, 0])
-        if l > 0:
-            delta = _act_deriv(spec, acts[l]) * (delta @ layers[l][0])
-    return _pack_rows(grads)
+    X, y = _rows(spec, dataset, indices, "example_grads")
+    return stacked_loss_grad(spec, _check_params(spec, params)[None], X[:, None, :], y[:, None])[1]
 
 
 def hvp(
@@ -310,34 +285,24 @@ def hvp(
     through its own stacked products, so a row's result does not depend
     on the other rows of the block.
     """
-    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    if indices.size == 0:
-        raise InvalidInputError("hvp: empty index set")
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] != spec.param_count:
         raise InvalidInputError("hvp: tangent vector length mismatch")
-    X, y = _check_examples(spec, dataset.features[indices], dataset.labels[indices])
+    X, y = _rows(spec, dataset, indices, "hvp")
     layers = _unpack(spec, params)
     tangents = _unpack_rows(spec, v.reshape(-1, spec.param_count))
 
-    # Forward pass with tangents, one leading axis per tangent row; dZs
+    # Tangents of the forward pass, one leading axis per tangent row; dZs
     # keeps the pre-activation tangents, needed by the second-derivative
     # term of the backward sweep.
-    acts = [X]
+    acts = _forward(spec, layers, X)
     dacts = [np.zeros_like(X)]
     dZs = [np.zeros_like(X)]
     L = len(layers)
-    for l, ((W, b), (dW, db)) in enumerate(zip(layers, tangents)):
-        Z = acts[-1] @ W.T + b
-        dZ = acts[-1] @ np.swapaxes(dW, -1, -2) + dacts[-1] @ W.T + db[:, None, :]
+    for l, ((W, _), (dW, db)) in enumerate(zip(layers, tangents)):
+        dZ = acts[l] @ np.swapaxes(dW, -1, -2) + dacts[l] @ W.T + db[:, None, :]
         dZs.append(dZ)
-        if l == L - 1:
-            acts.append(Z)
-            dacts.append(dZ)
-        else:
-            A = _act(spec, Z)
-            acts.append(A)
-            dacts.append(_act_deriv(spec, A) * dZ)
+        dacts.append(dZ if l == L - 1 else _act_deriv(spec, acts[l + 1]) * dZ)
 
     Z, dZ = acts[-1], dacts[-1]
     P = _softmax(Z)

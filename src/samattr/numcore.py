@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,58 +42,41 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass
-class BatchSchedule:
-    """Per-step index sets used by the training loop.
-
-    steps[t] is a sorted int64 array of exactly batch_size distinct indices
-    into 0..n-1. The schedule is a pure function of (n, batch_size, T, seed,
-    epoch_shuffled), so identical inputs give byte-identical schedules.
-    """
-
-    steps: list[np.ndarray] = field(default_factory=list)
-    batch_size: int = 0
-    seed: int = 0
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps)
-
-
 def sample_batches(
     n: int,
     b: int,
     T: int,
     seed: int,
     epoch_shuffled: bool = False,
-) -> BatchSchedule:
-    """Draw T batches of b distinct indices from 0..n-1.
+) -> np.ndarray:
+    """The batch schedule of T steps: a (T, b) int64 array whose row t is
+    the sorted, distinct indices into 0..n-1 of step t's batch.
 
     Default mode draws each step independently without replacement within
     the step (plain SGD). epoch_shuffled instead walks seeded permutations
-    of the full index range, reshuffling at each epoch boundary.
+    of the full index range, reshuffling at each epoch boundary. The
+    schedule is a pure function of the arguments.
     """
     if n < 1 or b < 1 or T < 1:
         raise ConfigError(f"sample_batches: need n,b,T >= 1, got n={n} b={b} T={T}")
     if b > n:
         raise ConfigError(f"sample_batches: batch size {b} exceeds dataset size {n}")
     rng = np.random.default_rng(seed)
-    steps: list[np.ndarray] = []
+    steps = np.empty((T, b), dtype=np.int64)
     if epoch_shuffled:
         queue = np.empty(0, dtype=np.int64)
-        for _ in range(T):
+        for t in range(T):
             if queue.size < b:
                 # Epoch boundary: the next permutation tops the leftovers up
                 # with points they do not hold; the points it skips stay queued.
                 fresh = rng.permutation(n)
                 fill = np.flatnonzero(~np.isin(fresh, queue))[: b - queue.size]
                 queue = np.concatenate([queue, fresh[fill], np.delete(fresh, fill)])
-            steps.append(np.sort(queue[:b]))
+            steps[t] = np.sort(queue[:b])
             queue = queue[b:]
+    elif b == n:
+        steps[:] = np.arange(n)
     else:
-        for _ in range(T):
-            if b == n:
-                steps.append(np.arange(n, dtype=np.int64))
-            else:
-                steps.append(np.sort(rng.choice(n, size=b, replace=False).astype(np.int64)))
-    return BatchSchedule(steps=steps, batch_size=b, seed=seed)
+        for t in range(T):
+            steps[t] = np.sort(rng.choice(n, size=b, replace=False))
+    return steps

@@ -23,7 +23,7 @@ from . import model as mod
 from .errors import InvalidInputError
 from .influence import HVP_BLOCK, NeumannConfig, influence_scores
 from .influence import compute_influence  # noqa: F401  re-exported; bench/ traces it here
-from .numcore import BatchSchedule, sample_batches
+from .numcore import sample_batches
 from .samtrain import SAMConfig, train_sam, train_sam_many
 
 Array = np.ndarray
@@ -90,20 +90,13 @@ def _replayed_steps(base: Array, n: int, S: Array, config: SAMConfig) -> Array:
     return steps
 
 
-def _base_steps(n: int, config: SAMConfig) -> Array:
-    """The original seeded schedule of a run on n training points, as (T, b)."""
-    return np.stack(
-        sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled).steps
-    )
-
-
-def loo_schedule(n: int, removed, config: SAMConfig) -> BatchSchedule:
+def loo_schedule(n: int, removed, config: SAMConfig) -> Array:
     """The original seeded schedule with the removal set S (one index or
     several) taken out, remapped onto 0..n-|S|-1 (see _replayed_steps)."""
     S = _removal_set(n, removed, "loo_schedule")
-    steps = _replayed_steps(_base_steps(n, config), n, S, config)
-    steps = steps - np.searchsorted(S, steps)
-    return BatchSchedule(steps=list(steps), batch_size=steps.shape[1], seed=config.seed)
+    base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
+    steps = _replayed_steps(base, n, S, config)
+    return steps - np.searchsorted(S, steps)
 
 
 def drop_train_point(dataset: mod.Dataset, removed) -> mod.Dataset:
@@ -129,7 +122,7 @@ def loo_retrain_many(
     """
     n = int(dataset.indices("train").size)
     sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
-    base = _base_steps(n, config)
+    base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
     init = mod.init_params(spec, config.seed)
     out = np.empty((len(sets), spec.param_count))
     groups: dict[int, list[int]] = {}
@@ -275,15 +268,8 @@ def calibrate_estimator(
         )
     # Same orientation as influence_score: positive = removal hurts.
     _, gval = mod.subset_loss_grad(spec, params, dataset, dataset.indices("val"), 1.0)
-    if callable(estimator):
-        # Custom estimator hook: (spec, dataset, params, k) -> influence vector.
-        ifvecs = np.stack([estimator(spec, dataset, params, int(k)) for k in sample])
-        predicted = -(ifvecs @ gval)
-        est_name = getattr(estimator, "__name__", "custom")
-    else:
-        predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
-                                     config.lam, ncfg, sample, traj, gif_mode, gval[None])[:, 0]
-        est_name = estimator
+    predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
+                                 config.lam, ncfg, sample, traj, gif_mode, gval[None])[:, 0]
     retrained = loo_retrain_many(spec, dataset, sample, config)
     # Removal-induced loss change: positive means removal hurt.
     actual = np.array([validation_loss(spec, w_k, dataset) - base_val for w_k in retrained])
@@ -292,5 +278,5 @@ def calibrate_estimator(
         spearman=_corr_or_zero(predicted, actual, ranked=True),
         sign_agreement=_sign_agreement(predicted, actual),
         n_points=int(sample.size),
-        estimator=est_name,
+        estimator=estimator,
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import model as mod
 from .errors import ConfigError, DivergenceError, FormatError, InvalidInputError
-from .numcore import BatchSchedule, dual_exponent, p_norm, sample_batches
+from .numcore import dual_exponent, p_norm, sample_batches
 
 Array = np.ndarray
 
@@ -41,7 +41,6 @@ class SAMConfig:
     batch_size: int = 32
     steps: int = 100
     seed: int = 0
-    record_stride: int = 1
     epoch_shuffled: bool = False
 
     def __post_init__(self):
@@ -49,8 +48,8 @@ class SAMConfig:
             raise ConfigError("rho must be >= 0")
         if self.lam < 0.0:
             raise ConfigError("lambda must be >= 0")
-        if self.batch_size < 1 or self.steps < 1 or self.record_stride < 1:
-            raise ConfigError("batch_size, steps, record_stride must be >= 1")
+        if self.batch_size < 1 or self.steps < 1:
+            raise ConfigError("batch_size, steps must be >= 1")
         if isinstance(self.eta, (int, float)):
             if self.eta <= 0.0:
                 raise ConfigError("eta must be > 0")
@@ -82,7 +81,6 @@ class SAMConfig:
                 self.batch_size,
                 self.steps,
                 self.seed,
-                self.record_stride,
                 self.epoch_shuffled,
             )
         )
@@ -174,8 +172,7 @@ def train_sam_many(
     batch at step t. Replica r starts from init[r], weights its batch-mean
     data loss by loss_scales[r] and is named labels[r] if it diverges.
     Every replica row is bitwise what a run of its own would give.
-    record(t, eta, scale, W), if given, is called before each update at a
-    step that is a multiple of config.record_stride.
+    record(t, eta, scale, W), if given, is called before each update.
     """
     train_rows = dataset.indices("train")
     X_train, y_train = mod._check_examples(
@@ -201,7 +198,7 @@ def train_sam_many(
         eps = worst_perturbation(G, config.rho, config.p)
         _, G_pert = mod.stacked_loss_grad(spec, W + eps, X, y)
         G_sam = scale[:, None] * G_pert + config.lam * W
-        if record is not None and t % config.record_stride == 0:
+        if record is not None:
             record(t, eta, scale, W)
         W = W - eta * G_sam
     bad = ~np.all(np.isfinite(W), axis=1)
@@ -215,19 +212,14 @@ def train_sam(
     spec: mod.ModelSpec,
     dataset: mod.Dataset,
     config: SAMConfig,
-    schedule: BatchSchedule | None = None,
-    init: Array | None = None,
-    loss_scale: float = 1.0,
+    schedule: Array | None = None,
 ) -> tuple[Array, Trajectory]:
     """Run T SAM steps over the dataset's train split (train_sam_many with
-    one replica) and record the trajectory.
+    one replica) and record the trajectory, one checkpoint per step.
 
-    Batch indices are positions within the train split (0..n_train-1).
-    A custom schedule overrides the seeded default; the removal oracle uses
-    this to replay a run with a removal set S's slots resampled.
-    loss_scale multiplies the batch-mean data loss; the oracle passes
-    (n-|S|)/n so that removal keeps the original per-example weight 1/n
-    instead of silently re-normalizing against the L2 penalty.
+    schedule is a (T, b) array of positions within the train split
+    (0..n_train-1), row t the batch of step t; the default is the seeded
+    sample_batches schedule of the config.
     """
     n = int(dataset.indices("train").size)
     if n == 0:
@@ -238,7 +230,7 @@ def train_sam(
         schedule = sample_batches(
             n, config.batch_size, config.steps, config.seed, config.epoch_shuffled
         )
-    if schedule.num_steps < config.steps:
+    if len(schedule) < config.steps:
         raise ConfigError("batch schedule shorter than the configured step count")
 
     traj = Trajectory(
@@ -252,14 +244,13 @@ def train_sam(
 
     def record(t, eta, scale, W):
         traj.checkpoints.append(Checkpoint(
-            step=t, params=W[0].copy(), eta=eta, batch=schedule.steps[t].copy(),
+            step=t, params=W[0].copy(), eta=eta, batch=schedule[t].copy(),
             weight=eta * float(scale[0]),
         ))
 
-    w = init.astype(np.float64) if init is not None else mod.init_params(spec, config.seed)
     w = train_sam_many(
-        spec, dataset, config, [batch[None] for batch in schedule.steps],
-        np.array([loss_scale]), ["training"], w, record,
+        spec, dataset, config, schedule[:, None], np.ones(1), ["training"],
+        mod.init_params(spec, config.seed), record,
     )[0]
     traj.checkpoints.append(
         Checkpoint(

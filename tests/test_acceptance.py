@@ -143,7 +143,7 @@ def test_sam_degenerates_to_sgd():
     sched = sample_batches(rows.size, cfg.batch_size, cfg.steps, cfg.seed)
     w = mod.init_params(spec, cfg.seed)
     for t in range(cfg.steps):
-        batch = sched.steps[t]
+        batch = sched[t]
         _, g = mod.subset_loss_grad(spec, w, ds, rows[batch], 1.0 / batch.size)
         w = w - cfg.eta_at(t) * (g + cfg.lam * w)
     identical = bool(np.array_equal(w_sam, w))

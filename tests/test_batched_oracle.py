@@ -76,15 +76,14 @@ def _plain_train_sam(spec, ds, cfg, schedule=None, loss_scale=1.0):
     w = mod.init_params(spec, cfg.seed)
     record = []
     for t in range(cfg.steps):
-        batch = schedule.steps[t]
+        batch = schedule[t]
         eta, scale = cfg.eta_at(t), loss_scale / batch.size
         X, y = ds.features[rows[batch]], ds.labels[rows[batch]]
         _, g = _plain_loss_grad(spec, w, X, y)
         eps = _plain_worst_perturbation(scale * g, cfg.rho, cfg.p)
         _, g_pert = _plain_loss_grad(spec, w + eps, X, y)
         g_sam = scale * g_pert + cfg.lam * w
-        if t % cfg.record_stride == 0:
-            record.append((t, w.copy(), eta, batch.copy(), eta * scale))
+        record.append((t, w.copy(), eta, batch.copy(), eta * scale))
         w = w - eta * g_sam
     return w, record
 
@@ -145,13 +144,12 @@ def test_stacked_kernel_rows_match_plain_kernel(kind):
         assert loss[r] == ref_loss and np.array_equal(G[r], ref_grad)
 
 
-@pytest.mark.parametrize("stride", [1, 4])
 @pytest.mark.parametrize("kind,schedule,p", [
     ("logistic", "mini", 2.0), ("tanh", "full", 3.0), ("relu", "epoch", 2.0), ("tanh", "mini", 3.0),
 ])
-def test_train_sam_matches_plain_loop(kind, schedule, p, stride):
+def test_train_sam_matches_plain_loop(kind, schedule, p):
     spec, ds = _problem(kind)
-    cfg = _cfg(schedule, ds.indices("train").size, p=p, record_stride=stride)
+    cfg = _cfg(schedule, ds.indices("train").size, p=p)
     w, traj = train_sam(spec, ds, cfg)
     ref_w, ref_record = _plain_train_sam(spec, ds, cfg)
     assert np.array_equal(w, ref_w)
@@ -204,7 +202,7 @@ def test_one_diverging_replica_names_its_set():
     n, cfg = 24, SAMConfig(rho=0.05, eta=0.1, batch_size=4, steps=8, seed=1)
     rng = np.random.default_rng(0)
     base = sample_batches(n, cfg.batch_size, cfg.steps, cfg.seed)
-    used = np.unique(np.concatenate(base.steps))
+    used = np.unique(np.concatenate(base))
     outlier = int(np.setdiff1d(np.arange(n), used)[-1])
     spec = ModelSpec("logistic", (3, 2))
     X = rng.standard_normal((n, 3))
@@ -216,7 +214,7 @@ def test_one_diverging_replica_names_its_set():
 
     first_draw = {}
     for k in used.tolist():
-        steps = loo_schedule(n, k, cfg).steps
+        steps = loo_schedule(n, k, cfg)
         hit = [t for t, s in enumerate(steps) if outlier - (outlier > k) in s]
         first_draw[k] = hit[0] if hit else None
     bad = [k for k, t in first_draw.items() if t is not None]

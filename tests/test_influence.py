@@ -18,7 +18,13 @@ from samattr.influence import (
 )
 from samattr.model import Dataset, ModelSpec
 from samattr.oracle import dense_hessian
-from samattr.samtrain import SAMConfig, train_sam, worst_perturbation
+from samattr.samtrain import (
+    SAMConfig,
+    read_trajectory,
+    train_sam,
+    worst_perturbation,
+    write_trajectory,
+)
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +236,6 @@ class TestHif:
 
 class TestGif:
     def test_never_sampled_point_zero_influence(self):
-        from samattr.numcore import BatchSchedule
-
         ds = make_blobs(30, 3, 2, 2.0, seed=13)
         spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
         cfg = SAMConfig(rho=0.05, eta=0.2, batch_size=5, steps=40, seed=13)
@@ -241,7 +245,7 @@ class TestGif:
             np.sort(rng.choice(np.arange(1, 30), size=5, replace=False)).astype(np.int64)
             for _ in range(40)
         ]
-        schedule = BatchSchedule(steps=steps, batch_size=5, seed=99)
+        schedule = np.stack(steps)
         _, traj = train_sam(spec, ds, cfg, schedule=schedule)
         ifvec = sam_gif(traj, spec, ds, 0, mode="sgd")
         assert np.all(ifvec == 0.0)
@@ -272,6 +276,24 @@ class TestGif:
         bare = replace(traj, rho=None, p=None)
         with pytest.raises(InvalidInputError, match="rho"):
             sam_gif(bare, spec, ds, 0)
+
+    def test_rejects_thinned_trajectory(self, tmp_path):
+        # Every fourth checkpoint of a full-batch gd run: the sum of gif
+        # vectors would miss w_T - w_0 by most of it, so gif refuses, while
+        # a file holding such a trajectory still loads.
+        ds = make_blobs(25, 3, 2, 2.0, seed=14)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        cfg = SAMConfig(rho=0.0, lam=0.0, eta=0.3, batch_size=25, steps=60, seed=14)
+        _, traj = train_sam(spec, ds, cfg)
+        traj.checkpoints = [ck for ck in traj.checkpoints if ck.step % 4 == 0 or ck.step == 60]
+        path = tmp_path / "thinned.samt"
+        write_trajectory(traj, path)
+        loaded = read_trajectory(path)
+        loaded.rho, loaded.p = cfg.rho, cfg.p
+        for t in (traj, loaded):
+            for mode in ("gd", "sgd"):
+                with pytest.raises(InvalidInputError, match="each step 0..60"):
+                    sam_gif(t, spec, ds, 0, mode=mode)
 
     def test_rejects_mismatched_model(self, convex_setup):
         _, ds, _, _, traj = convex_setup

@@ -68,25 +68,25 @@ class TestDualExponent:
 class TestSampleBatches:
     def test_full_batch(self):
         sched = sample_batches(4, 4, 3, seed=0)
-        for step in sched.steps:
+        for step in sched:
             assert np.array_equal(step, np.arange(4))
 
     def test_deterministic(self):
         a = sample_batches(100, 10, 5, seed=7)
         b = sample_batches(100, 10, 5, seed=7)
-        for sa, sb in zip(a.steps, b.steps):
+        for sa, sb in zip(a, b):
             assert sa.tobytes() == sb.tobytes()
 
     def test_distinct_within_step_and_range(self):
         sched = sample_batches(50, 12, 20, seed=3)
-        for step in sched.steps:
+        for step in sched:
             assert len(set(step.tolist())) == 12
             assert step.min() >= 0 and step.max() < 50
 
     def test_membership_frequency(self):
         # Each index should appear in about b*T/n = 100 steps.
         sched = sample_batches(100, 10, 1000, seed=7)
-        counts = np.bincount(np.concatenate(sched.steps), minlength=100)
+        counts = np.bincount(np.concatenate(sched), minlength=100)
         assert counts.min() > 60 and counts.max() < 140
         assert counts.sum() == 10 * 1000
 
@@ -96,22 +96,22 @@ class TestSampleBatches:
 
     def test_epoch_shuffled_covers_everything(self):
         sched = sample_batches(12, 4, 3, seed=0, epoch_shuffled=True)
-        seen = np.concatenate(sched.steps)
+        seen = np.concatenate(sched)
         assert sorted(seen.tolist()) == list(range(12))
 
     def test_epoch_shuffled_batches_distinct_when_b_does_not_divide_n(self):
         # 32 does not divide 40: batches straddle epoch boundaries.
         sched = sample_batches(40, 32, 30, seed=0, epoch_shuffled=True)
-        for step in sched.steps:
+        for step in sched:
             assert step.size == 32 and np.unique(step).size == 32
             assert step.min() >= 0 and step.max() < 40
         # Skipped points stay queued, so per-point counts differ by at most one.
-        counts = np.bincount(np.concatenate(sched.steps), minlength=40)
+        counts = np.bincount(np.concatenate(sched), minlength=40)
         assert counts.max() - counts.min() <= 1
 
     def test_epoch_shuffled_is_consecutive_permutations_when_b_divides_n(self):
         sched = sample_batches(12, 4, 9, seed=5, epoch_shuffled=True)
         rng = np.random.default_rng(5)
         stream = np.concatenate([rng.permutation(12) for _ in range(3)])
-        for t, step in enumerate(sched.steps):
+        for t, step in enumerate(sched):
             assert np.array_equal(step, np.sort(stream[4 * t : 4 * t + 4]))

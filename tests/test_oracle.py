@@ -7,6 +7,8 @@ from samattr.errors import InvalidInputError
 from samattr.influence import NeumannConfig
 from samattr.model import Dataset, ModelSpec
 from samattr.oracle import (
+    _corr_or_zero,
+    _sign_agreement,
     calibrate_estimator,
     dense_hessian,
     drop_train_point,
@@ -22,8 +24,8 @@ class TestLooSchedule:
     def test_full_batch_drops_the_slot(self):
         cfg = SAMConfig(batch_size=10, steps=5, seed=0)
         sched = loo_schedule(10, 3, cfg)
-        assert sched.batch_size == 9
-        for step in sched.steps:
+        assert sched.shape[1] == 9
+        for step in sched:
             assert step.size == 9
             # Index 3 was removed and higher indices were shifted down.
             assert np.array_equal(step, np.arange(9))
@@ -32,10 +34,10 @@ class TestLooSchedule:
         cfg = SAMConfig(batch_size=4, steps=30, seed=1)
         a = loo_schedule(20, 7, cfg)
         b = loo_schedule(20, 7, cfg)
-        for sa, sb in zip(a.steps, b.steps):
+        for sa, sb in zip(a, b):
             assert np.array_equal(sa, sb)
         # Reduced range: indices land in 0..18 and each batch keeps its size.
-        for step in a.steps:
+        for step in a:
             assert step.size == 4
             assert step.max() < 19
 
@@ -45,7 +47,7 @@ class TestLooSchedule:
         cfg = SAMConfig(batch_size=4, steps=30, seed=2)
         base = sample_batches(20, 4, 30, 2)
         sched = loo_schedule(20, 19, cfg)  # removing the last index never shifts others
-        for orig, new in zip(base.steps, sched.steps):
+        for orig, new in zip(base, sched):
             if 19 not in orig:
                 assert np.array_equal(orig, new)
 
@@ -121,7 +123,7 @@ def _single_point_schedule_reference(n, k, config):
     base = sample_batches(n, config.batch_size, config.steps, config.seed)
     rng = np.random.default_rng([config.seed & 0xFFFFFFFF, k, 0x10E])
     steps = []
-    for batch in base.steps:
+    for batch in base:
         batch = batch.copy()
         if k in batch:
             if batch.size == n:
@@ -146,17 +148,17 @@ class TestRemovalSets:
         cfg = self.cfg(batch_size=b)
         for k in (0, 13, 29):
             a, s = loo_schedule(self.N, k, cfg), loo_schedule(self.N, [k], cfg)
-            assert a.batch_size == s.batch_size
-            assert all(np.array_equal(x, y) for x, y in zip(a.steps, s.steps))
+            assert a.shape[1] == s.shape[1]
+            assert all(np.array_equal(x, y) for x, y in zip(a, s))
 
     @pytest.mark.parametrize("b", [1, 8, 29, 30])
     def test_single_index_matches_loop_reference(self, b):
         cfg = self.cfg(batch_size=b)
         for k in range(self.N):
             got = loo_schedule(self.N, k, cfg)
-            assert got.batch_size == min(b, self.N - 1)
+            assert got.shape[1] == min(b, self.N - 1)
             ref = _single_point_schedule_reference(self.N, k, cfg)
-            assert all(np.array_equal(x, y) for x, y in zip(got.steps, ref))
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref))
 
     def test_singleton_set_retrain_equals_int(self):
         ds = make_blobs(self.N, 3, 2, 2.0, seed=11)
@@ -173,8 +175,8 @@ class TestRemovalSets:
         sched = loo_schedule(self.N, removed, cfg)
         kept = np.setdiff1d(np.arange(self.N), removed)  # reduced index j -> original kept[j]
         b_new = min(b, self.N - len(removed))
-        assert sched.batch_size == b_new
-        for orig, step in zip(base.steps, sched.steps):
+        assert sched.shape[1] == b_new
+        for orig, step in zip(base, sched):
             assert step.size == b_new and np.unique(step).size == b_new
             assert step.min() >= 0 and step.max() < self.N - len(removed)
             # Back in original indices: no removed point, and every
@@ -186,15 +188,15 @@ class TestRemovalSets:
     def test_full_batch_steps_shrink_by_set_size(self):
         cfg = self.cfg(batch_size=self.N)
         sched = loo_schedule(self.N, [0, 5, 6], cfg)
-        assert sched.batch_size == self.N - 3
-        for step in sched.steps:
+        assert sched.shape[1] == self.N - 3
+        for step in sched:
             assert np.array_equal(step, np.arange(self.N - 3))
 
     def test_order_of_set_does_not_matter(self):
         cfg = self.cfg()
         a = loo_schedule(self.N, [21, 4, 9], cfg)
         b = loo_schedule(self.N, np.array([4, 9, 21]), cfg)
-        assert all(np.array_equal(x, y) for x, y in zip(a.steps, b.steps))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
         ds = make_blobs(self.N, 3, 2, 2.0, seed=11)
         spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
         assert np.array_equal(
@@ -280,6 +282,21 @@ class TestDenseHessian:
         ) / (4.0 * h * h)
         assert quad == pytest.approx(float(u @ H @ v), rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_rows_outside_the_dataset_are_rejected(self, past_end):
+        # -1 would silently be the last row (a test-split row here), and n
+        # would index past the end.
+        rows = np.array([0, self.ds.n if past_end else -1])
+        units = np.eye(2, self.spec.param_count)
+        for call in (
+            lambda: mod.hvp(self.spec, self.params, self.ds, rows, units),
+            lambda: mod.example_grads(self.spec, self.params, self.ds, rows),
+            lambda: mod.subset_loss_grad(self.spec, self.params, self.ds, rows),
+            lambda: dense_hessian(self.spec, self.params, self.ds, indices=rows),
+        ):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                call()
+
     def test_refuses_large_models(self):
         big = ModelSpec(kind="mlp", layer_sizes=(100, 100, 10))
         ds = Dataset(features=np.zeros((2, 100)), labels=np.array([0, 1]))
@@ -305,17 +322,13 @@ class TestValidationLoss:
 
 class TestCalibrate:
     def test_null_estimator_scores_half(self):
-        ds = make_blobs(16, 3, 2, 2.0, seed=8)
-        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
-        cfg = SAMConfig(rho=0.0, lam=0.1, eta=0.5, batch_size=16, steps=200, seed=8)
-
-        def null_estimator(spec_, ds_, params_, k_):
-            return np.zeros(spec_.param_count)
-
-        rep = calibrate_estimator(spec, ds, cfg, null_estimator, sample_size=8)
-        assert rep.sign_agreement == pytest.approx(0.5)
-        assert rep.pearson == 0.0 and rep.spearman == 0.0
-        assert rep.n_points == 8
+        # An all-zero prediction carries no direction: every pair counts half,
+        # and its correlations are undefined, so they read 0.
+        predicted = np.zeros(8)
+        actual = np.array([0.3, -1.2, 0.0, 2.5, -0.1, 0.7, -0.4, 1.1])
+        assert _sign_agreement(predicted, actual) == pytest.approx(0.5)
+        assert _corr_or_zero(predicted, actual) == 0.0
+        assert _corr_or_zero(predicted, actual, ranked=True) == 0.0
 
     def test_fast_estimator_beats_null_on_convex_problem(self):
         ds = make_blobs(24, 3, 2, 2.0, seed=9)

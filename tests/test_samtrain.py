@@ -93,7 +93,7 @@ class TestTrainSAM:
         sched = sample_batches(rows.size, cfg.batch_size, cfg.steps, cfg.seed)
         w = mod.init_params(spec, cfg.seed)
         for t in range(cfg.steps):
-            batch = sched.steps[t]
+            batch = sched[t]
             _, g = mod.subset_loss_grad(spec, w, ds, rows[batch], 1.0 / batch.size)
             w = w - cfg.eta_at(t) * (g + cfg.lam * w)
         assert np.array_equal(w_sam, w)
@@ -127,7 +127,7 @@ class TestTrainSAM:
     def test_checkpoints_record_pre_update_params(self):
         ds = make_blobs(30, 3, 2, 2.0, seed=4)
         spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
-        cfg = SAMConfig(rho=0.05, eta=0.1, batch_size=30, steps=10, seed=5, record_stride=1)
+        cfg = SAMConfig(rho=0.05, eta=0.1, batch_size=30, steps=10, seed=5)
         w, traj = train_sam(spec, ds, cfg)
         assert [ck.step for ck in traj.checkpoints] == list(range(11))
         np.testing.assert_array_equal(traj.checkpoints[0].params, mod.init_params(spec, 5))
@@ -136,13 +136,6 @@ class TestTrainSAM:
         assert traj.checkpoints[0].weight == pytest.approx(0.1 / 30)
         assert traj.checkpoints[-1].weight == 0.0
         assert traj.checkpoints[-1].batch.size == 0
-
-    def test_record_stride(self):
-        ds = make_blobs(30, 3, 2, 2.0, seed=4)
-        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
-        cfg = SAMConfig(rho=0.0, eta=0.1, batch_size=30, steps=10, seed=5, record_stride=4)
-        _, traj = train_sam(spec, ds, cfg)
-        assert [ck.step for ck in traj.checkpoints] == [0, 4, 8, 10]
 
     def test_batch_size_exceeds_train_split(self):
         ds = make_blobs(10, 3, 2, 2.0, seed=0)
