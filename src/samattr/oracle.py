@@ -8,13 +8,23 @@ weight, so at desk scale the removal's effect is not swamped by fresh
 schedule noise. Every replica's schedule comes from one draw of the
 original schedule, and replicas with the same batch size train together
 as one stacked (R, P) SAM run, bitwise equal to training each on its own.
-loo_retrain is its one-set case. The dense Hessian is assembled from
-Hessian-vector products and only exists as an audit tool for small
-parameter counts.
+Each batch-size group is cut into ceil(R / RETRAIN_BLOCK) blocks of equal
+size (40 replicas: 20 + 20), and on Linux the blocks are spread over
+min(CPUs in the affinity mask, blocks) processes: the caller trains its
+share and forked children train the rest. A sweep of one block, a caller
+with other Python threads, or any other platform trains in the calling
+process alone. loo_retrain is its one-set case. The dense Hessian
+is assembled from Hessian-vector products and only exists as an audit
+tool for small parameter counts.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +39,12 @@ from .samtrain import SAMConfig, train_sam, train_sam_many
 Array = np.ndarray
 
 DENSE_HESSIAN_MAX_P = 2000
-# Replicas per stacked removal retrain. On the benchmark configs (2-vCPU
-# x86-64, OpenBLAS) time per replica falls up to about 20 per block and is
-# flat within noise from there to 64; a block's activations grow with it.
+# Most replicas per stacked removal retrain; a group of R replicas trains
+# as ceil(R / RETRAIN_BLOCK) equal blocks, spread over processes (see
+# _train_blocks).
+# On the benchmark configs (2-vCPU x86-64, OpenBLAS) time per replica falls
+# up to about 20 per block and is flat within noise from there to 64; a
+# block's activations grow with it.
 RETRAIN_BLOCK = 32
 
 
@@ -115,31 +128,119 @@ def loo_retrain_many(
     the original schedule with the set's slots resampled; row r of the
     (R, P) result is the run without removal_sets[r].
 
-    Replicas with the same batch size min(b, n-|S|) train together as one
-    stacked (R, P) run, RETRAIN_BLOCK at a time; each row is bitwise the
-    run of its set on its own. Deterministic; a row does not depend on
-    the order of its set.
+    Replicas with the same batch size min(b, n-|S|) train together as
+    stacked (R, P) runs in ceil(R / RETRAIN_BLOCK) equal blocks, spread
+    over processes (_train_blocks); each row is bitwise the run
+    of its set on its own. Deterministic; a row does not depend on the
+    order of its set, its block or the number of CPUs.
     """
     n = int(dataset.indices("train").size)
     sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
     base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
     init = mod.init_params(spec, config.seed)
-    out = np.empty((len(sets), spec.param_count))
     groups: dict[int, list[int]] = {}
     for r, S in enumerate(sets):
         groups.setdefault(min(config.batch_size, n - S.size), []).append(r)
-    for members in groups.values():
-        for start in range(0, len(members), RETRAIN_BLOCK):
-            block = members[start : start + RETRAIN_BLOCK]
-            batches = np.stack([_replayed_steps(base, n, sets[r], config) for r in block], axis=1)
-            # Keep the original per-example weight 1/n (data loss (n-|S|)/n of
-            # a batch mean): the L2 term keeps its relative strength; only S changes.
-            loss_scales = np.array([(n - sets[r].size) / n for r in block])
-            labels = [f"retrain without training points {sets[r].tolist()}" for r in block]
-            out[block] = train_sam_many(
-                spec, dataset, config, batches, loss_scales, labels, np.tile(init, (len(block), 1))
-            )
+    blocks = [
+        block
+        for members in groups.values()
+        for block in np.array_split(members, -(-len(members) // RETRAIN_BLOCK))
+    ]
+
+    def train(block: Array) -> Array:
+        batches = np.stack([_replayed_steps(base, n, sets[r], config) for r in block], axis=1)
+        # Keep the original per-example weight 1/n (data loss (n-|S|)/n of
+        # a batch mean): the L2 term keeps its relative strength; only S changes.
+        loss_scales = np.array([(n - sets[r].size) / n for r in block])
+        labels = [f"retrain without training points {sets[r].tolist()}" for r in block]
+        return train_sam_many(
+            spec, dataset, config, batches, loss_scales, labels, np.tile(init, (len(block), 1))
+        )
+
+    out = np.empty((len(sets), spec.param_count))
+    for block, rows in zip(blocks, _train_blocks(train, blocks)):
+        out[block] = rows
     return out
+
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask (a cgroup CPU quota is not seen)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _train_share(train, blocks: list, share: range) -> tuple:
+    """train(blocks[i]) for each i of share in order: (None, rows of each
+    block), or (i, exception) for the first block i that fails."""
+    done = []
+    for i in share:
+        try:
+            done.append(train(blocks[i]))
+        except Exception as exc:
+            return i, exc
+    return None, done
+
+
+def _train_blocks(train, blocks: list) -> list[Array]:
+    """train(block) for every block, spread over min(CPUs, blocks) processes.
+
+    Process k trains blocks k, k + workers, ...; the caller is process 0,
+    and each other share runs in a child made by a bare os.fork that
+    pickles its outcome through a pipe and exits. The error of the
+    lowest-numbered failing block is raised, as in one process. Children
+    still running when the caller unwinds are killed and reaped; a child
+    that hangs is waited for without a time limit.
+
+    Forking is used only on Linux, where it was measured (pthread OpenBLAS,
+    which shuts its thread pool down across a fork), and only while the
+    caller runs no other Python thread, whose held locks a child would
+    inherit; otherwise every block trains in the calling process. A BLAS
+    that is unsafe after fork (libgomp-built OpenBLAS, MKL) can still
+    deadlock a child. From Python 3.12 a fork with BLAS threads running
+    emits a DeprecationWarning.
+    """
+    forkable = sys.platform == "linux" and threading.active_count() == 1
+    workers = max(1, min(_cpu_count(), len(blocks))) if forkable else 1
+    shares = [range(k, len(blocks), workers) for k in range(workers)]
+    running, pipes = [], []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child: send the share's outcome, exit without unwinding
+                status = 1
+                try:
+                    data = pickle.dumps(_train_share(train, blocks, share))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            running.append(pid)
+            pipes.append(os.fdopen(read_fd, "rb"))
+            os.close(write_fd)
+        outcomes = [_train_share(train, blocks, shares[0])]
+        for pid, pipe in zip(list(running), pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code != 0:  # a child exits 0 only once it has sent its whole outcome
+                raise ChildProcessError(
+                    f"retrain worker {pid} ended without sending its rows (exit code {code})"
+                )
+            outcomes.append(pickle.loads(data))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [(i, exc) for i, exc in outcomes if i is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = {}
+    for share, (_, done) in zip(shares, outcomes):
+        rows.update(zip(share, done))
+    return [rows[i] for i in range(len(blocks))]
 
 
 def loo_retrain(spec: mod.ModelSpec, dataset: mod.Dataset, removed, config: SAMConfig) -> Array:
@@ -168,6 +269,8 @@ def dense_hessian(
     if indices is None:
         indices = dataset.indices("train")
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+    if indices.size == 0:
+        raise InvalidInputError("dense_hessian: the index set is empty")
     if scale is None:
         scale = 1.0 / indices.size
     H = np.empty((P, P))

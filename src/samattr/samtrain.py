@@ -230,6 +230,11 @@ def train_sam(
         schedule = sample_batches(
             n, config.batch_size, config.steps, config.seed, config.epoch_shuffled
         )
+    schedule = np.asarray(schedule)
+    if schedule.ndim != 2 or not np.issubdtype(schedule.dtype, np.integer):
+        raise InvalidInputError("train_sam: schedule must be a 2-D integer array (steps, batch)")
+    if schedule.size and not 0 <= schedule.min() <= schedule.max() < n:
+        raise InvalidInputError(f"train_sam: schedule entry out of range 0..{n - 1}")
     if len(schedule) < config.steps:
         raise ConfigError("batch schedule shorter than the configured step count")
 

@@ -6,6 +6,11 @@ reference here is a frozen plain loop (one 2-D gradient kernel, one
 code, so a change to the shared trainer cannot move both sides at once.
 """
 
+import itertools
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -195,10 +200,12 @@ def test_block_boundary(monkeypatch):
         assert np.array_equal(row, _plain_retrain(spec, ds, S, cfg))
 
 
-def test_one_diverging_replica_names_its_set():
-    # A far outlier that no step of the original schedule holds: a retrain
-    # whose replayed schedule draws it into a resampled slot diverges, and
-    # the retrains that never draw it do not.
+def _outlier_problem():
+    """A far outlier that no step of the original schedule holds: a retrain
+    whose replayed schedule draws it into a resampled slot diverges, and
+    the retrains that never draw it do not. Returns the problem, the
+    points of the original schedule, and first_draw(S): the first step of
+    the retrain without S that holds the outlier, or None."""
     n, cfg = 24, SAMConfig(rho=0.05, eta=0.1, batch_size=4, steps=8, seed=1)
     rng = np.random.default_rng(0)
     base = sample_batches(n, cfg.batch_size, cfg.steps, cfg.seed)
@@ -212,19 +219,168 @@ def test_one_diverging_replica_names_its_set():
     y[outlier] = 0  # ... and labelled 0
     ds = Dataset(X, y)
 
-    first_draw = {}
-    for k in used.tolist():
-        steps = loo_schedule(n, k, cfg)
-        hit = [t for t, s in enumerate(steps) if outlier - (outlier > k) in s]
-        first_draw[k] = hit[0] if hit else None
-    bad = [k for k, t in first_draw.items() if t is not None]
-    good = [k for k, t in first_draw.items() if t is None]
+    def first_draw(S):
+        S = np.atleast_1d(S)
+        remapped = outlier - int(np.sum(S < outlier))
+        hit = [t for t, s in enumerate(loo_schedule(n, S, cfg)) if remapped in s]
+        return hit[0] if hit else None
+
+    return spec, ds, cfg, used.tolist(), first_draw
+
+
+def test_one_diverging_replica_names_its_set():
+    spec, ds, cfg, used, first_draw = _outlier_problem()
+    bad = [k for k in used if first_draw(k) is not None]
+    good = [k for k in used if first_draw(k) is None]
     assert bad and len(good) >= 2
     sets = [good[0], bad[0], good[1]]
-    with pytest.raises(DivergenceError, match=rf"points \[{bad[0]}\] diverged at step {first_draw[bad[0]]} "):
+    with pytest.raises(DivergenceError, match=rf"points \[{bad[0]}\] diverged at step {first_draw(bad[0])} "):
         loo_retrain_many(spec, ds, sets, cfg)
     W = loo_retrain_many(spec, ds, [good[0], good[1]], cfg)
     assert np.all(np.isfinite(W))
+
+
+def test_blocks_are_cut_equal(monkeypatch):
+    # ceil(R / RETRAIN_BLOCK) blocks per batch-size group, sizes within one.
+    spec, ds = _problem("logistic", seed=4, n=48)
+    cfg = _cfg("mini", ds.indices("train").size, steps=3)
+    sizes = []
+    real = oracle.train_sam_many
+
+    def recorded(spec_, ds_, cfg_, batches, *args):
+        sizes.append(batches.shape[1])
+        return real(spec_, ds_, cfg_, batches, *args)
+
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(oracle, "train_sam_many", recorded)
+    loo_retrain_many(spec, ds, range(40), cfg)
+    assert sizes == [20, 20]
+    sizes.clear()
+    monkeypatch.setattr(oracle, "RETRAIN_BLOCK", 4)
+    loo_retrain_many(spec, ds, range(10), cfg)
+    assert sizes == [4, 3, 3]
+
+
+def _forks(monkeypatch) -> list:
+    """Records the pid of every child os.fork makes from here on."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_blocks_equal_one_process(monkeypatch, cpus):
+    # b = n-2: sets of 1 and 2 points share one group, larger sets shrink b.
+    spec, ds = _problem("tanh", seed=2)
+    n = ds.indices("train").size
+    cfg = _cfg("mini", n, batch_size=n - 2)
+    sets = [[4, 9, 13], 2, [0, 1, 2, 3, 20], [8, 22], 17, [6, 12, 18], 5, [10, 11], 21]
+    monkeypatch.setattr(oracle, "RETRAIN_BLOCK", 2)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+    W_one = loo_retrain_many(spec, ds, sets, cfg)
+    pids = _forks(monkeypatch)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+    W = loo_retrain_many(spec, ds, sets, cfg)
+    assert len(pids) == cpus - 1
+    assert np.array_equal(W, W_one)
+    for row, S in zip(W, sets):
+        assert np.array_equal(row, _plain_retrain(spec, ds, S, cfg))
+    _no_child_left()
+
+
+def test_divergence_in_a_child_block_raises_the_one_process_error(monkeypatch):
+    # One block per set on two processes: the caller trains blocks 0 and 2,
+    # the child 1 and 3. Blocks 1 and 2 diverge; block 1's error is raised.
+    spec, ds, cfg, used, first_draw = _outlier_problem()
+    bad = next(k for k in used if first_draw(k) is not None)
+    good = [k for k in used if first_draw(k) is None]
+    bad_pair = next(list(S) for S in itertools.combinations(good, 2) if first_draw(list(S)) is not None)
+    sets = [good[0], bad, bad_pair, good[1]]
+    monkeypatch.setattr(oracle, "RETRAIN_BLOCK", 1)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+    with pytest.raises(DivergenceError) as one_process:
+        loo_retrain_many(spec, ds, sets, cfg)
+    assert f"points [{bad}] diverged at step {first_draw(bad)} " in str(one_process.value)
+    with pytest.raises(DivergenceError, match="diverged"):
+        loo_retrain_many(spec, ds, [bad_pair], cfg)
+    pids = _forks(monkeypatch)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    with pytest.raises(DivergenceError) as forked:
+        loo_retrain_many(spec, ds, sets, cfg)
+    assert len(pids) == 1
+    assert str(forked.value) == str(one_process.value)
+    _no_child_left()
+
+
+def test_child_that_sends_nothing_is_an_error(monkeypatch):
+    spec, ds = _problem("logistic", seed=4)
+    cfg = _cfg("mini", ds.indices("train").size, steps=3)
+    parent, real = os.getpid(), oracle._train_share
+
+    def dies_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "RETRAIN_BLOCK", 2)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle, "_train_share", dies_in_child)
+    with pytest.raises(ChildProcessError, match=r"ended without sending its rows \(exit code 3\)"):
+        loo_retrain_many(spec, ds, range(6), cfg)
+    _no_child_left()
+
+
+def test_one_block_sweep_does_not_fork(monkeypatch):
+    spec, ds = _problem("logistic", seed=4)
+    cfg = _cfg("mini", ds.indices("train").size, steps=3)
+
+    def no_fork():
+        raise AssertionError("a one-block sweep forked")
+
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    W = loo_retrain_many(spec, ds, range(ds.indices("train").size - 1), cfg)
+    assert np.array_equal(W[5], loo_retrain(spec, ds, 5, cfg))
+
+
+@pytest.mark.parametrize("case", ["empty sweep", "other platform", "other thread"])
+def test_sweeps_that_stay_in_one_process(monkeypatch, case):
+    spec, ds = _problem("logistic", seed=4)
+    cfg = _cfg("mini", ds.indices("train").size, steps=3)
+    sets = [] if case == "empty sweep" else range(6)
+    monkeypatch.setattr(oracle, "RETRAIN_BLOCK", 2)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+    W_one = loo_retrain_many(spec, ds, sets, cfg)
+
+    def no_fork():
+        raise AssertionError(f"a sweep forked ({case})")
+
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    if case == "other platform":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if case == "other thread":
+        other.start()
+    try:
+        W = loo_retrain_many(spec, ds, sets, cfg)
+    finally:
+        stop.set()
+    assert W.shape == (len(sets), spec.param_count)
+    assert np.array_equal(W, W_one)
 
 
 def test_calibrate_retrains_its_sample_in_one_call(monkeypatch):

@@ -255,6 +255,10 @@ class TestDenseHessian:
         H1 = dense_hessian(self.spec, self.params, self.ds, lam=0.7)
         np.testing.assert_allclose(H1 - H0, 0.7 * np.eye(H0.shape[0]), atol=1e-14)
 
+    def test_empty_index_set_is_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="index set is empty"):
+            dense_hessian(self.spec, self.params, self.ds, indices=[])
+
     def test_positive_semidefinite_for_softmax(self):
         H = dense_hessian(self.spec, self.params, self.ds, lam=0.0)
         eig = np.linalg.eigvalsh(H)

@@ -3,7 +3,7 @@ import pytest
 
 from samattr import model as mod
 from samattr.datasets import make_blobs
-from samattr.errors import ConfigError, FormatError
+from samattr.errors import ConfigError, FormatError, InvalidInputError
 from samattr.model import ModelSpec
 from samattr.numcore import p_norm, sample_batches
 from samattr.samtrain import (
@@ -142,6 +142,26 @@ class TestTrainSAM:
         spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
         with pytest.raises(ConfigError):
             train_sam(spec, ds, SAMConfig(batch_size=999, steps=1))
+
+    @pytest.mark.parametrize("entry", [-1, 20, 99])
+    def test_schedule_entry_outside_train_split(self, entry):
+        # -1 would silently wrap to the last train row, 20 is one past it.
+        ds = make_blobs(20, 3, 2, 2.0, seed=5)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        cfg = SAMConfig(batch_size=2, steps=3, seed=0)
+        assert ds.indices("train").size == 20
+        schedule = np.array([[0, 1], [2, entry], [4, 5]])
+        with pytest.raises(InvalidInputError, match="out of range 0..19"):
+            train_sam(spec, ds, cfg, schedule=schedule)
+
+    @pytest.mark.parametrize("schedule", [
+        np.array([0, 1, 2]), np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.zeros((3, 2, 1), int),
+    ])
+    def test_schedule_must_be_2d_integer(self, schedule):
+        ds = make_blobs(20, 3, 2, 2.0, seed=5)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        with pytest.raises(InvalidInputError, match="2-D integer array"):
+            train_sam(spec, ds, SAMConfig(batch_size=2, steps=3), schedule=schedule)
 
 
 class TestTrajectoryIO:
