@@ -122,10 +122,10 @@ def _unpack(spec: ModelSpec, params: Array) -> list[tuple[Array, Array]]:
 
 
 def _pack_rows(parts: list[tuple[Array, Array]]) -> Array:
-    """Inverse of _unpack_rows: one packed parameter row per leading index."""
-    return np.concatenate(
-        [np.concatenate([W.reshape(len(W), -1), b], axis=1) for W, b in parts], axis=1
-    )
+    """Inverse of _unpack_rows: one packed parameter row per leading index,
+    W (..., fan_out, fan_in) and b (..., fan_out) with any leading axes."""
+    lead = parts[0][1].shape[:-1]
+    return np.concatenate([a.reshape(*lead, -1) for W, b in parts for a in (W, b)], axis=-1)
 
 
 def init_params(spec: ModelSpec, seed: int) -> Array:
@@ -211,11 +211,21 @@ def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Ar
     """Sum of per-example losses (R,) and summed gradients (R, P) for R
     parameter rows W (R, P), row r over its own batch X[r] (b, d), y[r] (b,).
 
+    X may carry extra stack axes between the row axis and the batch axis,
+    X (R, S..., b, d) with y (R, S..., b): row r then broadcasts, without
+    copies, over every stack X[r, s...], and the results are (R, S...) and
+    (R, S..., P). Only such a call reshapes the layers; the (R, b, d) call
+    does no extra work.
+
     Inputs are not checked; callers validate them once. Every row goes
     through its own stacked matmuls, so row r does not depend on the other
-    rows of the stack, bit for bit.
+    rows of the stack, bit for bit, and neither does a stack s.
     """
     layers = _unpack_rows(spec, W)
+    if X.ndim > 3:
+        axes = (1,) * (X.ndim - 3)
+        layers = [(Wl.reshape(len(Wl), *axes, *Wl.shape[1:]), bl.reshape(len(bl), *axes, -1))
+                  for Wl, bl in layers]
     acts = _forward(spec, layers, X)
     Z = acts[-1]
     m = Z - Z.max(axis=-1, keepdims=True)

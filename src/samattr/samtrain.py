@@ -17,6 +17,7 @@ applied, which is what the trajectory-based influence estimator needs.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .numcore import dual_exponent, p_norm, sample_batches
 Array = np.ndarray
 
 TRAJ_MAGIC = b"SAMT"
-TRAJ_VERSION = 1
+TRAJ_VERSION = 2  # version 1 files, without rho and p, still load
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ class Trajectory:
     total_steps: int = 0
     config_digest: bytes = b"\x00" * 32
     # SAM settings needed to recompute perturbations at checkpoints. The
-    # trainer fills these in; they are not part of the file format, so a
-    # trajectory loaded from disk needs them set by the caller.
+    # trainer fills these in and version 2 files store them; a trajectory
+    # read from a version 1 file needs them set by the caller.
     rho: float | None = None
     p: float | None = None
 
@@ -285,12 +286,15 @@ def stationarity_report(
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    """Binary trajectory file: magic, version, header, checkpoint records."""
+    """Binary trajectory file: magic, version, header (sizes, config
+    digest, then rho and p, NaN where unset), checkpoint records."""
+    settings = [math.nan if v is None else v for v in (traj.rho, traj.p)]
     with open(path, "wb") as f:
         f.write(TRAJ_MAGIC)
         f.write(struct.pack("<H", TRAJ_VERSION))
         f.write(struct.pack("<QQQ", traj.param_count, traj.n_train, traj.total_steps))
         f.write(traj.config_digest)
+        f.write(struct.pack("<dd", *settings))
         for ck in traj.checkpoints:
             f.write(struct.pack("<Qdd", ck.step, ck.eta, ck.weight))
             f.write(struct.pack("<I", ck.batch.size))
@@ -314,11 +318,14 @@ def read_trajectory(path) -> Trajectory:
     if take(4, "magic") != TRAJ_MAGIC:
         raise FormatError("bad magic bytes; not a trajectory file")
     (version,) = struct.unpack("<H", take(2, "version"))
-    if version != TRAJ_VERSION:
+    if version not in (1, TRAJ_VERSION):
         raise FormatError(f"unsupported trajectory version {version}")
     P, n, T = struct.unpack("<QQQ", take(24, "header"))
     digest = take(32, "config digest")
     traj = Trajectory(param_count=P, n_train=n, total_steps=T, config_digest=digest)
+    if version >= 2:
+        settings = struct.unpack("<dd", take(16, "SAM settings"))
+        traj.rho, traj.p = (None if math.isnan(v) else v for v in settings)
     while off < len(data):
         step, eta, weight = struct.unpack("<Qdd", take(24, "checkpoint header"))
         (count,) = struct.unpack("<I", take(4, "batch count"))

@@ -1,14 +1,25 @@
 """The trajectory estimator replays the trajectory once for every scored
-point, from per-example gradients at each perturbed checkpoint."""
+point, in stacked blocks of checkpoints, from per-example gradients at
+each perturbed checkpoint."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from samattr import influence
 from samattr import model as mod
 from samattr.datasets import make_blobs
 from samattr.errors import InvalidInputError
 from samattr.influence import NeumannConfig, influence_vectors, sam_gif
-from samattr.samtrain import SAMConfig, train_sam
+from samattr.samtrain import (
+    SAMConfig,
+    read_trajectory,
+    sam_perturbation,
+    train_sam,
+    write_trajectory,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +37,103 @@ def _gif(setup, ks, mode):
                              ks, traj, mode)
 
 
+def _plain_gif(traj, spec, ds, ks, mode):
+    """The replay one checkpoint at a time: a perturbation per step, then
+    the per-example gradients of the scored points its batch used."""
+    rows = ds.indices("train")
+    ks = np.asarray(ks, dtype=np.int64)
+    total = np.zeros((ks.size, spec.param_count))
+    for ck in traj.checkpoints:
+        if ck.batch.size == 0:
+            continue
+        used = np.flatnonzero(np.isin(ks, ck.batch)) if mode == "sgd" else np.arange(ks.size)
+        if used.size == 0:
+            continue
+        _, eps = sam_perturbation(spec, ck.params, ds, rows[ck.batch], 1.0 / ck.batch.size,
+                                  traj.rho, traj.p)
+        total[used] += ck.weight * mod.example_grads(spec, ck.params + eps, ds, rows[ks[used]])
+    return -total
+
+
+SPECS = [
+    mod.ModelSpec(kind="logistic", layer_sizes=(4, 3)),
+    mod.ModelSpec(kind="mlp", layer_sizes=(4, 6, 5, 3), activation="tanh"),
+    mod.ModelSpec(kind="mlp", layer_sizes=(4, 6, 5, 3), activation="relu"),
+]
+SPEC_IDS = ["logistic", "tanh", "relu"]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("epoch_shuffled", [False, True], ids=["iid", "epochs"])
+def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
+    ds = make_blobs(30, 4, 3, 2.5, seed=33)
+    sam = SAMConfig(rho=0.05, p=p, lam=0.01, eta=0.2, batch_size=6, steps=25, seed=33,
+                    epoch_shuffled=epoch_shuffled)
+    _, traj = train_sam(spec, ds, sam)
+    n = ds.indices("train").size
+    P = spec.param_count
+    samples = {"full": np.arange(n), "sampled": np.array([23, 2, 7, 2, 29, 11, 7]),
+               "empty": np.array([], dtype=np.int64)}
+    # Block budgets of 1, 3 and 4 six-point checkpoints (25 steps: none divides
+    # it), then the default budget.
+    for budget in (1, 3 * 6 * P, 4 * 6 * P + 1, influence.GIF_BLOCK_FLOATS):
+        monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", budget)
+        for mode in ("sgd", "gd"):
+            for ks in samples.values():
+                got = influence._gif_vectors(traj, spec, ds, ks, mode)
+                assert got.shape == (ks.size, P)
+                assert np.array_equal(got, _plain_gif(traj, spec, ds, ks, mode))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_four_axis_call_equals_example_grads(spec):
+    ds = make_blobs(30, 4, 3, 2.5, seed=32)
+    rng = np.random.default_rng(3)
+    W = mod.init_params(spec, 5) + 0.1 * rng.standard_normal((3, spec.param_count))
+    idx = np.array([[3, 0, 17, 17], [29, 8, 1, 2], [5, 5, 5, 9]])
+    loss, G = mod.stacked_loss_grad(spec, W, ds.features[idx][..., None, :],
+                                    ds.labels[idx][..., None])
+    assert loss.shape == idx.shape and G.shape == (*idx.shape, spec.param_count)
+    for r in range(len(W)):
+        assert np.array_equal(G[r], mod.example_grads(spec, W[r], ds, idx[r]))
+        for s, k in enumerate(idx[r]):
+            assert loss[r, s] == mod.example_loss(spec, W[r], (ds.features[k], ds.labels[k]))
+
+
+@pytest.mark.parametrize("mode", ["sgd", "gd"])
+def test_replay_kernel_call_count(minibatch_mlp, monkeypatch, mode):
+    """A replay of T steps makes 2 ceil(T / C) stacked kernel calls and no
+    per-step ones, for a block size C that does not divide T."""
+    spec, ds, _, _, traj = minibatch_mlp
+    n = ds.indices("train").size
+    ks = np.arange(n)
+    m = n if mode == "gd" else 6  # every point in gd; a full batch of 6 in sgd
+    C = 4
+    monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", C * m * spec.param_count + 1)
+    calls = []
+    stacked = mod.stacked_loss_grad
+
+    def counted(*args):
+        calls.append(args[2].ndim)
+        return stacked(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-step kernel call")
+
+    monkeypatch.setattr(mod, "stacked_loss_grad", counted)
+    monkeypatch.setattr(mod, "subset_loss_grad", forbidden)
+    monkeypatch.setattr(mod, "example_grads", forbidden)
+    _gif(minibatch_mlp, ks, mode)
+    assert traj.total_steps % C != 0
+    assert calls == [3, 4] * math.ceil(traj.total_steps / C)
+
+
 @pytest.mark.parametrize("spec", [
     mod.ModelSpec(kind="logistic", layer_sizes=(4, 3)),
     mod.ModelSpec(kind="mlp", layer_sizes=(4, 6, 3), activation="tanh"),
     mod.ModelSpec(kind="mlp", layer_sizes=(4, 5, 3), activation="relu"),
-], ids=["logistic", "tanh", "relu"])
+], ids=SPEC_IDS)
 def test_example_grads_rows(spec):
     ds = make_blobs(30, 4, 3, 2.5, seed=32)
     params = mod.init_params(spec, 5) + 0.1
@@ -54,6 +157,78 @@ def test_sampled_points_match_full_replay(minibatch_mlp, mode):
     assert np.all(np.any(full, axis=1))
 
 
+@pytest.mark.parametrize("mode", ["sgd", "gd"])
+def test_duplicate_unsorted_points_get_their_own_rows(minibatch_mlp, mode):
+    spec, ds, _, _, traj = minibatch_mlp
+    full = _gif(minibatch_mlp, range(ds.indices("train").size), mode)
+    ks = np.array([11, 3, 11, 29, 3, 0, 11])
+    got = _gif(minibatch_mlp, ks, mode)
+    assert np.array_equal(got, full[ks])
+    assert np.array_equal(got, _plain_gif(traj, spec, ds, ks, mode))
+
+
+def test_repeat_within_a_batch_counts_once(minibatch_mlp):
+    """A batch (from a file or a custom schedule) that lists a point twice
+    adds that point's term once, as the batch-membership gate always has."""
+    spec, ds, sam, _, _ = minibatch_mlp
+    rng = np.random.default_rng(7)
+    n = ds.indices("train").size
+    schedule = np.sort(rng.integers(0, n, size=(sam.steps, 6)), axis=1)
+    schedule[:, 1] = schedule[:, 0]
+    _, traj = train_sam(spec, ds, sam, schedule=schedule)
+    ks = np.array([schedule[0, 0], schedule[3, 2], 5])
+    assert np.array_equal(influence._gif_vectors(traj, spec, ds, ks, "sgd"),
+                          _plain_gif(traj, spec, ds, ks, "sgd"))
+
+
+def test_batch_size_change_splits_blocks(minibatch_mlp, monkeypatch):
+    """read_trajectory allows a different batch count at each checkpoint:
+    a block never spans a change, and the result is the plain loop's."""
+    spec, ds, _, _, traj = minibatch_mlp
+    cut = replace(traj, checkpoints=[replace(ck, batch=ck.batch[: 3 + ck.step % 3])
+                                     if ck.batch.size else ck for ck in traj.checkpoints])
+    ks = np.arange(ds.indices("train").size)
+    expected = {mode: _plain_gif(cut, spec, ds, ks, mode) for mode in ("sgd", "gd")}
+    sizes = []
+    stacked = mod.stacked_loss_grad
+
+    def counted(*args):
+        if args[2].ndim == 3:
+            sizes.append(args[2].shape[1])
+        return stacked(*args)
+
+    monkeypatch.setattr(mod, "stacked_loss_grad", counted)
+    for mode in ("sgd", "gd"):
+        assert np.array_equal(influence._gif_vectors(cut, spec, ds, ks, mode), expected[mode])
+    assert set(sizes) == {3, 4, 5}
+
+
+def test_read_trajectory_needs_no_settings(minibatch_mlp, tmp_path):
+    spec, ds, _, _, traj = minibatch_mlp
+    path = tmp_path / "run.samt"
+    write_trajectory(traj, path)
+    loaded = read_trajectory(path)
+    ks = np.arange(ds.indices("train").size)
+    assert np.array_equal(influence._gif_vectors(loaded, spec, ds, ks, "sgd"),
+                          influence._gif_vectors(traj, spec, ds, ks, "sgd"))
+
+
+@pytest.mark.parametrize("bad", [-1, 30])
+def test_out_of_range_batch_entry_rejected(minibatch_mlp, monkeypatch, bad):
+    spec, ds, _, _, traj = minibatch_mlp
+    assert ds.indices("train").size == 30
+    broken = replace(traj, checkpoints=list(traj.checkpoints))
+    ck = broken.checkpoints[7]
+    broken.checkpoints[7] = replace(ck, batch=np.concatenate([ck.batch[:-1], [bad]]))
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("replay work started")
+
+    monkeypatch.setattr(mod, "stacked_loss_grad", no_replay)
+    with pytest.raises(InvalidInputError, match="checkpoint 7: batch entry out of range"):
+        sam_gif(broken, spec, ds, 0)
+
+
 def test_out_of_range_index_rejected_before_replay(minibatch_mlp, monkeypatch):
     spec, ds, _, _, traj = minibatch_mlp
     n = ds.indices("train").size
@@ -63,6 +238,7 @@ def test_out_of_range_index_rejected_before_replay(minibatch_mlp, monkeypatch):
 
     monkeypatch.setattr(mod, "subset_loss_grad", no_replay)
     monkeypatch.setattr(mod, "example_grads", no_replay)
+    monkeypatch.setattr(mod, "stacked_loss_grad", no_replay)
     for ks in ([0, n], [-1, 3]):
         with pytest.raises(InvalidInputError):
             _gif(minibatch_mlp, ks, "sgd")

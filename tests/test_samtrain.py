@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -187,8 +189,34 @@ class TestTrajectoryIO:
             assert a.eta == b.eta and a.weight == b.weight
             np.testing.assert_array_equal(a.params, b.params)
             np.testing.assert_array_equal(a.batch, b.batch)
-        # SAM settings are deliberately not serialized.
+        # Version 2 stores the SAM settings the trajectory estimator needs.
+        assert (back.rho, back.p) == (traj.rho, traj.p) == (0.05, 2.0)
+
+    def test_unset_settings_round_trip(self, tmp_path):
+        traj = self._traj()
+        traj.rho = traj.p = None
+        path = tmp_path / "run.samt"
+        write_trajectory(traj, path)
+        back = read_trajectory(path)
         assert back.rho is None and back.p is None
+
+    def test_version_1_file_loads(self, tmp_path):
+        # A version 1 file is a version 2 file without the 16 bytes of rho
+        # and p after the config digest.
+        traj = self._traj()
+        path = tmp_path / "run.samt"
+        write_trajectory(traj, path)
+        data = path.read_bytes()
+        head = 4 + 2 + 24 + 32
+        path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:head] + data[head + 16 :])
+        back = read_trajectory(path)
+        assert back.rho is None and back.p is None
+        assert back.config_digest == traj.config_digest
+        assert len(back.checkpoints) == len(traj.checkpoints)
+        for a, b in zip(traj.checkpoints, back.checkpoints):
+            assert (a.step, a.eta, a.weight) == (b.step, b.eta, b.weight)
+            np.testing.assert_array_equal(a.params, b.params)
+            np.testing.assert_array_equal(a.batch, b.batch)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.samt"
