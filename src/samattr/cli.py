@@ -9,6 +9,7 @@ divergence, 4 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, DivergenceError, FormatError, InvalidInputError
@@ -41,6 +42,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one per process: a parser is a reference cycle, freed only by gc
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="samattr",

@@ -365,7 +365,7 @@ def cmd_trace(cfg: ExperimentConfig) -> Report:
     if mis.size == 0:
         return report
     start = time.perf_counter()
-    g_test = np.stack([mod.subset_loss_grad(spec, params, ds, [row], 1.0)[1] for row in mis])
+    g_test = mod.example_grads(spec, params, ds, mis)
     scores = _scores(cfg, spec, ds, sam, params, traj, g_test)  # one column per test point
     m = min(cfg.top_m, scores.shape[0])
     for row, point_scores in zip(mis, scores.T):

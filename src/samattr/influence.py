@@ -11,7 +11,7 @@ point is removed, i.e. positive = valuable, negative = harmful.
 * total-Hessian estimator: additionally propagates the dependence of
   the worst-case perturbation on the parameters through the operator.
 * trajectory estimator: sums learning-rate-weighted per-point gradients
-  at perturbed checkpoints, gated by batch membership.
+  at each recorded step's perturbed parameters, gated by batch membership.
 
 Inverse operators are applied by GMRES (``gmres_solve``) on the damped
 operator, to a relative residual of KRYLOV_RTOL; a solve that misses it
@@ -31,16 +31,15 @@ built once per call, the points' gradients come from one per-example
 call, and right-hand sides are solved as blocks, one block HVP per
 iteration. The perturbation's Jacobian is the closed form (d eps / d g) H
 for every p, symmetric in its gradient factor, which is what makes A^T as
-cheap as A. The trajectory estimator replays the trajectory once, in
-blocks of checkpoints of at most GIF_BLOCK_FLOATS gradient floats: per
-block, one stacked gradient call gives every checkpoint's perturbation and
-one more the per-example gradients of the scored points each checkpoint
-used; its scores are its vectors' dot products.
+cheap as A. The trajectory estimator replays the recorded steps once, in
+blocks of consecutive steps of at most GIF_BLOCK_FLOATS gradient floats:
+per block, one stacked gradient call gives every step's perturbation and
+one more the per-example gradients of the scored points each step used;
+its scores are its vectors' dot products.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -72,9 +71,9 @@ KRYLOV_RTOL = 1e-10
 KRYLOV_BASIS_FLOATS = 2**23
 
 # Floats of per-example gradients one block of gif's trajectory replay
-# should stay within: a block of C checkpoints, each scoring at most m
-# points, holds (C, m, P) gradients, so C = max(1, this // (m P)). At
-# C = 1 a block holds what one checkpoint's per-example call does.
+# should stay within: a block of C steps, each scoring at most m points,
+# holds (C, m, P) gradients, so C = max(1, this // (m P)). At C = 1 a
+# block holds what one step's per-example call does.
 GIF_BLOCK_FLOATS = 2**16
 
 
@@ -525,12 +524,12 @@ def sam_gif(
     k: int,
     mode: str = "sgd",
 ) -> Array:
-    """Trajectory estimator: IF(k) = -sum_t w_t * [k used at t] * grad_k
-    at the perturbed checkpoint, with w_t the recorded per-example
-    coefficient. gd mode drops the batch-membership gate.
+    """Trajectory estimator: IF(k) = -sum_t w_t * [k in batch t] * grad_k
+    at the perturbed params[t], with w_t the recorded per-example
+    coefficient weights[t]. gd mode drops the batch-membership gate.
 
-    The perturbation at each checkpoint is recomputed from that step's
-    batch gradient, matching what the trainer actually applied. One call
+    The perturbation at each step is recomputed from that step's batch
+    gradient, matching what the trainer actually applied. One call
     replays the whole trajectory; for many points, influence_vectors or
     influence_scores replays it once for all of them.
     """
@@ -541,17 +540,16 @@ def _gif_vectors(
     trajectory: Trajectory, spec: mod.ModelSpec, dataset: mod.Dataset, ks, mode: str
 ) -> Array:
     """sam_gif for every training index in ks from one replay, in blocks of
-    checkpoints (_gif_blocks) with no per-checkpoint kernel call. A block
-    makes two stacked_loss_grad calls: one over its checkpoint rows and
-    their batches, whose gradients give every perturbation in one
+    steps (_gif_blocks) with no per-step kernel call. A block makes two
+    stacked_loss_grad calls: one over its steps' parameter rows and
+    batches, whose gradients give every perturbation in one
     worst_perturbation call, and one over the perturbed rows, each
-    broadcast over one-example stacks of the scored points its checkpoint
-    used. A point listed twice in ks is replayed once and its row repeated.
-    Each row adds its checkpoints' terms in step order, so it is bitwise
-    the one-checkpoint-at-a-time replay's, whatever the block size.
+    broadcast over one-example stacks of the scored points its step used.
+    A point listed twice in ks is replayed once and its row repeated. Each
+    row adds its steps' terms in step order, so it is bitwise the
+    one-step-at-a-time replay's, whatever the block size.
 
-    A checkpoint batch entry outside 0..n_train-1 is rejected before any
-    replay work."""
+    A batch entry outside 0..n_train-1 is rejected before any replay work."""
     if mode not in ("gd", "sgd"):
         raise InvalidInputError(f"unknown gif mode {mode!r}")
     if trajectory.param_count != spec.param_count:
@@ -566,35 +564,25 @@ def _gif_vectors(
             "trajectory is missing its SAM settings (a version 1 file does not store "
             "them); set trajectory.rho and trajectory.p before computing trajectory influence"
         )
-    if [ck.step for ck in trajectory.checkpoints] != list(range(trajectory.total_steps + 1)):
-        raise InvalidInputError(
-            f"trajectory influence needs one checkpoint at each step 0..{trajectory.total_steps} "
-            "in order; a thinned trajectory (one recorded with a stride) cannot be used"
-        )
-    # The final-state checkpoint, with an empty batch, makes no update.
-    steps = [ck for ck in trajectory.checkpoints if ck.batch.size]
-    if steps:
-        entries = np.concatenate([ck.batch for ck in steps])
-        if entries.min() < 0 or entries.max() >= n:
-            bad = next(ck for ck in steps if ck.batch.min() < 0 or ck.batch.max() >= n)
-            raise InvalidInputError(f"checkpoint {bad.step}: batch entry out of range 0..{n - 1}")
-    if any(ck.params.shape != (spec.param_count,) for ck in trajectory.checkpoints):
-        raise InvalidInputError("a checkpoint's parameter count does not match the model")
+    batches = trajectory.batches
+    outside = ((batches < 0) | (batches >= n)).any(axis=1)
+    if outside.any():
+        raise InvalidInputError(f"step {np.argmax(outside)}: batch entry out of range 0..{n - 1}")
     uniq, inverse = np.unique(ks, return_inverse=True)
     total = np.zeros((uniq.size, spec.param_count))
     X_train, y_train = mod._check_examples(spec, dataset.features[rows], dataset.labels[rows])
     slot = np.full(n, -1)  # slot[k]: k's row of uniq, or -1 if k is not scored
     slot[uniq] = np.arange(uniq.size)
-    for block, hits in _gif_blocks(steps, slot, uniq.size, spec.param_count, mode):
-        W = np.stack([ck.params for ck in block])
-        batch = np.stack([ck.batch for ck in block])
+    for sel, hits in _gif_blocks(batches, slot, uniq.size, spec.param_count, mode):
+        W = trajectory.params[sel]  # a gathered copy: the perturbation is added in place
+        batch = batches[sel]
         _, G = mod.stacked_loss_grad(spec, W, X_train[batch], y_train[batch])
         W += worst_perturbation((1.0 / batch.shape[1]) * G, trajectory.rho, trajectory.p)
         # Pad slots (-1) compute the first scored point's gradient and are dropped.
         pts = uniq[np.maximum(hits, 0)]
         _, G = mod.stacked_loss_grad(spec, W, X_train[pts][..., None, :],
                                      y_train[pts][..., None])
-        G *= np.array([ck.weight for ck in block])[:, None, None]
+        G *= trajectory.weights[sel][:, None, None]
         for c, pad in enumerate((hits < 0).sum(axis=1)):
             total[hits[c, pad:]] += G[c, pad:]
     # Sorted, distinct ks (every command's) need no gathered copy of total.
@@ -602,33 +590,28 @@ def _gif_vectors(
     return np.negative(out, out=out)
 
 
-def _gif_blocks(steps: list, slot: Array, count: int, P: int, mode: str):
-    """Cut the update checkpoints into replay blocks (checkpoints, hits),
-    hits (C, m) holding the rows of uniq (slot entries) each checkpoint
-    scores, padded with -1 in front. A block holds consecutive scoring
-    checkpoints of one batch size, C = max(1, GIF_BLOCK_FLOATS // (m P))
-    of them, m the largest count any of them scores. In gd mode every
-    checkpoint scores every point; in sgd mode one scores the points of its
-    batch, each once however often the batch lists it, and one that scores
-    none is left out."""
-    for _, group in itertools.groupby(steps, key=lambda ck: ck.batch.size):
-        run = list(group)
-        if mode == "gd":
-            hits = np.broadcast_to(np.arange(count), (len(run), count))
-        else:
-            hits = np.sort(slot[np.stack([ck.batch for ck in run])], axis=1)
-            hits[:, 1:][hits[:, 1:] == hits[:, :-1]] = -1  # a repeat in one batch counts once
-            hits.sort(axis=1)
-        counts = (hits >= 0).sum(axis=1)
-        live = np.flatnonzero(counts)
-        i = 0
-        while i < live.size:
-            m, j = counts[live[i]], i + 1
-            while j < live.size and (j - i + 1) * max(m, counts[live[j]]) * P <= GIF_BLOCK_FLOATS:
-                m, j = max(m, counts[live[j]]), j + 1
-            sel = live[i:j]
-            yield [run[t] for t in sel], hits[sel, hits.shape[1] - m :]
-            i = j
+def _gif_blocks(batches: Array, slot: Array, count: int, P: int, mode: str):
+    """Cut the (T, b) batches into replay blocks (sel, hits): sel the
+    indices of C consecutive scoring steps, hits (C, m) the rows of uniq
+    (slot entries) each of them scores, padded with -1 in front. C =
+    max(1, GIF_BLOCK_FLOATS // (m P)), m the largest count any step of the
+    block scores. In gd mode every step scores every point; in sgd mode a
+    step scores the points of its batch (distinct, as train_sam and
+    read_trajectory require), and one that scores none is left out."""
+    if mode == "gd":
+        hits = np.broadcast_to(np.arange(count), (len(batches), count))
+    else:
+        hits = np.sort(slot[batches], axis=1)
+    counts = (hits >= 0).sum(axis=1)
+    live = np.flatnonzero(counts)
+    i = 0
+    while i < live.size:
+        m, j = counts[live[i]], i + 1
+        while j < live.size and (j - i + 1) * max(m, counts[live[j]]) * P <= GIF_BLOCK_FLOATS:
+            m, j = max(m, counts[live[j]]), j + 1
+        sel = live[i:j]
+        yield sel, hits[sel, hits.shape[1] - m :]
+        i = j
 
 
 def influence_score(

@@ -9,9 +9,9 @@ the standard practical algorithm. L2 regularization applies only to the
 outer descent gradient. The one step loop trains R replicas at once as an
 (R, P) block; a single run is its R = 1 case.
 
-Checkpoints record the parameters *before* each update together with
-the batch and the effective per-example coefficient eta_t / b actually
-applied, which is what the trajectory-based influence estimator needs.
+A run is recorded as step-indexed arrays: the parameters *before* each
+update and the final ones, each update's batch, learning rate and applied
+per-example coefficient eta_t / b, which the trajectory estimator needs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,30 +89,45 @@ class SAMConfig:
 
 
 @dataclass
-class Checkpoint:
-    step: int
-    params: Array
-    eta: float
-    batch: Array  # train-split positions used at this step; empty for the final state
-    weight: float  # eta * per-example loss scale (eta_t / b)
-
-
-@dataclass
 class Trajectory:
-    checkpoints: list[Checkpoint] = field(default_factory=list)
-    param_count: int = 0
-    n_train: int = 0
-    total_steps: int = 0
+    """A recorded SAM run of T updates with batch size b."""
+
+    params: Array  # (T+1, P): row t the parameters before update t, row T the final ones
+    batches: Array  # (T, b) int64: update t's train-split positions
+    etas: Array  # (T,) learning rate of update t
+    weights: Array  # (T,) per-example coefficient eta_t / b applied at update t
+    n_train: int
     config_digest: bytes = b"\x00" * 32
-    # SAM settings needed to recompute perturbations at checkpoints. The
+    # SAM settings needed to recompute each step's perturbation. The
     # trainer fills these in and version 2 files store them; a trajectory
     # read from a version 1 file needs them set by the caller.
     rho: float | None = None
     p: float | None = None
 
+    def __post_init__(self):
+        T = len(self.batches)
+        if (self.params.ndim, self.params.shape[:1], self.batches.ndim, self.etas.shape,
+                self.weights.shape) != (2, (T + 1,), 2, (T,), (T,)):
+            raise InvalidInputError("trajectory needs (T+1, P) params, (T, b) batches and "
+                                    "(T,) etas and weights")
+
+    @property
+    def param_count(self) -> int:
+        return self.params.shape[1]
+
+    @property
+    def total_steps(self) -> int:
+        return len(self.batches)
+
     @property
     def final_params(self) -> Array:
-        return self.checkpoints[-1].params
+        return self.params[-1]
+
+
+def _repeated_steps(batches: Array) -> Array:
+    """The steps whose batch lists a position twice."""
+    s = np.sort(batches, axis=1)
+    return np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
 
 
 def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
@@ -173,7 +188,7 @@ def train_sam_many(
     batch at step t. Replica r starts from init[r], weights its batch-mean
     data loss by loss_scales[r] and is named labels[r] if it diverges.
     Every replica row is bitwise what a run of its own would give.
-    record(t, eta, scale, W), if given, is called before each update.
+    record(t, W), if given, is called before each update.
     """
     train_rows = dataset.indices("train")
     X_train, y_train = mod._check_examples(
@@ -200,7 +215,7 @@ def train_sam_many(
         _, G_pert = mod.stacked_loss_grad(spec, W + eps, X, y)
         G_sam = scale[:, None] * G_pert + config.lam * W
         if record is not None:
-            record(t, eta, scale, W)
+            record(t, W)
         W = W - eta * G_sam
     bad = ~np.all(np.isfinite(W), axis=1)
     if bad.any():
@@ -216,11 +231,11 @@ def train_sam(
     schedule: Array | None = None,
 ) -> tuple[Array, Trajectory]:
     """Run T SAM steps over the dataset's train split (train_sam_many with
-    one replica) and record the trajectory, one checkpoint per step.
+    one replica) and record the trajectory.
 
-    schedule is a (T, b) array of positions within the train split
-    (0..n_train-1), row t the batch of step t; the default is the seeded
-    sample_batches schedule of the config.
+    schedule is a (T, b) array of distinct positions within the train
+    split (0..n_train-1) per row, row t the batch of step t; the default,
+    not checked again, is the seeded sample_batches schedule of the config.
     """
     n = int(dataset.indices("train").size)
     if n == 0:
@@ -228,46 +243,34 @@ def train_sam(
     if config.batch_size > n:
         raise ConfigError(f"batch size {config.batch_size} exceeds train size {n}")
     if schedule is None:
-        schedule = sample_batches(
+        batches = sample_batches(
             n, config.batch_size, config.steps, config.seed, config.epoch_shuffled
         )
-    schedule = np.asarray(schedule)
-    if schedule.ndim != 2 or not np.issubdtype(schedule.dtype, np.integer):
-        raise InvalidInputError("train_sam: schedule must be a 2-D integer array (steps, batch)")
-    if schedule.size and not 0 <= schedule.min() <= schedule.max() < n:
-        raise InvalidInputError(f"train_sam: schedule entry out of range 0..{n - 1}")
-    if len(schedule) < config.steps:
-        raise ConfigError("batch schedule shorter than the configured step count")
+    else:
+        schedule = np.asarray(schedule)
+        if schedule.ndim != 2 or not np.issubdtype(schedule.dtype, np.integer):
+            raise InvalidInputError("train_sam: schedule must be a 2-D integer array")
+        if schedule.size and not 0 <= schedule.min() <= schedule.max() < n:
+            raise InvalidInputError(f"train_sam: schedule entry out of range 0..{n - 1}")
+        if len(schedule) < config.steps:
+            raise ConfigError("batch schedule shorter than the configured step count")
+        batches = schedule[: config.steps].astype(np.int64)
+        if (repeats := _repeated_steps(batches)).size:
+            raise InvalidInputError(f"train_sam: schedule step {repeats[0]} lists a position twice")
+    params = np.empty((config.steps + 1, spec.param_count))
 
-    traj = Trajectory(
-        param_count=spec.param_count,
-        n_train=n,
-        total_steps=config.steps,
-        config_digest=config.digest(),
-        rho=config.rho,
-        p=config.p,
-    )
-
-    def record(t, eta, scale, W):
-        traj.checkpoints.append(Checkpoint(
-            step=t, params=W[0].copy(), eta=eta, batch=schedule[t].copy(),
-            weight=eta * float(scale[0]),
-        ))
+    def record(t, W):
+        params[t] = W[0]
 
     w = train_sam_many(
-        spec, dataset, config, schedule[:, None], np.ones(1), ["training"],
+        spec, dataset, config, batches[:, None], np.ones(1), ["training"],
         mod.init_params(spec, config.seed), record,
     )[0]
-    traj.checkpoints.append(
-        Checkpoint(
-            step=config.steps,
-            params=w.copy(),
-            eta=0.0,
-            batch=np.empty(0, dtype=np.int64),
-            weight=0.0,
-        )
-    )
-    return w, traj
+    params[-1] = w
+    etas = np.array([config.eta_at(t) for t in range(config.steps)])
+    return w, Trajectory(params=params, batches=batches, etas=etas,
+                         weights=etas * (1.0 / batches.shape[1]), n_train=n,
+                         config_digest=config.digest(), rho=config.rho, p=config.p)
 
 
 def stationarity_report(
@@ -287,22 +290,29 @@ def stationarity_report(
 
 def write_trajectory(traj: Trajectory, path) -> None:
     """Binary trajectory file: magic, version, header (sizes, config
-    digest, then rho and p, NaN where unset), checkpoint records."""
+    digest, then rho and p, NaN where unset), then records (step, eta,
+    weight, batch count, batch, params) of steps 0..T, the last empty."""
     settings = [math.nan if v is None else v for v in (traj.rho, traj.p)]
+    T, b = traj.batches.shape
+    batches, params = traj.batches.astype("<u4"), traj.params.astype("<f8", copy=False)
     with open(path, "wb") as f:
         f.write(TRAJ_MAGIC)
         f.write(struct.pack("<H", TRAJ_VERSION))
-        f.write(struct.pack("<QQQ", traj.param_count, traj.n_train, traj.total_steps))
+        f.write(struct.pack("<QQQ", traj.param_count, traj.n_train, T))
         f.write(traj.config_digest)
         f.write(struct.pack("<dd", *settings))
-        for ck in traj.checkpoints:
-            f.write(struct.pack("<Qdd", ck.step, ck.eta, ck.weight))
-            f.write(struct.pack("<I", ck.batch.size))
-            f.write(ck.batch.astype("<u4").tobytes())
-            f.write(ck.params.astype("<f8").tobytes())
+        for t in range(T):
+            f.write(struct.pack("<QddI", t, traj.etas[t], traj.weights[t], b))
+            f.write(batches[t].tobytes())
+            f.write(params[t].tobytes())
+        f.write(struct.pack("<QddI", T, 0.0, 0.0, 0))
+        f.write(params[T].tobytes())
 
 
 def read_trajectory(path) -> Trajectory:
+    """Load a version 1 or 2 trajectory file. Anything but T update records
+    of steps 0..T-1 with one batch count, each batch of distinct in-range
+    positions, then the empty final record of step T is a FormatError."""
     with open(path, "rb") as f:
         data = f.read()
 
@@ -310,9 +320,8 @@ def read_trajectory(path) -> Trajectory:
         nonlocal off
         if off + n > len(data):
             raise FormatError(f"trajectory file truncated while reading {what}")
-        chunk = data[off : off + n]
         off += n
-        return chunk
+        return data[off - n : off]
 
     off = 0
     if take(4, "magic") != TRAJ_MAGIC:
@@ -322,20 +331,25 @@ def read_trajectory(path) -> Trajectory:
         raise FormatError(f"unsupported trajectory version {version}")
     P, n, T = struct.unpack("<QQQ", take(24, "header"))
     digest = take(32, "config digest")
-    traj = Trajectory(param_count=P, n_train=n, total_steps=T, config_digest=digest)
-    if version >= 2:
-        settings = struct.unpack("<dd", take(16, "SAM settings"))
-        traj.rho, traj.p = (None if math.isnan(v) else v for v in settings)
-    while off < len(data):
-        step, eta, weight = struct.unpack("<Qdd", take(24, "checkpoint header"))
-        (count,) = struct.unpack("<I", take(4, "batch count"))
-        batch = np.frombuffer(take(4 * count, "batch indices"), dtype="<u4").astype(np.int64)
-        if np.any(batch >= n):
-            raise FormatError(f"checkpoint {step}: batch index out of range")
-        params = np.frombuffer(take(8 * P, "checkpoint params"), dtype="<f8").copy()
-        traj.checkpoints.append(
-            Checkpoint(step=int(step), params=params, eta=eta, batch=batch, weight=weight)
-        )
-    if not traj.checkpoints:
-        raise FormatError("trajectory file contains no checkpoints")
-    return traj
+    settings = struct.unpack("<dd", take(16, "SAM settings")) if version >= 2 else (math.nan,) * 2
+    # Every update record has the first one's batch count b.
+    b = struct.unpack("<I", data[off + 24 : off + 28])[0] if T and len(data) >= off + 28 else 0
+    chunk = take(T * (28 + 4 * b + 8 * P), "update records")
+    recs = np.frombuffer(chunk, [("step", "<u8"), ("eta", "<f8"), ("weight", "<f8"),
+                                 ("count", "<u4"), ("batch", "<u4", (b,)), ("params", "<f8", (P,))])
+    final = struct.unpack("<QddI", take(28, "final record"))
+    params = np.vstack([recs["params"], np.frombuffer(take(8 * P, "final params"), "<f8")])
+    if off != len(data):
+        raise FormatError(f"trajectory file has {len(data) - off} bytes after the final record")
+    if (not np.array_equal(recs["step"], np.arange(T)) or np.any(recs["count"] != b)
+            or T and b == 0 or final[0] != T or final[3] != 0):
+        raise FormatError(f"trajectory needs steps 0..{T} of one batch size, the last empty")
+    batches = recs["batch"].astype(np.int64)
+    bad = np.flatnonzero((batches >= n).any(axis=1))
+    if bad.size:
+        raise FormatError(f"step {bad[0]}: batch index out of range")
+    if (repeats := _repeated_steps(batches)).size:
+        raise FormatError(f"step {repeats[0]}: batch lists a position twice")
+    rho, p = (None if math.isnan(v) else v for v in settings)
+    return Trajectory(params=params, batches=batches, etas=recs["eta"].copy(),
+                      weights=recs["weight"].copy(), n_train=n, config_digest=digest, rho=rho, p=p)

@@ -158,11 +158,11 @@ def test_train_sam_matches_plain_loop(kind, schedule, p):
     w, traj = train_sam(spec, ds, cfg)
     ref_w, ref_record = _plain_train_sam(spec, ds, cfg)
     assert np.array_equal(w, ref_w)
-    assert len(traj.checkpoints) == len(ref_record) + 1
-    for ck, (t, params, eta, batch, weight) in zip(traj.checkpoints, ref_record):
-        assert (ck.step, ck.eta, ck.weight) == (t, eta, weight)
-        assert np.array_equal(ck.params, params) and np.array_equal(ck.batch, batch)
-    assert np.array_equal(traj.checkpoints[-1].params, ref_w)
+    assert traj.total_steps == len(ref_record)
+    for t, params, eta, batch, weight in ref_record:
+        assert (traj.etas[t], traj.weights[t]) == (eta, weight)
+        assert np.array_equal(traj.params[t], params) and np.array_equal(traj.batches[t], batch)
+    assert np.array_equal(traj.params[-1], ref_w)
 
 
 @pytest.mark.parametrize("kind,schedule,p", [

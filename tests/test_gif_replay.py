@@ -1,6 +1,6 @@
 """The trajectory estimator replays the trajectory once for every scored
-point, in stacked blocks of checkpoints, from per-example gradients at
-each perturbed checkpoint."""
+point, in stacked blocks of steps, from per-example gradients at each
+step's perturbed parameters."""
 
 import math
 from dataclasses import replace
@@ -38,20 +38,17 @@ def _gif(setup, ks, mode):
 
 
 def _plain_gif(traj, spec, ds, ks, mode):
-    """The replay one checkpoint at a time: a perturbation per step, then
-    the per-example gradients of the scored points its batch used."""
+    """The replay one step at a time: a perturbation per step, then the
+    per-example gradients of the scored points its batch used."""
     rows = ds.indices("train")
     ks = np.asarray(ks, dtype=np.int64)
     total = np.zeros((ks.size, spec.param_count))
-    for ck in traj.checkpoints:
-        if ck.batch.size == 0:
-            continue
-        used = np.flatnonzero(np.isin(ks, ck.batch)) if mode == "sgd" else np.arange(ks.size)
+    for w, batch, weight in zip(traj.params, traj.batches, traj.weights):
+        used = np.flatnonzero(np.isin(ks, batch)) if mode == "sgd" else np.arange(ks.size)
         if used.size == 0:
             continue
-        _, eps = sam_perturbation(spec, ck.params, ds, rows[ck.batch], 1.0 / ck.batch.size,
-                                  traj.rho, traj.p)
-        total[used] += ck.weight * mod.example_grads(spec, ck.params + eps, ds, rows[ks[used]])
+        _, eps = sam_perturbation(spec, w, ds, rows[batch], 1.0 / batch.size, traj.rho, traj.p)
+        total[used] += weight * mod.example_grads(spec, w + eps, ds, rows[ks[used]])
     return -total
 
 
@@ -75,7 +72,7 @@ def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
     P = spec.param_count
     samples = {"full": np.arange(n), "sampled": np.array([23, 2, 7, 2, 29, 11, 7]),
                "empty": np.array([], dtype=np.int64)}
-    # Block budgets of 1, 3 and 4 six-point checkpoints (25 steps: none divides
+    # Block budgets of 1, 3 and 4 six-point steps (25 steps: none divides
     # it), then the default budget.
     for budget in (1, 3 * 6 * P, 4 * 6 * P + 1, influence.GIF_BLOCK_FLOATS):
         monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", budget)
@@ -167,42 +164,6 @@ def test_duplicate_unsorted_points_get_their_own_rows(minibatch_mlp, mode):
     assert np.array_equal(got, _plain_gif(traj, spec, ds, ks, mode))
 
 
-def test_repeat_within_a_batch_counts_once(minibatch_mlp):
-    """A batch (from a file or a custom schedule) that lists a point twice
-    adds that point's term once, as the batch-membership gate always has."""
-    spec, ds, sam, _, _ = minibatch_mlp
-    rng = np.random.default_rng(7)
-    n = ds.indices("train").size
-    schedule = np.sort(rng.integers(0, n, size=(sam.steps, 6)), axis=1)
-    schedule[:, 1] = schedule[:, 0]
-    _, traj = train_sam(spec, ds, sam, schedule=schedule)
-    ks = np.array([schedule[0, 0], schedule[3, 2], 5])
-    assert np.array_equal(influence._gif_vectors(traj, spec, ds, ks, "sgd"),
-                          _plain_gif(traj, spec, ds, ks, "sgd"))
-
-
-def test_batch_size_change_splits_blocks(minibatch_mlp, monkeypatch):
-    """read_trajectory allows a different batch count at each checkpoint:
-    a block never spans a change, and the result is the plain loop's."""
-    spec, ds, _, _, traj = minibatch_mlp
-    cut = replace(traj, checkpoints=[replace(ck, batch=ck.batch[: 3 + ck.step % 3])
-                                     if ck.batch.size else ck for ck in traj.checkpoints])
-    ks = np.arange(ds.indices("train").size)
-    expected = {mode: _plain_gif(cut, spec, ds, ks, mode) for mode in ("sgd", "gd")}
-    sizes = []
-    stacked = mod.stacked_loss_grad
-
-    def counted(*args):
-        if args[2].ndim == 3:
-            sizes.append(args[2].shape[1])
-        return stacked(*args)
-
-    monkeypatch.setattr(mod, "stacked_loss_grad", counted)
-    for mode in ("sgd", "gd"):
-        assert np.array_equal(influence._gif_vectors(cut, spec, ds, ks, mode), expected[mode])
-    assert set(sizes) == {3, 4, 5}
-
-
 def test_read_trajectory_needs_no_settings(minibatch_mlp, tmp_path):
     spec, ds, _, _, traj = minibatch_mlp
     path = tmp_path / "run.samt"
@@ -217,15 +178,14 @@ def test_read_trajectory_needs_no_settings(minibatch_mlp, tmp_path):
 def test_out_of_range_batch_entry_rejected(minibatch_mlp, monkeypatch, bad):
     spec, ds, _, _, traj = minibatch_mlp
     assert ds.indices("train").size == 30
-    broken = replace(traj, checkpoints=list(traj.checkpoints))
-    ck = broken.checkpoints[7]
-    broken.checkpoints[7] = replace(ck, batch=np.concatenate([ck.batch[:-1], [bad]]))
+    broken = replace(traj, batches=traj.batches.copy())
+    broken.batches[7, -1] = bad
 
     def no_replay(*args, **kwargs):
         raise AssertionError("replay work started")
 
     monkeypatch.setattr(mod, "stacked_loss_grad", no_replay)
-    with pytest.raises(InvalidInputError, match="checkpoint 7: batch entry out of range"):
+    with pytest.raises(InvalidInputError, match="step 7: batch entry out of range"):
         sam_gif(broken, spec, ds, 0)
 
 

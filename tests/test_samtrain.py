@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,36 @@ from samattr.samtrain import (
     worst_perturbation,
     write_trajectory,
 )
+
+
+def _assert_same_run(a, b):
+    for name in ("params", "batches", "etas", "weights"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _record(traj, t):
+    """Record t of traj as write_trajectory lays it out: step, eta,
+    weight, batch, parameters; the final record has an empty batch."""
+    if t == traj.total_steps:
+        return t, 0.0, 0.0, np.empty(0, np.int64), traj.params[t]
+    return t, traj.etas[t], traj.weights[t], traj.batches[t], traj.params[t]
+
+
+def _file_bytes(tmp_path, traj):
+    write_trajectory(traj, tmp_path / "written.samt")
+    return (tmp_path / "written.samt").read_bytes()
+
+
+def _write_records(path, traj, records):
+    """A trajectory file with traj's header and the given records, in the
+    version 2 layout."""
+    with open(path, "wb") as f:
+        f.write(b"SAMT" + struct.pack("<HQQQ", 2, traj.param_count, traj.n_train, traj.total_steps))
+        f.write(traj.config_digest + struct.pack("<dd", traj.rho, traj.p))
+        for step, eta, weight, batch, params in records:
+            f.write(struct.pack("<QddI", step, eta, weight, len(batch)))
+            f.write(np.asarray(batch, "<u4").tobytes() + np.asarray(params, "<f8").tobytes())
 
 
 class TestSAMConfig:
@@ -131,13 +162,14 @@ class TestTrainSAM:
         spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
         cfg = SAMConfig(rho=0.05, eta=0.1, batch_size=30, steps=10, seed=5)
         w, traj = train_sam(spec, ds, cfg)
-        assert [ck.step for ck in traj.checkpoints] == list(range(11))
-        np.testing.assert_array_equal(traj.checkpoints[0].params, mod.init_params(spec, 5))
+        assert traj.params.shape == (11, spec.param_count) and traj.batches.shape == (10, 30)
+        assert (traj.total_steps, traj.param_count) == (10, spec.param_count)
+        np.testing.assert_array_equal(traj.params[0], mod.init_params(spec, 5))
         np.testing.assert_array_equal(traj.final_params, w)
-        # weight = eta / batch size for real steps, 0 for the terminal state.
-        assert traj.checkpoints[0].weight == pytest.approx(0.1 / 30)
-        assert traj.checkpoints[-1].weight == 0.0
-        assert traj.checkpoints[-1].batch.size == 0
+        assert not np.shares_memory(w, traj.params)
+        # weight = eta / batch size at every update.
+        assert traj.weights[0] == pytest.approx(0.1 / 30)
+        assert np.array_equal(traj.etas, np.full(10, 0.1))
 
     def test_batch_size_exceeds_train_split(self):
         ds = make_blobs(10, 3, 2, 2.0, seed=0)
@@ -155,6 +187,20 @@ class TestTrainSAM:
         schedule = np.array([[0, 1], [2, entry], [4, 5]])
         with pytest.raises(InvalidInputError, match="out of range 0..19"):
             train_sam(spec, ds, cfg, schedule=schedule)
+
+    def test_schedule_repeat_within_a_step(self, monkeypatch):
+        # A repeated entry would train with weight 2/b while gif counts it
+        # once, so the schedule is refused before any step.
+        ds = make_blobs(20, 3, 2, 2.0, seed=5)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(mod, "stacked_loss_grad", no_step)
+        schedule = np.array([[0, 1], [2, 3], [4, 4]])
+        with pytest.raises(InvalidInputError, match="step 2 lists a position twice"):
+            train_sam(spec, ds, SAMConfig(batch_size=2, steps=3), schedule=schedule)
 
     @pytest.mark.parametrize("schedule", [
         np.array([0, 1, 2]), np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.zeros((3, 2, 1), int),
@@ -183,12 +229,7 @@ class TestTrajectoryIO:
         assert back.n_train == traj.n_train
         assert back.total_steps == traj.total_steps
         assert back.config_digest == traj.config_digest
-        assert len(back.checkpoints) == len(traj.checkpoints)
-        for a, b in zip(traj.checkpoints, back.checkpoints):
-            assert a.step == b.step
-            assert a.eta == b.eta and a.weight == b.weight
-            np.testing.assert_array_equal(a.params, b.params)
-            np.testing.assert_array_equal(a.batch, b.batch)
+        _assert_same_run(back, traj)
         # Version 2 stores the SAM settings the trajectory estimator needs.
         assert (back.rho, back.p) == (traj.rho, traj.p) == (0.05, 2.0)
 
@@ -212,11 +253,7 @@ class TestTrajectoryIO:
         back = read_trajectory(path)
         assert back.rho is None and back.p is None
         assert back.config_digest == traj.config_digest
-        assert len(back.checkpoints) == len(traj.checkpoints)
-        for a, b in zip(traj.checkpoints, back.checkpoints):
-            assert (a.step, a.eta, a.weight) == (b.step, b.eta, b.weight)
-            np.testing.assert_array_equal(a.params, b.params)
-            np.testing.assert_array_equal(a.batch, b.batch)
+        _assert_same_run(back, traj)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.samt"
@@ -245,11 +282,80 @@ class TestTrajectoryIO:
 
     def test_batch_index_out_of_range(self, tmp_path):
         traj = self._traj()
-        traj.checkpoints[0].batch = np.array([10**6], dtype=np.int64)
+        traj.batches[3, 1] = 10**6
         path = tmp_path / "run.samt"
         write_trajectory(traj, path)
-        with pytest.raises(FormatError, match="out of range"):
+        with pytest.raises(FormatError, match="step 3: batch index out of range"):
             read_trajectory(path)
+
+    def test_batch_repeat_rejected(self, tmp_path):
+        traj = self._traj()
+        traj.batches[4, 2] = traj.batches[4, 0]
+        path = tmp_path / "run.samt"
+        write_trajectory(traj, path)
+        with pytest.raises(FormatError, match="step 4: batch lists a position twice"):
+            read_trajectory(path)
+
+    def test_thinned_file_rejected(self, tmp_path):
+        # Every other step's record, as a strided recording would write: the
+        # header still counts 7 updates, so the records run out.
+        traj = self._traj()
+        path = tmp_path / "thinned.samt"
+        _write_records(path, traj, [_record(traj, t) for t in (0, 2, 4, 6, 7)])
+        with pytest.raises(FormatError):
+            read_trajectory(path)
+        # Thinned with a matching header: the steps are not 0..T in order.
+        steps = [0, 2, 4, 6]
+        kept = replace(traj, params=traj.params[steps + [7]], batches=traj.batches[steps],
+                       etas=traj.etas[steps], weights=traj.weights[steps])
+        _write_records(path, kept, [_record(traj, t) for t in steps + [7]])
+        with pytest.raises(FormatError, match="steps 0..4 of one batch size"):
+            read_trajectory(path)
+
+    def test_record_helper_writes_the_writers_bytes(self, tmp_path):
+        traj = self._traj()
+        _write_records(tmp_path / "run.samt", traj, [_record(traj, t) for t in range(8)])
+        assert (tmp_path / "run.samt").read_bytes() == _file_bytes(tmp_path, traj)
+
+    def test_mixed_batch_counts_rejected(self, tmp_path):
+        # Step 1 uses 4 points and step 2 uses 6, so the file keeps the
+        # length of one with 5 everywhere.
+        traj = self._traj()
+        records = [_record(traj, t) for t in range(8)]
+        t, eta, weight, batch, params = records[1]
+        records[1] = (t, eta, weight, batch[:4], params)
+        t, eta, weight, batch, params = records[2]
+        extra = next(k for k in range(traj.n_train) if k not in batch)
+        records[2] = (t, eta, weight, np.append(batch, extra), params)
+        path = tmp_path / "mixed.samt"
+        _write_records(path, traj, records)
+        assert path.stat().st_size == len(_file_bytes(tmp_path, traj))
+        with pytest.raises(FormatError):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("change", ["missing update", "missing final", "extra record"])
+    def test_record_count_must_match_header(self, tmp_path, change):
+        traj = self._traj()
+        records = [_record(traj, t) for t in range(8)]
+        if change == "missing update":
+            del records[3]
+        elif change == "missing final":
+            del records[-1]
+        else:
+            records.append(records[-1])
+        path = tmp_path / "run.samt"
+        _write_records(path, traj, records)
+        with pytest.raises(FormatError):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("field,shape", [
+        ("params", (7, 9)), ("params", (9,)), ("batches", (6, 5)), ("batches", (7,)),
+        ("etas", (6,)), ("weights", (7, 1)),
+    ])
+    def test_shape_mismatch_rejected(self, field, shape):
+        traj = self._traj()
+        with pytest.raises(InvalidInputError, match=r"\(T\+1, P\) params"):
+            replace(traj, **{field: np.zeros(shape, getattr(traj, field).dtype)})
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.samt"
