@@ -4,10 +4,10 @@ Subpackages:
   numcore    norms, dual exponents, seeded batch schedules
   model      small differentiable classifiers (gradients, exact HVPs)
   samtrain   SAM optimizer, trajectory recording and persistence
-  influence  the three influence estimators, GMRES and Neumann iHVP, model editing
-  oracle     leave-one-out retraining ground truth and calibration
+  influence  the three influence estimators, GMRES and Neumann iHVP
+  oracle     leave-one-out and removal-set retraining ground truth, calibration
   datasets   blobs / CSV / IDX ingestion, label flipping
-  experiments, report, cli   batch experiment drivers and report emission
+  experiments, report, cli   batch experiment drivers, one report per run
 """
 
 from .model import Dataset, ModelSpec

@@ -1,6 +1,9 @@
 """Experiment drivers: data valuation, noise detection, misclassification
 tracing, model editing, and estimator calibration, all batch-mode and
-seed-deterministic. Each driver returns a Report for emit_report.
+seed-deterministic. Each driver returns a Report of its experiment id and
+config digest for emit_report. Every retrain goes through the removal
+oracle: valuate and detect-noise retrain all their removal sets in one
+sweep, and a set that removes nothing replays the trained model.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ class ExperimentConfig:
         object.__setattr__(self, "estimator", est)
         if self.model not in ("logistic", "mlp"):
             raise ConfigError(f"unknown model kind {self.model!r}")
+        if self.gif_mode not in ("gd", "sgd"):
+            raise ConfigError(f"unknown gif mode {self.gif_mode!r}")
 
     def digest(self) -> str:
         """Hash of every field as the run uses it: `eta` parsed, so equal
@@ -234,25 +239,22 @@ def rank_ascending(scores: Array) -> Array:
 
 def _removal_accuracies(
     cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig,
-    params: Array, order: Array, salt: int,
-) -> tuple[list, list, list]:
+    order: Array, salt: int,
+) -> tuple[list, list, float]:
     """Per removal fraction f: test accuracy after retraining without the
     first round(f*n) points of order, and without a seeded random set of
-    the same size (both via the oracle), and the fraction's wall time."""
+    the same size, all in one oracle sweep, and the sweep's wall time. A
+    fraction that removes nothing retrains on the empty set, which replays
+    the trained model bit for bit."""
+    start = time.perf_counter()
     n = order.size
-    acc_ranked, acc_random, walls = [], [], []
+    sets = []
     for fi, f in enumerate(cfg.removal_fractions):
-        start = time.perf_counter()
         m = int(round(f * n))
         rand = np.random.default_rng([cfg.seed, salt, fi]).choice(n, size=m, replace=False)
-        # Equal sizes give equal batch sizes: both retrains run as one block.
-        w_ranked, w_random = (
-            oracle.loo_retrain_many(spec, ds, [order[:m], rand], sam) if m else (params, params)
-        )
-        acc_ranked.append(mod.accuracy(spec, w_ranked, ds, "test"))
-        acc_random.append(mod.accuracy(spec, w_random, ds, "test"))
-        walls.append(time.perf_counter() - start)
-    return acc_ranked, acc_random, walls
+        sets += [order[:m], rand]
+    accs = [mod.accuracy(spec, w, ds, "test") for w in oracle.loo_retrain_many(spec, ds, sets, sam)]
+    return accs[0::2], accs[1::2], time.perf_counter() - start
 
 
 def cmd_train(cfg: ExperimentConfig) -> Report:
@@ -261,15 +263,14 @@ def cmd_train(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     params, traj = train_sam(spec, ds, sam)
     wall = time.perf_counter() - start
+    report = Report("train", cfg.digest())
     os.makedirs(cfg.out, exist_ok=True)
-    write_trajectory(traj, os.path.join(cfg.out, f"trajectory_{cfg.digest()[:8]}.samt"))
+    write_trajectory(traj, os.path.join(cfg.out, f"trajectory_{report.config_digest[:8]}.samt"))
     rows = ds.indices("train")
     train_loss, _ = mod.subset_loss_grad(spec, params, ds, rows, 1.0 / rows.size)
-    report = Report()
-    digest = cfg.digest()
-    report.add("train", digest, "train_loss", [cfg.steps], [train_loss], [wall])
+    report.add("train_loss", [cfg.steps], [train_loss], [wall])
     for split in ("train", "val", "test"):
-        report.add("train", digest, f"{split}_acc", [cfg.steps], [mod.accuracy(spec, params, ds, split)])
+        report.add(f"{split}_acc", [cfg.steps], [mod.accuracy(spec, params, ds, split)])
     return report
 
 
@@ -280,15 +281,8 @@ def cmd_attribute(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     scores = _val_scores(cfg, spec, ds, sam, params, traj)
     wall = time.perf_counter() - start
-    report = Report()
-    report.add(
-        "attribute",
-        cfg.digest(),
-        f"influence_score_{cfg.estimator}",
-        np.arange(scores.size),
-        scores,
-        [wall],
-    )
+    report = Report("attribute", cfg.digest())
+    report.add(f"influence_score_{cfg.estimator}", np.arange(scores.size), scores, [wall])
     return report
 
 
@@ -302,17 +296,15 @@ def cmd_valuate(cfg: ExperimentConfig) -> Report:
     n = scores.size
     order = rank_descending(scores)
     fractions = list(cfg.removal_fractions)
-    acc_retrain, acc_random, walls = _removal_accuracies(cfg, spec, ds, sam, params, order, 0x7A)
+    acc_retrain, acc_random, wall = _removal_accuracies(cfg, spec, ds, sam, order, 0x7A)
     sizes = [int(round(f * n)) for f in fractions]
     top = _vectors(cfg, spec, ds, sam, params, traj, order[: max(sizes, default=0)])
     acc_edit = [mod.accuracy(spec, params - top[:m].sum(axis=0), ds, "test") for m in sizes]
-    report = Report()
-    digest = cfg.digest()
-    report.add("valuate", digest, "acc_retrain", fractions, acc_retrain, walls)
-    report.add("valuate", digest, "acc_edit", fractions, acc_edit)
-    report.add("valuate", digest, "acc_random", fractions, acc_random)
-    baseline = mod.accuracy(spec, params, ds, "test")
-    report.add("valuate", digest, "acc_baseline", [0.0], [baseline])
+    report = Report("valuate", cfg.digest())
+    report.add("acc_retrain", fractions, acc_retrain, [wall])
+    report.add("acc_edit", fractions, acc_edit)
+    report.add("acc_random", fractions, acc_random)
+    report.add("acc_baseline", [0.0], [mod.accuracy(spec, params, ds, "test")])
     return report
 
 
@@ -339,15 +331,14 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
             out.append(hits / len(flipped_set))
         return out
 
-    report = Report()
-    digest = cfg.digest()
-    report.add("detect_noise", digest, "recall_is", _RECALL_GRID, recall_curve(order))
-    report.add("detect_noise", digest, "recall_random", _RECALL_GRID, recall_curve(random_order))
+    report = Report("detect_noise", cfg.digest())
+    report.add("recall_is", _RECALL_GRID, recall_curve(order))
+    report.add("recall_random", _RECALL_GRID, recall_curve(random_order))
 
     fractions = list(cfg.removal_fractions)
-    acc_is, acc_random, walls = _removal_accuracies(cfg, spec, noisy, sam, params, order, 0x4F)
-    report.add("detect_noise", digest, "acc_removed_is", fractions, acc_is, walls)
-    report.add("detect_noise", digest, "acc_removed_random", fractions, acc_random)
+    acc_is, acc_random, wall = _removal_accuracies(cfg, spec, noisy, sam, order, 0x4F)
+    report.add("acc_removed_is", fractions, acc_is, [wall])
+    report.add("acc_removed_random", fractions, acc_random)
     return report
 
 
@@ -359,9 +350,8 @@ def cmd_trace(cfg: ExperimentConfig) -> Report:
     test_rows = ds.indices("test")
     preds = mod.predict_labels(spec, params, ds.features[test_rows])
     mis = test_rows[preds != ds.labels[test_rows]][: cfg.max_trace_points]
-    report = Report()
-    digest = cfg.digest()
-    report.add("trace", digest, "misclassified_count", [0.0], [float(mis.size)])
+    report = Report("trace", cfg.digest())
+    report.add("misclassified_count", [0.0], [float(mis.size)])
     if mis.size == 0:
         return report
     start = time.perf_counter()
@@ -371,8 +361,8 @@ def cmd_trace(cfg: ExperimentConfig) -> Report:
     for row, point_scores in zip(mis, scores.T):
         helpful = rank_descending(point_scores)[:m]
         harmful = rank_ascending(point_scores)[:m]
-        report.add("trace", digest, f"helpful_test{row}", helpful, point_scores[helpful])
-        report.add("trace", digest, f"harmful_test{row}", harmful, point_scores[harmful])
+        report.add(f"helpful_test{row}", helpful, point_scores[helpful])
+        report.add(f"harmful_test{row}", harmful, point_scores[harmful])
     report.runs[0].wall_times = [time.perf_counter() - start]
     return report
 
@@ -397,17 +387,16 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     w_edit = params - _vectors(cfg, spec, ds, sam, params, traj, removed).sum(axis=0)
     edit_wall = time.perf_counter() - start
     start = time.perf_counter()
-    w_retrain = oracle.loo_retrain(spec, ds, removed, sam) if removed.size else params
+    w_retrain = oracle.loo_retrain(spec, ds, removed, sam)
     retrain_wall = time.perf_counter() - start
-    report = Report()
-    digest = cfg.digest()
-    report.add("edit", digest, "acc_baseline", [0.0], [mod.accuracy(spec, params, ds, "test")])
-    report.add("edit", digest, "acc_edited", [0.0], [mod.accuracy(spec, w_edit, ds, "test")], [edit_wall])
-    report.add("edit", digest, "acc_retrained", [0.0], [mod.accuracy(spec, w_retrain, ds, "test")], [retrain_wall])
+    report = Report("edit", cfg.digest())
+    report.add("acc_baseline", [0.0], [mod.accuracy(spec, params, ds, "test")])
+    report.add("acc_edited", [0.0], [mod.accuracy(spec, w_edit, ds, "test")], [edit_wall])
+    report.add("acc_retrained", [0.0], [mod.accuracy(spec, w_retrain, ds, "test")], [retrain_wall])
     rel = float(np.linalg.norm(w_edit - w_retrain) / max(np.linalg.norm(params), 1e-300))
-    report.add("edit", digest, "param_distance_rel", [0.0], [rel])
+    report.add("param_distance_rel", [0.0], [rel])
     os.makedirs(cfg.out, exist_ok=True)
-    np.save(os.path.join(cfg.out, f"edited_params_{digest[:8]}.npy"), w_edit)
+    np.save(os.path.join(cfg.out, f"edited_params_{report.config_digest[:8]}.npy"), w_edit)
     return report
 
 
@@ -421,10 +410,9 @@ def cmd_calibrate(cfg: ExperimentConfig) -> Report:
         spec, ds, sam, cfg.estimator, sample, cfg.neumann(), cfg.gif_mode
     )
     wall = time.perf_counter() - start
-    report = Report()
-    digest = cfg.digest()
-    report.add("calibrate", digest, f"pearson_{cfg.estimator}", [0.0], [cal.pearson], [wall])
-    report.add("calibrate", digest, f"spearman_{cfg.estimator}", [0.0], [cal.spearman])
-    report.add("calibrate", digest, f"sign_agreement_{cfg.estimator}", [0.0], [cal.sign_agreement])
-    report.add("calibrate", digest, f"n_points_{cfg.estimator}", [0.0], [cal.n_points])
+    report = Report("calibrate", cfg.digest())
+    report.add(f"pearson_{cfg.estimator}", [0.0], [cal.pearson], [wall])
+    report.add(f"spearman_{cfg.estimator}", [0.0], [cal.spearman])
+    report.add(f"sign_agreement_{cfg.estimator}", [0.0], [cal.sign_agreement])
+    report.add(f"n_points_{cfg.estimator}", [0.0], [cal.n_points])
     return report

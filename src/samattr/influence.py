@@ -636,16 +636,6 @@ def influence_score(
     return -float(gval @ ifvec)
 
 
-def edit_model(params: Array, ifvec: Array) -> Array:
-    """Apply an estimated removal: params - ifvec. Batched removals sum
-    their influence vectors first (editing is linear)."""
-    params = np.asarray(params, dtype=np.float64)
-    ifvec = np.asarray(ifvec, dtype=np.float64)
-    if params.shape != ifvec.shape:
-        raise InvalidInputError("edit_model: length mismatch")
-    return params - ifvec
-
-
 def compute_influence(
     request: InfluenceRequest,
     spec: mod.ModelSpec,

@@ -1,10 +1,11 @@
 """Machine-readable experiment reports and plot-data emission.
 
-A report is a list of runs; each run is one named curve. The report
-file holds one tab-separated key=value record per line and round-trips
-exactly (floats are written with repr). Each curve additionally gets a
-two-column tab-separated plot-data file; those contain only x/y values,
-so reruns with the same seed reproduce them byte for byte.
+A report is one experiment under one config: its id and config digest,
+and a list of runs, each one named curve. The report file holds one
+tab-separated key=value record per run and round-trips exactly (floats
+are written with repr). Each curve additionally gets a two-column
+tab-separated plot-data file; those contain only x/y values, so reruns
+with the same seed reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .errors import FormatError
 
 @dataclass
 class RunRecord:
-    experiment_id: str
-    config_digest: str  # hex
     metric: str
     x: list[float] = field(default_factory=list)
     y: list[float] = field(default_factory=list)
@@ -31,13 +30,16 @@ class RunRecord:
 
 @dataclass
 class Report:
+    """The runs of one experiment under one config; every record of its
+    file carries the experiment id and the config digest (hex)."""
+
+    experiment_id: str
+    config_digest: str
     runs: list[RunRecord] = field(default_factory=list)
 
-    def add(self, experiment_id, config_digest, metric, x, y, wall_times=()):
+    def add(self, metric, x, y, wall_times=()):
         self.runs.append(
             RunRecord(
-                experiment_id=experiment_id,
-                config_digest=config_digest,
                 metric=metric,
                 x=[float(v) for v in x],
                 y=[float(v) for v in y],
@@ -62,15 +64,13 @@ def emit_report(report: Report, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     if not report.runs:
         raise FormatError("refusing to emit an empty report")
-    exp_id = report.runs[0].experiment_id
-    digest8 = report.runs[0].config_digest[:8]
+    stem = f"{report.experiment_id}_{report.config_digest[:8]}"
+    head = [f"experiment={report.experiment_id}", f"digest={report.config_digest}"]
     paths = []
-    report_path = os.path.join(out_dir, f"{exp_id}_{digest8}.report")
+    report_path = os.path.join(out_dir, f"{stem}.report")
     with open(report_path, "w", encoding="utf-8") as f:
         for run in report.runs:
-            fields = [
-                f"experiment={run.experiment_id}",
-                f"digest={run.config_digest}",
+            fields = head + [
                 f"metric={run.metric}",
                 f"x={_fmt_floats(run.x)}",
                 f"y={_fmt_floats(run.y)}",
@@ -79,7 +79,7 @@ def emit_report(report: Report, out_dir: str) -> list[str]:
             f.write("\t".join(fields) + "\n")
     paths.append(report_path)
     for run in report.runs:
-        plot_path = os.path.join(out_dir, f"{run.experiment_id}_{digest8}_{run.metric}.tsv")
+        plot_path = os.path.join(out_dir, f"{stem}_{run.metric}.tsv")
         with open(plot_path, "w", encoding="utf-8") as f:
             for xv, yv in zip(run.x, run.y):
                 f.write(f"{xv!r}\t{yv!r}\n")
@@ -88,7 +88,9 @@ def emit_report(report: Report, out_dir: str) -> list[str]:
 
 
 def parse_report(path: str) -> Report:
-    report = Report()
+    """Read a report file; every record must name the first record's
+    experiment and digest, and the file must hold at least one."""
+    report = None
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -101,16 +103,17 @@ def parse_report(path: str) -> Report:
                 key, value = cell.split("=", 1)
                 record[key] = value
             try:
-                report.runs.append(
-                    RunRecord(
-                        experiment_id=record["experiment"],
-                        config_digest=record["digest"],
-                        metric=record["metric"],
-                        x=_parse_floats(record["x"]),
-                        y=_parse_floats(record["y"]),
-                        wall_times=_parse_floats(record["wall"]),
+                ident = (record["experiment"], record["digest"])
+                if report is None:
+                    report = Report(*ident)
+                elif ident != (report.experiment_id, report.config_digest):
+                    raise FormatError(
+                        f"{path}:{line_no}: experiment or digest differs from the first record's"
                     )
-                )
+                report.add(record["metric"], _parse_floats(record["x"]),
+                           _parse_floats(record["y"]), _parse_floats(record["wall"]))
             except KeyError as exc:
                 raise FormatError(f"{path}:{line_no}: missing field {exc}") from None
+    if report is None:
+        raise FormatError(f"{path}: no records")
     return report

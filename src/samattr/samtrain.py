@@ -250,6 +250,8 @@ def train_sam(
         schedule = np.asarray(schedule)
         if schedule.ndim != 2 or not np.issubdtype(schedule.dtype, np.integer):
             raise InvalidInputError("train_sam: schedule must be a 2-D integer array")
+        if schedule.shape[1] == 0:
+            raise InvalidInputError("train_sam: schedule has an empty batch (no positions per step)")
         if schedule.size and not 0 <= schedule.min() <= schedule.max() < n:
             raise InvalidInputError(f"train_sam: schedule entry out of range 0..{n - 1}")
         if len(schedule) < config.steps:

@@ -383,6 +383,19 @@ def test_sweeps_that_stay_in_one_process(monkeypatch, case):
     assert np.array_equal(W, W_one)
 
 
+@pytest.mark.parametrize("kind,schedule", [
+    ("logistic", "full"), ("logistic", "mini"), ("logistic", "epoch"),
+    ("tanh", "full"), ("tanh", "mini"), ("tanh", "epoch"),
+])
+def test_empty_set_replays_the_trained_model(kind, schedule):
+    # What lets valuate, detect-noise and edit treat "remove nothing" as
+    # one more removal set: loss scale 1 and the original schedule.
+    spec, ds = _problem(kind, seed=8)
+    cfg = _cfg(schedule, ds.indices("train").size)
+    W = loo_retrain_many(spec, ds, [[], [3]], cfg)
+    assert np.array_equal(W[0], train_sam(spec, ds, cfg)[0])
+
+
 def test_calibrate_retrains_its_sample_in_one_call(monkeypatch):
     spec, ds = _problem("logistic", seed=5)
     cfg = _cfg("mini", ds.indices("train").size, steps=10)
@@ -411,9 +424,8 @@ def test_removal_fractions_retrain_ranked_and_random_together(monkeypatch):
     monkeypatch.setattr(oracle, "loo_retrain_many", counted)
     ecfg = experiments.ExperimentConfig(removal_fractions=(0.0, 0.25, 0.5), seed=6)
     order = np.arange(ds.indices("train").size)[::-1]
-    params, _ = train_sam(spec, ds, cfg)
-    ranked, rand, _ = experiments._removal_accuracies(ecfg, spec, ds, cfg, params, order, 0x7A)
-    assert calls == [[6, 6], [12, 12]]
+    ranked, rand, _ = experiments._removal_accuracies(ecfg, spec, ds, cfg, order, 0x7A)
+    assert calls == [[0, 0, 6, 6, 12, 12]]
     assert ranked[1] == mod.accuracy(spec, _plain_retrain(spec, ds, order[:6], cfg), ds, "test")
 
 

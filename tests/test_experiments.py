@@ -99,6 +99,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/no/such/file.conf")
 
+    def test_unknown_gif_mode(self, tmp_path):
+        # Checked at load for every estimator, not when gif first runs.
+        path = tmp_path / "exp.conf"
+        path.write_text("estimator = if-fast\ngif_mode = sdg\n")
+        with pytest.raises(ConfigError, match="gif mode 'sdg'"):
+            load_config(str(path))
+        for mode in ("gd", "sgd"):
+            path.write_text(f"gif_mode = {mode}\n")
+            assert load_config(str(path)).gif_mode == mode
+
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "exp.conf"
         path.write_text("seed = 1\nout = a\n")
@@ -165,6 +175,7 @@ class TestDrivers:
         report = cmd_valuate(cfg)
         by_metric = {run.metric: run for run in report.runs}
         assert by_metric["acc_retrain"].x == [0.0, 0.1]
+        assert len(by_metric["acc_retrain"].wall_times) == 1  # one sweep for every fraction
         # Removing nothing must reproduce the baseline exactly.
         assert by_metric["acc_retrain"].y[0] == by_metric["acc_baseline"].y[0]
         assert by_metric["acc_edit"].y[0] == by_metric["acc_baseline"].y[0]

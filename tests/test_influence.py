@@ -8,7 +8,6 @@ from samattr.influence import (
     InfluenceRequest,
     NeumannConfig,
     compute_influence,
-    edit_model,
     eps_jacobian_vec,
     influence_score,
     neumann_ihvp,
@@ -315,23 +314,6 @@ class TestScoreAndEdit:
         s1 = influence_score(spec, params, ds, val, v)
         s2 = influence_score(spec, params, ds, val, 2.5 * v)
         assert s2 == pytest.approx(2.5 * s1, rel=1e-12)
-
-    def test_edit_model_subtracts(self):
-        params = np.array([1.0, 2.0, 3.0])
-        ifvec = np.array([0.5, -0.5, 1.0])
-        np.testing.assert_array_equal(edit_model(params, ifvec), [0.5, 2.5, 2.0])
-
-    def test_edit_batch_is_additive(self):
-        params = np.zeros(4)
-        a = np.array([1.0, 0.0, 0.0, 0.0])
-        b = np.array([0.0, 2.0, 0.0, 0.0])
-        combined = edit_model(params, a + b)
-        sequential = edit_model(edit_model(params, a), b)
-        np.testing.assert_array_equal(combined, sequential)
-
-    def test_edit_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            edit_model(np.zeros(3), np.zeros(4))
 
 
 class TestComputeInfluence:

@@ -202,6 +202,18 @@ class TestTrainSAM:
         with pytest.raises(InvalidInputError, match="step 2 lists a position twice"):
             train_sam(spec, ds, SAMConfig(batch_size=2, steps=3), schedule=schedule)
 
+    def test_schedule_of_empty_batches(self, monkeypatch):
+        # Empty batches would divide by a zero batch size at step 0.
+        ds = make_blobs(20, 3, 2, 2.0, seed=5)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(mod, "stacked_loss_grad", no_step)
+        with pytest.raises(InvalidInputError, match="empty batch"):
+            train_sam(spec, ds, SAMConfig(batch_size=2, steps=3), schedule=np.zeros((3, 0), int))
+
     @pytest.mark.parametrize("schedule", [
         np.array([0, 1, 2]), np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.zeros((3, 2, 1), int),
     ])
