@@ -8,14 +8,17 @@ weight, so at desk scale the removal's effect is not swamped by fresh
 schedule noise. Every replica's schedule comes from one draw of the
 original schedule, and replicas with the same batch size train together
 as one stacked (R, P) SAM run, bitwise equal to training each on its own.
-Each batch-size group is cut into ceil(R / RETRAIN_BLOCK) blocks of equal
-size (40 replicas: 20 + 20), and on Linux the blocks are spread over
-min(CPUs in the affinity mask, blocks) processes: the caller trains its
-share and forked children train the rest. A sweep of one block, a caller
-with other Python threads, or any other platform trains in the calling
-process alone. loo_retrain is its one-set case. The dense Hessian
-is assembled from Hessian-vector products and only exists as an audit
-tool for small parameter counts.
+The empty set's replica is the trained model itself. A sweep of R sets
+that may use W processes cuts blocks of at most
+min(RETRAIN_BLOCK, ceil(R / W)) replicas, each batch-size group into
+equal blocks (41 replicas on 2 CPUs: 21 + 20; 17 replicas: 9 + 8), and
+on Linux the blocks are spread over min(W, blocks) processes: the caller
+trains its share and forked children train the rest. A one-set sweep, a
+caller with other Python threads, or any other platform trains in the
+calling process alone. loo_retrain is the one-set case, and
+calibrate_estimator trains its model as the empty set of its one sweep.
+The dense Hessian is assembled from Hessian-vector products and only
+exists as an audit tool for small parameter counts.
 """
 
 from __future__ import annotations
@@ -34,14 +37,16 @@ from .errors import InvalidInputError
 from .influence import HVP_BLOCK, NeumannConfig, influence_scores
 from .influence import compute_influence  # noqa: F401  re-exported; bench/ traces it here
 from .numcore import sample_batches
-from .samtrain import SAMConfig, train_sam, train_sam_many
+from .samtrain import SAMConfig, recorded_trajectory, train_sam_many, train_split_size
+from .samtrain import train_sam  # noqa: F401  re-exported; bench/ traces it here
 
 Array = np.ndarray
 
 DENSE_HESSIAN_MAX_P = 2000
-# Most replicas per stacked removal retrain; a group of R replicas trains
-# as ceil(R / RETRAIN_BLOCK) equal blocks, spread over processes (see
-# _train_blocks).
+# Most replicas per stacked removal retrain. A sweep of R replicas over W
+# processes cuts each batch-size group into equal blocks of at most
+# min(RETRAIN_BLOCK, ceil(R / W)), so a short sweep still fills every
+# process (see loo_retrain_many and _train_blocks).
 # On the benchmark configs (2-vCPU x86-64, OpenBLAS) time per replica falls
 # up to about 20 per block and is flat within noise from there to 64; a
 # block's activations grow with it.
@@ -122,29 +127,37 @@ def drop_train_point(dataset: mod.Dataset, removed) -> mod.Dataset:
 
 
 def loo_retrain_many(
-    spec: mod.ModelSpec, dataset: mod.Dataset, removal_sets, config: SAMConfig
+    spec: mod.ModelSpec, dataset: mod.Dataset, removal_sets, config: SAMConfig, record=None
 ) -> Array:
     """Retrain once per removal set (one index or several each), replaying
     the original schedule with the set's slots resampled; row r of the
-    (R, P) result is the run without removal_sets[r].
+    (R, P) result is the run without removal_sets[r]. The empty set's row
+    is the trained model, and its replica diverges as "training".
 
     Replicas with the same batch size min(b, n-|S|) train together as
-    stacked (R, P) runs in ceil(R / RETRAIN_BLOCK) equal blocks, spread
-    over processes (_train_blocks); each row is bitwise the run
-    of its set on its own. Deterministic; a row does not depend on the
-    order of its set, its block or the number of CPUs.
+    stacked (R, P) runs. With W processes allowed (_workers), each group
+    of R_g replicas is cut into ceil(R_g / size) equal blocks, size =
+    min(RETRAIN_BLOCK, ceil(R / W)), and the blocks are spread over
+    processes (_train_blocks); each row is bitwise the run of its set on
+    its own. Deterministic; a row does not depend on the order of its set,
+    its block or the number of CPUs.
+
+    record(t, W), if given, is train_sam_many's hook on the block whose
+    row 0 is removal_sets[0]; that block is trained in the calling process.
     """
-    n = int(dataset.indices("train").size)
+    n = train_split_size(dataset, config)
     sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
     base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
     init = mod.init_params(spec, config.seed)
     groups: dict[int, list[int]] = {}
     for r, S in enumerate(sets):
         groups.setdefault(min(config.batch_size, n - S.size), []).append(r)
+    workers = _workers()
+    size = min(RETRAIN_BLOCK, -(-len(sets) // workers))
     blocks = [
         block
         for members in groups.values()
-        for block in np.array_split(members, -(-len(members) // RETRAIN_BLOCK))
+        for block in np.array_split(members, -(-len(members) // size))
     ]
 
     def train(block: Array) -> Array:
@@ -152,13 +165,17 @@ def loo_retrain_many(
         # Keep the original per-example weight 1/n (data loss (n-|S|)/n of
         # a batch mean): the L2 term keeps its relative strength; only S changes.
         loss_scales = np.array([(n - sets[r].size) / n for r in block])
-        labels = [f"retrain without training points {sets[r].tolist()}" for r in block]
+        labels = [
+            f"retrain without training points {sets[r].tolist()}" if sets[r].size else "training"
+            for r in block
+        ]
         return train_sam_many(
-            spec, dataset, config, batches, loss_scales, labels, np.tile(init, (len(block), 1))
+            spec, dataset, config, batches, loss_scales, labels, np.tile(init, (len(block), 1)),
+            record if block[0] == 0 else None,
         )
 
     out = np.empty((len(sets), spec.param_count))
-    for block, rows in zip(blocks, _train_blocks(train, blocks)):
+    for block, rows in zip(blocks, _train_blocks(train, blocks, workers)):
         out[block] = rows
     return out
 
@@ -166,6 +183,14 @@ def loo_retrain_many(
 def _cpu_count() -> int:
     """CPUs in this process's affinity mask (a cgroup CPU quota is not seen)."""
     return len(os.sched_getaffinity(0))
+
+
+def _workers() -> int:
+    """Processes a retrain sweep may use: the CPUs in the affinity mask on
+    Linux while the caller runs no other Python thread, else 1 (see
+    _train_blocks)."""
+    forkable = sys.platform == "linux" and threading.active_count() == 1
+    return _cpu_count() if forkable else 1
 
 
 def _train_share(train, blocks: list, share: range) -> tuple:
@@ -180,26 +205,26 @@ def _train_share(train, blocks: list, share: range) -> tuple:
     return None, done
 
 
-def _train_blocks(train, blocks: list) -> list[Array]:
-    """train(block) for every block, spread over min(CPUs, blocks) processes.
+def _train_blocks(train, blocks: list, workers: int) -> list[Array]:
+    """train(block) for every block, spread over min(workers, blocks)
+    processes.
 
     Process k trains blocks k, k + workers, ...; the caller is process 0,
-    and each other share runs in a child made by a bare os.fork that
-    pickles its outcome through a pipe and exits. The error of the
-    lowest-numbered failing block is raised, as in one process. Children
-    still running when the caller unwinds are killed and reaped; a child
-    that hangs is waited for without a time limit.
+    so it trains block 0, and each other share runs in a child made by a
+    bare os.fork that pickles its outcome through a pipe and exits. The
+    error of the lowest-numbered failing block is raised, as in one
+    process. Children still running when the caller unwinds are killed and
+    reaped; a child that hangs is waited for without a time limit.
 
-    Forking is used only on Linux, where it was measured (pthread OpenBLAS,
-    which shuts its thread pool down across a fork), and only while the
-    caller runs no other Python thread, whose held locks a child would
-    inherit; otherwise every block trains in the calling process. A BLAS
-    that is unsafe after fork (libgomp-built OpenBLAS, MKL) can still
-    deadlock a child. From Python 3.12 a fork with BLAS threads running
-    emits a DeprecationWarning.
+    _workers allows more than one process only on Linux, where forking was
+    measured (pthread OpenBLAS, which shuts its thread pool down across a
+    fork), and only while the caller runs no other Python thread, whose
+    held locks a child would inherit; otherwise every block trains in the
+    calling process. A BLAS that is unsafe after fork (libgomp-built
+    OpenBLAS, MKL) can still deadlock a child. From Python 3.12 a fork
+    with BLAS threads running emits a DeprecationWarning.
     """
-    forkable = sys.platform == "linux" and threading.active_count() == 1
-    workers = max(1, min(_cpu_count(), len(blocks))) if forkable else 1
+    workers = max(1, min(workers, len(blocks)))
     shares = [range(k, len(blocks), workers) for k in range(workers)]
     running, pipes = [], []
     try:
@@ -355,25 +380,44 @@ def calibrate_estimator(
     gif_mode: str = "sgd",
 ) -> CalibrationReport:
     """Compare predicted influence scores against actual leave-one-out
-    validation-loss changes for a seeded sample of training points."""
+    validation-loss changes for a seeded sample of training points.
+
+    One loo_retrain_many sweep of the empty set and the sample trains both
+    the model and its retrains. The empty set's block records the model's
+    trajectory in the calling process, bitwise train_sam's, so every
+    estimator (gif included) scores from the same sweep.
+    """
     n = int(dataset.indices("train").size)
     if not 1 <= sample_size <= n:
         raise InvalidInputError(f"sample_size must lie in 1..{n}, got {sample_size}")
+    if dataset.indices("val").size == 0:  # checked before the sweep, not after it
+        raise InvalidInputError("dataset has no val split rows")
     ncfg = ncfg or NeumannConfig()
-    params, traj = train_sam(spec, dataset, config)
-    base_val = validation_loss(spec, params, dataset)
-
     if sample_size == n:
         sample = np.arange(n)
     else:
         sample = np.sort(
             np.random.default_rng(config.seed).choice(n, size=sample_size, replace=False)
         )
+    recorded = np.empty((config.steps + 1, spec.param_count))
+
+    def record(t, W):
+        recorded[t] = W[0]
+
+    swept = loo_retrain_many(spec, dataset, [[], *sample], config, record)
+    params, retrained = swept[0], swept[1:]
+    recorded[-1] = params
+    traj = recorded_trajectory(
+        recorded,
+        sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled),
+        n,
+        config,
+    )
+    base_val = validation_loss(spec, params, dataset)
     # Same orientation as influence_score: positive = removal hurts.
     _, gval = mod.subset_loss_grad(spec, params, dataset, dataset.indices("val"), 1.0)
     predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
                                  config.lam, ncfg, sample, traj, gif_mode, gval[None])[:, 0]
-    retrained = loo_retrain_many(spec, dataset, sample, config)
     # Removal-induced loss change: positive means removal hurt.
     actual = np.array([validation_loss(spec, w_k, dataset) - base_val for w_k in retrained])
     return CalibrationReport(

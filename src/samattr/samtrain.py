@@ -237,11 +237,7 @@ def train_sam(
     split (0..n_train-1) per row, row t the batch of step t; the default,
     not checked again, is the seeded sample_batches schedule of the config.
     """
-    n = int(dataset.indices("train").size)
-    if n == 0:
-        raise ConfigError("dataset has no train split rows")
-    if config.batch_size > n:
-        raise ConfigError(f"batch size {config.batch_size} exceeds train size {n}")
+    n = train_split_size(dataset, config)
     if schedule is None:
         batches = sample_batches(
             n, config.batch_size, config.steps, config.seed, config.epoch_shuffled
@@ -269,10 +265,27 @@ def train_sam(
         mod.init_params(spec, config.seed), record,
     )[0]
     params[-1] = w
+    return w, recorded_trajectory(params, batches, n, config)
+
+
+def train_split_size(dataset: mod.Dataset, config: SAMConfig) -> int:
+    """Rows in the dataset's train split; a ConfigError when there are none
+    or fewer than the config's batch size."""
+    n = int(dataset.indices("train").size)
+    if n == 0:
+        raise ConfigError("dataset has no train split rows")
+    if config.batch_size > n:
+        raise ConfigError(f"batch size {config.batch_size} exceeds train size {n}")
+    return n
+
+
+def recorded_trajectory(params: Array, batches: Array, n: int, config: SAMConfig) -> Trajectory:
+    """The Trajectory of a run of config on an n-point train split: params
+    (T+1, P) holds its recorded parameters and batches (T, b) its schedule."""
     etas = np.array([config.eta_at(t) for t in range(config.steps)])
-    return w, Trajectory(params=params, batches=batches, etas=etas,
-                         weights=etas * (1.0 / batches.shape[1]), n_train=n,
-                         config_digest=config.digest(), rho=config.rho, p=config.p)
+    return Trajectory(params=params, batches=batches, etas=etas,
+                      weights=etas * (1.0 / batches.shape[1]), n_train=n,
+                      config_digest=config.digest(), rho=config.rho, p=config.p)
 
 
 def stationarity_report(

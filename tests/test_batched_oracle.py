@@ -14,10 +14,10 @@ import threading
 import numpy as np
 import pytest
 
-from samattr import experiments, oracle
+from samattr import experiments, oracle, samtrain
 from samattr import model as mod
 from samattr.datasets import make_blobs
-from samattr.errors import DivergenceError
+from samattr.errors import ConfigError, DivergenceError, InvalidInputError
 from samattr.model import Dataset, ModelSpec
 from samattr.numcore import sample_batches
 from samattr.oracle import drop_train_point, loo_retrain, loo_retrain_many, loo_schedule
@@ -240,6 +240,14 @@ def test_one_diverging_replica_names_its_set():
     assert np.all(np.isfinite(W))
 
 
+def test_batch_larger_than_train_split_is_a_config_error():
+    # The message train_sam gives, so calibrate reads as train does.
+    spec, ds = _problem("logistic", seed=4)
+    cfg = _cfg("mini", ds.indices("train").size, batch_size=ds.indices("train").size + 1)
+    with pytest.raises(ConfigError, match=r"^batch size \d+ exceeds train size \d+$"):
+        loo_retrain_many(spec, ds, [[], 3], cfg)
+
+
 def test_blocks_are_cut_equal(monkeypatch):
     # ceil(R / RETRAIN_BLOCK) blocks per batch-size group, sizes within one.
     spec, ds = _problem("logistic", seed=4, n=48)
@@ -342,17 +350,59 @@ def test_child_that_sends_nothing_is_an_error(monkeypatch):
     _no_child_left()
 
 
-def test_one_block_sweep_does_not_fork(monkeypatch):
+def test_one_set_sweep_does_not_fork(monkeypatch):
     spec, ds = _problem("logistic", seed=4)
     cfg = _cfg("mini", ds.indices("train").size, steps=3)
 
     def no_fork():
-        raise AssertionError("a one-block sweep forked")
+        raise AssertionError("a one-set sweep forked")
 
     monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
     monkeypatch.setattr(os, "fork", no_fork)
-    W = loo_retrain_many(spec, ds, range(ds.indices("train").size - 1), cfg)
-    assert np.array_equal(W[5], loo_retrain(spec, ds, 5, cfg))
+    W = loo_retrain_many(spec, ds, [[5, 9]], cfg)
+    assert np.array_equal(W[0], _plain_retrain(spec, ds, [5, 9], cfg))
+
+
+def _cuts(monkeypatch) -> list:
+    """Records the block sizes of every sweep from here on."""
+    cuts, real = [], oracle._train_blocks
+
+    def recorded(train, blocks, workers):
+        cuts.append([len(block) for block in blocks])
+        return real(train, blocks, workers)
+
+    monkeypatch.setattr(oracle, "_train_blocks", recorded)
+    return cuts
+
+
+def test_short_sweep_fills_every_cpu(monkeypatch):
+    # 17 sets on 2 CPUs: blocks of at most ceil(17 / 2) = 9, so 9 + 8
+    # train in two processes, not 17 in one.
+    spec, ds = _problem("logistic", seed=4, n=30)
+    cfg = _cfg("mini", ds.indices("train").size, steps=6)
+    sets = [[], *range(16)]
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+    cuts = _cuts(monkeypatch)
+    W_one = loo_retrain_many(spec, ds, sets, cfg)
+    pids = _forks(monkeypatch)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    W = loo_retrain_many(spec, ds, sets, cfg)
+    assert cuts == [[17], [9, 8]] and len(pids) == 1
+    assert np.array_equal(W, W_one)
+    for k in (1, 9, 16):
+        assert np.array_equal(W[k], _plain_retrain(spec, ds, sets[k], cfg))
+    _no_child_left()
+
+
+def test_cut_keeps_small_groups_whole(monkeypatch):
+    # Full batch: each set size is its own group. 3 groups of 2 rows on 2
+    # CPUs cut blocks of up to 3 rows, so no group splits into one-row blocks.
+    spec, ds = _problem("logistic", seed=4)
+    cfg = _cfg("full", ds.indices("train").size, steps=3)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    cuts = _cuts(monkeypatch)
+    loo_retrain_many(spec, ds, [[], [], [1, 2], [3, 4], [5], [6]], cfg)
+    assert cuts == [[2, 2, 2]]
 
 
 @pytest.mark.parametrize("case", ["empty sweep", "other platform", "other thread"])
@@ -402,13 +452,83 @@ def test_calibrate_retrains_its_sample_in_one_call(monkeypatch):
     calls = []
     real = oracle.loo_retrain_many
 
-    def counted(spec_, ds_, sets, cfg_):
-        calls.append(len(sets))
-        return real(spec_, ds_, sets, cfg_)
+    def counted(spec_, ds_, sets, cfg_, record):
+        calls.append([np.atleast_1d(S).size for S in sets])
+        return real(spec_, ds_, sets, cfg_, record)
 
     monkeypatch.setattr(oracle, "loo_retrain_many", counted)
     report = oracle.calibrate_estimator(spec, ds, cfg, "if_fast", 9)
-    assert calls == [9] and report.n_points == 9
+    assert calls == [[0] + [1] * 9] and report.n_points == 9
+
+
+def test_calibrate_trains_no_separate_model(monkeypatch):
+    spec, ds = _problem("tanh", seed=5)
+    cfg = _cfg("mini", ds.indices("train").size, steps=10)
+    expected = oracle.calibrate_estimator(spec, ds, cfg, "gif", 7)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("calibrate called train_sam")
+
+    monkeypatch.setattr(samtrain, "train_sam", no_training)
+    monkeypatch.setattr(oracle, "train_sam", no_training)
+    assert oracle.calibrate_estimator(spec, ds, cfg, "gif", 7) == expected
+
+
+@pytest.mark.parametrize("kind,schedule,cpus", [
+    ("logistic", "mini", 1), ("logistic", "full", 2), ("tanh", "mini", 2),
+    ("tanh", "epoch", 1), ("relu", "epoch", 2), ("relu", "full", 1),
+])
+def test_calibrate_records_train_sams_trajectory(monkeypatch, kind, schedule, cpus):
+    # The empty set's block records in the calling process, forked or not.
+    spec, ds = _problem(kind, seed=9)
+    n = ds.indices("train").size
+    cfg = _cfg(schedule, n, p=3.0 if kind == "tanh" else 2.0)
+    w, traj = train_sam(spec, ds, cfg)
+    seen = []
+    real = oracle.influence_scores
+
+    def captured(*args):
+        seen.append((args[3], args[9]))  # params, trajectory
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(oracle, "influence_scores", captured)
+    oracle.calibrate_estimator(spec, ds, cfg, "gif", n // 2)
+    (params, recorded), = seen
+    assert np.array_equal(params, w)
+    for field in ("params", "batches", "etas", "weights"):
+        assert np.array_equal(getattr(recorded, field), getattr(traj, field)), field
+        assert getattr(recorded, field).dtype == getattr(traj, field).dtype, field
+    assert (recorded.n_train, recorded.config_digest, recorded.rho, recorded.p) == (
+        traj.n_train, traj.config_digest, traj.rho, traj.p)
+
+
+def test_calibrate_without_val_rows_fails_before_training(monkeypatch):
+    spec, ds = _problem("logistic", seed=5)
+    no_val = Dataset(ds.features, ds.labels, np.where(ds.split == "val", "test", ds.split))
+    cfg = _cfg("mini", no_val.indices("train").size, steps=10)
+
+    def no_sweep(*args):
+        raise AssertionError("calibrate retrained before checking the val split")
+
+    monkeypatch.setattr(oracle, "loo_retrain_many", no_sweep)
+    with pytest.raises(InvalidInputError, match="no val split rows"):
+        oracle.calibrate_estimator(spec, no_val, cfg, "if_fast", 5)
+
+
+def test_removal_that_diverges_first_is_named_in_calibrate(monkeypatch):
+    # The outlier problem's model never diverges. In one block, the
+    # earliest step's first replica that draws the outlier is reported.
+    spec, ds, cfg, used, first_draw = _outlier_problem()
+    n = ds.n
+    with_val = Dataset(np.vstack([ds.features, ds.features[:4]]), np.r_[ds.labels, ds.labels[:4]],
+                       ["train"] * n + ["val"] * 4)
+    steps = {k: first_draw(k) for k in used if first_draw(k) is not None}
+    first = min(steps, key=lambda k: (steps[k], k))
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+    expected = rf"^retrain without training points \[{first}\] diverged at step {steps[first]} "
+    with pytest.raises(DivergenceError, match=expected):
+        oracle.calibrate_estimator(spec, with_val, cfg, "if_fast", n)
 
 
 def test_removal_fractions_retrain_ranked_and_random_together(monkeypatch):

@@ -41,6 +41,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, eta=1e9, steps=50, lam=0.0)
         assert main(["train", "--config", cfg]) == 3
 
+    def test_calibrate_reports_a_diverging_model_as_train_does(self, tmp_path, capsys):
+        # calibrate trains its model inside its retrain sweep; a model that
+        # diverges still reads as training, not as a retrain.
+        cfg = write_config(tmp_path, dataset="blobs(60, 5, 2, 3.0, 1)", eta=1e4, batch_size=8,
+                           steps=50, sample_size=5, seed=3)
+        assert main(["train", "--config", cfg]) == 3
+        train_err = capsys.readouterr().err
+        assert main(["calibrate", "--config", cfg]) == 3
+        assert capsys.readouterr().err == train_err
+        assert train_err.startswith("numerical divergence: training diverged at step ")
+
     def test_unwritable_output(self, tmp_path):
         cfg = write_config(tmp_path, out="/proc/definitely/not/writable")
         assert main(["train", "--config", cfg]) == 4
