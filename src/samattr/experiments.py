@@ -61,6 +61,10 @@ class ExperimentConfig:
             raise ConfigError("removal fractions must lie in [0, 1]")
         if not 0.0 <= self.flip_fraction <= 0.5:
             raise ConfigError("flip fraction must lie in [0, 0.5]")
+        if min(self.top_m, self.max_trace_points) < 0:
+            raise ConfigError("top_m and max_trace_points must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         est = self.estimator.replace("-", "_")
         if est not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")

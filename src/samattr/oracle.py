@@ -117,17 +117,9 @@ def loo_schedule(n: int, removed, config: SAMConfig) -> Array:
     return steps - np.searchsorted(S, steps)
 
 
-def drop_train_point(dataset: mod.Dataset, removed) -> mod.Dataset:
-    """Dataset without the given *train-split* rows; other splits kept."""
-    rows = dataset.indices("train")
-    S = _removal_set(rows.size, removed, "drop_train_point")
-    keep = np.ones(dataset.n, dtype=bool)
-    keep[rows[S]] = False
-    return mod.Dataset(dataset.features[keep], dataset.labels[keep], dataset.split[keep])
-
-
 def loo_retrain_many(
-    spec: mod.ModelSpec, dataset: mod.Dataset, removal_sets, config: SAMConfig, record=None
+    spec: mod.ModelSpec, dataset: mod.Dataset, removal_sets, config: SAMConfig,
+    record: Array | None = None,
 ) -> Array:
     """Retrain once per removal set (one index or several each), replaying
     the original schedule with the set's slots resampled; row r of the
@@ -142,13 +134,13 @@ def loo_retrain_many(
     its own. Deterministic; a row does not depend on the order of its set,
     its block or the number of CPUs.
 
-    record(t, W), if given, is train_sam_many's hook on the block whose
-    row 0 is removal_sets[0]; that block is trained in the calling process.
+    record, if given, is the (T+1, P) array train_sam_many fills with the
+    run of removal_sets[0]: it goes only to block 0, whose row 0 that set
+    is and which the calling process trains.
     """
     n = train_split_size(dataset, config)
     sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
     base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
-    init = mod.init_params(spec, config.seed)
     groups: dict[int, list[int]] = {}
     for r, S in enumerate(sets):
         groups.setdefault(min(config.batch_size, n - S.size), []).append(r)
@@ -170,8 +162,7 @@ def loo_retrain_many(
             for r in block
         ]
         return train_sam_many(
-            spec, dataset, config, batches, loss_scales, labels, np.tile(init, (len(block), 1)),
-            record if block[0] == 0 else None,
+            spec, dataset, config, batches, loss_scales, labels, record if block[0] == 0 else None
         )
 
     out = np.empty((len(sets), spec.param_count))
@@ -400,13 +391,8 @@ def calibrate_estimator(
             np.random.default_rng(config.seed).choice(n, size=sample_size, replace=False)
         )
     recorded = np.empty((config.steps + 1, spec.param_count))
-
-    def record(t, W):
-        recorded[t] = W[0]
-
-    swept = loo_retrain_many(spec, dataset, [[], *sample], config, record)
+    swept = loo_retrain_many(spec, dataset, [[], *sample], config, recorded)
     params, retrained = swept[0], swept[1:]
-    recorded[-1] = params
     traj = recorded_trajectory(
         recorded,
         sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled),

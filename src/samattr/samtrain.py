@@ -51,6 +51,8 @@ class SAMConfig:
             raise ConfigError("lambda must be >= 0")
         if self.batch_size < 1 or self.steps < 1:
             raise ConfigError("batch_size, steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if isinstance(self.eta, (int, float)):
             if self.eta <= 0.0:
                 raise ConfigError("eta must be > 0")
@@ -90,7 +92,8 @@ class SAMConfig:
 
 @dataclass
 class Trajectory:
-    """A recorded SAM run of T updates with batch size b."""
+    """A recorded SAM run of T updates with batch size b. Each step's batch
+    lists distinct train-split positions 0..n_train-1."""
 
     params: Array  # (T+1, P): row t the parameters before update t, row T the final ones
     batches: Array  # (T, b) int64: update t's train-split positions
@@ -110,6 +113,13 @@ class Trajectory:
                 self.weights.shape) != (2, (T + 1,), 2, (T,), (T,)):
             raise InvalidInputError("trajectory needs (T+1, P) params, (T, b) batches and "
                                     "(T,) etas and weights")
+        bad = np.flatnonzero(((self.batches < 0) | (self.batches >= self.n_train)).any(axis=1))
+        if bad.size:
+            raise InvalidInputError(f"step {bad[0]}: batch index out of range")
+        s = np.sort(self.batches, axis=1)
+        repeats = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+        if repeats.size:
+            raise InvalidInputError(f"step {repeats[0]}: batch lists a position twice")
 
     @property
     def param_count(self) -> int:
@@ -122,12 +132,6 @@ class Trajectory:
     @property
     def final_params(self) -> Array:
         return self.params[-1]
-
-
-def _repeated_steps(batches: Array) -> Array:
-    """The steps whose batch lists a position twice."""
-    s = np.sort(batches, axis=1)
-    return np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
 
 
 def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
@@ -179,27 +183,28 @@ def train_sam_many(
     batches,
     loss_scales: Array,
     labels: list[str],
-    init: Array,
-    record=None,
+    record: Array | None = None,
 ) -> Array:
     """The SAM step loop, run for R replicas at once as one (R, P) block.
 
     batches[t] is an (R, b) array of train-split positions: replica r's
-    batch at step t. Replica r starts from init[r], weights its batch-mean
-    data loss by loss_scales[r] and is named labels[r] if it diverges.
-    Every replica row is bitwise what a run of its own would give.
-    record(t, W), if given, is called before each update.
+    batch at step t. Every replica starts from the config's seeded
+    init_params; replica r weights its batch-mean data loss by
+    loss_scales[r] and is named labels[r] if it diverges. Every replica
+    row is bitwise what a run of its own would give. record, if given, is
+    a (T+1, P) array filled with replica 0's run: row t its parameters
+    before update t, row T its final ones.
     """
     train_rows = dataset.indices("train")
     X_train, y_train = mod._check_examples(
         spec, dataset.features[train_rows], dataset.labels[train_rows]
     )
-    W = np.array(init, dtype=np.float64, ndmin=2)
-    if W.shape != (len(labels), spec.param_count) or len(loss_scales) != len(labels):
+    if len(loss_scales) != len(labels):
         raise InvalidInputError(
-            f"train_sam_many: need one {spec.param_count}-parameter init row, loss scale and "
-            f"label per replica, got init {W.shape} for {len(labels)} labels"
+            f"train_sam_many: need one loss scale per label, got {len(loss_scales)} "
+            f"for {len(labels)} labels"
         )
+    W = np.tile(mod.init_params(spec, config.seed), (len(labels), 1))
     for t in range(config.steps):
         batch = batches[t]
         eta = config.eta_at(t)
@@ -215,56 +220,27 @@ def train_sam_many(
         _, G_pert = mod.stacked_loss_grad(spec, W + eps, X, y)
         G_sam = scale[:, None] * G_pert + config.lam * W
         if record is not None:
-            record(t, W)
+            record[t] = W[0]
         W = W - eta * G_sam
     bad = ~np.all(np.isfinite(W), axis=1)
     if bad.any():
         label = labels[int(np.argmax(bad))]
         raise DivergenceError(f"{label} diverged at step {config.steps} (non-finite weights)")
+    if record is not None:
+        record[config.steps] = W[0]
     return W
 
 
 def train_sam(
-    spec: mod.ModelSpec,
-    dataset: mod.Dataset,
-    config: SAMConfig,
-    schedule: Array | None = None,
+    spec: mod.ModelSpec, dataset: mod.Dataset, config: SAMConfig
 ) -> tuple[Array, Trajectory]:
-    """Run T SAM steps over the dataset's train split (train_sam_many with
-    one replica) and record the trajectory.
-
-    schedule is a (T, b) array of distinct positions within the train
-    split (0..n_train-1) per row, row t the batch of step t; the default,
-    not checked again, is the seeded sample_batches schedule of the config.
-    """
+    """Run T SAM steps over the dataset's train split on the config's
+    seeded sample_batches schedule (train_sam_many with one replica) and
+    record the trajectory."""
     n = train_split_size(dataset, config)
-    if schedule is None:
-        batches = sample_batches(
-            n, config.batch_size, config.steps, config.seed, config.epoch_shuffled
-        )
-    else:
-        schedule = np.asarray(schedule)
-        if schedule.ndim != 2 or not np.issubdtype(schedule.dtype, np.integer):
-            raise InvalidInputError("train_sam: schedule must be a 2-D integer array")
-        if schedule.shape[1] == 0:
-            raise InvalidInputError("train_sam: schedule has an empty batch (no positions per step)")
-        if schedule.size and not 0 <= schedule.min() <= schedule.max() < n:
-            raise InvalidInputError(f"train_sam: schedule entry out of range 0..{n - 1}")
-        if len(schedule) < config.steps:
-            raise ConfigError("batch schedule shorter than the configured step count")
-        batches = schedule[: config.steps].astype(np.int64)
-        if (repeats := _repeated_steps(batches)).size:
-            raise InvalidInputError(f"train_sam: schedule step {repeats[0]} lists a position twice")
+    batches = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
     params = np.empty((config.steps + 1, spec.param_count))
-
-    def record(t, W):
-        params[t] = W[0]
-
-    w = train_sam_many(
-        spec, dataset, config, batches[:, None], np.ones(1), ["training"],
-        mod.init_params(spec, config.seed), record,
-    )[0]
-    params[-1] = w
+    w = train_sam_many(spec, dataset, config, batches[:, None], np.ones(1), ["training"], params)[0]
     return w, recorded_trajectory(params, batches, n, config)
 
 
@@ -359,12 +335,10 @@ def read_trajectory(path) -> Trajectory:
     if (not np.array_equal(recs["step"], np.arange(T)) or np.any(recs["count"] != b)
             or T and b == 0 or final[0] != T or final[3] != 0):
         raise FormatError(f"trajectory needs steps 0..{T} of one batch size, the last empty")
-    batches = recs["batch"].astype(np.int64)
-    bad = np.flatnonzero((batches >= n).any(axis=1))
-    if bad.size:
-        raise FormatError(f"step {bad[0]}: batch index out of range")
-    if (repeats := _repeated_steps(batches)).size:
-        raise FormatError(f"step {repeats[0]}: batch lists a position twice")
     rho, p = (None if math.isnan(v) else v for v in settings)
-    return Trajectory(params=params, batches=batches, etas=recs["eta"].copy(),
-                      weights=recs["weight"].copy(), n_train=n, config_digest=digest, rho=rho, p=p)
+    try:
+        return Trajectory(params=params, batches=recs["batch"].astype(np.int64),
+                          etas=recs["eta"].copy(), weights=recs["weight"].copy(), n_train=n,
+                          config_digest=digest, rho=rho, p=p)
+    except InvalidInputError as exc:  # a batch entry out of range or repeated
+        raise FormatError(str(exc)) from None

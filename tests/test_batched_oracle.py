@@ -20,7 +20,7 @@ from samattr.datasets import make_blobs
 from samattr.errors import ConfigError, DivergenceError, InvalidInputError
 from samattr.model import Dataset, ModelSpec
 from samattr.numcore import sample_batches
-from samattr.oracle import drop_train_point, loo_retrain, loo_retrain_many, loo_schedule
+from samattr.oracle import loo_retrain, loo_retrain_many, loo_schedule
 from samattr.samtrain import SAMConfig, train_sam, worst_perturbation
 
 SPECS = {
@@ -93,13 +93,20 @@ def _plain_train_sam(spec, ds, cfg, schedule=None, loss_scale=1.0):
     return w, record
 
 
+def _without_train_points(ds, S):
+    """ds without the train-split rows at positions S; other splits kept."""
+    keep = np.ones(ds.n, dtype=bool)
+    keep[ds.indices("train")[np.asarray(S, dtype=np.int64)]] = False
+    return Dataset(ds.features[keep], ds.labels[keep], ds.split[keep])
+
+
 def _plain_retrain(spec, ds, removed, cfg):
     """Removal retrain spelled out: replayed schedule, reduced dataset,
     per-example weight 1/n."""
     n = ds.indices("train").size
     S = np.atleast_1d(removed)
     schedule = loo_schedule(n, S, cfg)
-    w, _ = _plain_train_sam(spec, drop_train_point(ds, S), cfg, schedule, (n - S.size) / n)
+    w, _ = _plain_train_sam(spec, _without_train_points(ds, S), cfg, schedule, (n - S.size) / n)
     return w
 
 

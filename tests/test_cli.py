@@ -68,6 +68,18 @@ class TestExitCodes:
         assert main(["calibrate", "--config", cfg]) == 2
         assert "sample_size" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        # NumPy's seeding would raise a bare ValueError (exit 1, a traceback).
+        assert main(["train", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize("key", ["top_m", "max_trace_points"])
+    def test_negative_trace_count_is_config_error(self, tmp_path, capsys, key):
+        # A negative count would slice from the end: 38-point "top" lists of 40.
+        cfg = write_config(tmp_path, dataset="blobs(40, 4, 2, 0.8, 1)", steps=30, **{key: -2})
+        assert main(["trace", "--config", cfg]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
 
 class TestOverrides:
     def test_seed_override_changes_digest(self, tmp_path, capsys):

@@ -19,7 +19,9 @@ from samattr.model import Dataset, ModelSpec
 from samattr.oracle import dense_hessian
 from samattr.samtrain import (
     SAMConfig,
+    recorded_trajectory,
     train_sam,
+    train_sam_many,
     worst_perturbation,
 )
 
@@ -243,7 +245,9 @@ class TestGif:
             for _ in range(40)
         ]
         schedule = np.stack(steps)
-        _, traj = train_sam(spec, ds, cfg, schedule=schedule)
+        params = np.empty((41, spec.param_count))
+        train_sam_many(spec, ds, cfg, schedule[:, None], np.ones(1), ["training"], params)
+        traj = recorded_trajectory(params, schedule, 30, cfg)
         ifvec = sam_gif(traj, spec, ds, 0, mode="sgd")
         assert np.all(ifvec == 0.0)
 

@@ -11,7 +11,6 @@ from samattr.oracle import (
     _sign_agreement,
     calibrate_estimator,
     dense_hessian,
-    drop_train_point,
     loo_retrain,
     loo_schedule,
     validation_loss,
@@ -54,23 +53,6 @@ class TestLooSchedule:
     def test_out_of_range(self):
         with pytest.raises(InvalidInputError):
             loo_schedule(10, 10, SAMConfig(batch_size=2, steps=1))
-
-
-class TestDropTrainPoint:
-    def test_removes_only_that_row(self):
-        ds = make_blobs(20, 3, 2, 2.0, seed=0)
-        reduced = drop_train_point(ds, 5)
-        assert reduced.n == ds.n - 1
-        assert reduced.indices("train").size == 19
-        assert reduced.indices("val").size == ds.indices("val").size
-        rows = ds.indices("train")
-        keep = np.delete(np.arange(ds.n), rows[5])
-        np.testing.assert_array_equal(reduced.features, ds.features[keep])
-
-    def test_out_of_range(self):
-        ds = make_blobs(10, 3, 2, 2.0, seed=0)
-        with pytest.raises(InvalidInputError):
-            drop_train_point(ds, 10)
 
 
 class TestLooRetrain:
@@ -218,14 +200,6 @@ class TestRemovalSets:
         _, g = mod.subset_loss_grad(spec, w, ds, kept, 1.0)
         assert np.linalg.norm(g / n + cfg.lam * w) < 1e-8
         assert np.linalg.norm(g / kept.size + cfg.lam * w) > 1e-3
-
-    def test_drop_train_point_set(self):
-        ds = make_blobs(20, 3, 2, 2.0, seed=0)
-        reduced = drop_train_point(ds, [5, 1])
-        rows = ds.indices("train")
-        keep = np.delete(np.arange(ds.n), rows[[1, 5]])
-        np.testing.assert_array_equal(reduced.features, ds.features[keep])
-        assert reduced.indices("val").size == ds.indices("val").size
 
     @pytest.mark.parametrize("bad", [[1, 1], [-1], [0, 30], [0.5], [[1, 2]]])
     def test_invalid_sets(self, bad):

@@ -12,6 +12,7 @@ from samattr.numcore import p_norm, sample_batches
 from samattr.samtrain import (
     SAMConfig,
     read_trajectory,
+    recorded_trajectory,
     stationarity_report,
     train_sam,
     worst_perturbation,
@@ -57,6 +58,10 @@ class TestSAMConfig:
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ConfigError):
             SAMConfig(eta=0.0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            SAMConfig(seed=-1)
 
     def test_step_decay_lookup(self):
         cfg = SAMConfig(eta=((0, 0.5), (100, 0.05), (200, 0.005)))
@@ -179,49 +184,19 @@ class TestTrainSAM:
 
     @pytest.mark.parametrize("entry", [-1, 20, 99])
     def test_schedule_entry_outside_train_split(self, entry):
-        # -1 would silently wrap to the last train row, 20 is one past it.
-        ds = make_blobs(20, 3, 2, 2.0, seed=5)
-        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        # A schedule is checked where its Trajectory is built: -1 would
+        # silently wrap to the last train row, 20 is one past it.
         cfg = SAMConfig(batch_size=2, steps=3, seed=0)
-        assert ds.indices("train").size == 20
         schedule = np.array([[0, 1], [2, entry], [4, 5]])
-        with pytest.raises(InvalidInputError, match="out of range 0..19"):
-            train_sam(spec, ds, cfg, schedule=schedule)
+        with pytest.raises(InvalidInputError, match="step 1: batch index out of range"):
+            recorded_trajectory(np.zeros((4, 9)), schedule, 20, cfg)
 
-    def test_schedule_repeat_within_a_step(self, monkeypatch):
-        # A repeated entry would train with weight 2/b while gif counts it
-        # once, so the schedule is refused before any step.
-        ds = make_blobs(20, 3, 2, 2.0, seed=5)
-        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(mod, "stacked_loss_grad", no_step)
+    def test_schedule_repeat_within_a_step(self):
+        # A repeated entry would count twice in training and once in gif.
+        cfg = SAMConfig(batch_size=2, steps=3, seed=0)
         schedule = np.array([[0, 1], [2, 3], [4, 4]])
-        with pytest.raises(InvalidInputError, match="step 2 lists a position twice"):
-            train_sam(spec, ds, SAMConfig(batch_size=2, steps=3), schedule=schedule)
-
-    def test_schedule_of_empty_batches(self, monkeypatch):
-        # Empty batches would divide by a zero batch size at step 0.
-        ds = make_blobs(20, 3, 2, 2.0, seed=5)
-        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(mod, "stacked_loss_grad", no_step)
-        with pytest.raises(InvalidInputError, match="empty batch"):
-            train_sam(spec, ds, SAMConfig(batch_size=2, steps=3), schedule=np.zeros((3, 0), int))
-
-    @pytest.mark.parametrize("schedule", [
-        np.array([0, 1, 2]), np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.zeros((3, 2, 1), int),
-    ])
-    def test_schedule_must_be_2d_integer(self, schedule):
-        ds = make_blobs(20, 3, 2, 2.0, seed=5)
-        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
-        with pytest.raises(InvalidInputError, match="2-D integer array"):
-            train_sam(spec, ds, SAMConfig(batch_size=2, steps=3), schedule=schedule)
+        with pytest.raises(InvalidInputError, match="step 2: batch lists a position twice"):
+            recorded_trajectory(np.zeros((4, 9)), schedule, 20, cfg)
 
 
 class TestTrajectoryIO:
