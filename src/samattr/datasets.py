@@ -136,10 +136,15 @@ def load_idx_pair(images_path: str, labels_path: str) -> Dataset:
     return Dataset(features=images.astype(np.float64) / 255.0, labels=labels.astype(np.int64))
 
 
+def check_split_fractions(val_fraction: float, test_fraction: float) -> None:
+    """Both fractions nonnegative and their sum below 1 (NaN fails)."""
+    if not (val_fraction >= 0 and test_fraction >= 0 and val_fraction + test_fraction < 1):
+        raise ConfigError("val/test fractions must be nonnegative and sum below 1")
+
+
 def split_dataset(ds: Dataset, val_fraction: float, test_fraction: float, seed: int) -> Dataset:
     """Reassign split tags by a seeded shuffle."""
-    if val_fraction < 0 or test_fraction < 0 or val_fraction + test_fraction >= 1:
-        raise ConfigError("val/test fractions must be nonnegative and sum below 1")
+    check_split_fractions(val_fraction, test_fraction)
     n = ds.n
     order = np.random.default_rng(seed).permutation(n)
     n_val = int(round(val_fraction * n))

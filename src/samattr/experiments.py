@@ -31,7 +31,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "
 class ExperimentConfig:
     dataset: str = "blobs(200, 10, 2, 3.0, 1)"
     label_column: str = "label"
-    val_fraction: float = 0.15  # used only when the source has no splits
+    val_fraction: float = 0.15  # used only when the source has no splits; checked always
     test_fraction: float = 0.15
     model: str = "logistic"
     hidden: tuple[int, ...] = (8,)
@@ -57,6 +57,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        datasets.check_split_fractions(self.val_fraction, self.test_fraction)
         if any(not 0.0 <= f <= 1.0 for f in self.removal_fractions):
             raise ConfigError("removal fractions must lie in [0, 1]")
         if not 0.0 <= self.flip_fraction <= 0.5:
@@ -375,7 +376,8 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     """Edit the model by subtracting summed influence vectors of the
     removal set (explicit indices, or the bottom fraction by score) and
     compare against retraining without those points (the oracle's
-    replayed schedule)."""
+    replayed schedule): the edited and the unedited parameters' distances
+    to the retrained ones, relative to the trained parameters' norm."""
     spec, ds, sam = setup(cfg)
     n = int(ds.indices("train").size)
     removed = np.asarray(cfg.edit_indices, dtype=np.int64)
@@ -397,8 +399,10 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     report.add("acc_baseline", [0.0], [mod.accuracy(spec, params, ds, "test")])
     report.add("acc_edited", [0.0], [mod.accuracy(spec, w_edit, ds, "test")], [edit_wall])
     report.add("acc_retrained", [0.0], [mod.accuracy(spec, w_retrain, ds, "test")], [retrain_wall])
-    rel = float(np.linalg.norm(w_edit - w_retrain) / max(np.linalg.norm(params), 1e-300))
-    report.add("param_distance_rel", [0.0], [rel])
+    norm = max(np.linalg.norm(params), 1e-300)
+    report.add("param_distance_rel", [0.0], [float(np.linalg.norm(w_edit - w_retrain) / norm)])
+    # The no-edit control: an edit helps only where param_distance_rel is below it.
+    report.add("param_distance_none", [0.0], [float(np.linalg.norm(params - w_retrain) / norm)])
     os.makedirs(cfg.out, exist_ok=True)
     np.save(os.path.join(cfg.out, f"edited_params_{report.config_digest[:8]}.npy"), w_edit)
     return report

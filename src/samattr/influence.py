@@ -32,10 +32,11 @@ call, and right-hand sides are solved as blocks, one block HVP per
 iteration. The perturbation's Jacobian is the closed form (d eps / d g) H
 for every p, symmetric in its gradient factor, which is what makes A^T as
 cheap as A. The trajectory estimator replays the recorded steps once, in
-blocks of consecutive steps of at most GIF_BLOCK_FLOATS gradient floats:
-per block, one stacked gradient call gives every step's perturbation and
-one more the per-example gradients of the scored points each step used;
-its scores are its vectors' dot products.
+blocks of consecutive steps of at most GIF_BLOCK_FLOATS factor floats:
+per block, one stacked gradient call gives every step's perturbation, one
+factor call at the perturbed weights gives every per-example gradient as
+(delta, a) factors, and one batched matmul per layer adds them into the
+scored points' rows; its scores are its vectors' dot products.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ KRYLOV_RTOL = 1e-10
 # stay within; a large model's block solves get fewer than HVP_BLOCK rows.
 KRYLOV_BASIS_FLOATS = 2**23
 
-# Floats of per-example gradients one block of gif's trajectory replay
-# should stay within: a block of C steps, each scoring at most m points,
-# holds (C, m, P) gradients, so C = max(1, this // (m P)). At C = 1 a
-# block holds what one step's per-example call does.
+# Floats one block of gif's trajectory replay should stay within: a block
+# of C steps holds per-example factors of C b' input rows, sum(fan_in +
+# fan_out) floats each (b' = b in sgd mode, n_train in gd mode), so C =
+# max(1, this // (b' sum(fan_in + fan_out))); a chunk of its points holds
+# at most this many gradient and gathered factor floats.
 GIF_BLOCK_FLOATS = 2**16
 
 
@@ -539,17 +541,22 @@ def sam_gif(
 def _gif_vectors(
     trajectory: Trajectory, spec: mod.ModelSpec, dataset: mod.Dataset, ks, mode: str
 ) -> Array:
-    """sam_gif for every training index in ks from one replay, in blocks of
-    steps (_gif_blocks) with no per-step kernel call. A block makes two
-    stacked_loss_grad calls: one over its steps' parameter rows and
-    batches, whose gradients give every perturbation in one
-    worst_perturbation call, and one over the perturbed rows, each
-    broadcast over one-example stacks of the scored points its step used.
-    A point listed twice in ks is replayed once and its row repeated. Each
-    row adds its steps' terms in step order, so it is bitwise the
-    one-step-at-a-time replay's, whatever the block size.
+    """sam_gif for every training index in ks from one replay, with no
+    per-step kernel call. The T steps are cut into windows of C
+    consecutive steps, the same whatever ks is, and the steps of a window
+    that score a point make one block of two calls: stacked_loss_grad over
+    their parameter rows and batches, whose gradients give every
+    perturbation in one worst_perturbation call, and stacked_loss_factors
+    at the perturbed rows over a fixed-shape input, the step's batch in sgd
+    mode and the whole train split in gd mode. _add_gif_terms then adds
+    the block's weighted per-example gradients into each point's row. C
+    keeps a block's factors within GIF_BLOCK_FLOATS.
 
-    A batch entry outside 0..n_train-1 is rejected before any replay work."""
+    A point's terms, and the order its row adds them in, do not depend on
+    which other points are scored, so a row is bitwise the same whatever
+    else ks holds; a point listed twice in ks is replayed once and its row
+    repeated. A batch entry outside 0..n_train-1 is rejected before any
+    replay work."""
     if mode not in ("gd", "sgd"):
         raise InvalidInputError(f"unknown gif mode {mode!r}")
     if trajectory.param_count != spec.param_count:
@@ -573,45 +580,65 @@ def _gif_vectors(
     X_train, y_train = mod._check_examples(spec, dataset.features[rows], dataset.labels[rows])
     slot = np.full(n, -1)  # slot[k]: k's row of uniq, or -1 if k is not scored
     slot[uniq] = np.arange(uniq.size)
-    for sel, hits in _gif_blocks(batches, slot, uniq.size, spec.param_count, mode):
+    T = len(batches)
+    if mode == "sgd":
+        scored, live = batches, (slot[batches] >= 0).any(axis=1)
+    else:
+        scored, live = np.broadcast_to(np.arange(n), (T, n)), np.full(T, uniq.size > 0)
+    sizes = spec.layer_sizes
+    C = max(1, GIF_BLOCK_FLOATS // (scored.shape[1] * (sum(sizes[:-1]) + sum(sizes[1:]))))
+    for first in range(0, T, C):
+        sel = first + np.flatnonzero(live[first : first + C])
+        if sel.size == 0:
+            continue
         W = trajectory.params[sel]  # a gathered copy: the perturbation is added in place
-        batch = batches[sel]
+        batch, rows_in = batches[sel], scored[sel]
         _, G = mod.stacked_loss_grad(spec, W, X_train[batch], y_train[batch])
         W += worst_perturbation((1.0 / batch.shape[1]) * G, trajectory.rho, trajectory.p)
-        # Pad slots (-1) compute the first scored point's gradient and are dropped.
-        pts = uniq[np.maximum(hits, 0)]
-        _, G = mod.stacked_loss_grad(spec, W, X_train[pts][..., None, :],
-                                     y_train[pts][..., None])
-        G *= trajectory.weights[sel][:, None, None]
-        for c, pad in enumerate((hits < 0).sum(axis=1)):
-            total[hits[c, pad:]] += G[c, pad:]
+        factors = mod.stacked_loss_factors(spec, W, X_train[rows_in], y_train[rows_in])[1]
+        _add_gif_terms(spec, total, factors, slot[rows_in], trajectory.weights[sel])
+        del factors  # held no longer than its block
     # Sorted, distinct ks (every command's) need no gathered copy of total.
     out = total if np.array_equal(uniq, ks) else total[inverse]
     return np.negative(out, out=out)
 
 
-def _gif_blocks(batches: Array, slot: Array, count: int, P: int, mode: str):
-    """Cut the (T, b) batches into replay blocks (sel, hits): sel the
-    indices of C consecutive scoring steps, hits (C, m) the rows of uniq
-    (slot entries) each of them scores, padded with -1 in front. C =
-    max(1, GIF_BLOCK_FLOATS // (m P)), m the largest count any step of the
-    block scores. In gd mode every step scores every point; in sgd mode a
-    step scores the points of its batch (distinct, as train_sam and
-    read_trajectory require), and one that scores none is left out."""
-    if mode == "gd":
-        hits = np.broadcast_to(np.arange(count), (len(batches), count))
-    else:
-        hits = np.sort(slot[batches], axis=1)
-    counts = (hits >= 0).sum(axis=1)
-    live = np.flatnonzero(counts)
-    i = 0
-    while i < live.size:
-        m, j = counts[live[i]], i + 1
-        while j < live.size and (j - i + 1) * max(m, counts[live[j]]) * P <= GIF_BLOCK_FLOATS:
-            m, j = max(m, counts[live[j]]), j + 1
-        sel = live[i:j]
-        yield sel, hits[sel, hits.shape[1] - m :]
-        i = j
+def _add_gif_terms(
+    spec: mod.ModelSpec, total: Array, factors: list[tuple[Array, Array]], hits: Array,
+    weights: Array,
+) -> None:
+    """total[u] += weights[c] * (example gradient of factor row (c, j)) for
+    every row of the block with hits[c, j] = u. The rows are sorted by
+    point, each point's in step order, and a chunk of K consecutive points
+    gathers its weighted delta rows D and a rows A into (K, S, fan)
+    stacks, zero-padded to the most rows S any of them has (at least 2:
+    NumPy's matmul leaves BLAS for an inner dimension of 1). Per layer one
+    batched D^T A matmul and one sum of D over S then add into views of
+    the chunk's rows of total. K keeps a chunk's gradients and gathered
+    factors within GIF_BLOCK_FLOATS."""
+    c, j = np.nonzero(hits >= 0)  # step-major
+    pts = hits[c, j]
+    order = np.argsort(pts, kind="stable")  # by point, then step
+    c, j, pts = c[order], j[order], pts[order]
+    counts = np.bincount(pts, minlength=total.shape[0])
+    rank = np.arange(pts.size) - (np.cumsum(counts) - counts)[pts]
+    fan_sum = sum(d.shape[-1] + a.shape[-1] for d, a in factors)
+    K = max(1, GIF_BLOCK_FLOATS // max(total.shape[1], max(2, int(counts.max())) * fan_sum))
+    for lo in range(int(pts[0]), int(pts[-1]) + 1, K):
+        hi = min(lo + K, total.shape[0])
+        s0, s1 = np.searchsorted(pts, [lo, hi])
+        if s0 == s1:
+            continue
+        S = max(2, int(counts[lo:hi].max()))
+        at = (pts[s0:s1] - lo, rank[s0:s1])
+        cs, js = c[s0:s1], j[s0:s1]
+        for (Wv, bv), (d, a) in zip(mod._unpack_rows(spec, total[lo:hi]), factors):
+            D = np.zeros((hi - lo, S, d.shape[-1]))
+            A = np.zeros((hi - lo, S, a.shape[-1]))
+            D[at] = d[cs, js] * weights[cs, None]
+            A[at] = a[cs, js]
+            Wv += D.swapaxes(1, 2) @ A
+            bv += D.sum(axis=1)
 
 
 def influence_score(

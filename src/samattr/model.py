@@ -207,25 +207,22 @@ def example_loss(spec: ModelSpec, params: Array, example: tuple[Array, int]) -> 
     return _batch_loss(spec, params, X, yv)
 
 
-def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Array, Array]:
-    """Sum of per-example losses (R,) and summed gradients (R, P) for R
-    parameter rows W (R, P), row r over its own batch X[r] (b, d), y[r] (b,).
-
-    X may carry extra stack axes between the row axis and the batch axis,
-    X (R, S..., b, d) with y (R, S..., b): row r then broadcasts, without
-    copies, over every stack X[r, s...], and the results are (R, S...) and
-    (R, S..., P). Only such a call reshapes the layers; the (R, b, d) call
-    does no extra work.
+def stacked_loss_factors(
+    spec: ModelSpec, W: Array, X: Array, y: Array
+) -> tuple[Array, list[tuple[Array, Array]]]:
+    """Sum of per-example losses (R,) and per-example gradient factors for
+    R parameter rows W (R, P), row r over its own batch X[r] (b, d), y[r]
+    (b,). factors[l] = (delta_l (R, b, fan_out), a_l (R, b, fan_in)): the
+    loss's derivative with respect to layer l's pre-activations, and that
+    layer's input. Example i's gradient under row r is the outer product
+    delta_l[r, i] (x) a_l[r, i] for layer l's weights and delta_l[r, i]
+    for its bias.
 
     Inputs are not checked; callers validate them once. Every row goes
     through its own stacked matmuls, so row r does not depend on the other
-    rows of the stack, bit for bit, and neither does a stack s.
+    rows of the stack, bit for bit.
     """
     layers = _unpack_rows(spec, W)
-    if X.ndim > 3:
-        axes = (1,) * (X.ndim - 3)
-        layers = [(Wl.reshape(len(Wl), *axes, *Wl.shape[1:]), bl.reshape(len(bl), *axes, -1))
-                  for Wl, bl in layers]
     acts = _forward(spec, layers, X)
     Z = acts[-1]
     m = Z - Z.max(axis=-1, keepdims=True)
@@ -235,12 +232,22 @@ def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Ar
     delta = np.exp(logp)
     delta.reshape(-1)[label] -= 1.0  # dLoss/dZ_L per example
 
-    grads: list[tuple[Array, Array]] = [None] * len(layers)
+    deltas: list[Array] = [None] * len(layers)
     for l in range(len(layers) - 1, -1, -1):
-        grads[l] = (delta.swapaxes(-1, -2) @ acts[l], delta.sum(axis=-2))
+        deltas[l] = delta
         if l > 0:
             delta = _act_deriv(spec, acts[l]) * (delta @ layers[l][0])
-    return loss, _pack_rows(grads)
+    return loss, list(zip(deltas, acts[:-1]))
+
+
+def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Array, Array]:
+    """Sum of per-example losses (R,) and summed gradients (R, P) for R
+    parameter rows W (R, P), row r over its own batch X[r] (b, d), y[r] (b,):
+    stacked_loss_factors reduced over each batch, delta_l^T a_l and the sum
+    of delta_l. Like the factors, row r does not depend on the other rows.
+    """
+    loss, factors = stacked_loss_factors(spec, W, X, y)
+    return loss, _pack_rows([(d.swapaxes(-1, -2) @ a, d.sum(axis=-2)) for d, a in factors])
 
 
 def _rows(spec: ModelSpec, dataset: Dataset, indices, who: str) -> tuple[Array, Array]:

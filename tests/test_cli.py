@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,24 @@ class TestExitCodes:
         assert main(["train", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "config error: seed must be >= 0\n"
 
+    @pytest.mark.parametrize("source", ["blobs", "csv"])
+    @pytest.mark.parametrize("fractions", [
+        {"val_fraction": 1.5}, {"test_fraction": -0.1}, {"val_fraction": 0.5, "test_fraction": 0.5},
+        {"val_fraction": "nan"},
+    ], ids=["val-above-1", "test-negative", "sum-1", "val-nan"])
+    def test_out_of_range_split_fraction_is_config_error(self, tmp_path, capsys, source,
+                                                         fractions):
+        # A source with its own splits (blobs) ignores the fractions, but
+        # they are checked for every source.
+        dataset = "blobs(40, 4, 2, 0.8, 1)"
+        if source == "csv":
+            dataset = str(tmp_path / "d.csv")
+            rows = "".join(f"{i}.0,{i % 7}.5,{i % 2}\n" for i in range(30))
+            (tmp_path / "d.csv").write_text("a,b,label\n" + rows)
+        cfg = write_config(tmp_path, dataset=dataset, steps=30, **fractions)
+        assert main(["attribute", "--config", cfg]) == 2
+        assert "fractions must be nonnegative and sum below 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["top_m", "max_trace_points"])
     def test_negative_trace_count_is_config_error(self, tmp_path, capsys, key):
         # A negative count would slice from the end: 38-point "top" lists of 40.
@@ -125,6 +145,25 @@ class TestDeterminism:
             plots.append(sorted(p for p in out if p.endswith(".tsv")))
         assert len(plots[0]) >= 1
         for a, b in zip(plots[0], plots[1]):
+            assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("command", ["attribute", "trace", "edit"])
+    def test_gif_on_minibatch_mlp_byte_identical_across_reruns(self, tmp_path, capsys, command):
+        # Overlapping classes, so trace has misclassified test points.
+        extra = dict(dataset="blobs(40, 4, 3, 1.0, 2)", model="mlp", activation="tanh",
+                     hidden=6, batch_size=8, steps=60, eta=0.3, seed=2, edit_indices="1,4")
+        outputs = []
+        for run_dir in ("first", "second"):
+            cfg = write_config(tmp_path, out=str(tmp_path / run_dir), **extra)
+            assert main([command, "--config", cfg, "--estimator", "gif"]) == 0
+            out = capsys.readouterr().out.splitlines()
+            outputs.append(sorted(p for p in out if not p.endswith(".report")))
+            outputs[-1] += sorted(str(p) for p in (tmp_path / run_dir).glob("*.npy"))
+        names = [[os.path.basename(p) for p in paths] for paths in outputs]
+        assert names[0] == names[1]
+        assert len(names[0]) >= (4 if command == "trace" else 1)
+        assert any(name.endswith(".npy") for name in names[0]) == (command == "edit")
+        for a, b in zip(*outputs):
             assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_trajectory_byte_identical(self, tmp_path):

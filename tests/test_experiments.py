@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from samattr import oracle
 from samattr.errors import ConfigError, InvalidInputError
 from samattr.experiments import (
     ExperimentConfig,
@@ -15,6 +16,7 @@ from samattr.experiments import (
     rank_descending,
     setup,
 )
+from samattr.samtrain import train_sam
 
 FAST_DATASET = "blobs(30, 4, 2, 2.5, 3)"
 
@@ -231,6 +233,27 @@ class TestDrivers:
         by_metric = {run.metric: run for run in report.runs}
         assert 0.0 <= by_metric["param_distance_rel"].y[0] < 1.0
         assert (tmp_path / f"edited_params_{cfg.digest()[:8]}.npy").exists()
+
+    def test_edit_reports_the_no_edit_control(self, tmp_path):
+        # ||params - w_retrain|| / ||params||, from the model and the retrain
+        # that edit already has, next to the edited model's distance.
+        cfg = fast_config(out=str(tmp_path), edit_indices=(0, 3), neumann_order=2000)
+        report = cmd_edit(cfg)
+        metrics = [run.metric for run in report.runs]
+        assert metrics[-2:] == ["param_distance_rel", "param_distance_none"]
+        spec, ds, sam = setup(cfg)
+        params, _ = train_sam(spec, ds, sam)
+        w_retrain = oracle.loo_retrain(spec, ds, np.array([0, 3]), sam)
+        want = np.linalg.norm(params - w_retrain) / np.linalg.norm(params)
+        assert report.runs[-1].y == [float(want)]
+        assert report.runs[-1].wall_times == []
+
+    def test_split_fractions_checked_for_every_source(self):
+        for kw in ({"val_fraction": 1.5}, {"test_fraction": -0.01},
+                   {"val_fraction": 0.6, "test_fraction": 0.4}):
+            with pytest.raises(ConfigError, match="fractions"):
+                fast_config(**kw)  # blobs: the source carries its own splits
+        assert fast_config(val_fraction=0.0, test_fraction=0.99).test_fraction == 0.99
 
     def test_edit_indices_out_of_range(self, tmp_path):
         cfg = fast_config(out=str(tmp_path), edit_indices=(999,))

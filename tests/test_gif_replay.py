@@ -1,8 +1,9 @@
 """The trajectory estimator replays the trajectory once for every scored
-point, in stacked blocks of steps, from per-example gradients at each
-step's perturbed parameters."""
+point, in stacked blocks of steps, from per-example gradient factors at
+each step's perturbed parameters."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,19 @@ SPECS = [
 SPEC_IDS = ["logistic", "tanh", "relu"]
 
 
+def _fan_sum(spec):
+    """Factor floats per input row: sum(fan_in + fan_out) over the layers."""
+    return sum(spec.layer_sizes[:-1]) + sum(spec.layer_sizes[1:])
+
+
+def _close_rows(got, want):
+    """Each row within 1e-12 of its largest entry: the replay adds a
+    point's terms in another grouping than the one-step loop does."""
+    assert got.shape == want.shape
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("epoch_shuffled", [False, True], ids=["iid", "epochs"])
@@ -72,58 +86,108 @@ def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
     P = spec.param_count
     samples = {"full": np.arange(n), "sampled": np.array([23, 2, 7, 2, 29, 11, 7]),
                "empty": np.array([], dtype=np.int64)}
-    # Block budgets of 1, 3 and 4 six-point steps (25 steps: none divides
-    # it), then the default budget.
-    for budget in (1, 3 * 6 * P, 4 * 6 * P + 1, influence.GIF_BLOCK_FLOATS):
+    # Block budgets of 1, 3 and 4 six-row steps' factors in sgd mode (25
+    # steps: none divides it), then the default budget.
+    F = 6 * _fan_sum(spec)
+    for budget in (1, 3 * F, 4 * F + 1, influence.GIF_BLOCK_FLOATS):
         monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", budget)
         for mode in ("sgd", "gd"):
+            full = influence._gif_vectors(traj, spec, ds, samples["full"], mode)
             for ks in samples.values():
                 got = influence._gif_vectors(traj, spec, ds, ks, mode)
                 assert got.shape == (ks.size, P)
-                assert np.array_equal(got, _plain_gif(traj, spec, ds, ks, mode))
+                _close_rows(got, _plain_gif(traj, spec, ds, ks, mode))
+                # A row does not depend on the other points scored with it.
+                assert np.array_equal(got, full[ks])
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
-def test_four_axis_call_equals_example_grads(spec):
+def test_factors_reduce_to_stacked_loss_grad(spec):
     ds = make_blobs(30, 4, 3, 2.5, seed=32)
     rng = np.random.default_rng(3)
     W = mod.init_params(spec, 5) + 0.1 * rng.standard_normal((3, spec.param_count))
-    idx = np.array([[3, 0, 17, 17], [29, 8, 1, 2], [5, 5, 5, 9]])
-    loss, G = mod.stacked_loss_grad(spec, W, ds.features[idx][..., None, :],
-                                    ds.labels[idx][..., None])
-    assert loss.shape == idx.shape and G.shape == (*idx.shape, spec.param_count)
+    idx = np.array([[3, 0, 17, 16], [29, 8, 1, 2], [5, 6, 4, 9]])
+    X, y = ds.features[idx], ds.labels[idx]
+    loss, G = mod.stacked_loss_grad(spec, W, X, y)
+    f_loss, factors = mod.stacked_loss_factors(spec, W, X, y)
+    assert np.array_equal(f_loss, loss)
+    sizes = spec.layer_sizes
+    for (d, a), fan_in, fan_out in zip(factors, sizes[:-1], sizes[1:]):
+        assert d.shape == (*idx.shape, fan_out) and a.shape == (*idx.shape, fan_in)
+    # The reduction over each batch is stacked_loss_grad's, bit for bit.
+    reduced = mod._pack_rows([(d.swapaxes(-1, -2) @ a, d.sum(axis=-2)) for d, a in factors])
+    assert np.array_equal(reduced, G)
+    # Example i's outer products are its gradient, and they sum to the row's.
+    outer = mod._pack_rows([(d[..., :, None] * a[..., None, :], d) for d, a in factors])
     for r in range(len(W)):
-        assert np.array_equal(G[r], mod.example_grads(spec, W[r], ds, idx[r]))
-        for s, k in enumerate(idx[r]):
-            assert loss[r, s] == mod.example_loss(spec, W[r], (ds.features[k], ds.labels[k]))
+        want = mod.example_grads(spec, W[r], ds, idx[r])
+        assert np.all(np.abs(outer[r] - want) <= 1e-12 * np.abs(want).max())
+        assert np.all(np.abs(outer[r].sum(axis=0) - G[r]) <= 1e-12 * np.abs(G[r]).max())
 
 
 @pytest.mark.parametrize("mode", ["sgd", "gd"])
 def test_replay_kernel_call_count(minibatch_mlp, monkeypatch, mode):
-    """A replay of T steps makes 2 ceil(T / C) stacked kernel calls and no
-    per-step ones, for a block size C that does not divide T."""
+    """A replay makes 2 kernel calls per block and no per-step ones: one
+    block per window of C steps that scores a point, so ceil(T / C) blocks
+    when every step does, for a C that does not divide T."""
     spec, ds, _, _, traj = minibatch_mlp
     n = ds.indices("train").size
-    ks = np.arange(n)
-    m = n if mode == "gd" else 6  # every point in gd; a full batch of 6 in sgd
+    rows = n if mode == "gd" else 6  # the train split in gd; a batch of 6 in sgd
     C = 4
-    monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", C * m * spec.param_count + 1)
-    calls = []
-    stacked = mod.stacked_loss_grad
+    monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", C * rows * _fan_sum(spec) + 1)
+    # Each top-level call is recorded, not the factor call inside stacked_loss_grad.
+    calls, depth = [], []
 
-    def counted(*args):
-        calls.append(args[2].ndim)
-        return stacked(*args)
+    def counted(name, kernel):
+        def call(*args):
+            if not depth:
+                calls.append(name)
+            depth.append(name)
+            try:
+                return kernel(*args)
+            finally:
+                depth.pop()
+
+        return call
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-step kernel call")
 
-    monkeypatch.setattr(mod, "stacked_loss_grad", counted)
+    monkeypatch.setattr(mod, "stacked_loss_grad", counted("grad", mod.stacked_loss_grad))
+    monkeypatch.setattr(mod, "stacked_loss_factors", counted("factors", mod.stacked_loss_factors))
     monkeypatch.setattr(mod, "subset_loss_grad", forbidden)
     monkeypatch.setattr(mod, "example_grads", forbidden)
-    _gif(minibatch_mlp, ks, mode)
+    _gif(minibatch_mlp, np.arange(n), mode)
     assert traj.total_steps % C != 0
-    assert calls == [3, 4] * math.ceil(traj.total_steps / C)
+    assert calls == ["grad", "factors"] * math.ceil(traj.total_steps / C)
+    # One point: in sgd only the windows holding one of its steps make a block.
+    calls.clear()
+    _gif(minibatch_mlp, [11], mode)
+    used = np.isin(traj.batches, 11).any(axis=1) if mode == "sgd" else np.ones(len(traj.batches))
+    windows = np.add.reduceat(used, np.arange(0, len(used), C)) > 0
+    assert windows.sum() < len(windows) or mode == "gd"
+    assert calls == ["grad", "factors"] * int(windows.sum())
+
+
+@pytest.mark.parametrize("mode", ["sgd", "gd"])
+def test_replay_memory_is_bounded_by_the_block_budget(monkeypatch, mode):
+    """A replay holds its result plus a few blocks' worth of floats,
+    however many steps and points it scores."""
+    ds = make_blobs(60, 4, 3, 2.5, seed=34)
+    spec = mod.ModelSpec(kind="mlp", layer_sizes=(4, 24, 3), activation="tanh")
+    sam = SAMConfig(rho=0.05, lam=0.01, eta=0.2, batch_size=12, steps=200, seed=34)
+    _, traj = train_sam(spec, ds, sam)
+    ks = np.arange(ds.indices("train").size)
+    budget = 2**12
+    monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", budget)
+    influence._gif_vectors(traj, spec, ds, ks, mode)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        out = influence._gif_vectors(traj, spec, ds, ks, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 6 * budget * 8
 
 
 @pytest.mark.parametrize("spec", [
@@ -161,7 +225,7 @@ def test_duplicate_unsorted_points_get_their_own_rows(minibatch_mlp, mode):
     ks = np.array([11, 3, 11, 29, 3, 0, 11])
     got = _gif(minibatch_mlp, ks, mode)
     assert np.array_equal(got, full[ks])
-    assert np.array_equal(got, _plain_gif(traj, spec, ds, ks, mode))
+    _close_rows(got, _plain_gif(traj, spec, ds, ks, mode))
 
 
 def test_read_trajectory_needs_no_settings(minibatch_mlp, tmp_path):
