@@ -26,10 +26,14 @@ estimators solve the transposed operator once per query, A^T s = q, and
 the score of point k is g_k . s, so scoring every point costs one solve
 per query, not one per point. ``influence_vectors`` returns IF(k)
 itself, one solve per point, for the few points a caller removes or
-edits. Either way the linearization (w_pert, full-train gradient) is
-built once per call, the points' gradients come from one per-example
-call, and right-hand sides are solved as blocks, one block HVP per
-iteration. The perturbation's Jacobian is the closed form (d eps / d g) H
+edits. Either way the linearization is built once per call: one
+full-train gradient, w_pert, and one curvature operator
+(model.hvp_operator) per linearization point, H at w_pert and, for the
+total estimator, H at params: each primal pass runs once, and each
+solver iteration applies only the tangent half of the HVP. The
+points' gradients come from one per-example call, and right-hand sides
+are solved as blocks, one block application per iteration. The
+perturbation's Jacobian is the closed form (d eps / d g) H
 for every p, symmetric in its gradient factor, which is what makes A^T as
 cheap as A. The trajectory estimator replays the recorded steps once, in
 blocks of consecutive steps of at most GIF_BLOCK_FLOATS factor floats:
@@ -50,7 +54,7 @@ import numpy as np
 from . import model as mod
 from .errors import DivergenceError, InvalidInputError
 from .numcore import dual_exponent
-from .samtrain import Trajectory, sam_perturbation, worst_perturbation
+from .samtrain import Trajectory, worst_perturbation
 
 Array = np.ndarray
 LinearOperator = Callable[[Array], Array]
@@ -292,13 +296,18 @@ def _train_rows(dataset: mod.Dataset) -> Array:
     return rows
 
 
+def _train_grad(spec: mod.ModelSpec, dataset: mod.Dataset, params: Array) -> Array:
+    """The full-train loss gradient at params, at scale 1 / n_train."""
+    rows = _train_rows(dataset)
+    return mod.subset_loss_grad(spec, params, dataset, rows, 1.0 / rows.size)[1]
+
+
 def perturbed_params(
     spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float
 ) -> tuple[Array, Array]:
     """params + worst-case perturbation of the full train loss; also the
     perturbation itself."""
-    rows = _train_rows(dataset)
-    _, eps = sam_perturbation(spec, params, dataset, rows, 1.0 / rows.size, rho, p)
+    eps = worst_perturbation(_train_grad(spec, dataset, params), rho, p)
     return params + eps, eps
 
 
@@ -334,17 +343,15 @@ def _eps_grad_jacobian(g: Array, rho: float, p: float) -> LinearOperator:
 
 
 def _eps_factors(
-    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float
+    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, g: Array, rho: float, p: float
 ) -> tuple[LinearOperator, LinearOperator]:
-    """(H, D) with d eps / d w = D H at params: H the full-train Hessian
-    and D = d eps / d g, both symmetric, so J = D H and J^T = H D. Each
-    takes one vector or a block of rows; the full-train gradient D needs
-    is taken once, here, not per application."""
+    """(H, D) with d eps / d w = D H at params, g the full-train gradient
+    there: H the full-train Hessian and D = d eps / d g, both symmetric, so
+    J = D H and J^T = H D. Each takes one vector or a block of rows; both
+    are built once, here, not per application."""
     rows = _train_rows(dataset)
-    scale = 1.0 / rows.size
-    _, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
     apply_D = _eps_grad_jacobian(g, rho, p)
-    return (lambda v: mod.hvp(spec, params, dataset, rows, v, scale)), apply_D
+    return mod.hvp_operator(spec, params, dataset, rows, 1.0 / rows.size), apply_D
 
 
 def eps_jacobian_vec(
@@ -364,7 +371,8 @@ def eps_jacobian_vec(
     v = np.asarray(v, dtype=np.float64)
     if rho == 0.0:
         return np.zeros_like(v)
-    apply_H, apply_D = _eps_factors(spec, dataset, params, rho, p)
+    apply_H, apply_D = _eps_factors(spec, dataset, params, _train_grad(spec, dataset, params),
+                                    rho, p)
     return apply_D(apply_H(v))
 
 
@@ -379,14 +387,11 @@ def _linearize(
     without J, A is symmetric and A^T is A itself. Both take one vector or
     a block of rows. Returns w_pert, A and A^T."""
     rows = _train_rows(dataset)
-    scale = 1.0 / rows.size
-    w_pert, _ = perturbed_params(spec, dataset, params, rho, p)
-
-    def apply_Hpert(v: Array) -> Array:
-        return mod.hvp(spec, w_pert, dataset, rows, v, scale)
-
+    g = _train_grad(spec, dataset, params)
+    w_pert = params + worst_perturbation(g, rho, p)
+    apply_Hpert = mod.hvp_operator(spec, w_pert, dataset, rows, 1.0 / rows.size)
     if total and rho > 0.0:
-        apply_H, apply_D = _eps_factors(spec, dataset, params, rho, p)
+        apply_H, apply_D = _eps_factors(spec, dataset, params, g, rho, p)
 
         def apply_A(v: Array) -> Array:
             return apply_Hpert(v + apply_D(apply_H(v))) + lam * v

@@ -4,12 +4,15 @@ Two model kinds share one code path: ``logistic`` is a zero-hidden-layer
 MLP. Losses are softmax cross-entropy. Gradients are hand-written
 reverse-mode; Hessian-vector products propagate a forward tangent through
 both the forward and the backward pass, so they are exact (no finite
-differences). Everything is float64 and vectorized over the batch axis.
+differences), and ``hvp_operator`` runs the primal half of that once per
+linearization point. Everything is float64 and vectorized over the batch
+axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -285,6 +288,81 @@ def example_grads(spec: ModelSpec, params: Array, dataset: Dataset, indices) -> 
     return stacked_loss_grad(spec, _check_params(spec, params)[None], X[:, None, :], y[:, None])[1]
 
 
+def hvp_operator(
+    spec: ModelSpec,
+    params: Array,
+    dataset: Dataset,
+    indices,
+    scale: float = 1.0,
+) -> Callable[[Array], Array]:
+    """The curvature operator v -> scale * (sum_i d2 loss_i) v at params
+    over the given dataset rows, built once: the rows are checked and the
+    primal pass is run here (activations, softmax, each layer's delta,
+    delta W and the activation's first and second derivatives), and each
+    application runs only the tangent sweeps.
+
+    An application takes one tangent (P,) or a block of tangents (m, P),
+    one per row, and returns v's shape. Forward-mode tangents seeded by v
+    are carried through the forward pass and then through the backward
+    pass, yielding the directional derivative of the gradient, so the
+    product is exact. Each tangent row goes through its own stacked
+    products, so a row's result does not depend on the other rows of the
+    block, and an application writes into nothing the operator holds.
+    """
+    X, y = _rows(spec, dataset, indices, "hvp")
+    layers = _unpack(spec, params)
+    L = len(layers)
+    acts = _forward(spec, layers, X)
+    phi1 = [None] + [_act_deriv(spec, A) for A in acts[1:L]]
+    phi2 = [None] + [_act_second_deriv(spec, A) for A in acts[1:L]]
+    P = _softmax(acts[-1])
+    delta = P.copy()
+    delta[np.arange(len(y)), y] -= 1.0
+    deltas: list[Array] = [None] * L  # the loss's derivative at layer l's pre-activations
+    s: list[Array] = [None] * L  # deltas[l] @ W_l, for l >= 1
+    for l in range(L - 1, -1, -1):
+        deltas[l] = delta
+        if l > 0:
+            s[l] = delta @ layers[l][0]
+            delta = phi1[l] * s[l]
+
+    def apply(v: Array) -> Array:
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim not in (1, 2) or v.shape[-1] != spec.param_count:
+            raise InvalidInputError("hvp: tangent vector length mismatch")
+        tangents = _unpack_rows(spec, v.reshape(-1, spec.param_count))
+
+        # Tangents of the forward pass, one leading axis per tangent row;
+        # dZs keeps the pre-activation tangents for the second-derivative
+        # term of the backward sweep. The input's tangent is zero, so
+        # layer 0 has no products with it.
+        dacts: list[Array] = [None]
+        dZs: list[Array] = [None]
+        for l, ((W, _), (dW, db)) in enumerate(zip(layers, tangents)):
+            dZ = acts[l] @ np.swapaxes(dW, -1, -2)
+            if l > 0:
+                dZ += dacts[l] @ W.T
+            dZ += db[:, None, :]
+            dZs.append(dZ)
+            dacts.append(dZ if l == L - 1 else phi1[l + 1] * dZ)
+
+        dZ = dacts[-1]
+        # Tangent of softmax: dP = P * (dZ - sum(P * dZ)).
+        ddelta = P * (dZ - (P * dZ).sum(axis=-1, keepdims=True))
+        hparts: list[tuple[Array, Array]] = [None] * L
+        for l in range(L - 1, -1, -1):
+            hW = np.swapaxes(ddelta, -1, -2) @ acts[l]
+            if l > 0:
+                hW += deltas[l].T @ dacts[l]
+            hparts[l] = (hW, ddelta.sum(axis=-2))
+            if l > 0:
+                ds = ddelta @ layers[l][0] + deltas[l] @ tangents[l][0]
+                ddelta = phi2[l] * dZs[l] * s[l] + phi1[l] * ds
+        return (scale * _pack_rows(hparts)).reshape(v.shape)
+
+    return apply
+
+
 def hvp(
     spec: ModelSpec,
     params: Array,
@@ -293,55 +371,13 @@ def hvp(
     v: Array,
     scale: float = 1.0,
 ) -> Array:
-    """Exact Hessian-vector product scale * (sum_i d2 loss_i) v.
-
-    v is one tangent (P,) or a block of tangents (m, P), one per row; the
-    result has v's shape. Forward-mode tangents (seeded by v) are carried
-    through the forward pass and then through the backward pass, yielding
-    the directional derivative of the gradient. Each tangent row goes
-    through its own stacked products, so a row's result does not depend
-    on the other rows of the block.
+    """Exact Hessian-vector product scale * (sum_i d2 loss_i) v: one
+    application of hvp_operator. v is one tangent (P,) or a block of
+    tangents (m, P), one per row; the result has v's shape. A caller that
+    applies the same curvature to several tangents builds the operator
+    once instead.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[-1] != spec.param_count:
-        raise InvalidInputError("hvp: tangent vector length mismatch")
-    X, y = _rows(spec, dataset, indices, "hvp")
-    layers = _unpack(spec, params)
-    tangents = _unpack_rows(spec, v.reshape(-1, spec.param_count))
-
-    # Tangents of the forward pass, one leading axis per tangent row; dZs
-    # keeps the pre-activation tangents, needed by the second-derivative
-    # term of the backward sweep.
-    acts = _forward(spec, layers, X)
-    dacts = [np.zeros_like(X)]
-    dZs = [np.zeros_like(X)]
-    L = len(layers)
-    for l, ((W, _), (dW, db)) in enumerate(zip(layers, tangents)):
-        dZ = acts[l] @ np.swapaxes(dW, -1, -2) + dacts[l] @ W.T + db[:, None, :]
-        dZs.append(dZ)
-        dacts.append(dZ if l == L - 1 else _act_deriv(spec, acts[l + 1]) * dZ)
-
-    Z, dZ = acts[-1], dacts[-1]
-    P = _softmax(Z)
-    delta = P.copy()
-    delta[np.arange(len(y)), y] -= 1.0
-    # Tangent of softmax: dP = P * (dZ - sum(P * dZ)).
-    ddelta = P * (dZ - (P * dZ).sum(axis=-1, keepdims=True))
-
-    hparts: list[tuple[Array, Array]] = [None] * L
-    for l in range(L - 1, -1, -1):
-        A_prev, dA_prev = acts[l], dacts[l]
-        hparts[l] = (np.swapaxes(ddelta, -1, -2) @ A_prev + delta.T @ dA_prev, ddelta.sum(axis=-2))
-        if l > 0:
-            W, dW = layers[l][0], tangents[l][0]
-            s = delta @ W
-            ds = ddelta @ W + delta @ dW
-            A = acts[l]
-            phi1 = _act_deriv(spec, A)
-            phi2 = _act_second_deriv(spec, A)
-            ddelta = phi2 * dZs[l] * s + phi1 * ds
-            delta = phi1 * s
-    return (scale * _pack_rows(hparts)).reshape(v.shape)
+    return hvp_operator(spec, params, dataset, indices, scale)(v)
 
 
 def predict(spec: ModelSpec, params: Array, x: Array) -> tuple[int, Array]:

@@ -273,8 +273,9 @@ def dense_hessian(
     indices=None,
     scale: float | None = None,
 ) -> Array:
-    """Materialize scale * sum_i d2 loss_i + lam*I, HVP_BLOCK columns
-    (block HVPs of unit vectors) at a time.
+    """Materialize scale * sum_i d2 loss_i + lam*I from one curvature
+    operator (model.hvp_operator: one primal pass), applied to HVP_BLOCK
+    unit columns at a time.
 
     Refuses parameter counts above the guard; this exists to audit the
     matrix-free operators, not to be a solver path.
@@ -289,10 +290,11 @@ def dense_hessian(
         raise InvalidInputError("dense_hessian: the index set is empty")
     if scale is None:
         scale = 1.0 / indices.size
+    apply_H = mod.hvp_operator(spec, params, dataset, indices, scale)
     H = np.empty((P, P))
     for start in range(0, P, HVP_BLOCK):
         units = np.eye(min(HVP_BLOCK, P - start), P, k=start)  # e_start, e_start+1, ...
-        H[:, start : start + len(units)] = mod.hvp(spec, params, dataset, indices, units, scale).T
+        H[:, start : start + len(units)] = apply_H(units).T
     H[np.diag_indices(P)] += lam
     return H
 

@@ -125,16 +125,17 @@ class TestLossGrad:
             mod.subset_loss_grad(spec, params, ds, np.arange(ds.n), 1.0)
 
 
+HVP_SPECS = [
+    ModelSpec(kind="logistic", layer_sizes=(3, 3)),
+    ModelSpec(kind="mlp", layer_sizes=(3, 4, 3), activation="tanh"),
+    ModelSpec(kind="mlp", layer_sizes=(3, 4, 3), activation="relu"),
+    ModelSpec(kind="mlp", layer_sizes=(3, 4, 4, 3), activation="tanh"),
+]
+HVP_IDS = ["logistic", "mlp-tanh", "mlp-relu", "mlp2-tanh"]
+
+
 class TestHVP:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ModelSpec(kind="logistic", layer_sizes=(3, 3)),
-            ModelSpec(kind="mlp", layer_sizes=(3, 4, 3), activation="tanh"),
-            ModelSpec(kind="mlp", layer_sizes=(3, 4, 3), activation="relu"),
-        ],
-        ids=["logistic", "mlp-tanh", "mlp-relu"],
-    )
+    @pytest.mark.parametrize("spec", HVP_SPECS, ids=HVP_IDS)
     def test_matches_gradient_finite_differences(self, spec):
         ds = tiny_dataset()
         params = mod.init_params(spec, seed=5)
@@ -180,6 +181,43 @@ class TestHVP:
         params = mod.init_params(spec, seed=11)
         hv = mod.hvp(spec, params, ds, np.arange(ds.n), np.zeros(spec.param_count), 1.0)
         assert np.all(hv == 0.0)
+
+
+class TestHVPOperator:
+    @pytest.mark.parametrize(
+        "spec",
+        HVP_SPECS + [ModelSpec(kind="mlp", layer_sizes=(3, 4, 4, 3), activation="relu")],
+        ids=HVP_IDS + ["mlp2-relu"],
+    )
+    def test_applications_are_bitwise_hvp(self, spec):
+        ds = tiny_dataset()
+        params = mod.init_params(spec, seed=13)
+        idx = np.array([0, 2, 3, 5, 7, 8, 11])
+        V = np.random.default_rng(14).standard_normal((17, spec.param_count))
+        V[4] = 0.0
+        V[5, ::2] = -0.0
+        apply_H = mod.hvp_operator(spec, params, ds, idx, 0.3)
+        for v in (V[0], V[:1], V):
+            out = apply_H(v)
+            assert out.shape == v.shape
+            assert out.tobytes() == mod.hvp(spec, params, ds, idx, v, 0.3).tobytes()
+            # Applying again sees an operator its first application left intact.
+            assert apply_H(v).tobytes() == out.tobytes()
+        block = apply_H(V)
+        for i, v in enumerate(V):
+            assert apply_H(v).tobytes() == block[i].tobytes()
+            assert apply_H(V[i : i + 1]).tobytes() == block[i : i + 1].tobytes()
+
+    def test_checks_rows_when_built_and_tangents_when_applied(self):
+        spec = ModelSpec(kind="mlp", layer_sizes=(3, 4, 3))
+        ds = tiny_dataset()
+        params = mod.init_params(spec, seed=15)
+        with pytest.raises(InvalidInputError, match="out of range"):
+            mod.hvp_operator(spec, params, ds, [0, ds.n])
+        apply_H = mod.hvp_operator(spec, params, ds, [0, 1])
+        for bad in (np.zeros(spec.param_count - 1), np.zeros((2, 2, spec.param_count))):
+            with pytest.raises(InvalidInputError, match="tangent vector length"):
+                apply_H(bad)
 
 
 class TestPredict:

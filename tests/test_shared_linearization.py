@@ -4,10 +4,13 @@ entry points build their own. Both must give the same vectors."""
 import numpy as np
 import pytest
 
+from samattr import influence
+from samattr import model as mod
 from samattr.datasets import make_blobs
 from samattr.experiments import ExperimentConfig, score_all
 from samattr.influence import (
     InfluenceRequest,
+    NeumannConfig,
     compute_influence,
     sam_gif,
     sam_hif,
@@ -48,3 +51,40 @@ def test_score_all_matches_per_point_estimators(trained, estimator):
             trajectory=traj, gif_mode=cfg.gif_mode,
         )
         assert np.array_equal(rec.influence, ifvecs[k])
+
+
+@pytest.mark.parametrize("estimator", ["if_fast", "hif"])
+def test_solve_runs_each_primal_pass_once(monkeypatch, estimator):
+    # The curvature operators are built once per linearization point, so the
+    # forward passes a scoring call makes do not grow with GMRES iterations.
+    ds = make_blobs(30, 3, 3, 1.0, seed=5)
+    spec = ModelSpec(kind="mlp", layer_sizes=(3, 5, 3))
+    sam = SAMConfig(rho=0.05, lam=0.01, eta=0.5, batch_size=10, steps=30, seed=5)
+    params, _ = train_sam(spec, ds, sam)
+    _, q = mod.subset_loss_grad(spec, params, ds, ds.indices("val"))
+    forwards, applications = [], []
+    forward, solve = mod._forward, influence.gmres_solve
+
+    def counted_forward(*args):
+        forwards.append(1)
+        return forward(*args)
+
+    def counted_solve(apply_A, rhs, damp, order):
+        def counted(v):
+            applications.append(1)
+            return apply_A(v)
+
+        return solve(counted, rhs, damp, order)
+
+    monkeypatch.setattr(mod, "_forward", counted_forward)
+    monkeypatch.setattr(influence, "gmres_solve", counted_solve)
+    n = ds.indices("train").size
+    scores = influence.influence_scores(
+        estimator, spec, ds, params, sam.rho, sam.p, sam.lam, NeumannConfig(order=400),
+        np.arange(n), None, "sgd", q[None],
+    )
+    assert scores.shape == (n, 1) and np.all(np.isfinite(scores))
+    assert len(applications) >= 10
+    # The full-train gradient, the points' gradients and one operator per
+    # linearization point: H_pert, and for hif also H at params.
+    assert len(forwards) == (3 if estimator == "if_fast" else 4)
