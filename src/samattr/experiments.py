@@ -17,7 +17,7 @@ import numpy as np
 
 from . import datasets, model as mod, oracle
 from .errors import ConfigError
-from .influence import ESTIMATORS, NeumannConfig, influence_scores, influence_vectors
+from .influence import ESTIMATORS, GIF_MODES, NeumannConfig, influence_scores, influence_vectors
 from .report import Report
 from .samtrain import SAMConfig, train_sam, write_trajectory
 
@@ -72,8 +72,9 @@ class ExperimentConfig:
         object.__setattr__(self, "estimator", est)
         if self.model not in ("logistic", "mlp"):
             raise ConfigError(f"unknown model kind {self.model!r}")
-        if self.gif_mode not in ("gd", "sgd"):
+        if self.gif_mode not in GIF_MODES:
             raise ConfigError(f"unknown gif mode {self.gif_mode!r}")
+        self.neumann()  # the solver settings are checked before any training
 
     def digest(self) -> str:
         """Hash of every field as the run uses it: `eta` parsed, so equal
@@ -383,8 +384,10 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     removed = np.asarray(cfg.edit_indices, dtype=np.int64)
     if removed.size and (
         removed.min() < 0 or removed.max() >= n or np.unique(removed).size != removed.size
+        or removed.size == n
     ):
-        raise ConfigError(f"edit_indices must be distinct train positions in 0..{n - 1}")
+        raise ConfigError(f"edit_indices must be distinct train positions in 0..{n - 1}, "
+                          "not all of them")
     params, traj = train_sam(spec, ds, sam)
     if not removed.size:
         f = cfg.removal_fractions[0] if cfg.removal_fractions else 0.1

@@ -45,6 +45,7 @@ scored points' rows; its scores are its vectors' dot products.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -60,6 +61,7 @@ Array = np.ndarray
 LinearOperator = Callable[[Array], Array]
 
 ESTIMATORS = ("if_fast", "hif", "gif")
+GIF_MODES = ("sgd", "gd")  # gif's batch gate: per step's batch, or every step
 
 # Tangent rows per block HVP: the right-hand sides of one block GMRES
 # solve, or the unit columns of one dense_hessian step. A block HVP holds
@@ -100,8 +102,9 @@ class NeumannConfig:
             raise InvalidInputError("Neumann order must be >= 1")
         if self.alpha is not None and self.alpha <= 0.0:
             raise InvalidInputError("Neumann alpha must be > 0")
-        if self.damp < 0.0 or self.zeta <= 0.0:
-            raise InvalidInputError("need damp >= 0 and zeta > 0")
+        if not (0.0 <= self.damp < math.inf and self.zeta > 0.0):
+            raise InvalidInputError(f"need a finite damp >= 0 and zeta > 0, got damp "
+                                    f"{self.damp}, zeta {self.zeta}")
 
 
 @dataclass(frozen=True)
@@ -342,18 +345,6 @@ def _eps_grad_jacobian(g: Array, rho: float, p: float) -> LinearOperator:
     return apply_D
 
 
-def _eps_factors(
-    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, g: Array, rho: float, p: float
-) -> tuple[LinearOperator, LinearOperator]:
-    """(H, D) with d eps / d w = D H at params, g the full-train gradient
-    there: H the full-train Hessian and D = d eps / d g, both symmetric, so
-    J = D H and J^T = H D. Each takes one vector or a block of rows; both
-    are built once, here, not per application."""
-    rows = _train_rows(dataset)
-    apply_D = _eps_grad_jacobian(g, rho, p)
-    return mod.hvp_operator(spec, params, dataset, rows, 1.0 / rows.size), apply_D
-
-
 def eps_jacobian_vec(
     spec: mod.ModelSpec,
     dataset: mod.Dataset,
@@ -371,9 +362,9 @@ def eps_jacobian_vec(
     v = np.asarray(v, dtype=np.float64)
     if rho == 0.0:
         return np.zeros_like(v)
-    apply_H, apply_D = _eps_factors(spec, dataset, params, _train_grad(spec, dataset, params),
-                                    rho, p)
-    return apply_D(apply_H(v))
+    rows = _train_rows(dataset)
+    apply_D = _eps_grad_jacobian(_train_grad(spec, dataset, params), rho, p)
+    return apply_D(mod.hvp_operator(spec, params, dataset, rows, 1.0 / rows.size)(v))
 
 
 def _linearize(
@@ -383,15 +374,17 @@ def _linearize(
     """The operator the Hessian estimators solve against, built once:
     A v = H_pert (v + J v) + lam v, with H_pert the full-train Hessian at
     the perturbed optimum and J = D H the perturbation's Jacobian (total
-    only). Its transpose is A^T u = h + H (D h) + lam u with h = H_pert u;
-    without J, A is symmetric and A^T is A itself. Both take one vector or
-    a block of rows. Returns w_pert, A and A^T."""
+    only): H the full-train Hessian at params and D = d eps / d g, both
+    symmetric, so J^T = H D. The transpose is A^T u = h + H (D h) + lam u
+    with h = H_pert u; without J, A is symmetric and A^T is A itself. Both
+    take one vector or a block of rows. Returns w_pert, A and A^T."""
     rows = _train_rows(dataset)
     g = _train_grad(spec, dataset, params)
     w_pert = params + worst_perturbation(g, rho, p)
     apply_Hpert = mod.hvp_operator(spec, w_pert, dataset, rows, 1.0 / rows.size)
     if total and rho > 0.0:
-        apply_H, apply_D = _eps_factors(spec, dataset, params, g, rho, p)
+        apply_H = mod.hvp_operator(spec, params, dataset, rows, 1.0 / rows.size)
+        apply_D = _eps_grad_jacobian(g, rho, p)
 
         def apply_A(v: Array) -> Array:
             return apply_Hpert(v + apply_D(apply_H(v))) + lam * v
@@ -562,7 +555,7 @@ def _gif_vectors(
     else ks holds; a point listed twice in ks is replayed once and its row
     repeated. A batch entry outside 0..n_train-1 is rejected before any
     replay work."""
-    if mode not in ("gd", "sgd"):
+    if mode not in GIF_MODES:
         raise InvalidInputError(f"unknown gif mode {mode!r}")
     if trajectory.param_count != spec.param_count:
         raise InvalidInputError("trajectory parameter count does not match the model")

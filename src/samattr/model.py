@@ -1,12 +1,13 @@
 """Small differentiable classifiers over flat parameter vectors.
 
 Two model kinds share one code path: ``logistic`` is a zero-hidden-layer
-MLP. Losses are softmax cross-entropy. Gradients are hand-written
-reverse-mode; Hessian-vector products propagate a forward tangent through
-both the forward and the backward pass, so they are exact (no finite
-differences), and ``hvp_operator`` runs the primal half of that once per
-linearization point. Everything is float64 and vectorized over the batch
-axis.
+MLP. Losses are softmax cross-entropy, computed in one place
+(``_loss_pass``); gradients are hand-written reverse-mode through one delta
+recursion (``_backprop``). Hessian-vector products propagate a forward
+tangent through both passes, so they are exact (no finite differences):
+``hvp_operator`` runs the gradient's primal pass once per linearization
+point and adds only the tangent sweeps. Everything is float64 and
+vectorized over the batch axis.
 """
 
 from __future__ import annotations
@@ -177,12 +178,6 @@ def _forward(spec: ModelSpec, layers, X: Array) -> list[Array]:
     return acts
 
 
-def _softmax(Z: Array) -> Array:
-    Zs = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Zs)
-    return E / E.sum(axis=1, keepdims=True)
-
-
 def _check_examples(spec: ModelSpec, X: Array, y: Array) -> tuple[Array, Array]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
@@ -195,19 +190,47 @@ def _check_examples(spec: ModelSpec, X: Array, y: Array) -> tuple[Array, Array]:
     return X, y
 
 
-def _batch_loss(spec: ModelSpec, params: Array, X: Array, y: Array) -> float:
-    layers = _unpack(spec, params)
-    Z = _forward(spec, layers, X)[-1]
-    m = Z - Z.max(axis=1, keepdims=True)
-    logp = m - np.log(np.exp(m).sum(axis=1, keepdims=True))
-    return float(-logp[np.arange(len(y)), y].sum())
+def _loss_pass(spec: ModelSpec, layers, X: Array, y: Array) -> tuple[list, Array, Array, Array]:
+    """The forward pass and softmax cross-entropy; layers and X as for
+    _forward, y (..., b) the labels. Returns the activations, the
+    log-probabilities logp (..., b, C), the flat position in logp of each
+    label logit and the per-example losses (..., b). Gradients and
+    curvature go on to _backprop; a loss-only caller stops here."""
+    acts = _forward(spec, layers, X)
+    Z = acts[-1]
+    m = Z - Z.max(axis=-1, keepdims=True)
+    logp = m - np.log(np.exp(m).sum(axis=-1, keepdims=True))
+    label = np.arange(y.size) * Z.shape[-1] + y.ravel()
+    return acts, logp, label, -logp.reshape(-1)[label].reshape(y.shape)
+
+
+def _backprop(
+    spec: ModelSpec, layers, acts: list[Array], logp: Array, label: Array
+) -> tuple[list, list, list]:
+    """The backward delta recursion over _loss_pass's outputs: deltas[l],
+    the loss's derivative at layer l's pre-activations, starting from
+    exp(logp) minus the label one-hot; and, for l >= 1, s[l] = deltas[l] @
+    W_l and phi1[l] = act'(acts[l]), so that deltas[l - 1] = phi1[l] * s[l]."""
+    L = len(layers)
+    delta = np.exp(logp)
+    delta.reshape(-1)[label] -= 1.0
+    deltas: list[Array] = [None] * L
+    s: list[Array] = [None] * L
+    phi1: list[Array] = [None] * L
+    for l in range(L - 1, -1, -1):
+        deltas[l] = delta
+        if l > 0:
+            s[l] = delta @ layers[l][0]
+            phi1[l] = _act_deriv(spec, acts[l])
+            delta = phi1[l] * s[l]
+    return deltas, s, phi1
 
 
 def example_loss(spec: ModelSpec, params: Array, example: tuple[Array, int]) -> float:
     """Softmax cross-entropy of one example."""
     x, y = example
     X, yv = _check_examples(spec, x, np.asarray([y]))
-    return _batch_loss(spec, params, X, yv)
+    return float(_loss_pass(spec, _unpack(spec, params), X, yv)[3].sum())
 
 
 def stacked_loss_factors(
@@ -226,21 +249,9 @@ def stacked_loss_factors(
     rows of the stack, bit for bit.
     """
     layers = _unpack_rows(spec, W)
-    acts = _forward(spec, layers, X)
-    Z = acts[-1]
-    m = Z - Z.max(axis=-1, keepdims=True)
-    logp = m - np.log(np.exp(m).sum(axis=-1, keepdims=True))
-    label = np.arange(y.size) * Z.shape[-1] + y.ravel()  # flat position of each label logit
-    loss = -logp.reshape(-1)[label].reshape(y.shape).sum(axis=-1)
-    delta = np.exp(logp)
-    delta.reshape(-1)[label] -= 1.0  # dLoss/dZ_L per example
-
-    deltas: list[Array] = [None] * len(layers)
-    for l in range(len(layers) - 1, -1, -1):
-        deltas[l] = delta
-        if l > 0:
-            delta = _act_deriv(spec, acts[l]) * (delta @ layers[l][0])
-    return loss, list(zip(deltas, acts[:-1]))
+    acts, logp, label, losses = _loss_pass(spec, layers, X, y)
+    deltas = _backprop(spec, layers, acts, logp, label)[0]
+    return losses.sum(axis=-1), list(zip(deltas, acts[:-1]))
 
 
 def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Array, Array]:
@@ -297,9 +308,9 @@ def hvp_operator(
 ) -> Callable[[Array], Array]:
     """The curvature operator v -> scale * (sum_i d2 loss_i) v at params
     over the given dataset rows, built once: the rows are checked and the
-    primal pass is run here (activations, softmax, each layer's delta,
-    delta W and the activation's first and second derivatives), and each
-    application runs only the tangent sweeps.
+    gradient's primal pass (_loss_pass and _backprop) runs here, with the
+    softmax probabilities exp(logp) and the activation's derivatives, and
+    each application runs only the tangent sweeps.
 
     An application takes one tangent (P,) or a block of tangents (m, P),
     one per row, and returns v's shape. Forward-mode tangents seeded by v
@@ -312,19 +323,10 @@ def hvp_operator(
     X, y = _rows(spec, dataset, indices, "hvp")
     layers = _unpack(spec, params)
     L = len(layers)
-    acts = _forward(spec, layers, X)
-    phi1 = [None] + [_act_deriv(spec, A) for A in acts[1:L]]
+    acts, logp, label, _ = _loss_pass(spec, layers, X, y)
+    deltas, s, phi1 = _backprop(spec, layers, acts, logp, label)
+    P = np.exp(logp)
     phi2 = [None] + [_act_second_deriv(spec, A) for A in acts[1:L]]
-    P = _softmax(acts[-1])
-    delta = P.copy()
-    delta[np.arange(len(y)), y] -= 1.0
-    deltas: list[Array] = [None] * L  # the loss's derivative at layer l's pre-activations
-    s: list[Array] = [None] * L  # deltas[l] @ W_l, for l >= 1
-    for l in range(L - 1, -1, -1):
-        deltas[l] = delta
-        if l > 0:
-            s[l] = delta @ layers[l][0]
-            delta = phi1[l] * s[l]
 
     def apply(v: Array) -> Array:
         v = np.asarray(v, dtype=np.float64)

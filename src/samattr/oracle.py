@@ -305,7 +305,7 @@ def validation_loss(spec: mod.ModelSpec, params: Array, dataset: mod.Dataset) ->
     if val_rows.size == 0:
         raise InvalidInputError("dataset has no val split rows")
     X, y = mod._check_examples(spec, dataset.features[val_rows], dataset.labels[val_rows])
-    return mod._batch_loss(spec, params, X, y)
+    return float(mod._loss_pass(spec, mod._unpack(spec, params), X, y)[3].sum())
 
 
 def _sign_agreement(a: Array, b: Array) -> float:

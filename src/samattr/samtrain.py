@@ -45,21 +45,25 @@ class SAMConfig:
     epoch_shuffled: bool = False
 
     def __post_init__(self):
-        if self.rho < 0.0:
-            raise ConfigError("rho must be >= 0")
-        if self.lam < 0.0:
-            raise ConfigError("lambda must be >= 0")
+        # Each bound is a chained comparison that NaN and inf fail.
+        if not 0.0 <= self.rho < math.inf:
+            raise ConfigError(f"rho must be finite and >= 0, got {self.rho}")
+        if math.isnan(self.p):  # any other p is checked where rho > 0 uses it
+            raise ConfigError("p must not be NaN")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.batch_size < 1 or self.steps < 1:
             raise ConfigError("batch_size, steps must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if isinstance(self.eta, (int, float)):
-            if self.eta <= 0.0:
-                raise ConfigError("eta must be > 0")
+            if not 0.0 < self.eta < math.inf:
+                raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
         else:
             sched = tuple((int(t), float(e)) for t, e in self.eta)
-            if not sched or sched[0][0] != 0 or any(e <= 0.0 for _, e in sched):
-                raise ConfigError("step-decay schedule must start at step 0 with eta > 0")
+            if not sched or sched[0][0] != 0 or not all(0.0 < e < math.inf for _, e in sched):
+                raise ConfigError("step-decay schedule must start at step 0 with every eta "
+                                  "finite and > 0")
             if any(sched[i][0] >= sched[i + 1][0] for i in range(len(sched) - 1)):
                 raise ConfigError("step-decay schedule steps must increase")
             object.__setattr__(self, "eta", sched)
@@ -166,16 +170,6 @@ def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
     return eps.reshape(g.shape)
 
 
-def sam_perturbation(
-    spec: mod.ModelSpec, params: Array, dataset: mod.Dataset, rows, scale: float,
-    rho: float, p: float,
-) -> tuple[float, Array]:
-    """First half of a SAM step: the loss of the given rows at params
-    (weighted by scale) and the worst-case perturbation of that loss."""
-    loss, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
-    return loss, worst_perturbation(g, rho, p)
-
-
 def train_sam_many(
     spec: mod.ModelSpec,
     dataset: mod.Dataset,
@@ -271,7 +265,8 @@ def stationarity_report(
     L2 term; both are reported because they vanish together only at lam=0."""
     rows = dataset.indices("train")
     scale = 1.0 / rows.size
-    _, eps = sam_perturbation(spec, params, dataset, rows, scale, config.rho, config.p)
+    _, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
+    eps = worst_perturbation(g, config.rho, config.p)
     _, g_pert = mod.subset_loss_grad(spec, params + eps, dataset, rows, scale)
     return {
         "grad_norm": p_norm(g_pert, 2.0),

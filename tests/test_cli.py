@@ -75,6 +75,17 @@ class TestExitCodes:
         assert main(["train", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "config error: seed must be >= 0\n"
 
+    @pytest.mark.parametrize("key,value", [
+        ("rho", "nan"), ("rho", "inf"), ("lam", "nan"), ("eta", "nan"), ("eta", "inf"),
+        ("eta", "0:nan"), ("p", "nan"), ("neumann_damp", "nan"),
+    ])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, key, value):
+        # Rejected before training, not read later as a diverged run (exit 3).
+        cfg = write_config(tmp_path, dataset="blobs(40, 4, 2, 0.8, 1)", steps=30,
+                           **{key: value})
+        assert main(["attribute", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("source", ["blobs", "csv"])
     @pytest.mark.parametrize("fractions", [
         {"val_fraction": 1.5}, {"test_fraction": -0.1}, {"val_fraction": 0.5, "test_fraction": 0.5},
@@ -147,15 +158,21 @@ class TestDeterminism:
         for a, b in zip(plots[0], plots[1]):
             assert open(a, "rb").read() == open(b, "rb").read()
 
-    @pytest.mark.parametrize("command", ["attribute", "trace", "edit"])
-    def test_gif_on_minibatch_mlp_byte_identical_across_reruns(self, tmp_path, capsys, command):
-        # Overlapping classes, so trace has misclassified test points.
+    @pytest.mark.parametrize("estimator,command", [
+        pytest.param(est, command, id=command if est == "gif" else f"{est}-{command}")
+        for est in ("gif", "if-fast", "hif") for command in ("attribute", "trace", "edit")
+    ])
+    def test_gif_on_minibatch_mlp_byte_identical_across_reruns(self, tmp_path, capsys,
+                                                               estimator, command):
+        # Overlapping classes, so trace has misclassified test points. gif
+        # replays the trajectory; if-fast and hif solve against the MLP's
+        # curvature operator. The gif cases are named by command alone.
         extra = dict(dataset="blobs(40, 4, 3, 1.0, 2)", model="mlp", activation="tanh",
                      hidden=6, batch_size=8, steps=60, eta=0.3, seed=2, edit_indices="1,4")
         outputs = []
         for run_dir in ("first", "second"):
             cfg = write_config(tmp_path, out=str(tmp_path / run_dir), **extra)
-            assert main([command, "--config", cfg, "--estimator", "gif"]) == 0
+            assert main([command, "--config", cfg, "--estimator", estimator]) == 0
             out = capsys.readouterr().out.splitlines()
             outputs.append(sorted(p for p in out if not p.endswith(".report")))
             outputs[-1] += sorted(str(p) for p in (tmp_path / run_dir).glob("*.npy"))

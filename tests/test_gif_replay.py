@@ -17,8 +17,8 @@ from samattr.influence import NeumannConfig, influence_vectors, sam_gif
 from samattr.samtrain import (
     SAMConfig,
     read_trajectory,
-    sam_perturbation,
     train_sam,
+    worst_perturbation,
     write_trajectory,
 )
 
@@ -48,7 +48,8 @@ def _plain_gif(traj, spec, ds, ks, mode):
         used = np.flatnonzero(np.isin(ks, batch)) if mode == "sgd" else np.arange(ks.size)
         if used.size == 0:
             continue
-        _, eps = sam_perturbation(spec, w, ds, rows[batch], 1.0 / batch.size, traj.rho, traj.p)
+        _, g = mod.subset_loss_grad(spec, w, ds, rows[batch], 1.0 / batch.size)
+        eps = worst_perturbation(g, traj.rho, traj.p)
         total[used] += weight * mod.example_grads(spec, w + eps, ds, rows[ks[used]])
     return -total
 

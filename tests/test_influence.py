@@ -93,6 +93,9 @@ class TestNeumann:
             NeumannConfig(alpha=-1.0)
         with pytest.raises(InvalidInputError):
             NeumannConfig(zeta=0.0)
+        for damp in (float("nan"), float("inf")):  # NaN would pass a "damp < 0" check
+            with pytest.raises(InvalidInputError, match="finite damp"):
+                NeumannConfig(damp=damp)
 
 
 class TestIfFast:

@@ -102,3 +102,17 @@ def test_edit_checks_indices_before_training(tmp_path, monkeypatch, indices):
     cfg = load_config(_config(tmp_path), {"edit_indices": indices})
     with pytest.raises(ConfigError, match="edit_indices"):
         experiments.cmd_edit(cfg)
+
+
+def test_edit_rejects_removing_every_training_point_before_training(tmp_path, monkeypatch):
+    # A retrain without any training point is undefined; without this check
+    # edit trains and scores first, then fails in the retrain.
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_sam ran before edit_indices were checked")
+
+    path = _config(tmp_path)
+    n = setup(load_config(path))[1].indices("train").size
+    monkeypatch.setattr(experiments, "train_sam", no_training)
+    cfg = load_config(path, {"edit_indices": tuple(range(n))})
+    with pytest.raises(ConfigError, match="edit_indices"):
+        experiments.cmd_edit(cfg)

@@ -1,3 +1,4 @@
+import math
 import struct
 from dataclasses import replace
 
@@ -58,6 +59,26 @@ class TestSAMConfig:
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ConfigError):
             SAMConfig(eta=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rho", math.nan), ("rho", math.inf), ("lam", math.nan), ("lam", math.inf),
+        ("eta", math.nan), ("eta", math.inf), ("eta", ((0, math.nan),)),
+        ("eta", ((0, 0.5), (10, math.inf))),
+    ], ids=["rho-nan", "rho-inf", "lam-nan", "lam-inf", "eta-nan", "eta-inf",
+            "schedule-nan", "schedule-inf"])
+    def test_rejects_non_finite_settings(self, field, value):
+        # NaN passes a sign check and inf overflows: each would otherwise
+        # train to a non-finite loss and read as divergence.
+        with pytest.raises(ConfigError):
+            SAMConfig(**{field: value})
+
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
+    def test_nan_p_rejected_whatever_rho(self, rho):
+        # A NaN p would be written to a trajectory file as "unset".
+        with pytest.raises(ConfigError, match="p must not be NaN"):
+            SAMConfig(rho=rho, p=math.nan)
+        # At rho = 0 the perturbation is zero, so any other p is accepted.
+        assert SAMConfig(rho=0.0, p=0.5).p == 0.5
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
