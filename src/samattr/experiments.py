@@ -17,6 +17,7 @@ import numpy as np
 
 from . import datasets, model as mod, oracle
 from .errors import ConfigError
+from .numcore import _removal_set
 from .influence import ESTIMATORS, GIF_MODES, NeumannConfig, influence_scores, influence_vectors
 from .report import Report
 from .samtrain import SAMConfig, train_sam, write_trajectory
@@ -208,7 +209,7 @@ def _vectors(
     cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig, params: Array,
     trajectory, ks,
 ) -> Array:
-    """Influence vectors of the training points ks, one row per point."""
+    """Influence vectors of the removal sets ks, one row per set."""
     return influence_vectors(cfg.estimator, spec, ds, params, sam.rho, sam.p, sam.lam,
                              cfg.neumann(), ks, trajectory, cfg.gif_mode)
 
@@ -226,7 +227,8 @@ def score_all(
     Returns (scores[n], ifvecs[n, P]); scores are the commands' scores
     (one transposed solve against the validation gradient), oriented
     positive = valuable. The vectors cost one solve per point; the
-    commands ask only for those of the points they remove.
+    commands ask only for those of the sets they remove, one solve per
+    set (valuate's top set per fraction, edit's one set).
     """
     n = ds.indices("train").size
     scores = _val_scores(cfg, spec, ds, sam, params, trajectory)
@@ -243,24 +245,38 @@ def rank_ascending(scores: Array) -> Array:
     return np.lexsort((np.arange(scores.size), scores))
 
 
+def _removal_sizes(fractions, n: int) -> list[int]:
+    """round(f * n) train points per removal fraction f, checked as the
+    retrain sweep checks its sets, so a fraction that would remove every
+    train point fails before any training."""
+    sizes = [int(round(f * n)) for f in fractions]
+    _removal_set(n, range(max(sizes, default=0)), "loo_retrain_many")
+    return sizes
+
+
 def _removal_accuracies(
     cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig,
     order: Array, salt: int,
-) -> tuple[list, list, float]:
+) -> tuple[list, list, Array, float]:
     """Per removal fraction f: test accuracy after retraining without the
     first round(f*n) points of order, and without a seeded random set of
-    the same size, all in one oracle sweep, and the sweep's wall time. A
-    fraction that removes nothing retrains on the empty set, which replays
-    the trained model bit for bit."""
+    the same size, all in one oracle sweep; also the first sets' retrained
+    parameters and the sweep's wall time. A fraction that removes nothing
+    retrains on the empty set, which replays the trained model bit for bit."""
     start = time.perf_counter()
     n = order.size
     sets = []
-    for fi, f in enumerate(cfg.removal_fractions):
-        m = int(round(f * n))
+    for fi, m in enumerate(_removal_sizes(cfg.removal_fractions, n)):
         rand = np.random.default_rng([cfg.seed, salt, fi]).choice(n, size=m, replace=False)
         sets += [order[:m], rand]
-    accs = [mod.accuracy(spec, w, ds, "test") for w in oracle.loo_retrain_many(spec, ds, sets, sam)]
-    return accs[0::2], accs[1::2], time.perf_counter() - start
+    retrained = oracle.loo_retrain_many(spec, ds, sets, sam)
+    accs = [mod.accuracy(spec, w, ds, "test") for w in retrained]
+    return accs[0::2], accs[1::2], retrained[0::2], time.perf_counter() - start
+
+
+def _distance(a: Array, b: Array, params: Array) -> float:
+    """||a - b|| relative to the trained parameters' norm."""
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(params), 1e-300))
 
 
 def cmd_train(cfg: ExperimentConfig) -> Report:
@@ -295,22 +311,23 @@ def cmd_attribute(cfg: ExperimentConfig) -> Report:
 def cmd_valuate(cfg: ExperimentConfig) -> Report:
     """Remove the most valuable points at each fraction; compare test
     accuracy after retraining, after influence editing, and after
-    removing a random set of the same size."""
+    removing a random set of the same size, and the edited and unedited
+    parameters' distances to the retrained ones, as edit reports them."""
     spec, ds, sam = setup(cfg)
+    sizes = _removal_sizes(cfg.removal_fractions, ds.indices("train").size)
     params, traj = train_sam(spec, ds, sam)
-    scores = _val_scores(cfg, spec, ds, sam, params, traj)
-    n = scores.size
-    order = rank_descending(scores)
+    order = rank_descending(_val_scores(cfg, spec, ds, sam, params, traj))
     fractions = list(cfg.removal_fractions)
-    acc_retrain, acc_random, wall = _removal_accuracies(cfg, spec, ds, sam, order, 0x7A)
-    sizes = [int(round(f * n)) for f in fractions]
-    top = _vectors(cfg, spec, ds, sam, params, traj, order[: max(sizes, default=0)])
-    acc_edit = [mod.accuracy(spec, params - top[:m].sum(axis=0), ds, "test") for m in sizes]
+    acc_retrain, acc_random, retrained, wall = _removal_accuracies(cfg, spec, ds, sam, order, 0x7A)
+    edited = params - _vectors(cfg, spec, ds, sam, params, traj, [order[:m] for m in sizes])
     report = Report("valuate", cfg.digest())
     report.add("acc_retrain", fractions, acc_retrain, [wall])
-    report.add("acc_edit", fractions, acc_edit)
+    report.add("acc_edit", fractions, [mod.accuracy(spec, w, ds, "test") for w in edited])
     report.add("acc_random", fractions, acc_random)
     report.add("acc_baseline", [0.0], [mod.accuracy(spec, params, ds, "test")])
+    report.add("param_distance_rel", fractions,
+               [_distance(w, r, params) for w, r in zip(edited, retrained)])
+    report.add("param_distance_none", fractions, [_distance(params, r, params) for r in retrained])
     return report
 
 
@@ -321,6 +338,7 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
     if cfg.flip_fraction <= 0.0:
         raise ConfigError("detect-noise needs flip_fraction > 0")
     spec, ds, sam = setup(cfg)
+    _removal_sizes(cfg.removal_fractions, ds.indices("train").size)
     noisy, flipped = datasets.flip_labels(ds, cfg.flip_fraction, cfg.seed)
     params, traj = train_sam(spec, noisy, sam)
     scores = _val_scores(cfg, spec, noisy, sam, params, traj)
@@ -342,7 +360,7 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
     report.add("recall_random", _RECALL_GRID, recall_curve(random_order))
 
     fractions = list(cfg.removal_fractions)
-    acc_is, acc_random, wall = _removal_accuracies(cfg, spec, noisy, sam, order, 0x4F)
+    acc_is, acc_random, _, wall = _removal_accuracies(cfg, spec, noisy, sam, order, 0x4F)
     report.add("acc_removed_is", fractions, acc_is, [wall])
     report.add("acc_removed_random", fractions, acc_random)
     return report
@@ -388,12 +406,12 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     ):
         raise ConfigError(f"edit_indices must be distinct train positions in 0..{n - 1}, "
                           "not all of them")
+    size = removed.size or _removal_sizes(cfg.removal_fractions[:1] or (0.1,), n)[0]
     params, traj = train_sam(spec, ds, sam)
     if not removed.size:
-        f = cfg.removal_fractions[0] if cfg.removal_fractions else 0.1
-        removed = rank_ascending(_val_scores(cfg, spec, ds, sam, params, traj))[: int(round(f * n))]
+        removed = rank_ascending(_val_scores(cfg, spec, ds, sam, params, traj))[:size]
     start = time.perf_counter()
-    w_edit = params - _vectors(cfg, spec, ds, sam, params, traj, removed).sum(axis=0)
+    w_edit = params - _vectors(cfg, spec, ds, sam, params, traj, [removed])[0]
     edit_wall = time.perf_counter() - start
     start = time.perf_counter()
     w_retrain = oracle.loo_retrain(spec, ds, removed, sam)
@@ -402,10 +420,9 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     report.add("acc_baseline", [0.0], [mod.accuracy(spec, params, ds, "test")])
     report.add("acc_edited", [0.0], [mod.accuracy(spec, w_edit, ds, "test")], [edit_wall])
     report.add("acc_retrained", [0.0], [mod.accuracy(spec, w_retrain, ds, "test")], [retrain_wall])
-    norm = max(np.linalg.norm(params), 1e-300)
-    report.add("param_distance_rel", [0.0], [float(np.linalg.norm(w_edit - w_retrain) / norm)])
+    report.add("param_distance_rel", [0.0], [_distance(w_edit, w_retrain, params)])
     # The no-edit control: an edit helps only where param_distance_rel is below it.
-    report.add("param_distance_none", [0.0], [float(np.linalg.norm(params - w_retrain) / norm)])
+    report.add("param_distance_none", [0.0], [_distance(params, w_retrain, params)])
     os.makedirs(cfg.out, exist_ok=True)
     np.save(os.path.join(cfg.out, f"edited_params_{report.config_digest[:8]}.npy"), w_edit)
     return report

@@ -20,27 +20,31 @@ returning an unconverged vector. No Hessian is ever materialized here.
 ``neumann_ihvp``, a scaled truncated Neumann series, is kept as a library
 function; the commands do not use it.
 
-One dispatch serves two entry points. ``influence_scores`` scores points
-against query gradients (the validation loss, a test point): the Hessian
-estimators solve the transposed operator once per query, A^T s = q, and
-the score of point k is g_k . s, so scoring every point costs one solve
-per query, not one per point. ``influence_vectors`` returns IF(k)
-itself, one solve per point, for the few points a caller removes or
-edits. Either way the linearization is built once per call: one
-full-train gradient, w_pert, and one curvature operator
-(model.hvp_operator) per linearization point, H at w_pert and, for the
-total estimator, H at params: each primal pass runs once, and each
-solver iteration applies only the tangent half of the HVP. The
-points' gradients come from one per-example call, and right-hand sides
-are solved as blocks, one block application per iteration. The
-perturbation's Jacobian is the closed form (d eps / d g) H
+One dispatch serves two entry points, and both take removal sets as
+oracle.loo_retrain_many does: each entry one train position or a
+collection of them, whose influence is the sum of its points', since the
+estimators are linear in the removal weights. ``influence_scores`` scores
+sets against query gradients (the validation loss, a test point): the
+Hessian estimators solve the transposed operator once per query, A^T s =
+q, and the score of set S is g_S . s with g_S its points' summed
+gradient, so scoring every point costs one solve per query, not one per
+point. ``influence_vectors`` returns IF(S) itself, one solve per set
+against g_S, for the sets a caller removes or edits. Either way the
+linearization is built once per call: one full-train gradient, w_pert,
+and one curvature operator (model.hvp_operator) per linearization point,
+H at w_pert and, for the total estimator, H at params: each primal pass
+runs once, and each solver iteration applies only the tangent half of
+the HVP. The sets' points get their gradients from one per-example call,
+and right-hand sides are solved as blocks, one block application per
+iteration. The perturbation's Jacobian is the closed form (d eps / d g) H
 for every p, symmetric in its gradient factor, which is what makes A^T as
 cheap as A. The trajectory estimator replays the recorded steps once, in
 blocks of consecutive steps of at most GIF_BLOCK_FLOATS factor floats:
 per block, one stacked gradient call gives every step's perturbation, one
 factor call at the perturbed weights gives every per-example gradient as
 (delta, a) factors, and one batched matmul per layer adds them into the
-scored points' rows; its scores are its vectors' dot products.
+scored points' rows; a set's vector is the sum of its points' rows, and
+its scores are its vectors' dot products.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import numpy as np
 
 from . import model as mod
 from .errors import DivergenceError, InvalidInputError
-from .numcore import dual_exponent
+from .numcore import _removal_set, dual_exponent
 from .samtrain import Trajectory, worst_perturbation
 
 Array = np.ndarray
@@ -416,42 +420,46 @@ def _block_solve(apply_A: LinearOperator, rhs: Array, ncfg: NeumannConfig) -> Ar
     return out
 
 
-def _check_ks(ks, n: int) -> Array:
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    bad = ks[(ks < 0) | (ks >= n)]
-    if bad.size:
-        raise InvalidInputError(f"training index {bad[0]} out of range")
-    return ks
+def _removal_sets(n: int, ks, who: str) -> tuple[Array, LinearOperator]:
+    """The removal sets ks, checked as loo_retrain_many checks its sets: their points, and
+    the map from the points' rows to each set's sum (the identity when every set is one)."""
+    if all(isinstance(k, (int, np.integer)) for k in ks):
+        for k in (min(ks), max(ks)) if len(ks) else ():  # every one-point set passes if these do
+            _removal_set(n, k, who)
+        return np.array(ks, dtype=np.int64), lambda rows: rows
+    sets = [_removal_set(n, S, who) for S in ks]
+    points = np.unique(np.concatenate(sets))
+    return points, lambda rows: np.array([np.isin(points, S) for S in sets], dtype=float) @ rows
 
 
 def _influence(
     estimator: str, spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float,
     p: float, lam: float, ncfg: NeumannConfig, ks, trajectory: Trajectory | None, gif_mode: str,
-    queries: Array | None,
+    queries: Array | None, who: str,
 ) -> Array:
-    """The one estimator dispatch. Without queries: IF(k), one row per
-    training index in ks. With queries (m, P): scores[len(ks), m] =
-    -IF(k) . q. The Hessian estimators build one linearization; vectors
-    solve A against every point's gradient, scores solve A^T against
-    every query and dot the points' gradients with the results. gif
-    replays the trajectory once for all of ks either way."""
+    """The one estimator dispatch over removal sets ks, loo_retrain_many's:
+    each one train position or several. Without queries: IF(S), the sum of
+    IF(k) over S, one row per set. With queries (m, P): scores[len(ks), m]
+    = -IF(S) . q. The Hessian estimators build one linearization and sum
+    each set's point gradients into one right-hand side, solving A against
+    it or A^T against every query; gif replays once and sums each set's rows."""
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"unknown estimator {estimator!r}")
     if queries is not None:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.ndim != 2 or queries.shape[1] != spec.param_count:
             raise InvalidInputError("queries must be (m, P) gradients of the model's parameters")
+    rows = _train_rows(dataset)
+    points, by_set = _removal_sets(rows.size, ks, who)
     if estimator == "gif":
         if trajectory is None:
             raise InvalidInputError("gif estimator needs a trajectory")
-        vectors = _gif_vectors(trajectory, spec, dataset, ks, gif_mode)
+        vectors = by_set(_gif_vectors(trajectory, spec, dataset, points, gif_mode))
         return vectors if queries is None else -(vectors @ queries.T)
-    rows = _train_rows(dataset)
-    ks = _check_ks(ks, rows.size)
     w_pert, apply_A, apply_AT = _linearize(spec, dataset, params, rho, p, lam, estimator == "hif")
-    if ks.size == 0:
-        return np.zeros((0, spec.param_count if queries is None else queries.shape[0]))
-    grads = (1.0 / rows.size) * mod.example_grads(spec, w_pert, dataset, rows[ks])
+    if points.size == 0:
+        return np.zeros((len(ks), spec.param_count if queries is None else queries.shape[0]))
+    grads = by_set((1.0 / rows.size) * mod.example_grads(spec, w_pert, dataset, rows[points]))
     if queries is None:
         return -_block_solve(apply_A, grads, ncfg)
     return grads @ _block_solve(apply_AT, queries, ncfg).T
@@ -461,12 +469,11 @@ def influence_vectors(
     estimator: str, spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float,
     p: float, lam: float, ncfg: NeumannConfig, ks, trajectory: Trajectory | None, gif_mode: str,
 ) -> Array:
-    """Influence vectors IF(k), one row per training index in ks, in one
-    pass: one solve per point for the Hessian estimators (HVP_BLOCK rows
-    at a time), one trajectory replay for gif. A row does not depend on
-    which other points share the call."""
+    """Influence vectors IF(S), one row per removal set in ks, in one pass: one
+    solve per set for the Hessian estimators (HVP_BLOCK rows at a time), one
+    trajectory replay for gif. A row does not depend on which other sets share the call."""
     return _influence(estimator, spec, dataset, params, rho, p, lam, ncfg, ks, trajectory,
-                      gif_mode, None)
+                      gif_mode, None, "influence_vectors")
 
 
 def influence_scores(
@@ -474,14 +481,14 @@ def influence_scores(
     p: float, lam: float, ncfg: NeumannConfig, ks, trajectory: Trajectory | None, gif_mode: str,
     queries: Array,
 ) -> Array:
-    """Influence scores scores[i, j] = -IF(ks[i]) . queries[j] for m query
-    gradients (m, P), e.g. a validation or test-point loss gradient;
-    positive = removing the point is predicted to raise that loss.
+    """Influence scores scores[i, j] = -IF(ks[i]) . queries[j] for removal
+    sets ks and m query gradients (m, P), e.g. a validation or test-point
+    loss gradient; positive = removing the set is predicted to raise that loss.
 
     The Hessian estimators cost one transposed solve per query, not one
-    solve per point: -IF(k) . q = g_k . A^-T q."""
+    solve per set: -IF(S) . q = g_S . A^-T q."""
     return _influence(estimator, spec, dataset, params, rho, p, lam, ncfg, ks, trajectory,
-                      gif_mode, queries)
+                      gif_mode, queries, "influence_scores")
 
 
 def sam_if_fast(
@@ -533,22 +540,23 @@ def sam_gif(
     replays the whole trajectory; for many points, influence_vectors or
     influence_scores replays it once for all of them.
     """
-    return _gif_vectors(trajectory, spec, dataset, [k], mode)[0]
+    return _gif_vectors(trajectory, spec, dataset, _removal_set(trajectory.n_train, k, "sam_gif"),
+                        mode)[0]
 
 
 def _gif_vectors(
     trajectory: Trajectory, spec: mod.ModelSpec, dataset: mod.Dataset, ks, mode: str
 ) -> Array:
-    """sam_gif for every training index in ks from one replay, with no
-    per-step kernel call. The T steps are cut into windows of C
-    consecutive steps, the same whatever ks is, and the steps of a window
-    that score a point make one block of two calls: stacked_loss_grad over
-    their parameter rows and batches, whose gradients give every
-    perturbation in one worst_perturbation call, and stacked_loss_factors
-    at the perturbed rows over a fixed-shape input, the step's batch in sgd
-    mode and the whole train split in gd mode. _add_gif_terms then adds
-    the block's weighted per-example gradients into each point's row. C
-    keeps a block's factors within GIF_BLOCK_FLOATS.
+    """sam_gif for every train position in ks, which its callers check,
+    from one replay with no per-step kernel call. The T steps are cut into
+    windows of C consecutive steps, the same whatever ks is, and the steps
+    of a window that score a point make one block of two calls:
+    stacked_loss_grad over their parameter rows and batches, whose
+    gradients give every perturbation in one worst_perturbation call, and
+    stacked_loss_factors at the perturbed rows over a fixed-shape input,
+    the step's batch in sgd mode and the whole train split in gd mode.
+    _add_gif_terms then adds the block's weighted per-example gradients
+    into each point's row. C keeps a block's factors within GIF_BLOCK_FLOATS.
 
     A point's terms, and the order its row adds them in, do not depend on
     which other points are scored, so a row is bitwise the same whatever
@@ -563,7 +571,6 @@ def _gif_vectors(
     n = rows.size
     if n != trajectory.n_train:
         raise InvalidInputError("trajectory train size does not match the dataset")
-    ks = _check_ks(ks, n)
     if trajectory.rho is None or trajectory.p is None:
         raise InvalidInputError(
             "trajectory is missing its SAM settings (a version 1 file does not store "

@@ -1,4 +1,4 @@
-"""Deterministic numeric primitives: norms, dual exponents, batch schedules."""
+"""Deterministic numeric primitives: norms, dual exponents, batch schedules, removal sets."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ def p_norm(v: np.ndarray, p: float) -> float:
 
 def dual_exponent(p: float) -> float:
     """Return q with 1/p + 1/q = 1, for p strictly inside (1, inf)."""
-    if math.isinf(p) or p <= 1.0:
+    if not 1.0 < p < math.inf:
         raise InvalidInputError(f"dual_exponent: p must lie in (1, inf), got {p}")
     return p / (p - 1.0)
 
@@ -80,3 +80,18 @@ def sample_batches(
         for t in range(T):
             steps[t] = np.sort(rng.choice(n, size=b, replace=False))
     return steps
+
+
+def _removal_set(n: int, removed, who: str) -> np.ndarray:
+    """Sorted, validated train positions of a removal set (one index or several)."""
+    S = np.sort(np.atleast_1d(np.asarray(removed)))
+    if S.ndim != 1 or (S.size and not np.issubdtype(S.dtype, np.integer)):
+        raise InvalidInputError(f"{who}: removal set must be integer indices")
+    S = S.astype(np.int64)
+    if S.size and not 0 <= S[0] <= S[-1] < n:
+        raise InvalidInputError(f"{who}: index out of range 0..{n - 1}")
+    if np.any(S[1:] == S[:-1]):
+        raise InvalidInputError(f"{who}: removal set repeats an index")
+    if S.size >= n:
+        raise InvalidInputError(f"{who}: removing all {n} training points leaves none")
+    return S

@@ -36,7 +36,7 @@ from . import model as mod
 from .errors import InvalidInputError
 from .influence import HVP_BLOCK, NeumannConfig, influence_scores
 from .influence import compute_influence  # noqa: F401  re-exported; bench/ traces it here
-from .numcore import sample_batches
+from .numcore import _removal_set, sample_batches
 from .samtrain import SAMConfig, recorded_trajectory, train_sam_many, train_split_size
 from .samtrain import train_sam  # noqa: F401  re-exported; bench/ traces it here
 
@@ -60,21 +60,6 @@ class CalibrationReport:
     sign_agreement: float
     n_points: int
     estimator: str
-
-
-def _removal_set(n: int, removed, who: str) -> Array:
-    """Sorted, validated train positions of a removal set (one index or several)."""
-    S = np.sort(np.atleast_1d(np.asarray(removed)))
-    if S.ndim != 1 or (S.size and not np.issubdtype(S.dtype, np.integer)):
-        raise InvalidInputError(f"{who}: removal set must be integer indices")
-    S = S.astype(np.int64)
-    if S.size and not 0 <= S[0] <= S[-1] < n:
-        raise InvalidInputError(f"{who}: index out of range 0..{n - 1}")
-    if np.any(S[1:] == S[:-1]):
-        raise InvalidInputError(f"{who}: removal set repeats an index")
-    if S.size >= n:
-        raise InvalidInputError(f"{who}: removing all {n} training points leaves none")
-    return S
 
 
 def _replayed_steps(base: Array, n: int, S: Array, config: SAMConfig) -> Array:

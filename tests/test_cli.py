@@ -160,7 +160,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("estimator,command", [
         pytest.param(est, command, id=command if est == "gif" else f"{est}-{command}")
-        for est in ("gif", "if-fast", "hif") for command in ("attribute", "trace", "edit")
+        for est in ("gif", "if-fast", "hif")
+        for command in ("attribute", "trace", "edit", "valuate")
     ])
     def test_gif_on_minibatch_mlp_byte_identical_across_reruns(self, tmp_path, capsys,
                                                                estimator, command):

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samattr.errors import ConfigError, InvalidInputError
+from samattr.datasets import make_blobs
+from samattr.influence import perturbed_params
+from samattr.model import ModelSpec, init_params
 from samattr.numcore import dual_exponent, p_norm, sample_batches
+from samattr.samtrain import worst_perturbation
 
 
 class TestPNorm:
@@ -58,6 +62,15 @@ class TestDualExponent:
     def test_domain(self, p):
         with pytest.raises(InvalidInputError):
             dual_exponent(p)
+
+    def test_nan_p_is_refused_by_the_perturbation_helpers(self):
+        # NaN fails every comparison, so "p <= 1.0" alone would let it through.
+        with pytest.raises(InvalidInputError, match="dual_exponent"):
+            worst_perturbation(np.array([1.0, -2.0, 0.5]), 0.05, math.nan)
+        spec = ModelSpec("logistic", (3, 2))
+        ds = make_blobs(20, 3, 2, 2.0, seed=1)
+        with pytest.raises(InvalidInputError, match="dual_exponent"):
+            perturbed_params(spec, ds, init_params(spec, 1), 0.05, math.nan)
 
     @given(p=st.floats(1.0001, 1000, allow_nan=False))
     @settings(max_examples=50, deadline=None)

@@ -1,6 +1,7 @@
 """The CLI commands score per query: attribute's scores are score_all's,
 trace ranks against each misclassified test point, attribute makes one
-one-row solve, and edit rejects bad indices before any training."""
+one-row solve, and edit rejects bad indices, and valuate, detect-noise and
+edit a removal fraction that removes every point, before any training."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from samattr import experiments, influence
 from samattr import model as mod
 from samattr.cli import main
-from samattr.errors import ConfigError
+from samattr.errors import ConfigError, InvalidInputError
 from samattr.experiments import load_config, rank_ascending, rank_descending, score_all, setup
 from samattr.report import parse_report
 from samattr.samtrain import train_sam
@@ -116,3 +117,21 @@ def test_edit_rejects_removing_every_training_point_before_training(tmp_path, mo
     cfg = load_config(path, {"edit_indices": tuple(range(n))})
     with pytest.raises(ConfigError, match="edit_indices"):
         experiments.cmd_edit(cfg)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("valuate", {"removal_fractions": "0.1,0.99"}),
+    ("detect_noise", {"removal_fractions": "0.1,0.99", "flip_fraction": 0.1}),
+    ("edit", {"removal_fractions": "0.99"}),
+], ids=["valuate", "detect-noise", "edit"])
+def test_fraction_removing_every_point_is_refused_before_training(tmp_path, monkeypatch,
+                                                                   command, extra):
+    # 0.99 of the 16-odd train points rounds to all of them: the retrain
+    # sweep would refuse that set, so the command refuses it up front.
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_sam ran before removal_fractions were checked")
+
+    monkeypatch.setattr(experiments, "train_sam", no_training)
+    cfg = load_config(_config(tmp_path, **extra))
+    with pytest.raises(InvalidInputError, match="loo_retrain_many: removing all .* leaves none"):
+        getattr(experiments, f"cmd_{command}")(cfg)
