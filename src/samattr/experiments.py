@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import datasets, model as mod, oracle
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .numcore import _removal_set
 from .influence import ESTIMATORS, GIF_MODES, NeumannConfig, influence_scores, influence_vectors
 from .report import Report
@@ -400,12 +400,12 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     spec, ds, sam = setup(cfg)
     n = int(ds.indices("train").size)
     removed = np.asarray(cfg.edit_indices, dtype=np.int64)
-    if removed.size and (
-        removed.min() < 0 or removed.max() >= n or np.unique(removed).size != removed.size
-        or removed.size == n
-    ):
-        raise ConfigError(f"edit_indices must be distinct train positions in 0..{n - 1}, "
-                          "not all of them")
+    if removed.size:
+        try:
+            removed = _removal_set(n, removed, "edit_indices")
+        except InvalidInputError as exc:
+            raise ConfigError(f"edit_indices must be distinct train positions in 0..{n - 1}, "
+                              f"not all of them ({exc})") from exc
     size = removed.size or _removal_sizes(cfg.removal_fractions[:1] or (0.1,), n)[0]
     params, traj = train_sam(spec, ds, sam)
     if not removed.size:

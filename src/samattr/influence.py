@@ -556,7 +556,9 @@ def _gif_vectors(
     stacked_loss_factors at the perturbed rows over a fixed-shape input,
     the step's batch in sgd mode and the whole train split in gd mode.
     _add_gif_terms then adds the block's weighted per-example gradients
-    into each point's row. C keeps a block's factors within GIF_BLOCK_FLOATS.
+    into each point's row of contiguous per-layer sums, which are packed
+    into the (len(ks), P) result once, after the last block. C keeps a
+    block's factors within GIF_BLOCK_FLOATS.
 
     A point's terms, and the order its row adds them in, do not depend on
     which other points are scored, so a row is bitwise the same whatever
@@ -581,7 +583,9 @@ def _gif_vectors(
     if outside.any():
         raise InvalidInputError(f"step {np.argmax(outside)}: batch entry out of range 0..{n - 1}")
     uniq, inverse = np.unique(ks, return_inverse=True)
-    total = np.zeros((uniq.size, spec.param_count))
+    sizes = spec.layer_sizes
+    sums = [(np.zeros((uniq.size, fan_out, fan_in)), np.zeros((uniq.size, fan_out)))
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
     X_train, y_train = mod._check_examples(spec, dataset.features[rows], dataset.labels[rows])
     slot = np.full(n, -1)  # slot[k]: k's row of uniq, or -1 if k is not scored
     slot[uniq] = np.arange(uniq.size)
@@ -590,7 +594,6 @@ def _gif_vectors(
         scored, live = batches, (slot[batches] >= 0).any(axis=1)
     else:
         scored, live = np.broadcast_to(np.arange(n), (T, n)), np.full(T, uniq.size > 0)
-    sizes = spec.layer_sizes
     C = max(1, GIF_BLOCK_FLOATS // (scored.shape[1] * (sum(sizes[:-1]) + sum(sizes[1:]))))
     for first in range(0, T, C):
         sel = first + np.flatnonzero(live[first : first + C])
@@ -598,52 +601,60 @@ def _gif_vectors(
             continue
         W = trajectory.params[sel]  # a gathered copy: the perturbation is added in place
         batch, rows_in = batches[sel], scored[sel]
-        _, G = mod.stacked_loss_grad(spec, W, X_train[batch], y_train[batch])
+        _, G = mod.stacked_loss_grad(spec, W, np.take(X_train, batch, axis=0), y_train[batch])
         W += worst_perturbation((1.0 / batch.shape[1]) * G, trajectory.rho, trajectory.p)
-        factors = mod.stacked_loss_factors(spec, W, X_train[rows_in], y_train[rows_in])[1]
-        _add_gif_terms(spec, total, factors, slot[rows_in], trajectory.weights[sel])
+        factors = mod.stacked_loss_factors(
+            spec, W, np.take(X_train, rows_in, axis=0), y_train[rows_in])[1]
+        _add_gif_terms(sums, factors, slot[rows_in], trajectory.weights[sel])
         del factors  # held no longer than its block
+    total = np.empty((uniq.size, spec.param_count))
+    for layer, layer_sums in zip(mod._unpack_rows(spec, total), sums):
+        for view, part in zip(layer, layer_sums):
+            np.negative(part, out=view)
     # Sorted, distinct ks (every command's) need no gathered copy of total.
-    out = total if np.array_equal(uniq, ks) else total[inverse]
-    return np.negative(out, out=out)
+    return total if np.array_equal(uniq, ks) else total[inverse]
 
 
 def _add_gif_terms(
-    spec: mod.ModelSpec, total: Array, factors: list[tuple[Array, Array]], hits: Array,
+    sums: list[tuple[Array, Array]], factors: list[tuple[Array, Array]], hits: Array,
     weights: Array,
 ) -> None:
-    """total[u] += weights[c] * (example gradient of factor row (c, j)) for
-    every row of the block with hits[c, j] = u. The rows are sorted by
-    point, each point's in step order, and a chunk of K consecutive points
-    gathers its weighted delta rows D and a rows A into (K, S, fan)
-    stacks, zero-padded to the most rows S any of them has (at least 2:
-    NumPy's matmul leaves BLAS for an inner dimension of 1). Per layer one
-    batched D^T A matmul and one sum of D over S then add into views of
-    the chunk's rows of total. K keeps a chunk's gradients and gathered
-    factors within GIF_BLOCK_FLOATS."""
+    """Point u's sums += weights[c] * (the example gradient of factor row
+    (c, j)) for every row of the block with hits[c, j] = u; sums[l] holds
+    layer l's contiguous weight sums (u, fan_out, fan_in) and bias sums
+    (u, fan_out). The rows are sorted by point, each point's in step
+    order, and a chunk of K consecutive points gathers its weighted delta
+    rows D and a rows A into (K, S, fan) stacks, zero-padded to the most
+    rows S any of them has (at least 2: NumPy's matmul leaves BLAS for an
+    inner dimension of 1). Per layer one batched D^T A matmul and one sum
+    of D over S then add into the chunk's rows of the layer's sums. K
+    keeps a chunk's gradients and gathered factors within
+    GIF_BLOCK_FLOATS."""
     c, j = np.nonzero(hits >= 0)  # step-major
     pts = hits[c, j]
     order = np.argsort(pts, kind="stable")  # by point, then step
     c, j, pts = c[order], j[order], pts[order]
-    counts = np.bincount(pts, minlength=total.shape[0])
+    n_points = sums[0][1].shape[0]
+    counts = np.bincount(pts, minlength=n_points)
     rank = np.arange(pts.size) - (np.cumsum(counts) - counts)[pts]
     fan_sum = sum(d.shape[-1] + a.shape[-1] for d, a in factors)
-    K = max(1, GIF_BLOCK_FLOATS // max(total.shape[1], max(2, int(counts.max())) * fan_sum))
+    P = sum(W[0].size + b[0].size for W, b in sums)
+    K = max(1, GIF_BLOCK_FLOATS // max(P, max(2, int(counts.max())) * fan_sum))
     for lo in range(int(pts[0]), int(pts[-1]) + 1, K):
-        hi = min(lo + K, total.shape[0])
+        hi = min(lo + K, n_points)
         s0, s1 = np.searchsorted(pts, [lo, hi])
         if s0 == s1:
             continue
         S = max(2, int(counts[lo:hi].max()))
         at = (pts[s0:s1] - lo, rank[s0:s1])
         cs, js = c[s0:s1], j[s0:s1]
-        for (Wv, bv), (d, a) in zip(mod._unpack_rows(spec, total[lo:hi]), factors):
+        for (W_sum, b_sum), (d, a) in zip(sums, factors):
             D = np.zeros((hi - lo, S, d.shape[-1]))
             A = np.zeros((hi - lo, S, a.shape[-1]))
             D[at] = d[cs, js] * weights[cs, None]
             A[at] = a[cs, js]
-            Wv += D.swapaxes(1, 2) @ A
-            bv += D.sum(axis=1)
+            W_sum[lo:hi] += D.swapaxes(1, 2) @ A
+            b_sum[lo:hi] += D.sum(axis=1)
 
 
 def influence_score(

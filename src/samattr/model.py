@@ -8,6 +8,16 @@ tangent through both passes, so they are exact (no finite differences):
 ``hvp_operator`` runs the gradient's primal pass once per linearization
 point and adds only the tangent sweeps. Everything is float64 and
 vectorized over the batch axis.
+
+The softmax's reductions over the class axis (the max shift, the exp-sum
+and the curvature's tangent sum) go through _class_reduce. NumPy reduces
+a short last axis row by row, at tens of nanoseconds a row, so with fewer
+than 8 classes and at least CLASS_LOOP_MIN_ROWS (128) rows it makes one
+vectorized call per class column instead, with the same bits. Stacks of
+many rows (a retrain sweep's replicas, gif's replay blocks, a block of
+tangents) take the column loop; a one-row stack of fewer rows (the
+trainer's one-replica step on a minibatch, a one-tangent HVP over a small
+train split) keeps NumPy's axis reduction.
 """
 
 from __future__ import annotations
@@ -20,6 +30,13 @@ import numpy as np
 from .errors import InvalidInputError
 
 Array = np.ndarray
+
+# Fewest rows at which _class_reduce loops over the class columns. Timed
+# with timeit on a 2-vCPU x86-64 host, for 2-4 classes the loop breaks
+# even with NumPy's axis reduction at 64-96 rows for the max and at
+# 128-256 rows for the sum; at 128 a loss pass (one of each) gains and a
+# curvature tangent's sum (a sum alone) loses at most about 3 us.
+CLASS_LOOP_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -178,6 +195,27 @@ def _forward(spec: ModelSpec, layers, X: Array) -> list[Array]:
     return acts
 
 
+def _class_reduce(ufunc: np.ufunc, Z: Array) -> Array:
+    """ufunc.reduce(Z, axis=-1, keepdims=True) for ufunc np.maximum or
+    np.add, with the same bits. Below 8 entries NumPy's add-reduce sums a
+    row left to right starting from +0.0 (so an all -0.0 row sums to
+    +0.0), and the column loop does the same; from 8 entries NumPy sums
+    pairwise, so those calls, and those with fewer than
+    CLASS_LOOP_MIN_ROWS rows, keep the axis reduction. A maximum is exact
+    in any order, save for a NaN's sign and for which zero a row that ties
+    +0.0 with -0.0 keeps, which NumPy's own SIMD paths do not agree on;
+    the softmax shift by either zero gives the same bits, because such a
+    row's exp-sum is at least 2."""
+    C = Z.shape[-1]
+    if C >= 8 or Z.size < C * CLASS_LOOP_MIN_ROWS:
+        return ufunc.reduce(Z, axis=-1, keepdims=True)
+    cols = Z.reshape(-1, C).T
+    out = cols[0] + 0.0 if ufunc is np.add else cols[0].copy()
+    for col in cols[1:]:
+        ufunc(out, col, out=out)
+    return out.reshape(*Z.shape[:-1], 1)
+
+
 def _check_examples(spec: ModelSpec, X: Array, y: Array) -> tuple[Array, Array]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
@@ -198,8 +236,8 @@ def _loss_pass(spec: ModelSpec, layers, X: Array, y: Array) -> tuple[list, Array
     curvature go on to _backprop; a loss-only caller stops here."""
     acts = _forward(spec, layers, X)
     Z = acts[-1]
-    m = Z - Z.max(axis=-1, keepdims=True)
-    logp = m - np.log(np.exp(m).sum(axis=-1, keepdims=True))
+    m = Z - _class_reduce(np.maximum, Z)
+    logp = m - np.log(_class_reduce(np.add, np.exp(m)))
     label = np.arange(y.size) * Z.shape[-1] + y.ravel()
     return acts, logp, label, -logp.reshape(-1)[label].reshape(y.shape)
 
@@ -350,7 +388,7 @@ def hvp_operator(
 
         dZ = dacts[-1]
         # Tangent of softmax: dP = P * (dZ - sum(P * dZ)).
-        ddelta = P * (dZ - (P * dZ).sum(axis=-1, keepdims=True))
+        ddelta = P * (dZ - _class_reduce(np.add, P * dZ))
         hparts: list[tuple[Array, Array]] = [None] * L
         for l in range(L - 1, -1, -1):
             hW = np.swapaxes(ddelta, -1, -2) @ acts[l]

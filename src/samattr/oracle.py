@@ -51,6 +51,10 @@ DENSE_HESSIAN_MAX_P = 2000
 # up to about 20 per block and is flat within noise from there to 64; a
 # block's activations grow with it.
 RETRAIN_BLOCK = 32
+# Floats of one layer's activations that one stacked validation-loss pass
+# may hold (512 KiB): _validation_losses cuts R parameter rows into stacks
+# of max(1, this // (n_val * widest layer)) rows.
+_VAL_STACK_FLOATS = 2**16
 
 
 @dataclass
@@ -286,11 +290,26 @@ def dense_hessian(
 
 def validation_loss(spec: mod.ModelSpec, params: Array, dataset: mod.Dataset) -> float:
     """Sum of per-example losses over the val split."""
+    return float(_validation_losses(spec, mod._check_params(spec, params)[None], dataset)[0])
+
+
+def _validation_losses(spec: mod.ModelSpec, W: Array, dataset: mod.Dataset) -> Array:
+    """validation_loss of every parameter row of W (R, P), from stacked
+    _loss_pass calls with the val rows broadcast over the rows, at most
+    _VAL_STACK_FLOATS activations a layer each; row r does not depend on
+    the other rows, bit for bit."""
     val_rows = dataset.indices("val")
     if val_rows.size == 0:
         raise InvalidInputError("dataset has no val split rows")
     X, y = mod._check_examples(spec, dataset.features[val_rows], dataset.labels[val_rows])
-    return float(mod._loss_pass(spec, mod._unpack(spec, params), X, y)[3].sum())
+    size = max(1, _VAL_STACK_FLOATS // (y.size * max(spec.layer_sizes[1:])))
+    losses = np.empty(len(W))
+    for lo in range(0, len(W), size):
+        rows = W[lo : lo + size]
+        y_rows = np.broadcast_to(y, (len(rows), y.size))
+        losses[lo : lo + size] = mod._loss_pass(
+            spec, mod._unpack_rows(spec, rows), X[None], y_rows)[3].sum(axis=-1)
+    return losses
 
 
 def _sign_agreement(a: Array, b: Array) -> float:
@@ -392,7 +411,7 @@ def calibrate_estimator(
     predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
                                  config.lam, ncfg, sample, traj, gif_mode, gval[None])[:, 0]
     # Removal-induced loss change: positive means removal hurt.
-    actual = np.array([validation_loss(spec, w_k, dataset) - base_val for w_k in retrained])
+    actual = _validation_losses(spec, retrained, dataset) - base_val
     return CalibrationReport(
         pearson=_corr_or_zero(predicted, actual),
         spearman=_corr_or_zero(predicted, actual, ranked=True),
