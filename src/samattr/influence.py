@@ -30,21 +30,23 @@ q, and the score of set S is g_S . s with g_S its points' summed
 gradient, so scoring every point costs one solve per query, not one per
 point. ``influence_vectors`` returns IF(S) itself, one solve per set
 against g_S, for the sets a caller removes or edits. Either way the
-linearization is built once per call: one full-train gradient, w_pert,
-and one curvature operator (model.hvp_operator) per linearization point,
-H at w_pert and, for the total estimator, H at params: each primal pass
-runs once, and each solver iteration applies only the tangent half of
-the HVP. The sets' points get their gradients from one per-example call,
-and right-hand sides are solved as blocks, one block application per
-iteration. The perturbation's Jacobian is the closed form (d eps / d g) H
-for every p, symmetric in its gradient factor, which is what makes A^T as
-cheap as A. The trajectory estimator replays the recorded steps once, in
-blocks of consecutive steps of at most GIF_BLOCK_FLOATS factor floats:
-per block, one stacked gradient call gives every step's perturbation, one
-factor call at the perturbed weights gives every per-example gradient as
-(delta, a) factors, and one batched matmul per layer adds them into the
-scored points' rows; a set's vector is the sum of its points' rows, and
-its scores are its vectors' dot products.
+linearization is built once per call from the SAM point at params
+(samtrain._sam_point): one curvature operator (model.hvp_operator) whose
+primal pass also gives the full-train gradient g and so eps, then one at
+w_pert = params + eps. The total estimator applies both, with no separate
+gradient pass; each primal pass runs once, and each solver iteration
+applies only the tangent half of the HVP. The sets' points get their
+gradients from one per-example call, and right-hand sides are solved as
+blocks, one block application per iteration. The perturbation's Jacobian
+is the closed form (d eps / d g) H for every p, symmetric in its gradient
+factor, which is what makes A^T as cheap as A. The trajectory estimator
+replays the recorded steps once, in blocks of consecutive steps of at
+most GIF_BLOCK_FLOATS factor floats: per block, one stacked gradient call
+gives every step's perturbation, one factor call at the perturbed weights
+gives every per-example gradient as (delta, a) factors, and one batched
+matmul per layer adds them into the scored points' rows; a set's vector
+is the sum of its points' rows, and its scores are its vectors' dot
+products.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 from . import model as mod
 from .errors import DivergenceError, InvalidInputError
 from .numcore import _removal_set, dual_exponent
-from .samtrain import Trajectory, worst_perturbation
+from .samtrain import Trajectory, _sam_point, worst_perturbation
 
 Array = np.ndarray
 LinearOperator = Callable[[Array], Array]
@@ -296,25 +298,12 @@ def gmres_solve(apply_A: LinearOperator, rhs: Array, damp: float, order: int) ->
     return out.reshape(b.shape)
 
 
-def _train_rows(dataset: mod.Dataset) -> Array:
-    rows = dataset.indices("train")
-    if rows.size == 0:
-        raise InvalidInputError("dataset has no train split rows")
-    return rows
-
-
-def _train_grad(spec: mod.ModelSpec, dataset: mod.Dataset, params: Array) -> Array:
-    """The full-train loss gradient at params, at scale 1 / n_train."""
-    rows = _train_rows(dataset)
-    return mod.subset_loss_grad(spec, params, dataset, rows, 1.0 / rows.size)[1]
-
-
 def perturbed_params(
     spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float
 ) -> tuple[Array, Array]:
     """params + worst-case perturbation of the full train loss; also the
     perturbation itself."""
-    eps = worst_perturbation(_train_grad(spec, dataset, params), rho, p)
+    _, eps, _ = _sam_point(spec, dataset, params, rho, p)
     return params + eps, eps
 
 
@@ -366,9 +355,8 @@ def eps_jacobian_vec(
     v = np.asarray(v, dtype=np.float64)
     if rho == 0.0:
         return np.zeros_like(v)
-    rows = _train_rows(dataset)
-    apply_D = _eps_grad_jacobian(_train_grad(spec, dataset, params), rho, p)
-    return apply_D(mod.hvp_operator(spec, params, dataset, rows, 1.0 / rows.size)(v))
+    g, _, apply_H = _sam_point(spec, dataset, params, rho, p)
+    return _eps_grad_jacobian(g, rho, p)(apply_H(v))
 
 
 def _linearize(
@@ -381,13 +369,13 @@ def _linearize(
     only): H the full-train Hessian at params and D = d eps / d g, both
     symmetric, so J^T = H D. The transpose is A^T u = h + H (D h) + lam u
     with h = H_pert u; without J, A is symmetric and A^T is A itself. Both
-    take one vector or a block of rows. Returns w_pert, A and A^T."""
-    rows = _train_rows(dataset)
-    g = _train_grad(spec, dataset, params)
-    w_pert = params + worst_perturbation(g, rho, p)
-    apply_Hpert = mod.hvp_operator(spec, w_pert, dataset, rows, 1.0 / rows.size)
+    take one vector or a block of rows; g, eps and H are _sam_point's.
+    Returns w_pert, A and A^T."""
+    g, eps, apply_H = _sam_point(spec, dataset, params, rho, p)
+    w_pert = params + eps
+    rows = dataset.indices("train")
+    _, apply_Hpert = mod.hvp_operator(spec, w_pert, dataset, rows, 1.0 / rows.size)
     if total and rho > 0.0:
-        apply_H = mod.hvp_operator(spec, params, dataset, rows, 1.0 / rows.size)
         apply_D = _eps_grad_jacobian(g, rho, p)
 
         def apply_A(v: Array) -> Array:
@@ -449,7 +437,7 @@ def _influence(
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.ndim != 2 or queries.shape[1] != spec.param_count:
             raise InvalidInputError("queries must be (m, P) gradients of the model's parameters")
-    rows = _train_rows(dataset)
+    rows = mod._split_rows(spec, dataset, "train")[0]
     points, by_set = _removal_sets(rows.size, ks, who)
     if estimator == "gif":
         if trajectory is None:
@@ -569,8 +557,8 @@ def _gif_vectors(
         raise InvalidInputError(f"unknown gif mode {mode!r}")
     if trajectory.param_count != spec.param_count:
         raise InvalidInputError("trajectory parameter count does not match the model")
-    rows = _train_rows(dataset)
-    n = rows.size
+    _, X_train, y_train = mod._split_rows(spec, dataset, "train")
+    n = y_train.size
     if n != trajectory.n_train:
         raise InvalidInputError("trajectory train size does not match the dataset")
     if trajectory.rho is None or trajectory.p is None:
@@ -586,7 +574,6 @@ def _gif_vectors(
     sizes = spec.layer_sizes
     sums = [(np.zeros((uniq.size, fan_out, fan_in)), np.zeros((uniq.size, fan_out)))
             for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
-    X_train, y_train = mod._check_examples(spec, dataset.features[rows], dataset.labels[rows])
     slot = np.full(n, -1)  # slot[k]: k's row of uniq, or -1 if k is not scored
     slot[uniq] = np.arange(uniq.size)
     T = len(batches)

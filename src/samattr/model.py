@@ -299,7 +299,13 @@ def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Ar
     of delta_l. Like the factors, row r does not depend on the other rows.
     """
     loss, factors = stacked_loss_factors(spec, W, X, y)
-    return loss, _pack_rows([(d.swapaxes(-1, -2) @ a, d.sum(axis=-2)) for d, a in factors])
+    return loss, _summed_grad(factors)
+
+
+def _summed_grad(factors) -> Array:
+    """Per-example factors (delta_l, a_l) summed over their batch axis and
+    packed: delta_l^T a_l for layer l's weights, sum of delta_l for its bias."""
+    return _pack_rows([(d.swapaxes(-1, -2) @ a, d.sum(axis=-2)) for d, a in factors])
 
 
 def _rows(spec: ModelSpec, dataset: Dataset, indices, who: str) -> tuple[Array, Array]:
@@ -311,6 +317,15 @@ def _rows(spec: ModelSpec, dataset: Dataset, indices, who: str) -> tuple[Array, 
     if indices.min() < 0 or indices.max() >= dataset.n:
         raise InvalidInputError(f"{who}: index out of range 0..{dataset.n - 1}")
     return _check_examples(spec, dataset.features[indices], dataset.labels[indices])
+
+
+def _split_rows(spec: ModelSpec, dataset: Dataset, split: str) -> tuple[Array, Array, Array]:
+    """A split's dataset rows and their checked features and labels; a
+    split without rows is an InvalidInputError."""
+    rows = dataset.indices(split)
+    if rows.size == 0:
+        raise InvalidInputError(f"dataset has no {split} split rows")
+    return (rows, *_check_examples(spec, dataset.features[rows], dataset.labels[rows]))
 
 
 def subset_loss_grad(
@@ -343,12 +358,13 @@ def hvp_operator(
     dataset: Dataset,
     indices,
     scale: float = 1.0,
-) -> Callable[[Array], Array]:
-    """The curvature operator v -> scale * (sum_i d2 loss_i) v at params
-    over the given dataset rows, built once: the rows are checked and the
-    gradient's primal pass (_loss_pass and _backprop) runs here, with the
-    softmax probabilities exp(logp) and the activation's derivatives, and
-    each application runs only the tangent sweeps.
+) -> tuple[Array, Callable[[Array], Array]]:
+    """The gradient scale * (sum_i d loss_i) at params over the given
+    dataset rows, bitwise subset_loss_grad's, and the curvature operator
+    v -> scale * (sum_i d2 loss_i) v there, built once: the rows are
+    checked and the gradient's primal pass (_loss_pass and _backprop) runs
+    here, with the softmax probabilities exp(logp) and the activation's
+    derivatives, and each application runs only the tangent sweeps.
 
     An application takes one tangent (P,) or a block of tangents (m, P),
     one per row, and returns v's shape. Forward-mode tangents seeded by v
@@ -363,6 +379,7 @@ def hvp_operator(
     L = len(layers)
     acts, logp, label, _ = _loss_pass(spec, layers, X, y)
     deltas, s, phi1 = _backprop(spec, layers, acts, logp, label)
+    grad = scale * _summed_grad(zip(deltas, acts[:-1]))
     P = np.exp(logp)
     phi2 = [None] + [_act_second_deriv(spec, A) for A in acts[1:L]]
 
@@ -400,7 +417,7 @@ def hvp_operator(
                 ddelta = phi2[l] * dZs[l] * s[l] + phi1[l] * ds
         return (scale * _pack_rows(hparts)).reshape(v.shape)
 
-    return apply
+    return grad, apply
 
 
 def hvp(
@@ -417,7 +434,7 @@ def hvp(
     applies the same curvature to several tangents builds the operator
     once instead.
     """
-    return hvp_operator(spec, params, dataset, indices, scale)(v)
+    return hvp_operator(spec, params, dataset, indices, scale)[1](v)
 
 
 def predict(spec: ModelSpec, params: Array, x: Array) -> tuple[int, Array]:

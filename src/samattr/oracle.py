@@ -279,7 +279,7 @@ def dense_hessian(
         raise InvalidInputError("dense_hessian: the index set is empty")
     if scale is None:
         scale = 1.0 / indices.size
-    apply_H = mod.hvp_operator(spec, params, dataset, indices, scale)
+    _, apply_H = mod.hvp_operator(spec, params, dataset, indices, scale)
     H = np.empty((P, P))
     for start in range(0, P, HVP_BLOCK):
         units = np.eye(min(HVP_BLOCK, P - start), P, k=start)  # e_start, e_start+1, ...
@@ -298,10 +298,7 @@ def _validation_losses(spec: mod.ModelSpec, W: Array, dataset: mod.Dataset) -> A
     _loss_pass calls with the val rows broadcast over the rows, at most
     _VAL_STACK_FLOATS activations a layer each; row r does not depend on
     the other rows, bit for bit."""
-    val_rows = dataset.indices("val")
-    if val_rows.size == 0:
-        raise InvalidInputError("dataset has no val split rows")
-    X, y = mod._check_examples(spec, dataset.features[val_rows], dataset.labels[val_rows])
+    _, X, y = mod._split_rows(spec, dataset, "val")
     size = max(1, _VAL_STACK_FLOATS // (y.size * max(spec.layer_sizes[1:])))
     losses = np.empty(len(W))
     for lo in range(0, len(W), size):
@@ -384,11 +381,10 @@ def calibrate_estimator(
     trajectory in the calling process, bitwise train_sam's, so every
     estimator (gif included) scores from the same sweep.
     """
-    n = int(dataset.indices("train").size)
+    n = mod._split_rows(spec, dataset, "train")[0].size
     if not 1 <= sample_size <= n:
         raise InvalidInputError(f"sample_size must lie in 1..{n}, got {sample_size}")
-    if dataset.indices("val").size == 0:  # checked before the sweep, not after it
-        raise InvalidInputError("dataset has no val split rows")
+    val_rows = mod._split_rows(spec, dataset, "val")[0]  # checked before the sweep, not after it
     ncfg = ncfg or NeumannConfig()
     if sample_size == n:
         sample = np.arange(n)
@@ -398,20 +394,20 @@ def calibrate_estimator(
         )
     recorded = np.empty((config.steps + 1, spec.param_count))
     swept = loo_retrain_many(spec, dataset, [[], *sample], config, recorded)
-    params, retrained = swept[0], swept[1:]
+    params = swept[0]
     traj = recorded_trajectory(
         recorded,
         sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled),
         n,
         config,
     )
-    base_val = validation_loss(spec, params, dataset)
     # Same orientation as influence_score: positive = removal hurts.
-    _, gval = mod.subset_loss_grad(spec, params, dataset, dataset.indices("val"), 1.0)
+    _, gval = mod.subset_loss_grad(spec, params, dataset, val_rows, 1.0)
     predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
                                  config.lam, ncfg, sample, traj, gif_mode, gval[None])[:, 0]
-    # Removal-induced loss change: positive means removal hurt.
-    actual = _validation_losses(spec, retrained, dataset) - base_val
+    # Removal-induced loss change (row 0 is the model): positive means removal hurt.
+    losses = _validation_losses(spec, swept, dataset)
+    actual = losses[1:] - losses[0]
     return CalibrationReport(
         pearson=_corr_or_zero(predicted, actual),
         spearman=_corr_or_zero(predicted, actual, ranked=True),

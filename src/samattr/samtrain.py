@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -78,19 +79,8 @@ class SAMConfig:
         return value
 
     def digest(self) -> bytes:
-        text = "|".join(
-            str(x)
-            for x in (
-                self.rho,
-                self.p,
-                self.lam,
-                self.eta,
-                self.batch_size,
-                self.steps,
-                self.seed,
-                self.epoch_shuffled,
-            )
-        )
+        """SHA-256 of every field's text, in field order, joined by "|"."""
+        text = "|".join(str(x) for x in astuple(self))
         return hashlib.sha256(text.encode()).digest()
 
 
@@ -189,10 +179,7 @@ def train_sam_many(
     a (T+1, P) array filled with replica 0's run: row t its parameters
     before update t, row T its final ones.
     """
-    train_rows = dataset.indices("train")
-    X_train, y_train = mod._check_examples(
-        spec, dataset.features[train_rows], dataset.labels[train_rows]
-    )
+    _, X_train, y_train = mod._split_rows(spec, dataset, "train")
     if len(loss_scales) != len(labels):
         raise InvalidInputError(
             f"train_sam_many: need one loss scale per label, got {len(loss_scales)} "
@@ -259,16 +246,26 @@ def recorded_trajectory(params: Array, batches: Array, n: int, config: SAMConfig
                       config_digest=config.digest(), rho=config.rho, p=config.p)
 
 
+def _sam_point(
+    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float
+) -> tuple[Array, Array, Callable[[Array], Array]]:
+    """The SAM linearization at params over the train split, from one
+    primal pass (model.hvp_operator at scale 1 / n_train): the full-train
+    gradient g, the worst-case perturbation of g and the curvature operator
+    at params. A train split without rows is an InvalidInputError."""
+    rows = mod._split_rows(spec, dataset, "train")[0]
+    g, apply_H = mod.hvp_operator(spec, params, dataset, rows, 1.0 / rows.size)
+    return g, worst_perturbation(g, rho, p), apply_H
+
+
 def stationarity_report(
     spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, config: SAMConfig
 ) -> dict[str, float]:
     """Norms of the perturbed full-train gradient with and without the
     L2 term; both are reported because they vanish together only at lam=0."""
+    _, eps, _ = _sam_point(spec, dataset, params, config.rho, config.p)
     rows = dataset.indices("train")
-    scale = 1.0 / rows.size
-    _, g = mod.subset_loss_grad(spec, params, dataset, rows, scale)
-    eps = worst_perturbation(g, config.rho, config.p)
-    _, g_pert = mod.subset_loss_grad(spec, params + eps, dataset, rows, scale)
+    _, g_pert = mod.subset_loss_grad(spec, params + eps, dataset, rows, 1.0 / rows.size)
     return {
         "grad_norm": p_norm(g_pert, 2.0),
         "grad_plus_l2_norm": p_norm(g_pert + config.lam * params, 2.0),

@@ -109,7 +109,7 @@ def test_a_tangent_block_gives_each_tangents_one_row_product(spec):
     crosses to the column loop, with the same bits in every row."""
     ds = make_blobs(40, spec.input_dim, spec.num_classes, 2.0, seed=3)
     rng = np.random.default_rng(4)
-    apply_H = mod.hvp_operator(spec, rng.standard_normal(spec.param_count), ds, np.arange(40))
+    apply_H = mod.hvp_operator(spec, rng.standard_normal(spec.param_count), ds, np.arange(40))[1]
     V = rng.standard_normal((16, spec.param_count))
     block = apply_H(V)
     for v, row in zip(V, block):

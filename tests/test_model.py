@@ -196,7 +196,7 @@ class TestHVPOperator:
         V = np.random.default_rng(14).standard_normal((17, spec.param_count))
         V[4] = 0.0
         V[5, ::2] = -0.0
-        apply_H = mod.hvp_operator(spec, params, ds, idx, 0.3)
+        apply_H = mod.hvp_operator(spec, params, ds, idx, 0.3)[1]
         for v in (V[0], V[:1], V):
             out = apply_H(v)
             assert out.shape == v.shape
@@ -214,7 +214,7 @@ class TestHVPOperator:
         params = mod.init_params(spec, seed=15)
         with pytest.raises(InvalidInputError, match="out of range"):
             mod.hvp_operator(spec, params, ds, [0, ds.n])
-        apply_H = mod.hvp_operator(spec, params, ds, [0, 1])
+        apply_H = mod.hvp_operator(spec, params, ds, [0, 1])[1]
         for bad in (np.zeros(spec.param_count - 1), np.zeros((2, 2, spec.param_count))):
             with pytest.raises(InvalidInputError, match="tangent vector length"):
                 apply_H(bad)

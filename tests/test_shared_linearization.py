@@ -85,6 +85,6 @@ def test_solve_runs_each_primal_pass_once(monkeypatch, estimator):
     )
     assert scores.shape == (n, 1) and np.all(np.isfinite(scores))
     assert len(applications) >= 10
-    # The full-train gradient, the points' gradients and one operator per
-    # linearization point: H_pert, and for hif also H at params.
-    assert len(forwards) == (3 if estimator == "if_fast" else 4)
+    # One operator per linearization point, H at params (whose primal pass
+    # also gives the full-train gradient) and H_pert, and the points' gradients.
+    assert len(forwards) == 3
