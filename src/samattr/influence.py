@@ -30,14 +30,16 @@ q, and the score of set S is g_S . s with g_S its points' summed
 gradient, so scoring every point costs one solve per query, not one per
 point. ``influence_vectors`` returns IF(S) itself, one solve per set
 against g_S, for the sets a caller removes or edits. Either way the
-linearization is built once per call from the SAM point at params
-(samtrain._sam_point): one curvature operator (model.hvp_operator) whose
-primal pass also gives the full-train gradient g and so eps, then one at
-w_pert = params + eps. The total estimator applies both, with no separate
-gradient pass; each primal pass runs once, and each solver iteration
-applies only the tangent half of the HVP. The sets' points get their
-gradients from one per-example call, and right-hand sides are solved as
-blocks, one block application per iteration. The perturbation's Jacobian
+dispatch checks the train split once (model._split_rows), and everything
+below it takes the checked rows X, y, not the dataset. The linearization
+is built once per call from the SAM point at params (samtrain._sam_point):
+one curvature operator (model.hvp_operator) whose primal pass also gives
+the full-train gradient g and so eps, then one at w_pert = params + eps.
+The total estimator applies both, with no separate gradient pass; each
+primal pass runs once, and each solver iteration applies only the tangent
+half of the HVP. The sets' points get their gradients from one stacked
+call on one-example stacks, and right-hand sides are solved as blocks,
+one block application per iteration. The perturbation's Jacobian
 is the closed form (d eps / d g) H for every p, symmetric in its gradient
 factor, which is what makes A^T as cheap as A. The trajectory estimator
 replays the recorded steps once, in blocks of consecutive steps of at
@@ -303,7 +305,7 @@ def perturbed_params(
 ) -> tuple[Array, Array]:
     """params + worst-case perturbation of the full train loss; also the
     perturbation itself."""
-    _, eps, _ = _sam_point(spec, dataset, params, rho, p)
+    _, eps, _ = _sam_point(spec, *mod._split_rows(spec, dataset, "train"), params, rho, p)
     return params + eps, eps
 
 
@@ -339,12 +341,7 @@ def _eps_grad_jacobian(g: Array, rho: float, p: float) -> LinearOperator:
 
 
 def eps_jacobian_vec(
-    spec: mod.ModelSpec,
-    dataset: mod.Dataset,
-    params: Array,
-    rho: float,
-    p: float,
-    v: Array,
+    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float, v: Array
 ) -> Array:
     """Directional derivative of the worst-case perturbation: (d eps / d w) v.
 
@@ -355,12 +352,12 @@ def eps_jacobian_vec(
     v = np.asarray(v, dtype=np.float64)
     if rho == 0.0:
         return np.zeros_like(v)
-    g, _, apply_H = _sam_point(spec, dataset, params, rho, p)
+    g, _, apply_H = _sam_point(spec, *mod._split_rows(spec, dataset, "train"), params, rho, p)
     return _eps_grad_jacobian(g, rho, p)(apply_H(v))
 
 
 def _linearize(
-    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float, lam: float,
+    spec: mod.ModelSpec, X: Array, y: Array, params: Array, rho: float, p: float, lam: float,
     total: bool,
 ) -> tuple[Array, LinearOperator, LinearOperator]:
     """The operator the Hessian estimators solve against, built once:
@@ -369,12 +366,11 @@ def _linearize(
     only): H the full-train Hessian at params and D = d eps / d g, both
     symmetric, so J^T = H D. The transpose is A^T u = h + H (D h) + lam u
     with h = H_pert u; without J, A is symmetric and A^T is A itself. Both
-    take one vector or a block of rows; g, eps and H are _sam_point's.
-    Returns w_pert, A and A^T."""
-    g, eps, apply_H = _sam_point(spec, dataset, params, rho, p)
+    take one vector or a block of rows; g, eps and H are _sam_point's over
+    the train split's checked rows X, y. Returns w_pert, A and A^T."""
+    g, eps, apply_H = _sam_point(spec, X, y, params, rho, p)
     w_pert = params + eps
-    rows = dataset.indices("train")
-    _, apply_Hpert = mod.hvp_operator(spec, w_pert, dataset, rows, 1.0 / rows.size)
+    _, apply_Hpert = mod.hvp_operator(spec, w_pert, X, y, 1.0 / y.size)
     if total and rho > 0.0:
         apply_D = _eps_grad_jacobian(g, rho, p)
 
@@ -430,24 +426,27 @@ def _influence(
     IF(k) over S, one row per set. With queries (m, P): scores[len(ks), m]
     = -IF(S) . q. The Hessian estimators build one linearization and sum
     each set's point gradients into one right-hand side, solving A against
-    it or A^T against every query; gif replays once and sums each set's rows."""
+    it or A^T against every query; gif replays once and sums each set's rows.
+    The train split is checked here, once, and its rows passed down."""
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"unknown estimator {estimator!r}")
     if queries is not None:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.ndim != 2 or queries.shape[1] != spec.param_count:
             raise InvalidInputError("queries must be (m, P) gradients of the model's parameters")
-    rows = mod._split_rows(spec, dataset, "train")[0]
-    points, by_set = _removal_sets(rows.size, ks, who)
+    X, y = mod._split_rows(spec, dataset, "train")
+    points, by_set = _removal_sets(y.size, ks, who)
     if estimator == "gif":
         if trajectory is None:
             raise InvalidInputError("gif estimator needs a trajectory")
-        vectors = by_set(_gif_vectors(trajectory, spec, dataset, points, gif_mode))
+        vectors = by_set(_gif_vectors(trajectory, spec, X, y, points, gif_mode))
         return vectors if queries is None else -(vectors @ queries.T)
-    w_pert, apply_A, apply_AT = _linearize(spec, dataset, params, rho, p, lam, estimator == "hif")
+    w_pert, apply_A, apply_AT = _linearize(spec, X, y, params, rho, p, lam, estimator == "hif")
     if points.size == 0:
         return np.zeros((len(ks), spec.param_count if queries is None else queries.shape[0]))
-    grads = by_set((1.0 / rows.size) * mod.example_grads(spec, w_pert, dataset, rows[points]))
+    # One-example stacks, as in example_grads: a row does not depend on the other points.
+    G = mod.stacked_loss_grad(spec, w_pert[None], X[points][:, None], y[points][:, None])[1]
+    grads = by_set((1.0 / y.size) * G)
     if queries is None:
         return -_block_solve(apply_A, grads, ncfg)
     return grads @ _block_solve(apply_AT, queries, ncfg).T
@@ -528,17 +527,18 @@ def sam_gif(
     replays the whole trajectory; for many points, influence_vectors or
     influence_scores replays it once for all of them.
     """
-    return _gif_vectors(trajectory, spec, dataset, _removal_set(trajectory.n_train, k, "sam_gif"),
-                        mode)[0]
+    ks = _removal_set(trajectory.n_train, k, "sam_gif")
+    return _gif_vectors(trajectory, spec, *mod._split_rows(spec, dataset, "train"), ks, mode)[0]
 
 
 def _gif_vectors(
-    trajectory: Trajectory, spec: mod.ModelSpec, dataset: mod.Dataset, ks, mode: str
+    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, ks, mode: str
 ) -> Array:
     """sam_gif for every train position in ks, which its callers check,
-    from one replay with no per-step kernel call. The T steps are cut into
-    windows of C consecutive steps, the same whatever ks is, and the steps
-    of a window that score a point make one block of two calls:
+    over the train split's checked rows X_train, y_train, from one replay
+    with no per-step kernel call. The T steps are cut into windows of C
+    consecutive steps, the same whatever ks is, and the steps of a window
+    that score a point make one block of two calls:
     stacked_loss_grad over their parameter rows and batches, whose
     gradients give every perturbation in one worst_perturbation call, and
     stacked_loss_factors at the perturbed rows over a fixed-shape input,
@@ -557,7 +557,6 @@ def _gif_vectors(
         raise InvalidInputError(f"unknown gif mode {mode!r}")
     if trajectory.param_count != spec.param_count:
         raise InvalidInputError("trajectory parameter count does not match the model")
-    _, X_train, y_train = mod._split_rows(spec, dataset, "train")
     n = y_train.size
     if n != trajectory.n_train:
         raise InvalidInputError("trajectory train size does not match the dataset")
@@ -658,12 +657,8 @@ def influence_score(
     estimated parameter displacement (params_after_removal - params),
     which is -ifvec under the "omega_k ~ params - IF" convention.
     """
-    val_indices = np.atleast_1d(np.asarray(val_indices, dtype=np.int64))
-    if val_indices.size == 0:
-        raise InvalidInputError("influence_score: empty validation index set")
-    ifvec = np.asarray(ifvec, dtype=np.float64)
     _, gval = mod.subset_loss_grad(spec, params, dataset, val_indices, 1.0)
-    return -float(gval @ ifvec)
+    return -float(gval @ np.asarray(ifvec, dtype=np.float64))
 
 
 def compute_influence(

@@ -216,13 +216,17 @@ def _class_reduce(ufunc: np.ufunc, Z: Array) -> Array:
     return out.reshape(*Z.shape[:-1], 1)
 
 
-def _check_examples(spec: ModelSpec, X: Array, y: Array) -> tuple[Array, Array]:
+def _check_features(spec: ModelSpec, X: Array) -> Array:
+    """X as a float64 matrix of the model's input width."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[1] != spec.input_dim:
-        raise InvalidInputError(
-            f"feature dimension {X.shape[1]} != model input {spec.input_dim}"
-        )
+        raise InvalidInputError(f"feature dimension {X.shape[1]} != model input {spec.input_dim}")
+    return X
+
+
+def _check_examples(spec: ModelSpec, X: Array, y: Array) -> tuple[Array, Array]:
+    X = _check_features(spec, X)
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if y.max(initial=-1) >= spec.num_classes or y.min(initial=0) < 0:
         raise InvalidInputError("label out of range for model output size")
     return X, y
@@ -313,19 +317,19 @@ def _rows(spec: ModelSpec, dataset: Dataset, indices, who: str) -> tuple[Array, 
     index set within 0..n-1 (no negative indices counting from the end)."""
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     if indices.size == 0:
-        raise InvalidInputError(f"{who}: empty index set")
+        raise InvalidInputError(f"{who}: the index set is empty")
     if indices.min() < 0 or indices.max() >= dataset.n:
         raise InvalidInputError(f"{who}: index out of range 0..{dataset.n - 1}")
     return _check_examples(spec, dataset.features[indices], dataset.labels[indices])
 
 
-def _split_rows(spec: ModelSpec, dataset: Dataset, split: str) -> tuple[Array, Array, Array]:
-    """A split's dataset rows and their checked features and labels; a
-    split without rows is an InvalidInputError."""
+def _split_rows(spec: ModelSpec, dataset: Dataset, split: str) -> tuple[Array, Array]:
+    """A split's checked features and labels; a split without rows is an
+    InvalidInputError."""
     rows = dataset.indices(split)
     if rows.size == 0:
         raise InvalidInputError(f"dataset has no {split} split rows")
-    return (rows, *_check_examples(spec, dataset.features[rows], dataset.labels[rows]))
+    return _check_examples(spec, dataset.features[rows], dataset.labels[rows])
 
 
 def subset_loss_grad(
@@ -353,18 +357,15 @@ def example_grads(spec: ModelSpec, params: Array, dataset: Dataset, indices) -> 
 
 
 def hvp_operator(
-    spec: ModelSpec,
-    params: Array,
-    dataset: Dataset,
-    indices,
-    scale: float = 1.0,
+    spec: ModelSpec, params: Array, X: Array, y: Array, scale: float = 1.0
 ) -> tuple[Array, Callable[[Array], Array]]:
-    """The gradient scale * (sum_i d loss_i) at params over the given
-    dataset rows, bitwise subset_loss_grad's, and the curvature operator
-    v -> scale * (sum_i d2 loss_i) v there, built once: the rows are
-    checked and the gradient's primal pass (_loss_pass and _backprop) runs
-    here, with the softmax probabilities exp(logp) and the activation's
-    derivatives, and each application runs only the tangent sweeps.
+    """The gradient scale * (sum_i d loss_i) at params over the examples X
+    (n, d), y (n,), bitwise subset_loss_grad's over the same rows, and the
+    curvature operator v -> scale * (sum_i d2 loss_i) v there, built once:
+    the gradient's primal pass (_loss_pass and _backprop) runs here, with
+    the softmax probabilities exp(logp) and the activation's derivatives,
+    and each application runs only the tangent sweeps. The rows are not
+    checked; callers validate them once (_rows, _split_rows).
 
     An application takes one tangent (P,) or a block of tangents (m, P),
     one per row, and returns v's shape. Forward-mode tangents seeded by v
@@ -374,7 +375,6 @@ def hvp_operator(
     products, so a row's result does not depend on the other rows of the
     block, and an application writes into nothing the operator holds.
     """
-    X, y = _rows(spec, dataset, indices, "hvp")
     layers = _unpack(spec, params)
     L = len(layers)
     acts, logp, label, _ = _loss_pass(spec, layers, X, y)
@@ -421,12 +421,7 @@ def hvp_operator(
 
 
 def hvp(
-    spec: ModelSpec,
-    params: Array,
-    dataset: Dataset,
-    indices,
-    v: Array,
-    scale: float = 1.0,
+    spec: ModelSpec, params: Array, dataset: Dataset, indices, v: Array, scale: float = 1.0
 ) -> Array:
     """Exact Hessian-vector product scale * (sum_i d2 loss_i) v: one
     application of hvp_operator. v is one tangent (P,) or a block of
@@ -434,22 +429,18 @@ def hvp(
     applies the same curvature to several tangents builds the operator
     once instead.
     """
-    return hvp_operator(spec, params, dataset, indices, scale)[1](v)
+    return hvp_operator(spec, params, *_rows(spec, dataset, indices, "hvp"), scale)[1](v)
 
 
 def predict(spec: ModelSpec, params: Array, x: Array) -> tuple[int, Array]:
     """Argmax label for one input; ties break toward the smallest class."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if X.shape[1] != spec.input_dim:
-        raise InvalidInputError("predict: feature dimension mismatch")
-    logits = _forward(spec, _unpack(spec, params), X)[-1][0]
+    logits = _forward(spec, _unpack(spec, params), _check_features(spec, x))[-1][0]
     return int(np.argmax(logits)), logits
 
 
 def predict_labels(spec: ModelSpec, params: Array, X: Array) -> Array:
     """Vectorized argmax labels for a matrix of inputs."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    logits = _forward(spec, _unpack(spec, params), X)[-1]
+    logits = _forward(spec, _unpack(spec, params), _check_features(spec, X))[-1]
     return np.argmax(logits, axis=1).astype(np.int64)
 
 

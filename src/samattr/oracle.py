@@ -128,6 +128,7 @@ def loo_retrain_many(
     is and which the calling process trains.
     """
     n = train_split_size(dataset, config)
+    X, y = mod._split_rows(spec, dataset, "train")
     sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
     base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
     groups: dict[int, list[int]] = {}
@@ -151,7 +152,7 @@ def loo_retrain_many(
             for r in block
         ]
         return train_sam_many(
-            spec, dataset, config, batches, loss_scales, labels, record if block[0] == 0 else None
+            spec, X, y, config, batches, loss_scales, labels, record if block[0] == 0 else None
         )
 
     out = np.empty((len(sets), spec.param_count))
@@ -274,12 +275,8 @@ def dense_hessian(
         raise InvalidInputError(f"dense_hessian refused for P={P} > {DENSE_HESSIAN_MAX_P}")
     if indices is None:
         indices = dataset.indices("train")
-    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    if indices.size == 0:
-        raise InvalidInputError("dense_hessian: the index set is empty")
-    if scale is None:
-        scale = 1.0 / indices.size
-    _, apply_H = mod.hvp_operator(spec, params, dataset, indices, scale)
+    X, y = mod._rows(spec, dataset, indices, "dense_hessian")
+    _, apply_H = mod.hvp_operator(spec, params, X, y, 1.0 / y.size if scale is None else scale)
     H = np.empty((P, P))
     for start in range(0, P, HVP_BLOCK):
         units = np.eye(min(HVP_BLOCK, P - start), P, k=start)  # e_start, e_start+1, ...
@@ -290,15 +287,16 @@ def dense_hessian(
 
 def validation_loss(spec: mod.ModelSpec, params: Array, dataset: mod.Dataset) -> float:
     """Sum of per-example losses over the val split."""
-    return float(_validation_losses(spec, mod._check_params(spec, params)[None], dataset)[0])
+    X, y = mod._split_rows(spec, dataset, "val")
+    return float(_validation_losses(spec, mod._check_params(spec, params)[None], X, y)[0])
 
 
-def _validation_losses(spec: mod.ModelSpec, W: Array, dataset: mod.Dataset) -> Array:
-    """validation_loss of every parameter row of W (R, P), from stacked
-    _loss_pass calls with the val rows broadcast over the rows, at most
-    _VAL_STACK_FLOATS activations a layer each; row r does not depend on
-    the other rows, bit for bit."""
-    _, X, y = mod._split_rows(spec, dataset, "val")
+def _validation_losses(spec: mod.ModelSpec, W: Array, X: Array, y: Array) -> Array:
+    """validation_loss of every parameter row of W (R, P) over the val
+    split's checked rows X, y, from stacked _loss_pass calls with those
+    rows broadcast over the parameter rows, at most _VAL_STACK_FLOATS
+    activations a layer each; row r does not depend on the other rows,
+    bit for bit."""
     size = max(1, _VAL_STACK_FLOATS // (y.size * max(spec.layer_sizes[1:])))
     losses = np.empty(len(W))
     for lo in range(0, len(W), size):
@@ -381,10 +379,10 @@ def calibrate_estimator(
     trajectory in the calling process, bitwise train_sam's, so every
     estimator (gif included) scores from the same sweep.
     """
-    n = mod._split_rows(spec, dataset, "train")[0].size
+    n = mod._split_rows(spec, dataset, "train")[1].size
     if not 1 <= sample_size <= n:
         raise InvalidInputError(f"sample_size must lie in 1..{n}, got {sample_size}")
-    val_rows = mod._split_rows(spec, dataset, "val")[0]  # checked before the sweep, not after it
+    X_val, y_val = mod._split_rows(spec, dataset, "val")  # checked before the sweep, once
     ncfg = ncfg or NeumannConfig()
     if sample_size == n:
         sample = np.arange(n)
@@ -402,11 +400,11 @@ def calibrate_estimator(
         config,
     )
     # Same orientation as influence_score: positive = removal hurts.
-    _, gval = mod.subset_loss_grad(spec, params, dataset, val_rows, 1.0)
+    gval = mod.stacked_loss_grad(spec, params[None], X_val[None], y_val[None])[1]
     predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
-                                 config.lam, ncfg, sample, traj, gif_mode, gval[None])[:, 0]
+                                 config.lam, ncfg, sample, traj, gif_mode, gval)[:, 0]
     # Removal-induced loss change (row 0 is the model): positive means removal hurt.
-    losses = _validation_losses(spec, swept, dataset)
+    losses = _validation_losses(spec, swept, X_val, y_val)
     actual = losses[1:] - losses[0]
     return CalibrationReport(
         pearson=_corr_or_zero(predicted, actual),

@@ -32,6 +32,8 @@ Array = np.ndarray
 
 TRAJ_MAGIC = b"SAMT"
 TRAJ_VERSION = 2  # version 1 files, without rho and p, still load
+# Bytes of update records write_trajectory holds at a time (at least one record).
+TRAJ_WRITE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,8 @@ def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
 
 def train_sam_many(
     spec: mod.ModelSpec,
-    dataset: mod.Dataset,
+    X_train: Array,
+    y_train: Array,
     config: SAMConfig,
     batches,
     loss_scales: Array,
@@ -171,15 +174,15 @@ def train_sam_many(
 ) -> Array:
     """The SAM step loop, run for R replicas at once as one (R, P) block.
 
-    batches[t] is an (R, b) array of train-split positions: replica r's
-    batch at step t. Every replica starts from the config's seeded
-    init_params; replica r weights its batch-mean data loss by
-    loss_scales[r] and is named labels[r] if it diverges. Every replica
-    row is bitwise what a run of its own would give. record, if given, is
-    a (T+1, P) array filled with replica 0's run: row t its parameters
-    before update t, row T its final ones.
+    X_train (n, d) and y_train (n,) are the train split's checked rows
+    (model._split_rows), and batches[t] is an (R, b) array of their
+    positions: replica r's batch at step t. Every replica starts from the
+    config's seeded init_params; replica r weights its batch-mean data
+    loss by loss_scales[r] and is named labels[r] if it diverges. Every
+    replica row is bitwise what a run of its own would give. record, if
+    given, is a (T+1, P) array filled with replica 0's run: row t its
+    parameters before update t, row T its final ones.
     """
-    _, X_train, y_train = mod._split_rows(spec, dataset, "train")
     if len(loss_scales) != len(labels):
         raise InvalidInputError(
             f"train_sam_many: need one loss scale per label, got {len(loss_scales)} "
@@ -222,7 +225,8 @@ def train_sam(
     n = train_split_size(dataset, config)
     batches = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
     params = np.empty((config.steps + 1, spec.param_count))
-    w = train_sam_many(spec, dataset, config, batches[:, None], np.ones(1), ["training"], params)[0]
+    X, y = mod._split_rows(spec, dataset, "train")
+    w = train_sam_many(spec, X, y, config, batches[:, None], np.ones(1), ["training"], params)[0]
     return w, recorded_trajectory(params, batches, n, config)
 
 
@@ -247,14 +251,13 @@ def recorded_trajectory(params: Array, batches: Array, n: int, config: SAMConfig
 
 
 def _sam_point(
-    spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float, p: float
+    spec: mod.ModelSpec, X: Array, y: Array, params: Array, rho: float, p: float
 ) -> tuple[Array, Array, Callable[[Array], Array]]:
-    """The SAM linearization at params over the train split, from one
-    primal pass (model.hvp_operator at scale 1 / n_train): the full-train
-    gradient g, the worst-case perturbation of g and the curvature operator
-    at params. A train split without rows is an InvalidInputError."""
-    rows = mod._split_rows(spec, dataset, "train")[0]
-    g, apply_H = mod.hvp_operator(spec, params, dataset, rows, 1.0 / rows.size)
+    """The SAM linearization at params over the train split's checked rows
+    X, y, from one primal pass (model.hvp_operator at scale 1 / n_train):
+    the full-train gradient g, the worst-case perturbation of g and the
+    curvature operator at params."""
+    g, apply_H = mod.hvp_operator(spec, params, X, y, 1.0 / y.size)
     return g, worst_perturbation(g, rho, p), apply_H
 
 
@@ -263,34 +266,46 @@ def stationarity_report(
 ) -> dict[str, float]:
     """Norms of the perturbed full-train gradient with and without the
     L2 term; both are reported because they vanish together only at lam=0."""
-    _, eps, _ = _sam_point(spec, dataset, params, config.rho, config.p)
-    rows = dataset.indices("train")
-    _, g_pert = mod.subset_loss_grad(spec, params + eps, dataset, rows, 1.0 / rows.size)
+    X, y = mod._split_rows(spec, dataset, "train")
+    _, eps, _ = _sam_point(spec, X, y, params, config.rho, config.p)
+    _, G_pert = mod.stacked_loss_grad(spec, (params + eps)[None], X[None], y[None])
+    g_pert = (1.0 / y.size) * G_pert[0]
     return {
         "grad_norm": p_norm(g_pert, 2.0),
         "grad_plus_l2_norm": p_norm(g_pert + config.lam * params, 2.0),
     }
 
 
+def _record_dtype(b: int, P: int) -> np.dtype:
+    """One packed record of a trajectory file: step, eta, weight, batch
+    count, a batch of b positions and P parameters. The final record has
+    b = 0, a zero eta and weight."""
+    return np.dtype([("step", "<u8"), ("eta", "<f8"), ("weight", "<f8"), ("count", "<u4"),
+                     ("batch", "<u4", (b,)), ("params", "<f8", (P,))])
+
+
 def write_trajectory(traj: Trajectory, path) -> None:
     """Binary trajectory file: magic, version, header (sizes, config
-    digest, then rho and p, NaN where unset), then records (step, eta,
-    weight, batch count, batch, params) of steps 0..T, the last empty."""
+    digest, then rho and p, NaN where unset), then records (_record_dtype)
+    of steps 0..T, the last empty. The update records are built and
+    written TRAJ_WRITE_BYTES at a time."""
     settings = [math.nan if v is None else v for v in (traj.rho, traj.p)]
     T, b = traj.batches.shape
-    batches, params = traj.batches.astype("<u4"), traj.params.astype("<f8", copy=False)
+    update = _record_dtype(b, traj.param_count)
+    per_block = max(1, TRAJ_WRITE_BYTES // update.itemsize)
     with open(path, "wb") as f:
-        f.write(TRAJ_MAGIC)
-        f.write(struct.pack("<H", TRAJ_VERSION))
-        f.write(struct.pack("<QQQ", traj.param_count, traj.n_train, T))
-        f.write(traj.config_digest)
-        f.write(struct.pack("<dd", *settings))
-        for t in range(T):
-            f.write(struct.pack("<QddI", t, traj.etas[t], traj.weights[t], b))
-            f.write(batches[t].tobytes())
-            f.write(params[t].tobytes())
-        f.write(struct.pack("<QddI", T, 0.0, 0.0, 0))
-        f.write(params[T].tobytes())
+        f.write(TRAJ_MAGIC + struct.pack("<HQQQ", TRAJ_VERSION, traj.param_count, traj.n_train, T)
+                + traj.config_digest + struct.pack("<dd", *settings))
+        for lo in range(0, T, per_block):
+            hi = min(lo + per_block, T)
+            recs = np.empty(hi - lo, update)
+            recs["step"], recs["count"], recs["batch"] = np.arange(lo, hi), b, traj.batches[lo:hi]
+            recs["eta"], recs["weight"], recs["params"] = (
+                traj.etas[lo:hi], traj.weights[lo:hi], traj.params[lo:hi])
+            f.write(recs.tobytes())
+        final = np.zeros(1, _record_dtype(0, traj.param_count))
+        final["step"], final["params"] = T, traj.params[T]
+        f.write(final.tobytes())
 
 
 def read_trajectory(path) -> Trajectory:
@@ -318,15 +333,14 @@ def read_trajectory(path) -> Trajectory:
     settings = struct.unpack("<dd", take(16, "SAM settings")) if version >= 2 else (math.nan,) * 2
     # Every update record has the first one's batch count b.
     b = struct.unpack("<I", data[off + 24 : off + 28])[0] if T and len(data) >= off + 28 else 0
-    chunk = take(T * (28 + 4 * b + 8 * P), "update records")
-    recs = np.frombuffer(chunk, [("step", "<u8"), ("eta", "<f8"), ("weight", "<f8"),
-                                 ("count", "<u4"), ("batch", "<u4", (b,)), ("params", "<f8", (P,))])
-    final = struct.unpack("<QddI", take(28, "final record"))
-    params = np.vstack([recs["params"], np.frombuffer(take(8 * P, "final params"), "<f8")])
+    update, last = _record_dtype(b, P), _record_dtype(0, P)
+    recs = np.frombuffer(take(T * update.itemsize, "update records"), update)
+    final = np.frombuffer(take(last.itemsize, "final record"), last)[0]
+    params = np.vstack([recs["params"], final["params"]])
     if off != len(data):
         raise FormatError(f"trajectory file has {len(data) - off} bytes after the final record")
     if (not np.array_equal(recs["step"], np.arange(T)) or np.any(recs["count"] != b)
-            or T and b == 0 or final[0] != T or final[3] != 0):
+            or T and b == 0 or final["step"] != T or final["count"] != 0):
         raise FormatError(f"trajectory needs steps 0..{T} of one batch size, the last empty")
     rho, p = (None if math.isnan(v) else v for v in settings)
     try:

@@ -262,9 +262,9 @@ def test_blocks_are_cut_equal(monkeypatch):
     sizes = []
     real = oracle.train_sam_many
 
-    def recorded(spec_, ds_, cfg_, batches, *args):
+    def recorded(spec_, X, y, cfg_, batches, *args):
         sizes.append(batches.shape[1])
-        return real(spec_, ds_, cfg_, batches, *args)
+        return real(spec_, X, y, cfg_, batches, *args)
 
     monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
     monkeypatch.setattr(oracle, "train_sam_many", recorded)

@@ -109,7 +109,8 @@ def test_a_tangent_block_gives_each_tangents_one_row_product(spec):
     crosses to the column loop, with the same bits in every row."""
     ds = make_blobs(40, spec.input_dim, spec.num_classes, 2.0, seed=3)
     rng = np.random.default_rng(4)
-    apply_H = mod.hvp_operator(spec, rng.standard_normal(spec.param_count), ds, np.arange(40))[1]
+    X, y = mod._rows(spec, ds, np.arange(40), "hvp")
+    apply_H = mod.hvp_operator(spec, rng.standard_normal(spec.param_count), X, y)[1]
     V = rng.standard_normal((16, spec.param_count))
     block = apply_H(V)
     for v, row in zip(V, block):
@@ -130,7 +131,7 @@ def test_stacked_validation_losses_equal_the_validation_loss_loop(spec, R, stack
     val = ds.indices("val")
     X, y = ds.features[val], ds.labels[val]
     unstacked = [float(mod._loss_pass(spec, mod._unpack(spec, w), X, y)[3].sum()) for w in W]
-    stacked = _validation_losses(spec, W, ds)
+    stacked = _validation_losses(spec, W, *mod._split_rows(spec, ds, "val"))
     np.testing.assert_array_equal(bits(stacked), bits(np.array(unstacked)))
     one_by_one = np.array([validation_loss(spec, w, ds) for w in W])
     np.testing.assert_array_equal(bits(stacked), bits(one_by_one))

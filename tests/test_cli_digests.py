@@ -1,0 +1,48 @@
+"""Smoke test of tools/cli_digests.py: two runs of a tiny config into
+different directories give the same digests, and a --src the imported
+samattr does not come from is refused."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import samattr.cli  # noqa: F401  (imported from this tree's src)
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
+
+TINY = """dataset = blobs(16, 5, 3, 3.0, 2)
+model = mlp
+hidden = 4
+eta = 0.1
+batch_size = 4
+steps = 12
+sample_size = 4
+flip_fraction = 0.1
+seed = 3
+"""
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("cli_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_runs_print_the_same_digests(tmp_path):
+    tool = _tool()
+    runs = [tool.digests({"tiny": TINY}, tmp_path / run) for run in ("a", "b")]
+    assert runs[0] == runs[1]
+    jobs = [line for line in runs[0] if " exit=" in line]
+    assert len(jobs) == 1 + 6 * 3 and all(" exit=0 " in line for line in jobs)
+    files = [line.split()[0] for line in runs[0] if " exit=" not in line]
+    assert {Path(f).suffix for f in files} == {".tsv", ".npy", ".samt", ".report"}
+    # The lines do not depend on where the outputs were written.
+    assert not any(str(tmp_path) in line for line in runs[0])
+
+
+def test_a_package_from_elsewhere_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # main puts its --src first
+    assert _tool().main(["--src", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not from" in captured.err

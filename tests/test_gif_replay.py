@@ -83,7 +83,8 @@ def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
     sam = SAMConfig(rho=0.05, p=p, lam=0.01, eta=0.2, batch_size=6, steps=25, seed=33,
                     epoch_shuffled=epoch_shuffled)
     _, traj = train_sam(spec, ds, sam)
-    n = ds.indices("train").size
+    train = mod._split_rows(spec, ds, "train")
+    n = train[1].size
     P = spec.param_count
     samples = {"full": np.arange(n), "sampled": np.array([23, 2, 7, 2, 29, 11, 7]),
                "empty": np.array([], dtype=np.int64)}
@@ -93,9 +94,9 @@ def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
     for budget in (1, 3 * F, 4 * F + 1, influence.GIF_BLOCK_FLOATS):
         monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", budget)
         for mode in ("sgd", "gd"):
-            full = influence._gif_vectors(traj, spec, ds, samples["full"], mode)
+            full = influence._gif_vectors(traj, spec, *train, samples["full"], mode)
             for ks in samples.values():
-                got = influence._gif_vectors(traj, spec, ds, ks, mode)
+                got = influence._gif_vectors(traj, spec, *train, ks, mode)
                 assert got.shape == (ks.size, P)
                 _close_rows(got, _plain_gif(traj, spec, ds, ks, mode))
                 # A row does not depend on the other points scored with it.
@@ -181,10 +182,11 @@ def test_replay_memory_is_bounded_by_the_block_budget(monkeypatch, mode):
     ks = np.arange(ds.indices("train").size)
     budget = 2**12
     monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", budget)
-    influence._gif_vectors(traj, spec, ds, ks, mode)  # warm caches outside the trace
+    train = mod._split_rows(spec, ds, "train")
+    influence._gif_vectors(traj, spec, *train, ks, mode)  # warm caches outside the trace
     tracemalloc.start()
     try:
-        out = influence._gif_vectors(traj, spec, ds, ks, mode)
+        out = influence._gif_vectors(traj, spec, *train, ks, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,8 +237,9 @@ def test_read_trajectory_needs_no_settings(minibatch_mlp, tmp_path):
     write_trajectory(traj, path)
     loaded = read_trajectory(path)
     ks = np.arange(ds.indices("train").size)
-    assert np.array_equal(influence._gif_vectors(loaded, spec, ds, ks, "sgd"),
-                          influence._gif_vectors(traj, spec, ds, ks, "sgd"))
+    train = mod._split_rows(spec, ds, "train")
+    assert np.array_equal(influence._gif_vectors(loaded, spec, *train, ks, "sgd"),
+                          influence._gif_vectors(traj, spec, *train, ks, "sgd"))
 
 
 @pytest.mark.parametrize("bad", [-1, 30])

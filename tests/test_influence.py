@@ -249,7 +249,8 @@ class TestGif:
         ]
         schedule = np.stack(steps)
         params = np.empty((41, spec.param_count))
-        train_sam_many(spec, ds, cfg, schedule[:, None], np.ones(1), ["training"], params)
+        X, y = mod._split_rows(spec, ds, "train")
+        train_sam_many(spec, X, y, cfg, schedule[:, None], np.ones(1), ["training"], params)
         traj = recorded_trajectory(params, schedule, 30, cfg)
         ifvec = sam_gif(traj, spec, ds, 0, mode="sgd")
         assert np.all(ifvec == 0.0)

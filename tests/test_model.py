@@ -196,7 +196,7 @@ class TestHVPOperator:
         V = np.random.default_rng(14).standard_normal((17, spec.param_count))
         V[4] = 0.0
         V[5, ::2] = -0.0
-        apply_H = mod.hvp_operator(spec, params, ds, idx, 0.3)[1]
+        apply_H = mod.hvp_operator(spec, params, *mod._rows(spec, ds, idx, "hvp"), 0.3)[1]
         for v in (V[0], V[:1], V):
             out = apply_H(v)
             assert out.shape == v.shape
@@ -213,8 +213,8 @@ class TestHVPOperator:
         ds = tiny_dataset()
         params = mod.init_params(spec, seed=15)
         with pytest.raises(InvalidInputError, match="out of range"):
-            mod.hvp_operator(spec, params, ds, [0, ds.n])
-        apply_H = mod.hvp_operator(spec, params, ds, [0, 1])[1]
+            mod.hvp(spec, params, ds, [0, ds.n], np.zeros(spec.param_count))
+        apply_H = mod.hvp_operator(spec, params, *mod._rows(spec, ds, [0, 1], "hvp"))[1]
         for bad in (np.zeros(spec.param_count - 1), np.zeros((2, 2, spec.param_count))):
             with pytest.raises(InvalidInputError, match="tangent vector length"):
                 apply_H(bad)
@@ -235,6 +235,16 @@ class TestPredict:
         batch = mod.predict_labels(spec, params, ds.features)
         single = [mod.predict(spec, params, x)[0] for x in ds.features]
         assert batch.tolist() == single
+
+    def test_feature_dimension_mismatch_is_invalid_input(self):
+        spec = ModelSpec(kind="mlp", layer_sizes=(20, 32, 4))
+        params = mod.init_params(spec, seed=3)
+        ds = Dataset(np.zeros((3, 7)), np.zeros(3), np.full(3, "test", dtype=object))
+        for call in (lambda: mod.predict(spec, params, np.zeros(7)),
+                     lambda: mod.predict_labels(spec, params, np.zeros((3, 7))),
+                     lambda: mod.accuracy(spec, params, ds, "test")):
+            with pytest.raises(InvalidInputError, match="^feature dimension 7 != model input 20$"):
+                call()
 
     def test_accuracy_perfect_on_memorized_direction(self):
         # A logistic model whose weights point along the class means

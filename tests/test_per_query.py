@@ -34,8 +34,9 @@ def _trained(p: float, batch_size: int = 60, steps: int = 200):
 @pytest.mark.parametrize("estimator,p", [("if_fast", 2.0), ("hif", 2.0), ("hif", 3.0)])
 def test_transposed_operator_is_the_adjoint(estimator, p):
     ds, sam, params, _ = _trained(p)
+    X, y = mod._split_rows(SPEC, ds, "train")
     _, apply_A, apply_AT = influence._linearize(
-        SPEC, ds, params, sam.rho, p, sam.lam, estimator == "hif"
+        SPEC, X, y, params, sam.rho, p, sam.lam, estimator == "hif"
     )
     if estimator == "if_fast":
         assert apply_AT is apply_A

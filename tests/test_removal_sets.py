@@ -71,10 +71,11 @@ def test_one_point_sets_keep_the_per_point_rows(trained, estimator):
     cfg, spec, ds, sam, params, traj = trained
     ks = [5, 1, 5, 0]  # a point may be listed twice
     rows = ds.indices("train")
+    X, y = mod._split_rows(spec, ds, "train")
     if estimator == "gif":
-        want = influence._gif_vectors(traj, spec, ds, np.array(ks), "sgd")
+        want = influence._gif_vectors(traj, spec, X, y, np.array(ks), "sgd")
     else:
-        w_pert, apply_A, _ = influence._linearize(spec, ds, params, sam.rho, sam.p, sam.lam,
+        w_pert, apply_A, _ = influence._linearize(spec, X, y, params, sam.rho, sam.p, sam.lam,
                                                   estimator == "hif")
         grads = (1.0 / rows.size) * mod.example_grads(spec, w_pert, ds, rows[ks])
         want = -influence._block_solve(apply_A, grads, cfg.neumann())

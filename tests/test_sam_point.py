@@ -66,11 +66,12 @@ def _two_pass_grad(spec, ds, params):
 
 
 def _two_pass_operator(spec, ds, params):
-    rows = ds.indices("train")
-    return mod.hvp_operator(spec, params, ds, rows, 1.0 / rows.size)[1]
+    X, y = mod._split_rows(spec, ds, "train")
+    return mod.hvp_operator(spec, params, X, y, 1.0 / y.size)[1]
 
 
-def _two_pass_linearize(spec, dataset, params, rho, p, lam, total):
+def _two_pass_linearize(spec, X, y, params, rho, p, lam, total):
+    dataset = Dataset(X, y)  # the train rows, every one tagged "train"
     g = _two_pass_grad(spec, dataset, params)
     w_pert = params + worst_perturbation(g, rho, p)
     apply_Hpert = _two_pass_operator(spec, dataset, w_pert)
@@ -100,7 +101,7 @@ def test_operator_gradient_is_subset_loss_grad(shape):
     cases = [(0, train, 1.0 / train.size), (1, train[::3], 0.3), (2, train[:1], 1.0)]
     for seed, rows, scale in cases:
         params = (1.0 + seed) * mod.init_params(spec, seed)
-        g, _ = mod.hvp_operator(spec, params, ds, rows, scale)
+        g, _ = mod.hvp_operator(spec, params, *mod._rows(spec, ds, rows, "hvp"), scale)
         expected = mod.subset_loss_grad(spec, params, ds, rows, scale)[1]
         assert g.tobytes() == expected.tobytes()
 
@@ -183,8 +184,8 @@ def test_calibrate_takes_every_validation_loss_from_one_stacked_pass(monkeypatch
     calls = []
     stacked = oracle._validation_losses
 
-    def recorded(spec, W, dataset):
-        losses = stacked(spec, W, dataset)
+    def recorded(spec, W, X, y):
+        losses = stacked(spec, W, X, y)
         calls.append((W.copy(), losses))
         return losses
 

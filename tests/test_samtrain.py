@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from samattr import model as mod
+from samattr import samtrain
 from samattr.datasets import make_blobs
 from samattr.errors import ConfigError, FormatError, InvalidInputError
 from samattr.model import ModelSpec
@@ -49,6 +50,26 @@ def _write_records(path, traj, records):
         for step, eta, weight, batch, params in records:
             f.write(struct.pack("<QddI", step, eta, weight, len(batch)))
             f.write(np.asarray(batch, "<u4").tobytes() + np.asarray(params, "<f8").tobytes())
+
+
+def _write_per_step(traj, path):
+    """The per-step struct writer that write_trajectory replaced, kept to
+    pin the file's bytes."""
+    settings = [math.nan if v is None else v for v in (traj.rho, traj.p)]
+    T, b = traj.batches.shape
+    batches, params = traj.batches.astype("<u4"), traj.params.astype("<f8", copy=False)
+    with open(path, "wb") as f:
+        f.write(b"SAMT")
+        f.write(struct.pack("<H", 2))
+        f.write(struct.pack("<QQQ", traj.param_count, traj.n_train, T))
+        f.write(traj.config_digest)
+        f.write(struct.pack("<dd", *settings))
+        for t in range(T):
+            f.write(struct.pack("<QddI", t, traj.etas[t], traj.weights[t], b))
+            f.write(batches[t].tobytes())
+            f.write(params[t].tobytes())
+        f.write(struct.pack("<QddI", T, 0.0, 0.0, 0))
+        f.write(params[T].tobytes())
 
 
 class TestSAMConfig:
@@ -324,6 +345,19 @@ class TestTrajectoryIO:
         traj = self._traj()
         _write_records(tmp_path / "run.samt", traj, [_record(traj, t) for t in range(8)])
         assert (tmp_path / "run.samt").read_bytes() == _file_bytes(tmp_path, traj)
+
+    @pytest.mark.parametrize("settings", ["set", "unset"])
+    def test_blocked_writer_keeps_the_per_step_bytes(self, tmp_path, monkeypatch, settings):
+        # Blocks of 1, 3 and 7 update records (7 steps), and the default size.
+        traj = self._traj()
+        if settings == "unset":
+            traj.rho = traj.p = None
+        _write_per_step(traj, tmp_path / "per_step.samt")
+        want = (tmp_path / "per_step.samt").read_bytes()
+        record = samtrain._record_dtype(traj.batches.shape[1], traj.param_count).itemsize
+        for size in (1, 3 * record + 1, 7 * record, samtrain.TRAJ_WRITE_BYTES):
+            monkeypatch.setattr(samtrain, "TRAJ_WRITE_BYTES", size)
+            assert _file_bytes(tmp_path, traj) == want
 
     def test_mixed_batch_counts_rejected(self, tmp_path):
         # Step 1 uses 4 points and step 2 uses 6, so the file keeps the

@@ -1,0 +1,123 @@
+"""SHA-256 digests of every CLI output file, to show that a change keeps
+the command outputs byte-identical.
+
+Usage (from the repository root):
+
+    python3 tools/cli_digests.py [--src DIR]
+
+Runs `train`, then `attribute`, `calibrate`, `valuate`, `edit`, `trace`
+and `detect-noise` with each estimator (if-fast, hif, gif), in this
+process through samattr.cli.main, on each config: the three benchmark
+workloads' configs at seed 9317 (with `flip_fraction = 0.1` added, which
+only detect-noise reads) and README's example config. The outputs go to a
+temporary directory that is removed. It prints the path of the samattr
+package it imported, then one line per job, its exit code and the SHA-256
+of its stderr, then one line per output file: the SHA-256 of every `.tsv`,
+`.npy` and `.samt` file as written, and of every `.report` file with its
+`wall=` values removed, since wall times differ from run to run. Lines
+name the config, the job and the file, not the output directory, so two
+runs compare with diff:
+
+    python3 tools/cli_digests.py --src /path/to/other/tree/src > old.txt
+    python3 tools/cli_digests.py > new.txt
+    diff old.txt new.txt
+
+When the outputs match, the diff shows only the first lines, which name
+the two packages. --src picks the directory to import samattr from
+(default: this tree's src), so a tree without this script can be measured
+too; the script exits with status 2 if samattr is not imported from there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_MLP = "model = mlp\nactivation = tanh\neta = 0.1\n"
+_NOISE = "flip_fraction = 0.1\n"
+
+SEED = 9317
+_NOISE_SEED = _NOISE + f"seed = {SEED}\n"
+
+CONFIGS = {
+    "fullbatch-logistic": "dataset = blobs(100, 10, 2, 3.0, 1)\nsample_size = 50\n"
+                          "model = logistic\nbatch_size = 0\nsteps = 60\n" + _NOISE_SEED,
+    "minibatch-mlp-oracle": f"dataset = blobs(400, 20, 4, 3.0, {SEED})\nsample_size = 40\n" + _MLP
+                            + "hidden = 32\nbatch_size = 32\nsteps = 300\n" + _NOISE_SEED,
+    "nonconvex-mlp-solve": f"dataset = blobs(80, 10, 3, 3.0, {SEED})\nsample_size = 16\n" + _MLP
+                           + "hidden = 16\nbatch_size = 16\nsteps = 300\n" + _NOISE_SEED,
+    "readme-example": "dataset = blobs(200, 10, 2, 3.0, 1)\nlambda = 1.0\neta = 0.5\nsteps = 60\n"
+                      "batch_size = 0          # full batch\nestimator = if-fast\n"
+                      "neumann_order = 2000\nout = results\n" + _NOISE,
+}
+COMMANDS = ("attribute", "calibrate", "valuate", "edit", "trace", "detect-noise")
+ESTIMATORS = ("if-fast", "hif", "gif")
+HASHED = (".tsv", ".npy", ".samt", ".report")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.suffix == ".report":
+        data = re.sub(rb"wall=[^\t\n]*", b"wall=", data)
+    return _sha(data)
+
+
+def digests(configs: dict[str, str], out: Path) -> list[str]:
+    """Run every job of every config (name -> config text) under out and
+    return the job and file lines."""
+    from samattr import cli
+
+    jobs = [("train", None)] + [(c, e) for c in COMMANDS for e in ESTIMATORS]
+    lines = []
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in configs.items():
+        conf = out / f"{name}.conf"
+        conf.write_text(text, encoding="utf-8")
+        for command, estimator in jobs:
+            job = command if estimator is None else f"{command}.{estimator}"
+            job_out = out / name / job
+            argv = [command, "--config", str(conf), "--out", str(job_out)]
+            argv += ["--estimator", estimator] if estimator else []
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            lines.append(f"{name}/{job} exit={code} stderr={_sha(err.getvalue().encode())}")
+            for path in sorted(job_out.glob("*")):
+                if path.suffix in HASHED:
+                    lines.append(f"{name}/{job}/{path.name} {file_digest(path)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding samattr")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    from samattr import cli
+
+    package = Path(cli.__file__).resolve().parent
+    if not package.is_relative_to(src):
+        print(f"cli_digests: samattr was imported from {package}, not from {src}", file=sys.stderr)
+        return 2
+    print(f"samattr {package}")
+    with tempfile.TemporaryDirectory() as out:
+        for line in digests(CONFIGS, Path(out)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
