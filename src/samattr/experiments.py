@@ -169,9 +169,7 @@ def setup(cfg: ExperimentConfig) -> tuple[mod.ModelSpec, mod.Dataset, SAMConfig]
         spec = mod.ModelSpec("logistic", (ds.d, C))
     else:
         spec = mod.ModelSpec("mlp", (ds.d, *cfg.hidden, C), cfg.activation)
-    n_train = int(ds.indices("train").size)
-    if n_train == 0:
-        raise ConfigError("dataset has no training rows")
+    n_train = mod._split_rows(spec, ds, "train")[1].size
     sam = SAMConfig(
         rho=cfg.rho,
         p=cfg.p,
@@ -197,12 +195,14 @@ def _scores(
 
 def _val_scores(
     cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig, params: Array,
-    trajectory,
+    trajectory, val: tuple[Array, Array],
 ) -> Array:
-    """scores[n] against the validation loss gradient, one solve for all
-    points; positive = valuable (removal predicted to raise validation loss)."""
-    _, gval = mod.subset_loss_grad(spec, params, ds, ds.indices("val"), 1.0)
-    return _scores(cfg, spec, ds, sam, params, trajectory, gval[None])[:, 0]
+    """scores[n] against the validation loss gradient over the val split's
+    checked rows val = (X, y), one solve for all points; positive =
+    valuable (removal predicted to raise validation loss)."""
+    X, y = val
+    gval = mod.stacked_loss_grad(spec, params[None], X[None], y[None])[1]
+    return _scores(cfg, spec, ds, sam, params, trajectory, gval)[:, 0]
 
 
 def _vectors(
@@ -231,7 +231,7 @@ def score_all(
     set (valuate's top set per fraction, edit's one set).
     """
     n = ds.indices("train").size
-    scores = _val_scores(cfg, spec, ds, sam, params, trajectory)
+    scores = _val_scores(cfg, spec, ds, sam, params, trajectory, mod._split_rows(spec, ds, "val"))
     return scores, _vectors(cfg, spec, ds, sam, params, trajectory, range(n))
 
 
@@ -282,14 +282,16 @@ def _distance(a: Array, b: Array, params: Array) -> float:
 def cmd_train(cfg: ExperimentConfig) -> Report:
     """Train and persist the trajectory; report losses and accuracies."""
     spec, ds, sam = setup(cfg)
+    for split in ("val", "test"):  # read below; checked before training
+        mod._split_rows(spec, ds, split)
     start = time.perf_counter()
     params, traj = train_sam(spec, ds, sam)
     wall = time.perf_counter() - start
     report = Report("train", cfg.digest())
     os.makedirs(cfg.out, exist_ok=True)
     write_trajectory(traj, os.path.join(cfg.out, f"trajectory_{report.config_digest[:8]}.samt"))
-    rows = ds.indices("train")
-    train_loss, _ = mod.subset_loss_grad(spec, params, ds, rows, 1.0 / rows.size)
+    X, y = mod._split_rows(spec, ds, "train")
+    train_loss = (1.0 / y.size) * float(oracle._validation_losses(spec, params[None], X, y)[0])
     report.add("train_loss", [cfg.steps], [train_loss], [wall])
     for split in ("train", "val", "test"):
         report.add(f"{split}_acc", [cfg.steps], [mod.accuracy(spec, params, ds, split)])
@@ -299,9 +301,10 @@ def cmd_train(cfg: ExperimentConfig) -> Report:
 def cmd_attribute(cfg: ExperimentConfig) -> Report:
     """Influence scores for every training point under one estimator."""
     spec, ds, sam = setup(cfg)
+    val = mod._split_rows(spec, ds, "val")  # checked before training
     params, traj = train_sam(spec, ds, sam)
     start = time.perf_counter()
-    scores = _val_scores(cfg, spec, ds, sam, params, traj)
+    scores = _val_scores(cfg, spec, ds, sam, params, traj, val)
     wall = time.perf_counter() - start
     report = Report("attribute", cfg.digest())
     report.add(f"influence_score_{cfg.estimator}", np.arange(scores.size), scores, [wall])
@@ -314,9 +317,11 @@ def cmd_valuate(cfg: ExperimentConfig) -> Report:
     removing a random set of the same size, and the edited and unedited
     parameters' distances to the retrained ones, as edit reports them."""
     spec, ds, sam = setup(cfg)
+    val = mod._split_rows(spec, ds, "val")  # both read below; checked before training
+    mod._split_rows(spec, ds, "test")
     sizes = _removal_sizes(cfg.removal_fractions, ds.indices("train").size)
     params, traj = train_sam(spec, ds, sam)
-    order = rank_descending(_val_scores(cfg, spec, ds, sam, params, traj))
+    order = rank_descending(_val_scores(cfg, spec, ds, sam, params, traj, val))
     fractions = list(cfg.removal_fractions)
     acc_retrain, acc_random, retrained, wall = _removal_accuracies(cfg, spec, ds, sam, order, 0x7A)
     edited = params - _vectors(cfg, spec, ds, sam, params, traj, [order[:m] for m in sizes])
@@ -338,11 +343,15 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
     if cfg.flip_fraction <= 0.0:
         raise ConfigError("detect-noise needs flip_fraction > 0")
     spec, ds, sam = setup(cfg)
-    _removal_sizes(cfg.removal_fractions, ds.indices("train").size)
-    noisy, flipped = datasets.flip_labels(ds, cfg.flip_fraction, cfg.seed)
+    val = mod._split_rows(spec, ds, "val")  # both read below; checked before training
+    mod._split_rows(spec, ds, "test")
+    n = ds.indices("train").size
+    _removal_sizes(cfg.removal_fractions, n)
+    noisy, flipped = datasets.flip_labels(ds, cfg.flip_fraction, cfg.seed)  # train labels only
+    if flipped.size == 0:
+        raise ConfigError(f"flip_fraction {cfg.flip_fraction} flips no label of {n} train points")
     params, traj = train_sam(spec, noisy, sam)
-    scores = _val_scores(cfg, spec, noisy, sam, params, traj)
-    n = scores.size
+    scores = _val_scores(cfg, spec, noisy, sam, params, traj, val)
     order = rank_ascending(scores)  # most harmful (most negative) first
     random_order = np.random.default_rng([cfg.seed, 0x4E]).permutation(n)
     flipped_set = set(flipped.tolist())
@@ -398,6 +407,8 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     replayed schedule): the edited and the unedited parameters' distances
     to the retrained ones, relative to the trained parameters' norm."""
     spec, ds, sam = setup(cfg)
+    mod._split_rows(spec, ds, "test")  # read below; checked before training, as val is
+    val = None if cfg.edit_indices else mod._split_rows(spec, ds, "val")  # ranks the set
     n = int(ds.indices("train").size)
     removed = np.asarray(cfg.edit_indices, dtype=np.int64)
     if removed.size:
@@ -408,8 +419,8 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
                               f"not all of them ({exc})") from exc
     size = removed.size or _removal_sizes(cfg.removal_fractions[:1] or (0.1,), n)[0]
     params, traj = train_sam(spec, ds, sam)
-    if not removed.size:
-        removed = rank_ascending(_val_scores(cfg, spec, ds, sam, params, traj))[:size]
+    if val is not None:
+        removed = rank_ascending(_val_scores(cfg, spec, ds, sam, params, traj, val))[:size]
     start = time.perf_counter()
     w_edit = params - _vectors(cfg, spec, ds, sam, params, traj, [removed])[0]
     edit_wall = time.perf_counter() - start

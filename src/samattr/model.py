@@ -446,8 +446,5 @@ def predict_labels(spec: ModelSpec, params: Array, X: Array) -> Array:
 
 def accuracy(spec: ModelSpec, params: Array, dataset: Dataset, split: str = "test") -> float:
     """Fraction of correctly classified rows in the given split."""
-    idx = dataset.indices(split)
-    if idx.size == 0:
-        raise InvalidInputError(f"accuracy: split {split!r} is empty")
-    pred = predict_labels(spec, params, dataset.features[idx])
-    return float(np.mean(pred == dataset.labels[idx]))
+    X, y = _split_rows(spec, dataset, split)
+    return float(np.mean(predict_labels(spec, params, X) == y))

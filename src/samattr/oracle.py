@@ -36,8 +36,9 @@ from . import model as mod
 from .errors import InvalidInputError
 from .influence import HVP_BLOCK, NeumannConfig, influence_scores
 from .influence import compute_influence  # noqa: F401  re-exported; bench/ traces it here
-from .numcore import _removal_set, sample_batches
-from .samtrain import SAMConfig, recorded_trajectory, train_sam_many, train_split_size
+from .numcore import _removal_set
+from .numcore import sample_batches  # noqa: F401  re-exported; bench/ traces it here
+from .samtrain import SAMConfig, recorded_trajectory, train_sam_many
 from .samtrain import train_sam  # noqa: F401  re-exported; bench/ traces it here
 
 Array = np.ndarray
@@ -101,8 +102,7 @@ def loo_schedule(n: int, removed, config: SAMConfig) -> Array:
     """The original seeded schedule with the removal set S (one index or
     several) taken out, remapped onto 0..n-|S|-1 (see _replayed_steps)."""
     S = _removal_set(n, removed, "loo_schedule")
-    base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
-    steps = _replayed_steps(base, n, S, config)
+    steps = _replayed_steps(config.schedule(n), n, S, config)
     return steps - np.searchsorted(S, steps)
 
 
@@ -127,10 +127,10 @@ def loo_retrain_many(
     run of removal_sets[0]: it goes only to block 0, whose row 0 that set
     is and which the calling process trains.
     """
-    n = train_split_size(dataset, config)
     X, y = mod._split_rows(spec, dataset, "train")
+    n = y.size
+    base = config.schedule(n)
     sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
-    base = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
     groups: dict[int, list[int]] = {}
     for r, S in enumerate(sets):
         groups.setdefault(min(config.batch_size, n - S.size), []).append(r)
@@ -393,12 +393,7 @@ def calibrate_estimator(
     recorded = np.empty((config.steps + 1, spec.param_count))
     swept = loo_retrain_many(spec, dataset, [[], *sample], config, recorded)
     params = swept[0]
-    traj = recorded_trajectory(
-        recorded,
-        sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled),
-        n,
-        config,
-    )
+    traj = recorded_trajectory(recorded, config.schedule(n), n, config)
     # Same orientation as influence_score: positive = removal hurts.
     gval = mod.stacked_loss_grad(spec, params[None], X_val[None], y_val[None])[1]
     predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,

@@ -80,6 +80,13 @@ class SAMConfig:
                 value = e
         return value
 
+    def schedule(self, n: int) -> np.ndarray:
+        """The run's seeded (T, b) batch schedule over an n-point train
+        split (numcore.sample_batches); a batch size above n is a ConfigError."""
+        if self.batch_size > n:
+            raise ConfigError(f"batch size {self.batch_size} exceeds train size {n}")
+        return sample_batches(n, self.batch_size, self.steps, self.seed, self.epoch_shuffled)
+
     def digest(self) -> bytes:
         """SHA-256 of every field's text, in field order, joined by "|"."""
         text = "|".join(str(x) for x in astuple(self))
@@ -220,25 +227,13 @@ def train_sam(
     spec: mod.ModelSpec, dataset: mod.Dataset, config: SAMConfig
 ) -> tuple[Array, Trajectory]:
     """Run T SAM steps over the dataset's train split on the config's
-    seeded sample_batches schedule (train_sam_many with one replica) and
-    record the trajectory."""
-    n = train_split_size(dataset, config)
-    batches = sample_batches(n, config.batch_size, config.steps, config.seed, config.epoch_shuffled)
-    params = np.empty((config.steps + 1, spec.param_count))
+    seeded schedule (train_sam_many with one replica) and record the
+    trajectory."""
     X, y = mod._split_rows(spec, dataset, "train")
+    batches = config.schedule(y.size)
+    params = np.empty((config.steps + 1, spec.param_count))
     w = train_sam_many(spec, X, y, config, batches[:, None], np.ones(1), ["training"], params)[0]
-    return w, recorded_trajectory(params, batches, n, config)
-
-
-def train_split_size(dataset: mod.Dataset, config: SAMConfig) -> int:
-    """Rows in the dataset's train split; a ConfigError when there are none
-    or fewer than the config's batch size."""
-    n = int(dataset.indices("train").size)
-    if n == 0:
-        raise ConfigError("dataset has no train split rows")
-    if config.batch_size > n:
-        raise ConfigError(f"batch size {config.batch_size} exceeds train size {n}")
-    return n
+    return w, recorded_trajectory(params, batches, y.size, config)
 
 
 def recorded_trajectory(params: Array, batches: Array, n: int, config: SAMConfig) -> Trajectory:

@@ -70,6 +70,21 @@ def test_sam_gif_gathers_the_train_split_once(trained, checks):
     assert checks == ONE_TRAIN_GATHER
 
 
+def test_train_sam_scans_the_train_split_once(trained, checks):
+    ds, sam, _, _ = trained
+    checks.clear()
+    train_sam(SPEC, ds, sam)
+    assert checks == ONE_TRAIN_GATHER
+
+
+def test_a_retrain_sweep_scans_the_train_split_once(monkeypatch, trained, checks):
+    ds, sam, _, _ = trained
+    monkeypatch.setattr(oracle, "_workers", lambda: 1)  # every retrain in this process
+    checks.clear()
+    oracle.loo_retrain_many(SPEC, ds, [[], 0, [1, 2]], sam)
+    assert checks == ONE_TRAIN_GATHER
+
+
 @pytest.mark.parametrize("estimator", ["if_fast", "gif"])
 def test_calibrate_checks_the_val_split_once(monkeypatch, trained, checks, estimator):
     ds, sam, _, _ = trained

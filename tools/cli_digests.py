@@ -9,7 +9,10 @@ Runs `train`, then `attribute`, `calibrate`, `valuate`, `edit`, `trace`
 and `detect-noise` with each estimator (if-fast, hif, gif), in this
 process through samattr.cli.main, on each config: the three benchmark
 workloads' configs at seed 9317 (with `flip_fraction = 0.1` added, which
-only detect-noise reads) and README's example config. The outputs go to a
+only detect-noise reads), README's example config, and two configs for
+paths those four never run: a relu MLP with p = 3, a step-decay eta, an
+epoch-shuffled schedule and gif's gd mode, and a 10-class tanh MLP (the
+class-axis reduction of 8 or more classes). The outputs go to a
 temporary directory that is removed. It prints the path of the samattr
 package it imported, then one line per job, its exit code and the SHA-256
 of its stderr, then one line per output file: the SHA-256 of every `.tsv`,
@@ -57,6 +60,11 @@ CONFIGS = {
     "readme-example": "dataset = blobs(200, 10, 2, 3.0, 1)\nlambda = 1.0\neta = 0.5\nsteps = 60\n"
                       "batch_size = 0          # full batch\nestimator = if-fast\n"
                       "neumann_order = 2000\nout = results\n" + _NOISE,
+    "relu-p3": f"dataset = blobs(120, 8, 3, 2.0, {SEED})\nmodel = mlp\nactivation = relu\n"
+               "p = 3\nhidden = 12\nbatch_size = 24\nsteps = 200\neta = 0:0.1,100:0.05\n"
+               "epoch_shuffled = 1\ngif_mode = gd\n" + _NOISE_SEED,
+    "tanh-10-class": f"dataset = blobs(300, 12, 10, 3.0, {SEED})\n" + _MLP
+                     + "hidden = 16\nbatch_size = 32\nsteps = 200\n" + _NOISE_SEED,
 }
 COMMANDS = ("attribute", "calibrate", "valuate", "edit", "trace", "detect-noise")
 ESTIMATORS = ("if-fast", "hif", "gif")
