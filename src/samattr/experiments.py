@@ -256,13 +256,12 @@ def _removal_sizes(fractions, n: int) -> list[int]:
 
 def _removal_accuracies(
     cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig,
-    order: Array, salt: int,
-) -> tuple[list, list, Array, float]:
-    """Per removal fraction f: test accuracy after retraining without the
-    first round(f*n) points of order, and without a seeded random set of
-    the same size, all in one oracle sweep; also the first sets' retrained
-    parameters and the sweep's wall time. A fraction that removes nothing
-    retrains on the empty set, which replays the trained model bit for bit."""
+    order: Array, salt: int, test: tuple[Array, Array],
+) -> tuple[Array, Array, Array, float]:
+    """Per removal fraction f: accuracy on the checked test rows after retraining without
+    the first round(f*n) points of order and without a seeded random set of the same size,
+    in one sweep and one _evaluate; the first sets' retrained rows; the sweep's wall time.
+    A fraction that removes nothing retrains on the empty set: the trained model, bit for bit."""
     start = time.perf_counter()
     n = order.size
     sets = []
@@ -270,7 +269,7 @@ def _removal_accuracies(
         rand = np.random.default_rng([cfg.seed, salt, fi]).choice(n, size=m, replace=False)
         sets += [order[:m], rand]
     retrained = oracle.loo_retrain_many(spec, ds, sets, sam)
-    accs = [mod.accuracy(spec, w, ds, "test") for w in retrained]
+    accs = mod._evaluate(spec, retrained, *test)[1]
     return accs[0::2], accs[1::2], retrained[0::2], time.perf_counter() - start
 
 
@@ -282,19 +281,18 @@ def _distance(a: Array, b: Array, params: Array) -> float:
 def cmd_train(cfg: ExperimentConfig) -> Report:
     """Train and persist the trajectory; report losses and accuracies."""
     spec, ds, sam = setup(cfg)
-    for split in ("val", "test"):  # read below; checked before training
-        mod._split_rows(spec, ds, split)
+    rows = {split: mod._split_rows(spec, ds, split) for split in ("train", "val", "test")}
     start = time.perf_counter()
     params, traj = train_sam(spec, ds, sam)
     wall = time.perf_counter() - start
     report = Report("train", cfg.digest())
     os.makedirs(cfg.out, exist_ok=True)
     write_trajectory(traj, os.path.join(cfg.out, f"trajectory_{report.config_digest[:8]}.samt"))
-    X, y = mod._split_rows(spec, ds, "train")
-    train_loss = (1.0 / y.size) * float(oracle._validation_losses(spec, params[None], X, y)[0])
+    evals = {split: mod._evaluate(spec, params[None], X, y) for split, (X, y) in rows.items()}
+    train_loss = (1.0 / rows["train"][1].size) * float(evals["train"][0][0])
     report.add("train_loss", [cfg.steps], [train_loss], [wall])
-    for split in ("train", "val", "test"):
-        report.add(f"{split}_acc", [cfg.steps], [mod.accuracy(spec, params, ds, split)])
+    for split, (_, acc) in evals.items():
+        report.add(f"{split}_acc", [cfg.steps], acc)
     return report
 
 
@@ -318,18 +316,20 @@ def cmd_valuate(cfg: ExperimentConfig) -> Report:
     parameters' distances to the retrained ones, as edit reports them."""
     spec, ds, sam = setup(cfg)
     val = mod._split_rows(spec, ds, "val")  # both read below; checked before training
-    mod._split_rows(spec, ds, "test")
+    test = mod._split_rows(spec, ds, "test")
     sizes = _removal_sizes(cfg.removal_fractions, ds.indices("train").size)
     params, traj = train_sam(spec, ds, sam)
     order = rank_descending(_val_scores(cfg, spec, ds, sam, params, traj, val))
     fractions = list(cfg.removal_fractions)
-    acc_retrain, acc_random, retrained, wall = _removal_accuracies(cfg, spec, ds, sam, order, 0x7A)
+    acc_retrain, acc_random, retrained, wall = _removal_accuracies(
+        cfg, spec, ds, sam, order, 0x7A, test)
     edited = params - _vectors(cfg, spec, ds, sam, params, traj, [order[:m] for m in sizes])
+    accs = mod._evaluate(spec, np.vstack([params, edited]), *test)[1]  # baseline first
     report = Report("valuate", cfg.digest())
     report.add("acc_retrain", fractions, acc_retrain, [wall])
-    report.add("acc_edit", fractions, [mod.accuracy(spec, w, ds, "test") for w in edited])
+    report.add("acc_edit", fractions, accs[1:])
     report.add("acc_random", fractions, acc_random)
-    report.add("acc_baseline", [0.0], [mod.accuracy(spec, params, ds, "test")])
+    report.add("acc_baseline", [0.0], accs[:1])
     report.add("param_distance_rel", fractions,
                [_distance(w, r, params) for w, r in zip(edited, retrained)])
     report.add("param_distance_none", fractions, [_distance(params, r, params) for r in retrained])
@@ -344,7 +344,7 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
         raise ConfigError("detect-noise needs flip_fraction > 0")
     spec, ds, sam = setup(cfg)
     val = mod._split_rows(spec, ds, "val")  # both read below; checked before training
-    mod._split_rows(spec, ds, "test")
+    test = mod._split_rows(spec, ds, "test")  # flip_labels leaves these rows as they are
     n = ds.indices("train").size
     _removal_sizes(cfg.removal_fractions, n)
     noisy, flipped = datasets.flip_labels(ds, cfg.flip_fraction, cfg.seed)  # train labels only
@@ -369,22 +369,24 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
     report.add("recall_random", _RECALL_GRID, recall_curve(random_order))
 
     fractions = list(cfg.removal_fractions)
-    acc_is, acc_random, _, wall = _removal_accuracies(cfg, spec, noisy, sam, order, 0x4F)
+    acc_is, acc_random, _, wall = _removal_accuracies(cfg, spec, noisy, sam, order, 0x4F, test)
     report.add("acc_removed_is", fractions, acc_is, [wall])
     report.add("acc_removed_random", fractions, acc_random)
     return report
 
 
 def cmd_trace(cfg: ExperimentConfig) -> Report:
-    """For misclassified test points, list the most helpful and most
-    harmful training points by per-test-point influence score."""
+    """Count the misclassified test points; for the first max_trace_points
+    of them, list the most helpful and most harmful training points by
+    per-test-point influence score."""
     spec, ds, sam = setup(cfg)
     params, traj = train_sam(spec, ds, sam)
     test_rows = ds.indices("test")
     preds = mod.predict_labels(spec, params, ds.features[test_rows])
-    mis = test_rows[preds != ds.labels[test_rows]][: cfg.max_trace_points]
+    mis = test_rows[preds != ds.labels[test_rows]]
     report = Report("trace", cfg.digest())
     report.add("misclassified_count", [0.0], [float(mis.size)])
+    mis = mis[: cfg.max_trace_points]
     if mis.size == 0:
         return report
     start = time.perf_counter()
@@ -407,7 +409,7 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     replayed schedule): the edited and the unedited parameters' distances
     to the retrained ones, relative to the trained parameters' norm."""
     spec, ds, sam = setup(cfg)
-    mod._split_rows(spec, ds, "test")  # read below; checked before training, as val is
+    test = mod._split_rows(spec, ds, "test")  # read below; checked before training, as val is
     val = None if cfg.edit_indices else mod._split_rows(spec, ds, "val")  # ranks the set
     n = int(ds.indices("train").size)
     removed = np.asarray(cfg.edit_indices, dtype=np.int64)
@@ -427,10 +429,11 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     w_retrain = oracle.loo_retrain(spec, ds, removed, sam)
     retrain_wall = time.perf_counter() - start
+    acc = mod._evaluate(spec, np.stack([params, w_edit, w_retrain]), *test)[1]
     report = Report("edit", cfg.digest())
-    report.add("acc_baseline", [0.0], [mod.accuracy(spec, params, ds, "test")])
-    report.add("acc_edited", [0.0], [mod.accuracy(spec, w_edit, ds, "test")], [edit_wall])
-    report.add("acc_retrained", [0.0], [mod.accuracy(spec, w_retrain, ds, "test")], [retrain_wall])
+    report.add("acc_baseline", [0.0], acc[:1])
+    report.add("acc_edited", [0.0], acc[1:2], [edit_wall])
+    report.add("acc_retrained", [0.0], acc[2:], [retrain_wall])
     report.add("param_distance_rel", [0.0], [_distance(w_edit, w_retrain, params)])
     # The no-edit control: an edit helps only where param_distance_rel is below it.
     report.add("param_distance_none", [0.0], [_distance(params, w_retrain, params)])

@@ -37,6 +37,8 @@ Array = np.ndarray
 # 128-256 rows for the sum; at 128 a loss pass (one of each) gains and a
 # curvature tangent's sum (a sum alone) loses at most about 3 us.
 CLASS_LOOP_MIN_ROWS = 128
+# Floats of one layer's activations in one stacked _evaluate pass (512 KiB).
+_EVAL_STACK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -444,7 +446,22 @@ def predict_labels(spec: ModelSpec, params: Array, X: Array) -> Array:
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
+def _evaluate(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Array, Array]:
+    """Summed loss (R,) and accuracy (R,) of every row of W (R, P) over checked rows X, y:
+    stacked _loss_pass calls of at most _EVAL_STACK_FLOATS activations a layer, labels the
+    logits' argmax as in predict_labels. Row r does not depend on the other rows, bit for bit."""
+    size = max(1, _EVAL_STACK_FLOATS // (y.size * max(spec.layer_sizes[1:])))
+    losses, accs = np.empty(len(W)), np.empty(len(W))
+    for lo in range(0, len(W), size):
+        rows = W[lo : lo + size]
+        acts, _, _, loss = _loss_pass(
+            spec, _unpack_rows(spec, rows), X[None], np.broadcast_to(y, (len(rows), y.size)))
+        losses[lo : lo + size] = loss.sum(axis=-1)
+        accs[lo : lo + size] = np.mean(np.argmax(acts[-1], axis=-1) == y, axis=-1)
+    return losses, accs
+
+
 def accuracy(spec: ModelSpec, params: Array, dataset: Dataset, split: str = "test") -> float:
-    """Fraction of correctly classified rows in the given split."""
+    """Fraction of correctly classified rows in the given split (_evaluate's one row)."""
     X, y = _split_rows(spec, dataset, split)
-    return float(np.mean(predict_labels(spec, params, X) == y))
+    return float(_evaluate(spec, _check_params(spec, params)[None], X, y)[1][0])

@@ -52,10 +52,6 @@ DENSE_HESSIAN_MAX_P = 2000
 # up to about 20 per block and is flat within noise from there to 64; a
 # block's activations grow with it.
 RETRAIN_BLOCK = 32
-# Floats of one layer's activations that one stacked validation-loss pass
-# may hold (512 KiB): _validation_losses cuts R parameter rows into stacks
-# of max(1, this // (n_val * widest layer)) rows.
-_VAL_STACK_FLOATS = 2**16
 
 
 @dataclass
@@ -286,25 +282,9 @@ def dense_hessian(
 
 
 def validation_loss(spec: mod.ModelSpec, params: Array, dataset: mod.Dataset) -> float:
-    """Sum of per-example losses over the val split."""
+    """Sum of per-example losses over the val split (model._evaluate's one row)."""
     X, y = mod._split_rows(spec, dataset, "val")
-    return float(_validation_losses(spec, mod._check_params(spec, params)[None], X, y)[0])
-
-
-def _validation_losses(spec: mod.ModelSpec, W: Array, X: Array, y: Array) -> Array:
-    """validation_loss of every parameter row of W (R, P) over the val
-    split's checked rows X, y, from stacked _loss_pass calls with those
-    rows broadcast over the parameter rows, at most _VAL_STACK_FLOATS
-    activations a layer each; row r does not depend on the other rows,
-    bit for bit."""
-    size = max(1, _VAL_STACK_FLOATS // (y.size * max(spec.layer_sizes[1:])))
-    losses = np.empty(len(W))
-    for lo in range(0, len(W), size):
-        rows = W[lo : lo + size]
-        y_rows = np.broadcast_to(y, (len(rows), y.size))
-        losses[lo : lo + size] = mod._loss_pass(
-            spec, mod._unpack_rows(spec, rows), X[None], y_rows)[3].sum(axis=-1)
-    return losses
+    return float(mod._evaluate(spec, mod._check_params(spec, params)[None], X, y)[0][0])
 
 
 def _sign_agreement(a: Array, b: Array) -> float:
@@ -399,7 +379,7 @@ def calibrate_estimator(
     predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,
                                  config.lam, ncfg, sample, traj, gif_mode, gval)[:, 0]
     # Removal-induced loss change (row 0 is the model): positive means removal hurt.
-    losses = _validation_losses(spec, swept, X_val, y_val)
+    losses = mod._evaluate(spec, swept, X_val, y_val)[0]
     actual = losses[1:] - losses[0]
     return CalibrationReport(
         pearson=_corr_or_zero(predicted, actual),

@@ -551,7 +551,8 @@ def test_removal_fractions_retrain_ranked_and_random_together(monkeypatch):
     monkeypatch.setattr(oracle, "loo_retrain_many", counted)
     ecfg = experiments.ExperimentConfig(removal_fractions=(0.0, 0.25, 0.5), seed=6)
     order = np.arange(ds.indices("train").size)[::-1]
-    ranked, rand, _, _ = experiments._removal_accuracies(ecfg, spec, ds, cfg, order, 0x7A)
+    test = mod._split_rows(spec, ds, "test")
+    ranked, rand, _, _ = experiments._removal_accuracies(ecfg, spec, ds, cfg, order, 0x7A, test)
     assert calls == [[0, 0, 6, 6, 12, 12]]
     assert ranked[1] == mod.accuracy(spec, _plain_retrain(spec, ds, order[:6], cfg), ds, "test")
 

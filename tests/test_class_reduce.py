@@ -1,16 +1,15 @@
 """The softmax's class-axis reductions (model._class_reduce) loop over the
 class columns on tall stacks of few classes, and give NumPy's axis
 reduction's bits: the helper itself, the loss pass built on it and the
-calibration's stacked validation losses."""
+stacked validation losses of model._evaluate."""
 
 import numpy as np
 import pytest
 
 from samattr import model as mod
-from samattr import oracle
 from samattr.datasets import make_blobs
 from samattr.model import CLASS_LOOP_MIN_ROWS, ModelSpec, _class_reduce
-from samattr.oracle import _validation_losses, validation_loss
+from samattr.oracle import validation_loss
 
 # Row counts on both sides of the threshold, one-row and stacked.
 SHAPES = [(3,), (CLASS_LOOP_MIN_ROWS - 1,), (CLASS_LOOP_MIN_ROWS,), (1, 5 * CLASS_LOOP_MIN_ROWS),
@@ -126,12 +125,12 @@ def test_stacked_validation_losses_equal_the_validation_loss_loop(spec, R, stack
     ds = make_blobs(100, spec.input_dim, spec.num_classes, 3.0, seed=R)
     if stack:
         width = max(spec.layer_sizes[1:])
-        monkeypatch.setattr(oracle, "_VAL_STACK_FLOATS", stack * ds.indices("val").size * width)
+        monkeypatch.setattr(mod, "_EVAL_STACK_FLOATS", stack * ds.indices("val").size * width)
     W = np.random.default_rng(R).standard_normal((R, spec.param_count))
     val = ds.indices("val")
     X, y = ds.features[val], ds.labels[val]
     unstacked = [float(mod._loss_pass(spec, mod._unpack(spec, w), X, y)[3].sum()) for w in W]
-    stacked = _validation_losses(spec, W, *mod._split_rows(spec, ds, "val"))
+    stacked = mod._evaluate(spec, W, *mod._split_rows(spec, ds, "val"))[0]
     np.testing.assert_array_equal(bits(stacked), bits(np.array(unstacked)))
     one_by_one = np.array([validation_loss(spec, w, ds) for w in W])
     np.testing.assert_array_equal(bits(stacked), bits(one_by_one))

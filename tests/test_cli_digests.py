@@ -1,6 +1,6 @@
-"""Smoke test of tools/cli_digests.py: two runs of a tiny config into
-different directories give the same digests, and a --src the imported
-samattr does not come from is refused."""
+"""Smoke test of tools/cli_digests.py: two runs of a tiny config and a
+tiny CSV config (split by setup) into different directories give the same
+digests, and a --src the imported samattr does not come from is refused."""
 
 import importlib.util
 import sys
@@ -20,6 +20,9 @@ sample_size = 4
 flip_fraction = 0.1
 seed = 3
 """
+# The same run over a CSV the tool writes, which setup splits 18/6/6.
+TINY_CSV = TINY.replace("blobs(16, 5, 3, 3.0, 2)", "csv:tiny.csv\nval_fraction = 0.2\n"
+                        "test_fraction = 0.2")
 
 
 def _tool():
@@ -31,10 +34,12 @@ def _tool():
 
 def test_two_runs_print_the_same_digests(tmp_path):
     tool = _tool()
-    runs = [tool.digests({"tiny": TINY}, tmp_path / run) for run in ("a", "b")]
+    configs = {"tiny": TINY, "tiny-csv": TINY_CSV}
+    files = {"tiny.csv": tool.mixture_csv(30, 5, 3, 0.5, 3)}
+    runs = [tool.digests(configs, tmp_path / run, files) for run in ("a", "b")]
     assert runs[0] == runs[1]
     jobs = [line for line in runs[0] if " exit=" in line]
-    assert len(jobs) == 1 + 6 * 3 and all(" exit=0 " in line for line in jobs)
+    assert len(jobs) == 2 * (1 + 6 * 3) and all(" exit=0 " in line for line in jobs)
     files = [line.split()[0] for line in runs[0] if " exit=" not in line]
     assert {Path(f).suffix for f in files} == {".tsv", ".npy", ".samt", ".report"}
     # The lines do not depend on where the outputs were written.

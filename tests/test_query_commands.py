@@ -66,7 +66,11 @@ def test_trace_ranks_against_each_test_point(tmp_path, capsys):
     params, traj = train_sam(spec, ds, sam)
     _, ifvecs = score_all(cfg, spec, ds, sam, params, traj)
     traced = [int(name[len("helpful_test"):]) for name in runs if name.startswith("helpful_test")]
-    assert len(traced) == runs["misclassified_count"].y[0] > 0
+    # Every misclassified test point is counted; the first max_trace_points are traced.
+    mis = [int(r) for r in ds.indices("test")
+           if mod.predict(spec, params, ds.features[r])[0] != ds.labels[r]]
+    assert runs["misclassified_count"].y[0] == len(mis) > cfg.max_trace_points == 3
+    assert traced == mis[:3]
     m = min(cfg.top_m, ifvecs.shape[0])
     for row in traced:
         _, g_test = mod.subset_loss_grad(spec, params, ds, [row], 1.0)

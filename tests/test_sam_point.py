@@ -182,14 +182,14 @@ def test_empty_split_is_named(monkeypatch):
 def test_calibrate_takes_every_validation_loss_from_one_stacked_pass(monkeypatch):
     ds, sam, params, _ = _trained(2.0)
     calls = []
-    stacked = oracle._validation_losses
+    stacked = mod._evaluate
 
     def recorded(spec, W, X, y):
-        losses = stacked(spec, W, X, y)
+        losses, accs = stacked(spec, W, X, y)
         calls.append((W.copy(), losses))
-        return losses
+        return losses, accs
 
-    monkeypatch.setattr(oracle, "_validation_losses", recorded)
+    monkeypatch.setattr(mod, "_evaluate", recorded)
     oracle.calibrate_estimator(SPEC, ds, sam, "if_fast", 4)
     [(W, losses)] = calls
     assert W.shape == (5, SPEC.param_count) and W[0].tobytes() == params.tobytes()

@@ -9,17 +9,20 @@ Runs `train`, then `attribute`, `calibrate`, `valuate`, `edit`, `trace`
 and `detect-noise` with each estimator (if-fast, hif, gif), in this
 process through samattr.cli.main, on each config: the three benchmark
 workloads' configs at seed 9317 (with `flip_fraction = 0.1` added, which
-only detect-noise reads), README's example config, and two configs for
+only detect-noise reads), README's example config, and three configs for
 paths those four never run: a relu MLP with p = 3, a step-decay eta, an
-epoch-shuffled schedule and gif's gd mode, and a 10-class tanh MLP (the
-class-axis reduction of 8 or more classes). The outputs go to a
-temporary directory that is removed. It prints the path of the samattr
-package it imported, then one line per job, its exit code and the SHA-256
-of its stderr, then one line per output file: the SHA-256 of every `.tsv`,
-`.npy` and `.samt` file as written, and of every `.report` file with its
-`wall=` values removed, since wall times differ from run to run. Lines
-name the config, the job and the file, not the output directory, so two
-runs compare with diff:
+epoch-shuffled schedule and gif's gd mode; a 10-class tanh MLP (the
+class-axis reduction of 8 or more classes); and `csv-split`, CSV ingestion
+and setup's seeded split into shuffled val and test rows, over a CSV of an
+overlapping 3-class Gaussian mixture that this script writes with NumPy
+alone. The outputs go to a temporary directory that is removed; the jobs
+run there, so the config names its CSV by a relative path. It prints the
+path of the samattr package it imported, then one line per job, its exit
+code and the SHA-256 of its stderr, then one line per output file: the
+SHA-256 of every `.tsv`, `.npy` and `.samt` file as written, and of every
+`.report` file with its `wall=` values removed, since wall times differ
+from run to run. Lines name the config, the job and the file, not the
+output directory, so two runs compare with diff:
 
     python3 tools/cli_digests.py --src /path/to/other/tree/src > old.txt
     python3 tools/cli_digests.py > new.txt
@@ -39,8 +42,11 @@ import hashlib
 import io
 import re
 import sys
+import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,10 +71,25 @@ CONFIGS = {
                "epoch_shuffled = 1\ngif_mode = gd\n" + _NOISE_SEED,
     "tanh-10-class": f"dataset = blobs(300, 12, 10, 3.0, {SEED})\n" + _MLP
                      + "hidden = 16\nbatch_size = 32\nsteps = 200\n" + _NOISE_SEED,
+    "csv-split": "dataset = csv:mixture.csv\nval_fraction = 0.2\ntest_fraction = 0.2\n"
+                 "sample_size = 20\n" + _MLP + "hidden = 8\nbatch_size = 16\nsteps = 100\n"
+                 + _NOISE_SEED,
 }
 COMMANDS = ("attribute", "calibrate", "valuate", "edit", "trace", "detect-noise")
 ESTIMATORS = ("if-fast", "hif", "gif")
 HASHED = (".tsv", ".npy", ".samt", ".report")
+
+
+def mixture_csv(n: int, d: int, C: int, scale: float, seed: int) -> str:
+    """CSV text of n rows of a seeded C-class Gaussian mixture in d features:
+    unit-variance clusters around standard-normal means times scale, so the
+    classes overlap, labels in round-robin order; floats written with repr."""
+    rng = np.random.default_rng(seed)
+    means = scale * rng.standard_normal((C, d))
+    labels = np.arange(n) % C
+    X = means[labels] + rng.standard_normal((n, d))
+    rows = [",".join([*(repr(float(v)) for v in x), str(c)]) for x, c in zip(X, labels)]
+    return "\n".join([",".join([*(f"x{j}" for j in range(d)), "label"]), *rows]) + "\n"
 
 
 def _sha(data: bytes) -> str:
@@ -82,29 +103,38 @@ def file_digest(path: Path) -> str:
     return _sha(data)
 
 
-def digests(configs: dict[str, str], out: Path) -> list[str]:
-    """Run every job of every config (name -> config text) under out and
-    return the job and file lines."""
+def digests(configs: dict[str, str], out: Path, files: dict[str, str] | None = None) -> list[str]:
+    """Write files (name -> text) into out, run every job of every config
+    (name -> config text) with out as the working directory, and return
+    the job and file lines."""
     from samattr import cli
 
     jobs = [("train", None)] + [(c, e) for c in COMMANDS for e in ESTIMATORS]
     lines = []
+    out = out.resolve()
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in configs.items():
-        conf = out / f"{name}.conf"
-        conf.write_text(text, encoding="utf-8")
-        for command, estimator in jobs:
-            job = command if estimator is None else f"{command}.{estimator}"
-            job_out = out / name / job
-            argv = [command, "--config", str(conf), "--out", str(job_out)]
-            argv += ["--estimator", estimator] if estimator else []
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-            lines.append(f"{name}/{job} exit={code} stderr={_sha(err.getvalue().encode())}")
-            for path in sorted(job_out.glob("*")):
-                if path.suffix in HASHED:
-                    lines.append(f"{name}/{job}/{path.name} {file_digest(path)}")
+    for name, text in (files or {}).items():
+        (out / name).write_text(text, encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(out)  # a config names its files relative to out
+    try:
+        for name, text in configs.items():
+            conf = out / f"{name}.conf"
+            conf.write_text(text, encoding="utf-8")
+            for command, estimator in jobs:
+                job = command if estimator is None else f"{command}.{estimator}"
+                job_out = out / name / job
+                argv = [command, "--config", str(conf), "--out", str(job_out)]
+                argv += ["--estimator", estimator] if estimator else []
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                lines.append(f"{name}/{job} exit={code} stderr={_sha(err.getvalue().encode())}")
+                for path in sorted(job_out.glob("*")):
+                    if path.suffix in HASHED:
+                        lines.append(f"{name}/{job}/{path.name} {file_digest(path)}")
+    finally:
+        os.chdir(cwd)
     return lines
 
 
@@ -122,7 +152,8 @@ def main(argv=None) -> int:
         return 2
     print(f"samattr {package}")
     with tempfile.TemporaryDirectory() as out:
-        for line in digests(CONFIGS, Path(out)):
+        files = {"mixture.csv": mixture_csv(150, 6, 3, 0.5, SEED)}
+        for line in digests(CONFIGS, Path(out), files):
             print(line)
     return 0
 
