@@ -198,8 +198,9 @@ def _val_scores(
     trajectory, val: tuple[Array, Array],
 ) -> Array:
     """scores[n] against the validation loss gradient over the val split's
-    checked rows val = (X, y), one solve for all points; positive =
-    valuable (removal predicted to raise validation loss)."""
+    checked rows val = (X, y): one solve for all points (if_fast, hif) or
+    one gif replay projected onto that gradient; positive = valuable
+    (removal predicted to raise validation loss)."""
     X, y = val
     gval = mod.stacked_loss_grad(spec, params[None], X[None], y[None])[1]
     return _scores(cfg, spec, ds, sam, params, trajectory, gval)[:, 0]
@@ -225,10 +226,11 @@ def score_all(
     """Influence vectors and scores for every training point.
 
     Returns (scores[n], ifvecs[n, P]); scores are the commands' scores
-    (one transposed solve against the validation gradient), oriented
-    positive = valuable. The vectors cost one solve per point; the
-    commands ask only for those of the sets they remove, one solve per
-    set (valuate's top set per fraction, edit's one set).
+    (_val_scores: one transposed solve, or gif's one replay, against the
+    validation gradient), oriented positive = valuable. The vectors cost
+    one solve per point; the commands ask only for those of the sets they
+    remove, one solve per set (valuate's top set per fraction, edit's one
+    set).
     """
     n = ds.indices("train").size
     scores = _val_scores(cfg, spec, ds, sam, params, trajectory, mod._split_rows(spec, ds, "val"))

@@ -28,10 +28,12 @@ sets against query gradients (the validation loss, a test point): the
 Hessian estimators solve the transposed operator once per query, A^T s =
 q, and the score of set S is g_S . s with g_S its points' summed
 gradient, so scoring every point costs one solve per query, not one per
-point. ``influence_vectors`` returns IF(S) itself, one solve per set
-against g_S, for the sets a caller removes or edits. Either way the
-dispatch checks the train split once (model._split_rows), and everything
-below it takes the checked rows X, y, not the dataset. The linearization
+point; gif projects its replay's per-example gradients onto the queries
+and builds no per-point vector. ``influence_vectors`` returns IF(S)
+itself, one solve per set against g_S, for the sets a caller removes or
+edits. Either way the dispatch checks the train split once
+(model._split_rows), and everything below it takes the checked rows X, y,
+not the dataset. The linearization
 is built once per call from the SAM point at params (samtrain._sam_point):
 one curvature operator (model.hvp_operator) whose primal pass also gives
 the full-train gradient g and so eps, then one at w_pert = params + eps.
@@ -42,13 +44,15 @@ call on one-example stacks, and right-hand sides are solved as blocks,
 one block application per iteration. The perturbation's Jacobian
 is the closed form (d eps / d g) H for every p, symmetric in its gradient
 factor, which is what makes A^T as cheap as A. The trajectory estimator
-replays the recorded steps once, in blocks of consecutive steps of at
-most GIF_BLOCK_FLOATS factor floats: per block, one stacked gradient call
-gives every step's perturbation, one factor call at the perturbed weights
-gives every per-example gradient as (delta, a) factors, and one batched
-matmul per layer adds them into the scored points' rows; a set's vector
-is the sum of its points' rows, and its scores are its vectors' dot
-products.
+replays the recorded steps once (_gif_replay), in blocks of consecutive
+steps of at most GIF_BLOCK_FLOATS factor floats: per block, one stacked
+gradient call gives every step's perturbation and one factor call at the
+perturbed weights gives every per-example gradient as (delta, a) factors.
+For vectors, one batched matmul per layer adds them into the scored
+points' rows. For scores, two matmuls per layer project every row onto
+the queries (delta^T Q a + delta . q_b), and each scored point's products
+add into its scores, a TracIn-style sum. A set's vector or scores are the
+sum of its points'.
 """
 
 from __future__ import annotations
@@ -89,7 +93,9 @@ KRYLOV_BASIS_FLOATS = 2**23
 # of C steps holds per-example factors of C b' input rows, sum(fan_in +
 # fan_out) floats each (b' = b in sgd mode, n_train in gd mode), so C =
 # max(1, this // (b' sum(fan_in + fan_out))); a chunk of its points holds
-# at most this many gradient and gathered factor floats.
+# at most this many gradient and gathered factor floats, and a run of its
+# steps' projections onto the queries at most this many, where one step's
+# projection onto one query fits.
 GIF_BLOCK_FLOATS = 2**16
 
 
@@ -426,7 +432,9 @@ def _influence(
     IF(k) over S, one row per set. With queries (m, P): scores[len(ks), m]
     = -IF(S) . q. The Hessian estimators build one linearization and sum
     each set's point gradients into one right-hand side, solving A against
-    it or A^T against every query; gif replays once and sums each set's rows.
+    it or A^T against every query; gif replays once, into each point's
+    vector (_gif_vectors) or, with queries, straight into each point's
+    scores (_gif_scores), and sums each set's rows.
     The train split is checked here, once, and its rows passed down."""
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"unknown estimator {estimator!r}")
@@ -439,8 +447,9 @@ def _influence(
     if estimator == "gif":
         if trajectory is None:
             raise InvalidInputError("gif estimator needs a trajectory")
-        vectors = by_set(_gif_vectors(trajectory, spec, X, y, points, gif_mode))
-        return vectors if queries is None else -(vectors @ queries.T)
+        if queries is None:
+            return by_set(_gif_vectors(trajectory, spec, X, y, points, gif_mode))
+        return by_set(_gif_scores(trajectory, spec, X, y, points, gif_mode, queries))
     w_pert, apply_A, apply_AT = _linearize(spec, X, y, params, rho, p, lam, estimator == "hif")
     if points.size == 0:
         return np.zeros((len(ks), spec.param_count if queries is None else queries.shape[0]))
@@ -473,7 +482,10 @@ def influence_scores(
     loss gradient; positive = removing the set is predicted to raise that loss.
 
     The Hessian estimators cost one transposed solve per query, not one
-    solve per set: -IF(S) . q = g_S . A^-T q."""
+    solve per set: -IF(S) . q = g_S . A^-T q. gif costs one replay whose
+    per-example gradients are projected onto the queries (m times the
+    products influence_vectors spends adding them up), with no (len(ks), P)
+    vectors; a point's scores do not depend on which others are scored."""
     return _influence(estimator, spec, dataset, params, rho, p, lam, ncfg, ks, trajectory,
                       gif_mode, queries, "influence_scores")
 
@@ -531,28 +543,23 @@ def sam_gif(
     return _gif_vectors(trajectory, spec, *mod._split_rows(spec, dataset, "train"), ks, mode)[0]
 
 
-def _gif_vectors(
-    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, ks, mode: str
-) -> Array:
-    """sam_gif for every train position in ks, which its callers check,
-    over the train split's checked rows X_train, y_train, from one replay
+def _gif_replay(
+    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, uniq: Array,
+    mode: str, add_block: Callable[[int, Array, list, Array], None],
+) -> None:
+    """gif's one replay, for the sorted, distinct train positions uniq, which
+    its callers check, over the train split's checked rows X_train, y_train,
     with no per-step kernel call. The T steps are cut into windows of C
-    consecutive steps, the same whatever ks is, and the steps of a window
-    that score a point make one block of two calls:
-    stacked_loss_grad over their parameter rows and batches, whose
-    gradients give every perturbation in one worst_perturbation call, and
-    stacked_loss_factors at the perturbed rows over a fixed-shape input,
-    the step's batch in sgd mode and the whole train split in gd mode.
-    _add_gif_terms then adds the block's weighted per-example gradients
-    into each point's row of contiguous per-layer sums, which are packed
-    into the (len(ks), P) result once, after the last block. C keeps a
-    block's factors within GIF_BLOCK_FLOATS.
-
-    A point's terms, and the order its row adds them in, do not depend on
-    which other points are scored, so a row is bitwise the same whatever
-    else ks holds; a point listed twice in ks is replayed once and its row
-    repeated. A batch entry outside 0..n_train-1 is rejected before any
-    replay work."""
+    consecutive steps, the same whatever uniq is, and the steps of a window
+    that score a point make one block of two calls: stacked_loss_grad over
+    their parameter rows and batches, whose gradients give every
+    perturbation in one worst_perturbation call, and stacked_loss_factors at
+    the perturbed rows over a fixed-shape input, the step's batch in sgd
+    mode and the whole train split in gd mode. C keeps a block's factors
+    within GIF_BLOCK_FLOATS. add_block(first, sel, factors, hits) takes each
+    block: its window's first step, its steps, their factors, and hits[c, j],
+    the row of uniq that input row j of step sel[c] is, or -1. A batch
+    entry outside 0..n_train-1 is rejected before any replay work."""
     if mode not in GIF_MODES:
         raise InvalidInputError(f"unknown gif mode {mode!r}")
     if trajectory.param_count != spec.param_count:
@@ -569,10 +576,7 @@ def _gif_vectors(
     outside = ((batches < 0) | (batches >= n)).any(axis=1)
     if outside.any():
         raise InvalidInputError(f"step {np.argmax(outside)}: batch entry out of range 0..{n - 1}")
-    uniq, inverse = np.unique(ks, return_inverse=True)
     sizes = spec.layer_sizes
-    sums = [(np.zeros((uniq.size, fan_out, fan_in)), np.zeros((uniq.size, fan_out)))
-            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
     slot = np.full(n, -1)  # slot[k]: k's row of uniq, or -1 if k is not scored
     slot[uniq] = np.arange(uniq.size)
     T = len(batches)
@@ -591,14 +595,116 @@ def _gif_vectors(
         W += worst_perturbation((1.0 / batch.shape[1]) * G, trajectory.rho, trajectory.p)
         factors = mod.stacked_loss_factors(
             spec, W, np.take(X_train, rows_in, axis=0), y_train[rows_in])[1]
-        _add_gif_terms(sums, factors, slot[rows_in], trajectory.weights[sel])
+        add_block(first, sel, factors, slot[rows_in])
         del factors  # held no longer than its block
+
+
+def _gif_vectors(
+    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, ks, mode: str
+) -> Array:
+    """sam_gif for every train position in ks, which its callers check,
+    over the train split's checked rows X_train, y_train, from one
+    _gif_replay: _add_gif_terms adds each block's weighted per-example
+    gradients into each point's row of contiguous per-layer sums, which are
+    packed into the (len(ks), P) result once, after the last block.
+
+    A point's terms, and the order its row adds them in, do not depend on
+    which other points are scored, so a row is bitwise the same whatever
+    else ks holds; a point listed twice in ks is replayed once and its row
+    repeated."""
+    uniq, inverse = np.unique(ks, return_inverse=True)
+    sizes = spec.layer_sizes
+    sums = [(np.zeros((uniq.size, fan_out, fan_in)), np.zeros((uniq.size, fan_out)))
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+    _gif_replay(trajectory, spec, X_train, y_train, uniq, mode,
+                lambda first, sel, factors, hits: _add_gif_terms(
+                    sums, factors, hits, trajectory.weights[sel]))
     total = np.empty((uniq.size, spec.param_count))
     for layer, layer_sums in zip(mod._unpack_rows(spec, total), sums):
         for view, part in zip(layer, layer_sums):
             np.negative(part, out=view)
     # Sorted, distinct ks (every command's) need no gathered copy of total.
     return total if np.array_equal(uniq, ks) else total[inverse]
+
+
+def _gif_scores(
+    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, ks, mode: str,
+    queries: Array,
+) -> Array:
+    """scores[i, j] = -_gif_vectors(...)[i] . queries[j] for the train
+    positions ks, which its callers check, and m query gradients (m, P), from
+    one _gif_replay that _add_gif_scores projects onto the queries, with no
+    per-point vector. The queries go in chunks of mq, so that one step's
+    projection of a chunk (b' input rows times mq times 1 + the largest of
+    the layers' smaller fans) fits GIF_BLOCK_FLOATS where one query's does,
+    and the steps in runs of span, whose chunk projections fit it too.
+    A row is bitwise the same whatever else ks holds; a point listed twice
+    is replayed once and its row repeated."""
+    uniq, inverse = np.unique(ks, return_inverse=True)
+    m = queries.shape[0]
+    scores = np.zeros((uniq.size, m))
+    sizes = spec.layer_sizes
+    rows = trajectory.batches.shape[1] if mode == "sgd" else y_train.size
+    width = 1 + max(map(min, sizes[:-1], sizes[1:]))
+    mq = max(1, min(m, GIF_BLOCK_FLOATS // (rows * width)))
+    span = max(1, GIF_BLOCK_FLOATS // (rows * mq * width))
+    chunks = [(slice(q, min(q + mq, m)), [_query_operand(Wq, bq) for Wq, bq in
+                                          mod._unpack_rows(spec, queries[q : q + mq])])
+              for q in range(0, m, mq)]
+    _gif_replay(trajectory, spec, X_train, y_train, uniq, mode,
+                lambda first, sel, factors, hits: _add_gif_scores(
+                    scores, chunks, span, first, sel, factors, hits, trajectory.weights))
+    return scores if np.array_equal(uniq, ks) else scores[inverse]
+
+
+def _query_operand(Wq: Array, bq: Array) -> tuple[Array, Array | None]:
+    """One layer of m queries, Wq (m, fan_out, fan_in) and bq (m, fan_out),
+    as a (fan, m * other) matrix over the larger fan, for _add_gif_scores,
+    and the flat biases; over fan_out, the biases are m more columns and
+    None is returned for them."""
+    if Wq.shape[2] >= Wq.shape[1]:
+        return Wq.transpose(2, 0, 1).reshape(Wq.shape[2], -1), bq.reshape(-1)
+    return np.hstack([Wq.transpose(1, 0, 2).reshape(Wq.shape[1], -1), bq.T]), None
+
+
+def _add_gif_scores(
+    scores: Array, chunks: list[tuple[slice, list]], span: int, first: int, sel: Array,
+    factors: list[tuple[Array, Array]], hits: Array, weights: Array,
+) -> None:
+    """Point u's scores += weights[t] * (the example gradient of factor row
+    (c, j)) . each query, for every row with hits[c, j] = u and t = sel[c];
+    chunks holds each chunk of query columns with its layers'
+    _query_operand. Per layer, delta^T Q a + delta . q_b of every input row
+    is one matmul of the factor of the larger fan against the operand,
+    reshaped to (rows, mq, other), and one per-row batched matmul against
+    the other factor; the scored rows then add into scores through one
+    bincount, in step order. Every row is projected and each step is its
+    own matmul, so a row's products do not depend on which rows are
+    scored. The steps go in runs of span window positions from first, so
+    a point's sum is grouped the same whatever sel is."""
+    b = hits.shape[1]
+    cuts = np.flatnonzero(np.diff((sel - first) // span)) + 1
+    for lo, hi in zip((0, *cuts), (*cuts, sel.size)):
+        rows = (hi - lo) * b
+        hit = hits[lo:hi].ravel()
+        scored = hit >= 0
+        points = hit[scored][:, None]
+        row_weights = np.repeat(weights[sel[lo:hi]], b)[:, None]
+        for cols, operands in chunks:
+            mq = cols.stop - cols.start
+            s = np.zeros((rows, mq))
+            for (d, a), (M, bias) in zip(factors, operands):
+                x, other = (d, a) if bias is None else (a, d)
+                t = (x[lo:hi] @ M).reshape(rows, -1)
+                k = mq * other.shape[-1]
+                if bias is None:
+                    s += t[:, k:]  # delta . q_b
+                else:
+                    t += bias  # delta^T (Q a + q_b), below
+                s += (t[:, :k].reshape(rows, mq, -1) @ other[lo:hi].reshape(rows, -1, 1))[..., 0]
+            s *= row_weights
+            at = (points * mq + np.arange(mq)).ravel()
+            scores[:, cols] += np.bincount(at, s[scored].ravel(), len(scores) * mq).reshape(-1, mq)
 
 
 def _add_gif_terms(

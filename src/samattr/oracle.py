@@ -124,8 +124,16 @@ def loo_retrain_many(
     is and which the calling process trains.
     """
     X, y = mod._split_rows(spec, dataset, "train")
+    return _retrain_sweep(spec, X, y, config.schedule(y.size), removal_sets, config, record)
+
+
+def _retrain_sweep(
+    spec: mod.ModelSpec, X: Array, y: Array, base: Array, removal_sets, config: SAMConfig,
+    record: Array | None,
+) -> Array:
+    """loo_retrain_many over the train split's checked rows X, y and the
+    run's schedule base (T, b), drawn once by the caller (config.schedule)."""
     n = y.size
-    base = config.schedule(n)
     sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
     groups: dict[int, list[int]] = {}
     for r, S in enumerate(sets):
@@ -354,12 +362,14 @@ def calibrate_estimator(
     """Compare predicted influence scores against actual leave-one-out
     validation-loss changes for a seeded sample of training points.
 
-    One loo_retrain_many sweep of the empty set and the sample trains both
-    the model and its retrains. The empty set's block records the model's
-    trajectory in the calling process, bitwise train_sam's, so every
-    estimator (gif included) scores from the same sweep.
+    One retrain sweep of the empty set and the sample (loo_retrain_many's,
+    on the schedule drawn here once) trains both the model and its
+    retrains. The empty set's block records the model's trajectory in the
+    calling process, bitwise train_sam's, so every estimator (gif included)
+    scores from the same sweep and the same schedule.
     """
-    n = mod._split_rows(spec, dataset, "train")[1].size
+    X, y = mod._split_rows(spec, dataset, "train")
+    n = y.size
     if not 1 <= sample_size <= n:
         raise InvalidInputError(f"sample_size must lie in 1..{n}, got {sample_size}")
     X_val, y_val = mod._split_rows(spec, dataset, "val")  # checked before the sweep, once
@@ -370,10 +380,11 @@ def calibrate_estimator(
         sample = np.sort(
             np.random.default_rng(config.seed).choice(n, size=sample_size, replace=False)
         )
+    base = config.schedule(n)
     recorded = np.empty((config.steps + 1, spec.param_count))
-    swept = loo_retrain_many(spec, dataset, [[], *sample], config, recorded)
+    swept = _retrain_sweep(spec, X, y, base, [[], *sample], config, recorded)
     params = swept[0]
-    traj = recorded_trajectory(recorded, config.schedule(n), n, config)
+    traj = recorded_trajectory(recorded, base, n, config)
     # Same orientation as influence_score: positive = removal hurts.
     gval = mod.stacked_loss_grad(spec, params[None], X_val[None], y_val[None])[1]
     predicted = influence_scores(estimator, spec, dataset, params, config.rho, config.p,

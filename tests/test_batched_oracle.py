@@ -457,13 +457,13 @@ def test_calibrate_retrains_its_sample_in_one_call(monkeypatch):
     spec, ds = _problem("logistic", seed=5)
     cfg = _cfg("mini", ds.indices("train").size, steps=10)
     calls = []
-    real = oracle.loo_retrain_many
+    real = oracle._retrain_sweep
 
-    def counted(spec_, ds_, sets, cfg_, record):
+    def counted(spec_, X, y, base, sets, cfg_, record):
         calls.append([np.atleast_1d(S).size for S in sets])
-        return real(spec_, ds_, sets, cfg_, record)
+        return real(spec_, X, y, base, sets, cfg_, record)
 
-    monkeypatch.setattr(oracle, "loo_retrain_many", counted)
+    monkeypatch.setattr(oracle, "_retrain_sweep", counted)
     report = oracle.calibrate_estimator(spec, ds, cfg, "if_fast", 9)
     assert calls == [[0] + [1] * 9] and report.n_points == 9
 
@@ -479,6 +479,25 @@ def test_calibrate_trains_no_separate_model(monkeypatch):
     monkeypatch.setattr(samtrain, "train_sam", no_training)
     monkeypatch.setattr(oracle, "train_sam", no_training)
     assert oracle.calibrate_estimator(spec, ds, cfg, "gif", 7) == expected
+
+
+@pytest.mark.parametrize("schedule", ["mini", "epoch", "full"])
+def test_calibrate_draws_its_schedule_once(monkeypatch, schedule):
+    # The sweep and the recorded trajectory share one draw of the schedule.
+    spec, ds = _problem("tanh", seed=5)
+    n = ds.indices("train").size
+    cfg = _cfg(schedule, n, steps=10)
+    expected = oracle.calibrate_estimator(spec, ds, cfg, "gif", 7)
+    calls = []
+    real = samtrain.sample_batches
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(samtrain, "sample_batches", counted)
+    assert oracle.calibrate_estimator(spec, ds, cfg, "gif", 7) == expected
+    assert calls == [(n, cfg.batch_size, cfg.steps, cfg.seed, cfg.epoch_shuffled)]
 
 
 @pytest.mark.parametrize("kind,schedule,cpus", [
@@ -518,7 +537,7 @@ def test_calibrate_without_val_rows_fails_before_training(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("calibrate retrained before checking the val split")
 
-    monkeypatch.setattr(oracle, "loo_retrain_many", no_sweep)
+    monkeypatch.setattr(oracle, "_retrain_sweep", no_sweep)
     with pytest.raises(InvalidInputError, match="no val split rows"):
         oracle.calibrate_estimator(spec, no_val, cfg, "if_fast", 5)
 

@@ -94,5 +94,6 @@ def test_calibrate_checks_the_val_split_once(monkeypatch, trained, checks, estim
     assert [c for c in checks if c[1] == "val"] == [("_split_rows", "val"), ("indices", "val")]
     assert not [c for c in checks if c[0] == "_rows"]
     # One train check per public entry point: calibrate_estimator itself,
-    # loo_retrain_many (for all of its blocks) and influence_scores.
-    assert checks.count(("_split_rows", "train")) == 3
+    # whose checked rows its retrain sweep takes (for all of its blocks),
+    # and influence_scores.
+    assert checks.count(("_split_rows", "train")) == 2
