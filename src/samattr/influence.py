@@ -17,8 +17,8 @@ Inverse operators are applied by GMRES (``gmres_solve``) on the damped
 operator, to a relative residual of KRYLOV_RTOL; a solve that misses it
 within its iteration cap raises DivergenceError (CLI exit 3) instead of
 returning an unconverged vector. No Hessian is ever materialized here.
-``neumann_ihvp``, a scaled truncated Neumann series, is kept as a library
-function; the commands do not use it.
+``neumann_ihvp``, a scaled truncated Neumann series for one vector, is kept
+as a library function; the commands do not use it.
 
 One dispatch serves two entry points, and both take removal sets as
 oracle.loo_retrain_many does: each entry one train position or a
@@ -32,8 +32,9 @@ point; gif projects its replay's per-example gradients onto the queries
 and builds no per-point vector. ``influence_vectors`` returns IF(S)
 itself, one solve per set against g_S, for the sets a caller removes or
 edits. Either way the dispatch checks the train split once
-(model._split_rows), and everything below it takes the checked rows X, y,
-not the dataset. The linearization
+(model._split_rows) and the sets once, merging a repeated point, so
+everything below it takes the checked rows X, y, not the dataset, and
+sorted, distinct points. The linearization
 is built once per call from the SAM point at params (samtrain._sam_point):
 one curvature operator (model.hvp_operator) whose primal pass also gives
 the full-train gradient g and so eps, then one at w_pert = params + eps.
@@ -169,32 +170,29 @@ def neumann_ihvp(apply_A: LinearOperator, g: Array, cfg: NeumannConfig) -> Array
     """Approximate (A + damp*I)^{-1} g by the scaled Neumann iteration
     v_{j+1} = alpha*g + v_j - alpha*(A + damp*I) v_j, v_0 = alpha*g.
 
-    g is one right-hand side (P,) or a block (m, P) of them, one per row;
-    for a block, apply_A takes blocks of rows. Each row stops early once
-    its own L1 step shrinks below zeta, and only rows still running go
-    to apply_A, so a row's result is that of its solve alone. Convergence
-    needs the damped, scaled operator to have spectral radius below one;
-    divergence of any row raises with advice to shrink alpha or raise damp.
+    g is one right-hand side (P,); a block of them is an InvalidInputError
+    (gmres_solve solves blocks). The iteration stops early once its L1 step
+    shrinks below zeta. Convergence needs the damped, scaled operator to
+    have spectral radius below one; divergence raises with advice to
+    shrink alpha or raise damp.
     """
     g = np.asarray(g, dtype=np.float64)
-    alpha = cfg.alpha if cfg.alpha is not None else _auto_alpha(apply_A, g.shape[-1])
-    op = apply_A if g.ndim == 2 else (lambda rows: apply_A(rows[0])[None])
-    ag = alpha * np.atleast_2d(g)
+    if g.ndim != 1:
+        raise InvalidInputError(f"neumann_ihvp takes one right-hand side (P,), got shape {g.shape}")
+    alpha = cfg.alpha if cfg.alpha is not None else _auto_alpha(apply_A, g.size)
+    ag = alpha * g
     v = ag.copy()
-    active = np.arange(v.shape[0])
     for _ in range(cfg.order):
-        if active.size == 0:
-            break
-        va = v[active]
-        v_next = ag[active] + va - alpha * (op(va) + cfg.damp * va)
+        v_next = ag + v - alpha * (apply_A(v) + cfg.damp * v)
         if not np.all(np.isfinite(v_next)):
             raise DivergenceError(
                 "Neumann iteration diverged; reduce alpha or increase damp"
             )
-        steps = np.abs(v_next - va).sum(axis=1)
-        v[active] = v_next
-        active = active[steps > cfg.zeta]
-    return v.reshape(g.shape)
+        step = np.abs(v_next - v).sum()
+        v = v_next
+        if step <= cfg.zeta:
+            break
+    return v
 
 
 def _row_dots(X: Array, Y: Array) -> Array:
@@ -411,12 +409,16 @@ def _block_solve(apply_A: LinearOperator, rhs: Array, ncfg: NeumannConfig) -> Ar
 
 
 def _removal_sets(n: int, ks, who: str) -> tuple[Array, LinearOperator]:
-    """The removal sets ks, checked as loo_retrain_many checks its sets: their points, and
-    the map from the points' rows to each set's sum (the identity when every set is one)."""
+    """The removal sets ks, checked as loo_retrain_many checks its sets: their points, sorted
+    and distinct, and the map from the points' rows to each set's sum (for one-point sets,
+    each set's row: the identity when ks is already sorted and distinct, as every command's is)."""
     if all(isinstance(k, (int, np.integer)) for k in ks):
-        for k in (min(ks), max(ks)) if len(ks) else ():  # every one-point set passes if these do
+        points, inverse = np.unique(np.asarray(ks, dtype=np.int64), return_inverse=True)
+        for k in points[[0, -1]] if points.size else ():  # every one-point set passes if these do
             _removal_set(n, k, who)
-        return np.array(ks, dtype=np.int64), lambda rows: rows
+        if np.array_equal(points, ks):
+            return points, lambda rows: rows
+        return points, lambda rows: rows[inverse]
     sets = [_removal_set(n, S, who) for S in ks]
     points = np.unique(np.concatenate(sets))
     return points, lambda rows: np.array([np.isin(points, S) for S in sets], dtype=float) @ rows
@@ -434,8 +436,8 @@ def _influence(
     each set's point gradients into one right-hand side, solving A against
     it or A^T against every query; gif replays once, into each point's
     vector (_gif_vectors) or, with queries, straight into each point's
-    scores (_gif_scores), and sums each set's rows.
-    The train split is checked here, once, and its rows passed down."""
+    scores (_gif_scores), and sums each set's rows. The train split and the
+    sets are checked here, once; below, the points are sorted and distinct."""
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"unknown estimator {estimator!r}")
     if queries is not None:
@@ -544,13 +546,13 @@ def sam_gif(
 
 
 def _gif_replay(
-    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, uniq: Array,
+    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, points: Array,
     mode: str, add_block: Callable[[int, Array, list, Array], None],
 ) -> None:
-    """gif's one replay, for the sorted, distinct train positions uniq, which
+    """gif's one replay, for the sorted, distinct train positions points, which
     its callers check, over the train split's checked rows X_train, y_train,
     with no per-step kernel call. The T steps are cut into windows of C
-    consecutive steps, the same whatever uniq is, and the steps of a window
+    consecutive steps, the same whatever points is, and the steps of a window
     that score a point make one block of two calls: stacked_loss_grad over
     their parameter rows and batches, whose gradients give every
     perturbation in one worst_perturbation call, and stacked_loss_factors at
@@ -558,7 +560,7 @@ def _gif_replay(
     mode and the whole train split in gd mode. C keeps a block's factors
     within GIF_BLOCK_FLOATS. add_block(first, sel, factors, hits) takes each
     block: its window's first step, its steps, their factors, and hits[c, j],
-    the row of uniq that input row j of step sel[c] is, or -1. A batch
+    the row of points that input row j of step sel[c] is, or -1. A batch
     entry outside 0..n_train-1 is rejected before any replay work."""
     if mode not in GIF_MODES:
         raise InvalidInputError(f"unknown gif mode {mode!r}")
@@ -567,23 +569,18 @@ def _gif_replay(
     n = y_train.size
     if n != trajectory.n_train:
         raise InvalidInputError("trajectory train size does not match the dataset")
-    if trajectory.rho is None or trajectory.p is None:
-        raise InvalidInputError(
-            "trajectory is missing its SAM settings (a version 1 file does not store "
-            "them); set trajectory.rho and trajectory.p before computing trajectory influence"
-        )
     batches = trajectory.batches
     outside = ((batches < 0) | (batches >= n)).any(axis=1)
     if outside.any():
         raise InvalidInputError(f"step {np.argmax(outside)}: batch entry out of range 0..{n - 1}")
     sizes = spec.layer_sizes
-    slot = np.full(n, -1)  # slot[k]: k's row of uniq, or -1 if k is not scored
-    slot[uniq] = np.arange(uniq.size)
+    slot = np.full(n, -1)  # slot[k]: k's row of points, or -1 if k is not scored
+    slot[points] = np.arange(points.size)
     T = len(batches)
     if mode == "sgd":
         scored, live = batches, (slot[batches] >= 0).any(axis=1)
     else:
-        scored, live = np.broadcast_to(np.arange(n), (T, n)), np.full(T, uniq.size > 0)
+        scored, live = np.broadcast_to(np.arange(n), (T, n)), np.full(T, points.size > 0)
     C = max(1, GIF_BLOCK_FLOATS // (scored.shape[1] * (sum(sizes[:-1]) + sum(sizes[1:]))))
     for first in range(0, T, C):
         sel = first + np.flatnonzero(live[first : first + C])
@@ -600,49 +597,44 @@ def _gif_replay(
 
 
 def _gif_vectors(
-    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, ks, mode: str
+    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, points, mode: str
 ) -> Array:
-    """sam_gif for every train position in ks, which its callers check,
-    over the train split's checked rows X_train, y_train, from one
+    """sam_gif for the sorted, distinct train positions points, which its callers
+    check, over the train split's checked rows X_train, y_train, from one
     _gif_replay: _add_gif_terms adds each block's weighted per-example
     gradients into each point's row of contiguous per-layer sums, which are
-    packed into the (len(ks), P) result once, after the last block.
+    packed into the (len(points), P) result once, after the last block.
 
     A point's terms, and the order its row adds them in, do not depend on
     which other points are scored, so a row is bitwise the same whatever
-    else ks holds; a point listed twice in ks is replayed once and its row
-    repeated."""
-    uniq, inverse = np.unique(ks, return_inverse=True)
+    else points holds."""
     sizes = spec.layer_sizes
-    sums = [(np.zeros((uniq.size, fan_out, fan_in)), np.zeros((uniq.size, fan_out)))
+    sums = [(np.zeros((points.size, fan_out, fan_in)), np.zeros((points.size, fan_out)))
             for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
-    _gif_replay(trajectory, spec, X_train, y_train, uniq, mode,
+    _gif_replay(trajectory, spec, X_train, y_train, points, mode,
                 lambda first, sel, factors, hits: _add_gif_terms(
                     sums, factors, hits, trajectory.weights[sel]))
-    total = np.empty((uniq.size, spec.param_count))
+    total = np.empty((points.size, spec.param_count))
     for layer, layer_sums in zip(mod._unpack_rows(spec, total), sums):
         for view, part in zip(layer, layer_sums):
             np.negative(part, out=view)
-    # Sorted, distinct ks (every command's) need no gathered copy of total.
-    return total if np.array_equal(uniq, ks) else total[inverse]
+    return total
 
 
 def _gif_scores(
-    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, ks, mode: str,
-    queries: Array,
+    trajectory: Trajectory, spec: mod.ModelSpec, X_train: Array, y_train: Array, points,
+    mode: str, queries: Array,
 ) -> Array:
-    """scores[i, j] = -_gif_vectors(...)[i] . queries[j] for the train
-    positions ks, which its callers check, and m query gradients (m, P), from
-    one _gif_replay that _add_gif_scores projects onto the queries, with no
+    """scores[i, j] = -_gif_vectors(...)[i] . queries[j] for the sorted, distinct
+    train positions points, which its callers check, and m query gradients (m, P),
+    from one _gif_replay that _add_gif_scores projects onto the queries, with no
     per-point vector. The queries go in chunks of mq, so that one step's
     projection of a chunk (b' input rows times mq times 1 + the largest of
     the layers' smaller fans) fits GIF_BLOCK_FLOATS where one query's does,
     and the steps in runs of span, whose chunk projections fit it too.
-    A row is bitwise the same whatever else ks holds; a point listed twice
-    is replayed once and its row repeated."""
-    uniq, inverse = np.unique(ks, return_inverse=True)
+    A row is bitwise the same whatever else points holds."""
     m = queries.shape[0]
-    scores = np.zeros((uniq.size, m))
+    scores = np.zeros((points.size, m))
     sizes = spec.layer_sizes
     rows = trajectory.batches.shape[1] if mode == "sgd" else y_train.size
     width = 1 + max(map(min, sizes[:-1], sizes[1:]))
@@ -651,10 +643,10 @@ def _gif_scores(
     chunks = [(slice(q, min(q + mq, m)), [_query_operand(Wq, bq) for Wq, bq in
                                           mod._unpack_rows(spec, queries[q : q + mq])])
               for q in range(0, m, mq)]
-    _gif_replay(trajectory, spec, X_train, y_train, uniq, mode,
+    _gif_replay(trajectory, spec, X_train, y_train, points, mode,
                 lambda first, sel, factors, hits: _add_gif_scores(
                     scores, chunks, span, first, sel, factors, hits, trajectory.weights))
-    return scores if np.array_equal(uniq, ks) else scores[inverse]
+    return scores
 
 
 def _query_operand(Wq: Array, bq: Array) -> tuple[Array, Array | None]:

@@ -103,8 +103,7 @@ def loo_schedule(n: int, removed, config: SAMConfig) -> Array:
 
 
 def loo_retrain_many(
-    spec: mod.ModelSpec, dataset: mod.Dataset, removal_sets, config: SAMConfig,
-    record: Array | None = None,
+    spec: mod.ModelSpec, dataset: mod.Dataset, removal_sets, config: SAMConfig
 ) -> Array:
     """Retrain once per removal set (one index or several each), replaying
     the original schedule with the set's slots resampled; row r of the
@@ -118,13 +117,9 @@ def loo_retrain_many(
     processes (_train_blocks); each row is bitwise the run of its set on
     its own. Deterministic; a row does not depend on the order of its set,
     its block or the number of CPUs.
-
-    record, if given, is the (T+1, P) array train_sam_many fills with the
-    run of removal_sets[0]: it goes only to block 0, whose row 0 that set
-    is and which the calling process trains.
     """
     X, y = mod._split_rows(spec, dataset, "train")
-    return _retrain_sweep(spec, X, y, config.schedule(y.size), removal_sets, config, record)
+    return _retrain_sweep(spec, X, y, config.schedule(y.size), removal_sets, config, None)
 
 
 def _retrain_sweep(
@@ -132,7 +127,9 @@ def _retrain_sweep(
     record: Array | None,
 ) -> Array:
     """loo_retrain_many over the train split's checked rows X, y and the
-    run's schedule base (T, b), drawn once by the caller (config.schedule)."""
+    run's schedule base (T, b), drawn once by the caller (config.schedule).
+    record, if given, is the (T+1, P) array train_sam_many fills with the
+    run of removal_sets[0], which block 0 holds and the calling process trains."""
     n = y.size
     sets = [_removal_set(n, removed, "loo_retrain_many") for removed in removal_sets]
     groups: dict[int, list[int]] = {}

@@ -11,7 +11,8 @@ outer descent gradient. The one step loop trains R replicas at once as an
 
 A run is recorded as step-indexed arrays: the parameters *before* each
 update and the final ones, each update's batch, learning rate and applied
-per-example coefficient eta_t / b, which the trajectory estimator needs.
+per-example coefficient eta_t / b, and the run's rho and p: all that the
+trajectory estimator needs, so a Trajectory is never built without them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .numcore import dual_exponent, p_norm, sample_batches
 Array = np.ndarray
 
 TRAJ_MAGIC = b"SAMT"
-TRAJ_VERSION = 2  # version 1 files, without rho and p, still load
+TRAJ_VERSION = 2  # the only version read; version 1 files lack rho and p
 # Bytes of update records write_trajectory holds at a time (at least one record).
 TRAJ_WRITE_BYTES = 2**20
 
@@ -103,14 +104,17 @@ class Trajectory:
     etas: Array  # (T,) learning rate of update t
     weights: Array  # (T,) per-example coefficient eta_t / b applied at update t
     n_train: int
+    # The run's SAM settings, checked as SAMConfig checks them: gif
+    # recomputes each step's perturbation from them.
+    rho: float
+    p: float
     config_digest: bytes = b"\x00" * 32
-    # SAM settings needed to recompute each step's perturbation. The
-    # trainer fills these in and version 2 files store them; a trajectory
-    # read from a version 1 file needs them set by the caller.
-    rho: float | None = None
-    p: float | None = None
 
     def __post_init__(self):
+        if self.rho is None or not 0.0 <= self.rho < math.inf:
+            raise InvalidInputError(f"trajectory rho must be finite and >= 0, got {self.rho}")
+        if self.p is None or math.isnan(self.p):
+            raise InvalidInputError(f"trajectory p must not be NaN or None, got {self.p}")
         T = len(self.batches)
         if (self.params.ndim, self.params.shape[:1], self.batches.ndim, self.etas.shape,
                 self.weights.shape) != (2, (T + 1,), 2, (T,), (T,)):
@@ -281,16 +285,15 @@ def _record_dtype(b: int, P: int) -> np.dtype:
 
 def write_trajectory(traj: Trajectory, path) -> None:
     """Binary trajectory file: magic, version, header (sizes, config
-    digest, then rho and p, NaN where unset), then records (_record_dtype)
-    of steps 0..T, the last empty. The update records are built and
-    written TRAJ_WRITE_BYTES at a time."""
-    settings = [math.nan if v is None else v for v in (traj.rho, traj.p)]
+    digest, then rho and p), then records (_record_dtype) of steps 0..T,
+    the last empty. The update records are built and written
+    TRAJ_WRITE_BYTES at a time."""
     T, b = traj.batches.shape
     update = _record_dtype(b, traj.param_count)
     per_block = max(1, TRAJ_WRITE_BYTES // update.itemsize)
     with open(path, "wb") as f:
         f.write(TRAJ_MAGIC + struct.pack("<HQQQ", TRAJ_VERSION, traj.param_count, traj.n_train, T)
-                + traj.config_digest + struct.pack("<dd", *settings))
+                + traj.config_digest + struct.pack("<dd", traj.rho, traj.p))
         for lo in range(0, T, per_block):
             hi = min(lo + per_block, T)
             recs = np.empty(hi - lo, update)
@@ -304,9 +307,10 @@ def write_trajectory(traj: Trajectory, path) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    """Load a version 1 or 2 trajectory file. Anything but T update records
-    of steps 0..T-1 with one batch count, each batch of distinct in-range
-    positions, then the empty final record of step T is a FormatError."""
+    """Load a version 2 trajectory file. Any other version, a rho or p that
+    Trajectory refuses, or anything but T update records of steps 0..T-1 with
+    one batch count, each batch of distinct in-range positions, then the
+    empty final record of step T is a FormatError."""
     with open(path, "rb") as f:
         data = f.read()
 
@@ -321,11 +325,11 @@ def read_trajectory(path) -> Trajectory:
     if take(4, "magic") != TRAJ_MAGIC:
         raise FormatError("bad magic bytes; not a trajectory file")
     (version,) = struct.unpack("<H", take(2, "version"))
-    if version not in (1, TRAJ_VERSION):
+    if version != TRAJ_VERSION:
         raise FormatError(f"unsupported trajectory version {version}")
     P, n, T = struct.unpack("<QQQ", take(24, "header"))
     digest = take(32, "config digest")
-    settings = struct.unpack("<dd", take(16, "SAM settings")) if version >= 2 else (math.nan,) * 2
+    rho, p = struct.unpack("<dd", take(16, "SAM settings"))
     # Every update record has the first one's batch count b.
     b = struct.unpack("<I", data[off + 24 : off + 28])[0] if T and len(data) >= off + 28 else 0
     update, last = _record_dtype(b, P), _record_dtype(0, P)
@@ -337,10 +341,9 @@ def read_trajectory(path) -> Trajectory:
     if (not np.array_equal(recs["step"], np.arange(T)) or np.any(recs["count"] != b)
             or T and b == 0 or final["step"] != T or final["count"] != 0):
         raise FormatError(f"trajectory needs steps 0..{T} of one batch size, the last empty")
-    rho, p = (None if math.isnan(v) else v for v in settings)
     try:
         return Trajectory(params=params, batches=recs["batch"].astype(np.int64),
                           etas=recs["eta"].copy(), weights=recs["weight"].copy(), n_train=n,
                           config_digest=digest, rho=rho, p=p)
-    except InvalidInputError as exc:  # a batch entry out of range or repeated
+    except InvalidInputError as exc:  # bad rho or p, a batch entry out of range or repeated
         raise FormatError(str(exc)) from None

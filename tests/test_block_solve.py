@@ -1,6 +1,8 @@
-"""Blocks of right-hand sides: model.hvp on (m, P) tangents and
-neumann_ihvp on (m, P) gradients give, row for row, what the one-vector
-calls give."""
+"""Blocks of right-hand sides: model.hvp on (m, P) tangents gives, row for
+row, what the one-vector calls give; neumann_ihvp takes one vector and
+refuses a block."""
+
+import re
 
 import numpy as np
 import pytest
@@ -41,52 +43,23 @@ def test_hvp_rejects_bad_tangent_shapes():
             mod.hvp(spec, params, ds, [0, 1], bad)
 
 
-def _spd(P, seed):
-    M = np.random.default_rng(seed).standard_normal((P, P))
-    return M @ M.T / P + 0.2 * np.eye(P)
-
-
-def _rowwise(A):
-    """x -> A x for one vector or for each row of a block, every row as its
-    own product, so block and vector calls do the same arithmetic."""
-    return lambda x: (x[..., None, :] @ A)[..., 0, :]
-
-
-def test_neumann_block_equals_per_row_solves():
-    A = _spd(12, 5)
-    rng = np.random.default_rng(6)
-    # Rows of very different size stop at different iterations under the
-    # absolute L1 stop; the zero row stops after one.
-    G = rng.standard_normal((5, 12)) * np.array([[1.0], [1e-3], [0.0], [1e-6], [30.0]])
-    cfg = NeumannConfig(order=3000, alpha=0.9 / np.linalg.eigvalsh(A)[-1], zeta=1e-10)
-    seen = []
-
+@pytest.mark.parametrize("shape", [(1, 4), (3, 4), (2, 2, 4), ()],
+                         ids=["one-row", "rows", "stack", "scalar"])
+def test_neumann_rejects_a_block(shape):
+    # A block, even of one row, and a scalar never reach the operator.
     def apply_A(x):
-        seen.append(1 if x.ndim == 1 else x.shape[0])
-        return _rowwise(A)(x)
+        raise AssertionError("the operator was applied")
 
-    block = neumann_ihvp(apply_A, G, cfg)
-    block_calls = list(seen)
-    rows, iters = [], []
-    for g in G:
-        seen.clear()
-        rows.append(neumann_ihvp(apply_A, g, cfg))
-        iters.append(len(seen))
-    assert np.array_equal(block, np.stack(rows))
-    assert np.all(block[2] == 0.0)
-    assert len(set(iters)) > 2
-    # Only rows still running reach the operator: the block's row count
-    # shrinks, and its total is the per-row iteration counts summed.
-    assert block_calls == sorted(block_calls, reverse=True) and block_calls[0] == 5
-    assert len(block_calls) == max(iters) and sum(block_calls) == sum(iters)
-    np.testing.assert_allclose(block[0], np.linalg.solve(A + 0.01 * np.eye(12), G[0]), rtol=1e-6)
+    with pytest.raises(InvalidInputError,
+                       match=rf"^neumann_ihvp takes one right-hand side \(P,\), got shape "
+                             rf"{re.escape(str(shape))}$"):
+        neumann_ihvp(apply_A, np.ones(shape), NeumannConfig())
 
 
 def test_neumann_one_diverging_row_raises():
     d = np.array([1.0, 2000.0])  # alpha * 2000 > 2: the second direction blows up
     cfg = NeumannConfig(order=1000, alpha=0.1, damp=0.0)
     good, bad = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    np.testing.assert_allclose(neumann_ihvp(lambda x: d * x, good[None], cfg)[0], good, rtol=1e-8)
-    # The bad row overflows while the good rows around it are still running.
+    np.testing.assert_allclose(neumann_ihvp(lambda x: d * x, good, cfg), good, rtol=1e-8)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-        neumann_ihvp(lambda x: d * x, np.stack([good, bad, good]), cfg)
+        neumann_ihvp(lambda x: d * x, bad, cfg)

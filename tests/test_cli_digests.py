@@ -51,3 +51,18 @@ def test_a_package_from_elsewhere_is_refused(tmp_path, capsys, monkeypatch):
     assert _tool().main(["--src", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not from" in captured.err
+
+
+def test_a_failing_job_makes_the_exit_status_1(tmp_path, capsys, monkeypatch):
+    # Every job of the second config exits 2 (steps = 0 is a configuration
+    # error); every line is still printed, and then the status is 1.
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    tool = _tool()
+    monkeypatch.setattr(tool, "CONFIGS", {"tiny": TINY, "bad": TINY + "steps = 0\n"})
+    assert tool.main([]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    jobs = [line for line in lines if " exit=" in line]
+    assert len(jobs) == 2 * (1 + 6 * 3)
+    assert all(" exit=0 " in line for line in jobs if line.startswith("tiny/"))
+    assert all(" exit=2 " in line for line in jobs if line.startswith("bad/"))
+    assert any(line.startswith("tiny/train/") for line in lines)

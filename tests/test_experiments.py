@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from samattr import oracle
+from samattr import experiments, oracle
 from samattr.errors import ConfigError, InvalidInputError
 from samattr.experiments import (
     ExperimentConfig,
@@ -65,6 +67,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(flip_fraction=0.9)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(removal_fractions=(0.1, 1.5)), r"removal fractions must lie in \[0, 1\]"),
+        (dict(removal_fractions=(-0.1,)), r"removal fractions must lie in \[0, 1\]"),
+        (dict(model="linear"), "unknown model kind 'linear'"),
+    ], ids=["fraction-above-1", "fraction-below-0", "model-kind"])
+    def test_rejects_bad_fractions_and_model_kind(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig(**kwargs)
+
 
 class TestLoadConfig:
     def test_parse_file(self, tmp_path):
@@ -100,6 +111,14 @@ class TestLoadConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/no/such/file.conf")
+
+    def test_line_without_equals(self, tmp_path):
+        path = tmp_path / "exp.conf"
+        path.write_text("steps = 12\n# a comment\nbatch_size 4\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(path))}:3: expected key = value, got "
+                                 "'batch_size 4'$"):
+            load_config(str(path))
 
     def test_unknown_gif_mode(self, tmp_path):
         # Checked at load for every estimator, not when gif first runs.
@@ -226,6 +245,16 @@ class TestDrivers:
             assert len(run.x) == 3
             # Scores listed best-first.
             assert all(b <= a for a, b in zip(run.y, run.y[1:]))
+
+    def test_trace_with_no_misclassified_point_reports_0(self, tmp_path, monkeypatch):
+        # Well-separated blobs: the trained model gets every test point
+        # right, so trace reports 0 and scores nothing.
+        def no_scores(*args):
+            raise AssertionError("trace scored with no misclassified test point")
+
+        monkeypatch.setattr(experiments, "_scores", no_scores)
+        report = cmd_trace(fast_config(out=str(tmp_path), dataset="blobs(40, 4, 2, 20.0, 7)"))
+        assert [(run.metric, run.y) for run in report.runs] == [("misclassified_count", [0.0])]
 
     def test_edit_explicit_indices(self, tmp_path):
         cfg = fast_config(out=str(tmp_path), edit_indices=(0, 3), neumann_order=2000)

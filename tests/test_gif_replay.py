@@ -82,9 +82,8 @@ def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
     ds = make_blobs(30, 4, 3, 2.5, seed=33)
     sam = SAMConfig(rho=0.05, p=p, lam=0.01, eta=0.2, batch_size=6, steps=25, seed=33,
                     epoch_shuffled=epoch_shuffled)
-    _, traj = train_sam(spec, ds, sam)
-    train = mod._split_rows(spec, ds, "train")
-    n = train[1].size
+    params, traj = train_sam(spec, ds, sam)
+    n = ds.indices("train").size
     P = spec.param_count
     samples = {"full": np.arange(n), "sampled": np.array([23, 2, 7, 2, 29, 11, 7]),
                "empty": np.array([], dtype=np.int64)}
@@ -94,9 +93,9 @@ def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
     for budget in (1, 3 * F, 4 * F + 1, influence.GIF_BLOCK_FLOATS):
         monkeypatch.setattr(influence, "GIF_BLOCK_FLOATS", budget)
         for mode in ("sgd", "gd"):
-            full = influence._gif_vectors(traj, spec, *train, samples["full"], mode)
+            full = _gif((spec, ds, sam, params, traj), samples["full"], mode)
             for ks in samples.values():
-                got = influence._gif_vectors(traj, spec, *train, ks, mode)
+                got = _gif((spec, ds, sam, params, traj), ks, mode)
                 assert got.shape == (ks.size, P)
                 _close_rows(got, _plain_gif(traj, spec, ds, ks, mode))
                 # A row does not depend on the other points scored with it.

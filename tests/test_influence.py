@@ -10,6 +10,8 @@ from samattr.influence import (
     compute_influence,
     eps_jacobian_vec,
     influence_score,
+    influence_scores,
+    influence_vectors,
     neumann_ihvp,
     sam_gif,
     sam_hif,
@@ -286,18 +288,43 @@ class TestGif:
         np.testing.assert_array_equal(a, b)
 
     def test_needs_sam_settings(self, convex_setup):
-        spec, ds, _, _, traj = convex_setup
+        # gif recomputes each step's perturbation from the trajectory's rho
+        # and p, so a trajectory without them cannot be built at all.
+        traj = convex_setup[4]
         from dataclasses import replace
 
-        bare = replace(traj, rho=None, p=None)
-        with pytest.raises(InvalidInputError, match="rho"):
-            sam_gif(bare, spec, ds, 0)
+        with pytest.raises(InvalidInputError, match="^trajectory rho must be finite"):
+            replace(traj, rho=None, p=None)
 
     def test_rejects_mismatched_model(self, convex_setup):
         _, ds, _, _, traj = convex_setup
         other = ModelSpec(kind="mlp", layer_sizes=(4, 9, 2))
         with pytest.raises(InvalidInputError):
             sam_gif(traj, other, ds, 0)
+
+    def test_rejects_unknown_mode(self, convex_setup):
+        spec, ds, _, _, traj = convex_setup
+        with pytest.raises(InvalidInputError, match="^unknown gif mode 'batch'$"):
+            sam_gif(traj, spec, ds, 0, mode="batch")
+
+    def test_rejects_another_train_size(self, convex_setup):
+        # The trajectory was trained on 40 rows; this dataset has 41.
+        spec, ds, _, _, traj = convex_setup
+        more = Dataset(features=np.vstack([ds.features, ds.features[:1]]),
+                       labels=np.append(ds.labels, ds.labels[0]))
+        with pytest.raises(InvalidInputError,
+                           match="^trajectory train size does not match the dataset$"):
+            sam_gif(traj, spec, more, 0)
+
+
+@pytest.mark.parametrize("entry", [influence_vectors, influence_scores])
+def test_dispatch_rejects_an_unknown_estimator(convex_setup, entry):
+    spec, ds, cfg, params, traj = convex_setup
+    args = ("if-fast", spec, ds, params, cfg.rho, cfg.p, cfg.lam, NeumannConfig(), [0], traj,
+            "sgd")
+    queries = () if entry is influence_vectors else (np.ones((1, spec.param_count)),)
+    with pytest.raises(InvalidInputError, match="^unknown estimator 'if-fast'$"):
+        entry(*args, *queries)
 
 
 class TestScoreAndEdit:

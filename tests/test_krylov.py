@@ -75,6 +75,17 @@ def test_non_finite_operator_output_raises():
     assert calls[0] == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_right_hand_side_raises(bad):
+    def apply_A(x):
+        raise AssertionError("the operator was applied")
+
+    rhs = np.ones((3, P))
+    rhs[1, 2] = bad
+    with pytest.raises(DivergenceError, match="^GMRES right-hand side is not finite$"):
+        gmres_solve(apply_A, rhs, 0.0, 100)
+
+
 def test_singular_operator_raises():
     # The zero operator ends the Krylov space at iteration 1 with no
     # solution in it; a singular operator that does not end it exactly

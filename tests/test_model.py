@@ -45,6 +45,15 @@ class TestModelSpec:
         with pytest.raises(InvalidInputError):
             ModelSpec(kind="logistic", layer_sizes=(3, 4, 2))
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(activation="sigmoid"), "unknown activation 'sigmoid'"),
+        (dict(layer_sizes=(3,)), r"bad layer_sizes \(3,\)"),
+        (dict(layer_sizes=(3, 0, 2)), r"bad layer_sizes \(3, 0, 2\)"),
+    ], ids=["activation", "one-size", "zero-size"])
+    def test_rejects_bad_activation_and_sizes(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            ModelSpec(**{"kind": "mlp", "layer_sizes": (3, 4, 2), **kwargs})
+
 
 class TestDataset:
     def test_default_split_is_train(self):
@@ -59,6 +68,16 @@ class TestDataset:
     def test_nonfinite_features(self):
         with pytest.raises(InvalidInputError):
             Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([0]))
+
+    @pytest.mark.parametrize("n,labels,split,message", [
+        (0, [], None, "dataset must contain at least one row"),
+        (2, [0, -1], None, "negative label"),
+        (2, [0, 1], ["train"], "split tag count mismatch"),
+    ], ids=["no-rows", "negative-label", "split-count"])
+    def test_rejects_bad_rows(self, n, labels, split, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            Dataset(features=np.zeros((n, 2)), labels=np.array(labels, dtype=np.int64),
+                    split=split)
 
 
 class TestLossGrad:

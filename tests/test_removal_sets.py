@@ -73,7 +73,10 @@ def test_one_point_sets_keep_the_per_point_rows(trained, estimator):
     rows = ds.indices("train")
     X, y = mod._split_rows(spec, ds, "train")
     if estimator == "gif":
-        want = influence._gif_vectors(traj, spec, X, y, np.array(ks), "sgd")
+        # The rows of the distinct points, each repeated where ks repeats it.
+        distinct = sorted(set(ks))
+        rows_of = _call(influence_vectors, estimator, trained, distinct)
+        want = rows_of[[distinct.index(k) for k in ks]]
     else:
         w_pert, apply_A, _ = influence._linearize(spec, X, y, params, sam.rho, sam.p, sam.lam,
                                                   estimator == "hif")

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from samattr import model as mod
 from samattr import samtrain
 from samattr.datasets import make_blobs
-from samattr.errors import ConfigError, FormatError, InvalidInputError
+from samattr.errors import ConfigError, DivergenceError, FormatError, InvalidInputError
 from samattr.model import ModelSpec
 from samattr.numcore import p_norm, sample_batches
 from samattr.samtrain import (
@@ -55,7 +56,6 @@ def _write_records(path, traj, records):
 def _write_per_step(traj, path):
     """The per-step struct writer that write_trajectory replaced, kept to
     pin the file's bytes."""
-    settings = [math.nan if v is None else v for v in (traj.rho, traj.p)]
     T, b = traj.batches.shape
     batches, params = traj.batches.astype("<u4"), traj.params.astype("<f8", copy=False)
     with open(path, "wb") as f:
@@ -63,7 +63,7 @@ def _write_per_step(traj, path):
         f.write(struct.pack("<H", 2))
         f.write(struct.pack("<QQQ", traj.param_count, traj.n_train, T))
         f.write(traj.config_digest)
-        f.write(struct.pack("<dd", *settings))
+        f.write(struct.pack("<dd", traj.rho, traj.p))
         for t in range(T):
             f.write(struct.pack("<QddI", t, traj.etas[t], traj.weights[t], b))
             f.write(batches[t].tobytes())
@@ -95,7 +95,7 @@ class TestSAMConfig:
 
     @pytest.mark.parametrize("rho", [0.0, 0.05])
     def test_nan_p_rejected_whatever_rho(self, rho):
-        # A NaN p would be written to a trajectory file as "unset".
+        # A NaN p would make the run's trajectory one that Trajectory refuses.
         with pytest.raises(ConfigError, match="p must not be NaN"):
             SAMConfig(rho=rho, p=math.nan)
         # At rho = 0 the perturbation is zero, so any other p is accepted.
@@ -115,6 +115,15 @@ class TestSAMConfig:
     def test_step_decay_must_start_at_zero(self):
         with pytest.raises(ConfigError):
             SAMConfig(eta=((10, 0.5),))
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(steps=0), "batch_size, steps must be >= 1"),
+        (dict(eta=((0, 0.5), (10, 0.1), (10, 0.05))), "step-decay schedule steps must increase"),
+        (dict(eta=((0, 0.5), (20, 0.1), (10, 0.05))), "step-decay schedule steps must increase"),
+    ], ids=["no-steps", "repeated-step", "decreasing-steps"])
+    def test_rejects_bad_steps_and_schedules(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SAMConfig(**kwargs)
 
     def test_digest_sensitive_to_fields(self):
         a = SAMConfig(rho=0.05).digest()
@@ -218,6 +227,20 @@ class TestTrainSAM:
         assert traj.weights[0] == pytest.approx(0.1 / 30)
         assert np.array_equal(traj.etas, np.full(10, 0.1))
 
+    def test_non_finite_final_weights_name_their_replica(self):
+        # The batch loss stays below the divergence bound, but the last
+        # update overflows replica 1's weights; replica 0 (loss scale 0)
+        # never moves.
+        ds = make_blobs(10, 3, 2, 2.0, seed=0)
+        spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
+        X, y = mod._split_rows(spec, ds, "train")
+        cfg = SAMConfig(rho=0.05, eta=1e308, batch_size=5, steps=1)
+        batches = cfg.schedule(y.size)[:, None].repeat(2, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError, match=r"^blows up diverged at step 1 \(non-finite weights\)$"):
+            samtrain.train_sam_many(spec, X, y, cfg, batches, np.array([0.0, 1e3]),
+                                    ["stays", "blows up"])
+
     def test_batch_size_exceeds_train_split(self):
         ds = make_blobs(10, 3, 2, 2.0, seed=0)
         spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
@@ -239,6 +262,22 @@ class TestTrainSAM:
         schedule = np.array([[0, 1], [2, 3], [4, 4]])
         with pytest.raises(InvalidInputError, match="step 2: batch lists a position twice"):
             recorded_trajectory(np.zeros((4, 9)), schedule, 20, cfg)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("rho", None, "rho must be finite and >= 0, got None"),
+        ("rho", math.nan, "rho must be finite and >= 0, got nan"),
+        ("rho", math.inf, "rho must be finite and >= 0, got inf"),
+        ("rho", -0.1, "rho must be finite and >= 0, got -0.1"),
+        ("p", None, "p must not be NaN or None, got None"),
+        ("p", math.nan, "p must not be NaN or None, got nan"),
+    ], ids=["rho-none", "rho-nan", "rho-inf", "rho-negative", "p-none", "p-nan"])
+    def test_trajectory_needs_its_sam_settings(self, field, value, message):
+        # gif recomputes every step's perturbation from rho and p, so a
+        # trajectory without usable ones is refused when it is built.
+        _, traj = train_sam(ModelSpec(kind="logistic", layer_sizes=(3, 2)),
+                            make_blobs(10, 3, 2, 2.0, seed=0), SAMConfig(batch_size=5, steps=3))
+        with pytest.raises(InvalidInputError, match=f"^trajectory {re.escape(message)}$"):
+            replace(traj, **{field: value})
 
 
 class TestTrajectoryIO:
@@ -262,27 +301,33 @@ class TestTrajectoryIO:
         # Version 2 stores the SAM settings the trajectory estimator needs.
         assert (back.rho, back.p) == (traj.rho, traj.p) == (0.05, 2.0)
 
-    def test_unset_settings_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("rho,p", [(math.nan, 2.0), (0.05, math.nan), (math.nan, math.nan),
+                                       (math.inf, 2.0), (-0.1, 2.0)],
+                             ids=["rho-nan", "p-nan", "both-nan", "rho-inf", "rho-negative"])
+    def test_bad_settings_rejected(self, tmp_path, rho, p):
+        # A version 2 file whose rho or p Trajectory refuses.
         traj = self._traj()
-        traj.rho = traj.p = None
         path = tmp_path / "run.samt"
         write_trajectory(traj, path)
-        back = read_trajectory(path)
-        assert back.rho is None and back.p is None
+        data = bytearray(path.read_bytes())
+        head = 4 + 2 + 24 + 32
+        data[head : head + 16] = struct.pack("<dd", rho, p)
+        path.write_bytes(bytes(data))
+        what = "rho must be finite and >= 0" if not 0.0 <= rho < math.inf else "p must not be NaN"
+        with pytest.raises(FormatError, match=f"^trajectory {what}"):
+            read_trajectory(path)
 
-    def test_version_1_file_loads(self, tmp_path):
+    def test_version_1_file_rejected(self, tmp_path):
         # A version 1 file is a version 2 file without the 16 bytes of rho
-        # and p after the config digest.
+        # and p after the config digest; gif cannot use it.
         traj = self._traj()
         path = tmp_path / "run.samt"
         write_trajectory(traj, path)
         data = path.read_bytes()
         head = 4 + 2 + 24 + 32
         path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:head] + data[head + 16 :])
-        back = read_trajectory(path)
-        assert back.rho is None and back.p is None
-        assert back.config_digest == traj.config_digest
-        _assert_same_run(back, traj)
+        with pytest.raises(FormatError, match="^unsupported trajectory version 1$"):
+            read_trajectory(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.samt"
@@ -346,12 +391,13 @@ class TestTrajectoryIO:
         _write_records(tmp_path / "run.samt", traj, [_record(traj, t) for t in range(8)])
         assert (tmp_path / "run.samt").read_bytes() == _file_bytes(tmp_path, traj)
 
-    @pytest.mark.parametrize("settings", ["set", "unset"])
+    @pytest.mark.parametrize("settings", ["set", "p-inf"])
     def test_blocked_writer_keeps_the_per_step_bytes(self, tmp_path, monkeypatch, settings):
-        # Blocks of 1, 3 and 7 update records (7 steps), and the default size.
+        # Blocks of 1, 3 and 7 update records (7 steps), and the default size;
+        # p = inf (the L-inf ball) puts a non-finite float in the header.
         traj = self._traj()
-        if settings == "unset":
-            traj.rho = traj.p = None
+        if settings == "p-inf":
+            traj = replace(traj, p=math.inf)
         _write_per_step(traj, tmp_path / "per_step.samt")
         want = (tmp_path / "per_step.samt").read_bytes()
         record = samtrain._record_dtype(traj.batches.shape[1], traj.param_count).itemsize

@@ -32,6 +32,8 @@ When the outputs match, the diff shows only the first lines, which name
 the two packages. --src picks the directory to import samattr from
 (default: this tree's src), so a tree without this script can be measured
 too; the script exits with status 2 if samattr is not imported from there.
+It exits with status 1, after printing every line, when any job exits
+non-zero, so a job that fails on both trees does not pass the diff unseen.
 """
 
 from __future__ import annotations
@@ -153,9 +155,10 @@ def main(argv=None) -> int:
     print(f"samattr {package}")
     with tempfile.TemporaryDirectory() as out:
         files = {"mixture.csv": mixture_csv(150, 6, 3, 0.5, SEED)}
-        for line in digests(CONFIGS, Path(out), files):
-            print(line)
-    return 0
+        lines = digests(CONFIGS, Path(out), files)
+    for line in lines:
+        print(line)
+    return 1 if any(" exit=" in line and " exit=0 " not in line for line in lines) else 0
 
 
 if __name__ == "__main__":
