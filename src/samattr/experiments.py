@@ -105,8 +105,11 @@ class ExperimentConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a flat key=value config file; '#' starts a comment."""
+    """Parse a flat key=value config file; '#' starts a comment. A key given
+    twice ("lambda" and "lam", "-" and "_" spellings alike) is a ConfigError;
+    overrides apply on top of the file."""
     values: dict = {}
+    key_lines: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
@@ -122,7 +125,9 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         key = key.replace("-", "_")
         if key == "lambda":
             key = "lam"
-        values[key] = value
+        if key in values:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} repeats line {key_lines[key]}")
+        values[key], key_lines[key] = value, line_no
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return _build_config(values, path)

@@ -10,15 +10,17 @@ outer descent gradient. The one step loop trains R replicas at once as an
 (R, P) block; a single run is its R = 1 case.
 
 A run is recorded as step-indexed arrays: the parameters *before* each
-update and the final ones, each update's batch, learning rate and applied
-per-example coefficient eta_t / b, and the run's rho and p: all that the
-trajectory estimator needs, so a Trajectory is never built without them.
+update and the final ones, each update's batch and learning rate, and the
+run's rho and p: all that the trajectory estimator needs, so a Trajectory
+is never built without them. The per-example coefficient eta_t / b follows
+from them. A trajectory file is one header and the same three arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import astuple, dataclass
 from typing import Callable
@@ -32,9 +34,10 @@ from .numcore import dual_exponent, p_norm, sample_batches
 Array = np.ndarray
 
 TRAJ_MAGIC = b"SAMT"
-TRAJ_VERSION = 2  # the only version read; version 1 files lack rho and p
-# Bytes of update records write_trajectory holds at a time (at least one record).
-TRAJ_WRITE_BYTES = 2**20
+TRAJ_VERSION = 3  # the only version read; versions 1 and 2 hold per-step records
+# Magic, version, 2 pad bytes (so the arrays start 8-byte aligned), P,
+# n_train, T, b, the config digest, rho and p.
+_TRAJ_HEADER = struct.Struct("<4sH2xQQQQ32sdd")
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,13 @@ class SAMConfig:
 
 @dataclass
 class Trajectory:
-    """A recorded SAM run of T updates with batch size b. Each step's batch
-    lists distinct train-split positions 0..n_train-1."""
+    """A recorded SAM run of T updates with batch size b >= 1. Each step's
+    batch lists distinct train-split positions 0..n_train-1, and
+    config_digest is 32 bytes (SAMConfig.digest)."""
 
-    params: Array  # (T+1, P): row t the parameters before update t, row T the final ones
+    params: Array  # (T+1, P) float64: row t the parameters before update t, row T the final ones
     batches: Array  # (T, b) int64: update t's train-split positions
-    etas: Array  # (T,) learning rate of update t
-    weights: Array  # (T,) per-example coefficient eta_t / b applied at update t
+    etas: Array  # (T,) float64: learning rate of update t
     n_train: int
     # The run's SAM settings, checked as SAMConfig checks them: gif
     # recomputes each step's perturbation from them.
@@ -115,15 +118,21 @@ class Trajectory:
             raise InvalidInputError(f"trajectory rho must be finite and >= 0, got {self.rho}")
         if self.p is None or math.isnan(self.p):
             raise InvalidInputError(f"trajectory p must not be NaN or None, got {self.p}")
+        if not isinstance(self.config_digest, bytes) or len(self.config_digest) != 32:
+            raise InvalidInputError(f"trajectory config digest must be 32 bytes, got "
+                                    f"{self.config_digest!r}")
         T = len(self.batches)
-        if (self.params.ndim, self.params.shape[:1], self.batches.ndim, self.etas.shape,
-                self.weights.shape) != (2, (T + 1,), 2, (T,), (T,)):
-            raise InvalidInputError("trajectory needs (T+1, P) params, (T, b) batches and "
-                                    "(T,) etas and weights")
+        if (self.params.ndim, self.params.shape[:1], self.batches.ndim, self.etas.shape
+                ) != (2, (T + 1,), 2, (T,)) or self.batches.shape[1] < 1:
+            raise InvalidInputError("trajectory needs (T+1, P) params, (T, b) batches with "
+                                    "b >= 1 and (T,) etas")
         bad = np.flatnonzero(((self.batches < 0) | (self.batches >= self.n_train)).any(axis=1))
         if bad.size:
             raise InvalidInputError(f"step {bad[0]}: batch index out of range")
-        s = np.sort(self.batches, axis=1)
+        # Sorted in the smallest dtype that holds every (in-range) position:
+        # a trajectory read from a file then holds little more than the file.
+        s = self.batches.astype(np.min_scalar_type(self.n_train))
+        s.sort(axis=1)
         repeats = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
         if repeats.size:
             raise InvalidInputError(f"step {repeats[0]}: batch lists a position twice")
@@ -139,6 +148,11 @@ class Trajectory:
     @property
     def final_params(self) -> Array:
         return self.params[-1]
+
+    @property
+    def weights(self) -> Array:
+        """(T,) per-example coefficient eta_t / b applied at update t."""
+        return self.etas * (1.0 / self.batches.shape[1])
 
 
 def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
@@ -244,8 +258,7 @@ def recorded_trajectory(params: Array, batches: Array, n: int, config: SAMConfig
     """The Trajectory of a run of config on an n-point train split: params
     (T+1, P) holds its recorded parameters and batches (T, b) its schedule."""
     etas = np.array([config.eta_at(t) for t in range(config.steps)])
-    return Trajectory(params=params, batches=batches, etas=etas,
-                      weights=etas * (1.0 / batches.shape[1]), n_train=n,
+    return Trajectory(params=params, batches=batches, etas=etas, n_train=n,
                       config_digest=config.digest(), rho=config.rho, p=config.p)
 
 
@@ -275,75 +288,46 @@ def stationarity_report(
     }
 
 
-def _record_dtype(b: int, P: int) -> np.dtype:
-    """One packed record of a trajectory file: step, eta, weight, batch
-    count, a batch of b positions and P parameters. The final record has
-    b = 0, a zero eta and weight."""
-    return np.dtype([("step", "<u8"), ("eta", "<f8"), ("weight", "<f8"), ("count", "<u4"),
-                     ("batch", "<u4", (b,)), ("params", "<f8", (P,))])
-
-
 def write_trajectory(traj: Trajectory, path) -> None:
-    """Binary trajectory file: magic, version, header (sizes, config
-    digest, then rho and p), then records (_record_dtype) of steps 0..T,
-    the last empty. The update records are built and written
-    TRAJ_WRITE_BYTES at a time."""
+    """Binary trajectory file, version 3: one header (_TRAJ_HEADER), then
+    etas (T,) <f8, batches (T, b) <i8 and params (T+1, P) <f8, each written
+    from the buffer the Trajectory holds (no copy when it is in those
+    dtypes and C-contiguous)."""
     T, b = traj.batches.shape
-    update = _record_dtype(b, traj.param_count)
-    per_block = max(1, TRAJ_WRITE_BYTES // update.itemsize)
     with open(path, "wb") as f:
-        f.write(TRAJ_MAGIC + struct.pack("<HQQQ", TRAJ_VERSION, traj.param_count, traj.n_train, T)
-                + traj.config_digest + struct.pack("<dd", traj.rho, traj.p))
-        for lo in range(0, T, per_block):
-            hi = min(lo + per_block, T)
-            recs = np.empty(hi - lo, update)
-            recs["step"], recs["count"], recs["batch"] = np.arange(lo, hi), b, traj.batches[lo:hi]
-            recs["eta"], recs["weight"], recs["params"] = (
-                traj.etas[lo:hi], traj.weights[lo:hi], traj.params[lo:hi])
-            f.write(recs.tobytes())
-        final = np.zeros(1, _record_dtype(0, traj.param_count))
-        final["step"], final["params"] = T, traj.params[T]
-        f.write(final.tobytes())
+        f.write(_TRAJ_HEADER.pack(TRAJ_MAGIC, TRAJ_VERSION, traj.param_count, traj.n_train, T, b,
+                                  traj.config_digest, traj.rho, traj.p))
+        for array, dtype in ((traj.etas, "<f8"), (traj.batches, "<i8"), (traj.params, "<f8")):
+            f.write(np.ascontiguousarray(array, dtype))
 
 
 def read_trajectory(path) -> Trajectory:
-    """Load a version 2 trajectory file. Any other version, a rho or p that
-    Trajectory refuses, or anything but T update records of steps 0..T-1 with
-    one batch count, each batch of distinct in-range positions, then the
-    empty final record of step T is a FormatError."""
+    """Load a version 3 trajectory file into one buffer, whose writable
+    views are the Trajectory's arrays. Bad magic, any other version, a
+    size other than the header's arrays need, or a rho, p or batch entry
+    that Trajectory refuses is a FormatError."""
     with open(path, "rb") as f:
-        data = f.read()
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise FormatError(f"trajectory file truncated while reading {what}")
-        off += n
-        return data[off - n : off]
-
-    off = 0
-    if take(4, "magic") != TRAJ_MAGIC:
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        del data[f.readinto(data):]
+    if data[:4] != TRAJ_MAGIC:
         raise FormatError("bad magic bytes; not a trajectory file")
-    (version,) = struct.unpack("<H", take(2, "version"))
+    version = int.from_bytes(data[4:6], "little")
     if version != TRAJ_VERSION:
         raise FormatError(f"unsupported trajectory version {version}")
-    P, n, T = struct.unpack("<QQQ", take(24, "header"))
-    digest = take(32, "config digest")
-    rho, p = struct.unpack("<dd", take(16, "SAM settings"))
-    # Every update record has the first one's batch count b.
-    b = struct.unpack("<I", data[off + 24 : off + 28])[0] if T and len(data) >= off + 28 else 0
-    update, last = _record_dtype(b, P), _record_dtype(0, P)
-    recs = np.frombuffer(take(T * update.itemsize, "update records"), update)
-    final = np.frombuffer(take(last.itemsize, "final record"), last)[0]
-    params = np.vstack([recs["params"], final["params"]])
-    if off != len(data):
-        raise FormatError(f"trajectory file has {len(data) - off} bytes after the final record")
-    if (not np.array_equal(recs["step"], np.arange(T)) or np.any(recs["count"] != b)
-            or T and b == 0 or final["step"] != T or final["count"] != 0):
-        raise FormatError(f"trajectory needs steps 0..{T} of one batch size, the last empty")
+    head = _TRAJ_HEADER.size
+    if len(data) < head:
+        raise FormatError(f"trajectory file truncated: {len(data)} bytes, the header needs {head}")
+    _, _, P, n, T, b, digest, rho, p = _TRAJ_HEADER.unpack_from(data)
+    size = head + 8 * (T + T * b + (T + 1) * P)
+    if len(data) != size:
+        what = "truncated" if len(data) < size else "too long"
+        raise FormatError(f"trajectory file {what}: {len(data)} bytes, a header of T = {T}, "
+                          f"b = {b}, P = {P} needs {size}")
+    etas = np.frombuffer(data, "<f8", T, head)
+    batches = np.frombuffer(data, "<i8", T * b, head + 8 * T).reshape(T, b)
+    params = np.frombuffer(data, "<f8", (T + 1) * P, head + 8 * (T + T * b)).reshape(T + 1, P)
     try:
-        return Trajectory(params=params, batches=recs["batch"].astype(np.int64),
-                          etas=recs["eta"].copy(), weights=recs["weight"].copy(), n_train=n,
+        return Trajectory(params=params, batches=batches, etas=etas, n_train=n,
                           config_digest=digest, rho=rho, p=p)
-    except InvalidInputError as exc:  # bad rho or p, a batch entry out of range or repeated
+    except InvalidInputError as exc:  # bad rho, p or b, a batch entry out of range or repeated
         raise FormatError(str(exc)) from None

@@ -1,12 +1,14 @@
 """Smoke test of tools/cli_digests.py: two runs of a tiny config and a
 tiny CSV config (split by setup) into different directories give the same
-digests, and a --src the imported samattr does not come from is refused."""
+digests, each trajectory file has a decoded-content line, and a --src the
+imported samattr does not come from is refused."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import samattr.cli  # noqa: F401  (imported from this tree's src)
+from samattr.samtrain import read_trajectory, write_trajectory
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
 
@@ -42,6 +44,16 @@ def test_two_runs_print_the_same_digests(tmp_path):
     assert len(jobs) == 2 * (1 + 6 * 3) and all(" exit=0 " in line for line in jobs)
     files = [line.split()[0] for line in runs[0] if " exit=" not in line]
     assert {Path(f).suffix for f in files} == {".tsv", ".npy", ".samt", ".report"}
+    # Each train job's .samt file has its raw line, then its decoded line,
+    # which a rewrite of what read_trajectory returned keeps.
+    samt = [i for i, line in enumerate(runs[0]) if ".samt " in line and "decoded=" not in line]
+    assert [runs[0][i].split("/")[:2] for i in samt] == [["tiny", "train"], ["tiny-csv", "train"]]
+    for i in samt:
+        name = runs[0][i].split()[0]
+        path = tmp_path / "a" / name
+        assert runs[0][i + 1] == f"{name} decoded={tool.trajectory_digest(path)}"
+        write_trajectory(read_trajectory(path), tmp_path / "rewritten.samt")
+        assert tool.trajectory_digest(tmp_path / "rewritten.samt") == tool.trajectory_digest(path)
     # The lines do not depend on where the outputs were written.
     assert not any(str(tmp_path) in line for line in runs[0])
 
@@ -58,7 +70,8 @@ def test_a_failing_job_makes_the_exit_status_1(tmp_path, capsys, monkeypatch):
     # error); every line is still printed, and then the status is 1.
     monkeypatch.setattr(sys, "path", sys.path[:])
     tool = _tool()
-    monkeypatch.setattr(tool, "CONFIGS", {"tiny": TINY, "bad": TINY + "steps = 0\n"})
+    bad = TINY.replace("steps = 12", "steps = 0")
+    monkeypatch.setattr(tool, "CONFIGS", {"tiny": TINY, "bad": bad})
     assert tool.main([]) == 1
     lines = capsys.readouterr().out.splitlines()
     jobs = [line for line in lines if " exit=" in line]

@@ -130,6 +130,19 @@ class TestLoadConfig:
             path.write_text(f"gif_mode = {mode}\n")
             assert load_config(str(path)).gif_mode == mode
 
+    @pytest.mark.parametrize("text,key,first,second", [
+        ("rho = 0.05\nsteps = 3\nrho = 0.5\n", "rho", 1, 3),
+        ("lambda = 0.1\n# lam below is the same key\nlam = 0.2\n", "lam", 1, 3),
+        ("batch-size = 4\nbatch_size = 8\n", "batch_size", 1, 2),
+    ], ids=["same-spelling", "lambda-lam", "hyphen-underscore"])
+    def test_repeated_key(self, tmp_path, text, key, first, second):
+        # The last value used to win silently.
+        path = tmp_path / "exp.conf"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{second}: key '{key}' "
+                                              f"repeats line {first}$"):
+            load_config(str(path))
+
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "exp.conf"
         path.write_text("seed = 1\nout = a\n")

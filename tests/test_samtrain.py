@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,47 +30,30 @@ def _assert_same_run(a, b):
         assert x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y), name
 
 
-def _record(traj, t):
-    """Record t of traj as write_trajectory lays it out: step, eta,
-    weight, batch, parameters; the final record has an empty batch."""
-    if t == traj.total_steps:
-        return t, 0.0, 0.0, np.empty(0, np.int64), traj.params[t]
-    return t, traj.etas[t], traj.weights[t], traj.batches[t], traj.params[t]
-
-
-def _file_bytes(tmp_path, traj):
-    write_trajectory(traj, tmp_path / "written.samt")
-    return (tmp_path / "written.samt").read_bytes()
-
-
-def _write_records(path, traj, records):
-    """A trajectory file with traj's header and the given records, in the
-    version 2 layout."""
+def _write_v3(path, traj, arrays=None):
+    """A version 3 file: traj's header, then arrays (etas, batches, params;
+    traj's own by default)."""
     with open(path, "wb") as f:
-        f.write(b"SAMT" + struct.pack("<HQQQ", 2, traj.param_count, traj.n_train, traj.total_steps))
+        f.write(b"SAMT" + struct.pack("<H2xQQQQ", 3, traj.param_count, traj.n_train,
+                                      *traj.batches.shape))
         f.write(traj.config_digest + struct.pack("<dd", traj.rho, traj.p))
-        for step, eta, weight, batch, params in records:
-            f.write(struct.pack("<QddI", step, eta, weight, len(batch)))
-            f.write(np.asarray(batch, "<u4").tobytes() + np.asarray(params, "<f8").tobytes())
+        for array, dtype in zip(arrays or (traj.etas, traj.batches, traj.params),
+                                ("<f8", "<i8", "<f8")):
+            f.write(np.asarray(array, dtype).tobytes())
 
 
-def _write_per_step(traj, path):
-    """The per-step struct writer that write_trajectory replaced, kept to
-    pin the file's bytes."""
+def _write_old(traj, path, version):
+    """traj in a per-step record layout that version 3 replaced: version 2,
+    or version 1, which lacks rho and p."""
     T, b = traj.batches.shape
-    batches, params = traj.batches.astype("<u4"), traj.params.astype("<f8", copy=False)
     with open(path, "wb") as f:
-        f.write(b"SAMT")
-        f.write(struct.pack("<H", 2))
-        f.write(struct.pack("<QQQ", traj.param_count, traj.n_train, T))
-        f.write(traj.config_digest)
-        f.write(struct.pack("<dd", traj.rho, traj.p))
-        for t in range(T):
-            f.write(struct.pack("<QddI", t, traj.etas[t], traj.weights[t], b))
-            f.write(batches[t].tobytes())
-            f.write(params[t].tobytes())
-        f.write(struct.pack("<QddI", T, 0.0, 0.0, 0))
-        f.write(params[T].tobytes())
+        f.write(b"SAMT" + struct.pack("<HQQQ", version, traj.param_count, traj.n_train, T))
+        f.write(traj.config_digest + (struct.pack("<dd", traj.rho, traj.p) if version == 2 else b""))
+        for t in range(T + 1):
+            batch = traj.batches[t] if t < T else np.empty(0, "<u4")
+            eta, weight = (traj.etas[t], traj.weights[t]) if t < T else (0.0, 0.0)
+            f.write(struct.pack("<QddI", t, eta, weight, len(batch)))
+            f.write(np.asarray(batch, "<u4").tobytes() + traj.params[t].astype("<f8").tobytes())
 
 
 class TestSAMConfig:
@@ -279,6 +263,18 @@ class TestTrainSAM:
         with pytest.raises(InvalidInputError, match=f"^trajectory {re.escape(message)}$"):
             replace(traj, **{field: value})
 
+    @pytest.mark.parametrize("digest", [b"short", b"\x00" * 33, "0" * 32],
+                             ids=["short", "long", "text"])
+    def test_config_digest_must_be_32_bytes(self, digest):
+        # The file stores exactly 32 digest bytes, so any other digest
+        # would be written into a file that cannot be read back.
+        _, traj = train_sam(ModelSpec(kind="logistic", layer_sizes=(3, 2)),
+                            make_blobs(10, 3, 2, 2.0, seed=0), SAMConfig(batch_size=5, steps=3))
+        with pytest.raises(InvalidInputError,
+                           match=f"^trajectory config digest must be 32 bytes, got "
+                                 f"{re.escape(repr(digest))}$"):
+            replace(traj, config_digest=digest)
+
 
 class TestTrajectoryIO:
     def _traj(self):
@@ -298,19 +294,59 @@ class TestTrajectoryIO:
         assert back.total_steps == traj.total_steps
         assert back.config_digest == traj.config_digest
         _assert_same_run(back, traj)
-        # Version 2 stores the SAM settings the trajectory estimator needs.
+        # The file stores the SAM settings the trajectory estimator needs.
         assert (back.rho, back.p) == (traj.rho, traj.p) == (0.05, 2.0)
+        # The loaded arrays are writable, aligned views of the file's one buffer.
+        assert all(a.flags.writeable and a.flags.aligned
+                   for a in (back.params, back.batches, back.etas))
+
+    @pytest.mark.parametrize("kind", ["relu-p3", "p-inf"])
+    def test_round_trip_is_bitwise_in_every_field(self, tmp_path, kind):
+        # relu-p3 has p = 3, a step-decay eta and epoch-shuffled batches;
+        # p = inf (the L-inf ball) puts a non-finite float in the header.
+        if kind == "relu-p3":
+            spec = ModelSpec(kind="mlp", layer_sizes=(4, 6, 3), activation="relu")
+            cfg = SAMConfig(p=3.0, eta=((0, 0.1), (5, 0.05)), batch_size=6, steps=12, seed=2,
+                            epoch_shuffled=True)
+            _, traj = train_sam(spec, make_blobs(30, 4, 3, 2.0, seed=1), cfg)
+        else:
+            traj = replace(self._traj(), p=math.inf)
+        write_trajectory(traj, tmp_path / "run.samt")
+        back = read_trajectory(tmp_path / "run.samt")
+        for name in ("n_train", "rho", "p", "config_digest"):
+            x, y = getattr(back, name), getattr(traj, name)
+            assert type(x) is type(y) and x == y, name
+        _assert_same_run(back, traj)
+
+    def test_file_is_one_header_and_three_arrays(self, tmp_path):
+        traj = self._traj()
+        write_trajectory(traj, tmp_path / "run.samt")
+        _write_v3(tmp_path / "want.samt", traj)
+        data = (tmp_path / "run.samt").read_bytes()
+        assert data == (tmp_path / "want.samt").read_bytes()
+        T, b, P = 7, 5, traj.param_count
+        assert len(data) == 88 + 8 * (T + T * b + (T + 1) * P)
+
+    def test_weights_are_derived_not_given(self):
+        traj = self._traj()
+        # Bit for bit what recorded_trajectory stored as a field before.
+        assert np.array_equal(traj.weights, traj.etas * (1.0 / 5))
+        with pytest.raises(AttributeError):
+            traj.weights = traj.etas
+        with pytest.raises(TypeError, match="weights"):
+            samtrain.Trajectory(params=traj.params, batches=traj.batches, etas=traj.etas,
+                                weights=traj.weights, n_train=20, rho=0.05, p=2.0)
 
     @pytest.mark.parametrize("rho,p", [(math.nan, 2.0), (0.05, math.nan), (math.nan, math.nan),
                                        (math.inf, 2.0), (-0.1, 2.0)],
                              ids=["rho-nan", "p-nan", "both-nan", "rho-inf", "rho-negative"])
     def test_bad_settings_rejected(self, tmp_path, rho, p):
-        # A version 2 file whose rho or p Trajectory refuses.
+        # A file whose rho or p Trajectory refuses.
         traj = self._traj()
         path = tmp_path / "run.samt"
         write_trajectory(traj, path)
         data = bytearray(path.read_bytes())
-        head = 4 + 2 + 24 + 32
+        head = 4 + 2 + 2 + 32 + 32
         data[head : head + 16] = struct.pack("<dd", rho, p)
         path.write_bytes(bytes(data))
         what = "rho must be finite and >= 0" if not 0.0 <= rho < math.inf else "p must not be NaN"
@@ -318,15 +354,18 @@ class TestTrajectoryIO:
             read_trajectory(path)
 
     def test_version_1_file_rejected(self, tmp_path):
-        # A version 1 file is a version 2 file without the 16 bytes of rho
-        # and p after the config digest; gif cannot use it.
-        traj = self._traj()
+        # Version 1 lacks rho and p, which gif needs.
         path = tmp_path / "run.samt"
-        write_trajectory(traj, path)
-        data = path.read_bytes()
-        head = 4 + 2 + 24 + 32
-        path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:head] + data[head + 16 :])
+        _write_old(self._traj(), path, 1)
         with pytest.raises(FormatError, match="^unsupported trajectory version 1$"):
+            read_trajectory(path)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        # Version 2 stores per-step records, with each step's number, batch
+        # count and weight.
+        path = tmp_path / "run.samt"
+        _write_old(self._traj(), path, 2)
+        with pytest.raises(FormatError, match="^unsupported trajectory version 2$"):
             read_trajectory(path)
 
     def test_bad_magic(self, tmp_path):
@@ -342,6 +381,23 @@ class TestTrajectoryIO:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 9])
         with pytest.raises(FormatError, match="truncated"):
+            read_trajectory(path)
+        path.write_bytes(data[:50])  # inside the header
+        with pytest.raises(FormatError, match="^trajectory file truncated: 50 bytes, the header "
+                                              "needs 88$"):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("change", ["trailing byte", "missing byte"])
+    def test_one_byte_off_rejected(self, tmp_path, change):
+        traj = self._traj()
+        path = tmp_path / "run.samt"
+        write_trajectory(traj, path)
+        data = path.read_bytes()
+        path.write_bytes(data + b"\x00" if change == "trailing byte" else data[:-1])
+        size = len(data)
+        got, what = (size + 1, "too long") if change == "trailing byte" else (size - 1, "truncated")
+        with pytest.raises(FormatError, match=f"^trajectory file {what}: {got} bytes, a header of "
+                                              f"T = 7, b = 5, P = 8 needs {size}$"):
             read_trajectory(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -370,75 +426,51 @@ class TestTrajectoryIO:
         with pytest.raises(FormatError, match="step 4: batch lists a position twice"):
             read_trajectory(path)
 
+    def test_empty_batches_rejected(self, tmp_path):
+        # b = 0 in the header: (7, 0) batches, whose weights eta / b do not exist.
+        traj = self._traj()
+        path = tmp_path / "run.samt"
+        with open(path, "wb") as f:
+            f.write(b"SAMT" + struct.pack("<H2xQQQQ", 3, 8, 20, 7, 0) + traj.config_digest
+                    + struct.pack("<dd", 0.05, 2.0) + traj.etas.tobytes() + traj.params.tobytes())
+        with pytest.raises(FormatError, match=r"^trajectory needs .* batches with b >= 1"):
+            read_trajectory(path)
+
     def test_thinned_file_rejected(self, tmp_path):
-        # Every other step's record, as a strided recording would write: the
-        # header still counts 7 updates, so the records run out.
+        # Every other step, as a strided recording would keep: the header
+        # still counts 7 updates, so the file is too short for them.
         traj = self._traj()
-        path = tmp_path / "thinned.samt"
-        _write_records(path, traj, [_record(traj, t) for t in (0, 2, 4, 6, 7)])
-        with pytest.raises(FormatError):
-            read_trajectory(path)
-        # Thinned with a matching header: the steps are not 0..T in order.
         steps = [0, 2, 4, 6]
-        kept = replace(traj, params=traj.params[steps + [7]], batches=traj.batches[steps],
-                       etas=traj.etas[steps], weights=traj.weights[steps])
-        _write_records(path, kept, [_record(traj, t) for t in steps + [7]])
-        with pytest.raises(FormatError, match="steps 0..4 of one batch size"):
+        path = tmp_path / "thinned.samt"
+        _write_v3(path, traj, arrays=(traj.etas[steps], traj.batches[steps],
+                                      traj.params[steps + [7]]))
+        with pytest.raises(FormatError, match="^trajectory file truncated: "):
             read_trajectory(path)
-
-    def test_record_helper_writes_the_writers_bytes(self, tmp_path):
-        traj = self._traj()
-        _write_records(tmp_path / "run.samt", traj, [_record(traj, t) for t in range(8)])
-        assert (tmp_path / "run.samt").read_bytes() == _file_bytes(tmp_path, traj)
-
-    @pytest.mark.parametrize("settings", ["set", "p-inf"])
-    def test_blocked_writer_keeps_the_per_step_bytes(self, tmp_path, monkeypatch, settings):
-        # Blocks of 1, 3 and 7 update records (7 steps), and the default size;
-        # p = inf (the L-inf ball) puts a non-finite float in the header.
-        traj = self._traj()
-        if settings == "p-inf":
-            traj = replace(traj, p=math.inf)
-        _write_per_step(traj, tmp_path / "per_step.samt")
-        want = (tmp_path / "per_step.samt").read_bytes()
-        record = samtrain._record_dtype(traj.batches.shape[1], traj.param_count).itemsize
-        for size in (1, 3 * record + 1, 7 * record, samtrain.TRAJ_WRITE_BYTES):
-            monkeypatch.setattr(samtrain, "TRAJ_WRITE_BYTES", size)
-            assert _file_bytes(tmp_path, traj) == want
-
-    def test_mixed_batch_counts_rejected(self, tmp_path):
-        # Step 1 uses 4 points and step 2 uses 6, so the file keeps the
-        # length of one with 5 everywhere.
-        traj = self._traj()
-        records = [_record(traj, t) for t in range(8)]
-        t, eta, weight, batch, params = records[1]
-        records[1] = (t, eta, weight, batch[:4], params)
-        t, eta, weight, batch, params = records[2]
-        extra = next(k for k in range(traj.n_train) if k not in batch)
-        records[2] = (t, eta, weight, np.append(batch, extra), params)
-        path = tmp_path / "mixed.samt"
-        _write_records(path, traj, records)
-        assert path.stat().st_size == len(_file_bytes(tmp_path, traj))
-        with pytest.raises(FormatError):
+        # Thinned parameters only, with every step's eta and batch.
+        _write_v3(path, traj, arrays=(traj.etas, traj.batches, traj.params[steps + [7]]))
+        with pytest.raises(FormatError, match="^trajectory file truncated: "):
             read_trajectory(path)
 
     @pytest.mark.parametrize("change", ["missing update", "missing final", "extra record"])
     def test_record_count_must_match_header(self, tmp_path, change):
         traj = self._traj()
-        records = [_record(traj, t) for t in range(8)]
+        etas, batches, params = traj.etas, traj.batches, traj.params
         if change == "missing update":
-            del records[3]
+            keep = [0, 1, 2, 4, 5, 6]
+            etas, batches, params = etas[keep], batches[keep], params[keep + [7]]
         elif change == "missing final":
-            del records[-1]
+            params = params[:-1]
         else:
-            records.append(records[-1])
+            etas, batches = np.append(etas, etas[-1]), np.vstack([batches, batches[-1]])
+            params = np.vstack([params, params[-1]])
         path = tmp_path / "run.samt"
-        _write_records(path, traj, records)
-        with pytest.raises(FormatError):
+        _write_v3(path, traj, arrays=(etas, batches, params))
+        with pytest.raises(FormatError, match="^trajectory file (truncated|too long): "):
             read_trajectory(path)
 
     @pytest.mark.parametrize("field,shape", [
         ("params", (7, 9)), ("params", (9,)), ("batches", (6, 5)), ("batches", (7,)),
-        ("etas", (6,)), ("weights", (7, 1)),
+        ("etas", (6,)), ("batches", (7, 0)),
     ])
     def test_shape_mismatch_rejected(self, field, shape):
         traj = self._traj()
@@ -450,3 +482,26 @@ class TestTrajectoryIO:
         path.write_bytes(b"")
         with pytest.raises(FormatError):
             read_trajectory(path)
+
+    def test_memory_is_the_file_and_no_more(self, tmp_path):
+        # Writing copies nothing; reading holds one buffer of the file's size.
+        rng = np.random.default_rng(0)
+        T, b, P = 300, 32, 804
+        traj = samtrain.Trajectory(
+            params=rng.standard_normal((T + 1, P)),
+            batches=np.stack([rng.permutation(400)[:b] for _ in range(T)]),
+            etas=np.full(T, 0.1), n_train=400, rho=0.05, p=2.0)
+        path = tmp_path / "run.samt"
+        tracemalloc.start()
+        try:
+            write_trajectory(traj, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_trajectory(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert write_peak < 64 * 1024
+        assert read_peak <= 1.1 * size
+        _assert_same_run(back, traj)

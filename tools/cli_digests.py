@@ -21,7 +21,11 @@ path of the samattr package it imported, then one line per job, its exit
 code and the SHA-256 of its stderr, then one line per output file: the
 SHA-256 of every `.tsv`, `.npy` and `.samt` file as written, and of every
 `.report` file with its `wall=` values removed, since wall times differ
-from run to run. Lines name the config, the job and the file, not the
+from run to run. Each `.samt` file gets one more line, `decoded=`: the
+SHA-256 of what the imported package's read_trajectory returns (params,
+batches, etas and weights, with their dtypes and shapes, then n_train, rho,
+p and the config digest), so a change of the file layout alone shows in
+the raw lines only. Lines name the config, the job and the file, not the
 output directory, so two runs compare with diff:
 
     python3 tools/cli_digests.py --src /path/to/other/tree/src > old.txt
@@ -42,9 +46,10 @@ import argparse
 import contextlib
 import hashlib
 import io
-import re
-import sys
 import os
+import re
+import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -105,6 +110,21 @@ def file_digest(path: Path) -> str:
     return _sha(data)
 
 
+def trajectory_digest(path: Path) -> str:
+    """SHA-256 of a trajectory file's decoded content, read by the imported
+    samattr: each array's dtype, shape and bytes, then n_train, rho, p and
+    the config digest."""
+    from samattr.samtrain import read_trajectory
+
+    traj = read_trajectory(path)
+    h = hashlib.sha256()
+    for array in (traj.params, traj.batches, traj.etas, traj.weights):
+        h.update(f"{array.dtype.str}{array.shape}".encode())
+        h.update(array.tobytes())
+    h.update(struct.pack("<Qdd", traj.n_train, traj.rho, traj.p) + traj.config_digest)
+    return h.hexdigest()
+
+
 def digests(configs: dict[str, str], out: Path, files: dict[str, str] | None = None) -> list[str]:
     """Write files (name -> text) into out, run every job of every config
     (name -> config text) with out as the working directory, and return
@@ -135,6 +155,8 @@ def digests(configs: dict[str, str], out: Path, files: dict[str, str] | None = N
                 for path in sorted(job_out.glob("*")):
                     if path.suffix in HASHED:
                         lines.append(f"{name}/{job}/{path.name} {file_digest(path)}")
+                    if path.suffix == ".samt":
+                        lines.append(f"{name}/{job}/{path.name} decoded={trajectory_digest(path)}")
     finally:
         os.chdir(cwd)
     return lines
