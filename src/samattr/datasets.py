@@ -18,7 +18,8 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 _BLOBS_RE = re.compile(
-    r"^blobs\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*([0-9.eE+-]+)\s*,\s*(\d+)\s*\)$"
+    r"^blobs\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,"
+    r"\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*,\s*(\d+)\s*\)$"  # sep: what float() reads
 )
 
 

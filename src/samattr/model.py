@@ -125,56 +125,69 @@ def _check_params(spec: ModelSpec, params: Array) -> Array:
 
 
 def _unpack_rows(spec: ModelSpec, V: Array) -> list[tuple[Array, Array]]:
-    """Layers of each row of a block V (m, P): W (m, fan_out, fan_in), b (m, fan_out)."""
-    m = V.shape[0]
+    """Layers of each row of V (..., P), any leading axes: views W (..., fan_out, fan_in)
+    and b (..., fan_out), so writing into them writes into V."""
+    lead = V.shape[:-1]
     layers = []
     off = 0
     sizes = spec.layer_sizes
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
-        W = V[:, off : off + fan_in * fan_out].reshape(m, fan_out, fan_in)
+        W = V[..., off : off + fan_in * fan_out].reshape(*lead, fan_out, fan_in)
         off += fan_in * fan_out
-        layers.append((W, V[:, off : off + fan_out]))
+        layers.append((W, V[..., off : off + fan_out]))
         off += fan_out
     return layers
 
 
 def _unpack(spec: ModelSpec, params: Array) -> list[tuple[Array, Array]]:
-    """Layers of one parameter vector: the one-row case of _unpack_rows."""
-    return [(W[0], b[0]) for W, b in _unpack_rows(spec, _check_params(spec, params)[None])]
-
-
-def _pack_rows(parts: list[tuple[Array, Array]]) -> Array:
-    """Inverse of _unpack_rows: one packed parameter row per leading index,
-    W (..., fan_out, fan_in) and b (..., fan_out) with any leading axes."""
-    lead = parts[0][1].shape[:-1]
-    return np.concatenate([a.reshape(*lead, -1) for W, b in parts for a in (W, b)], axis=-1)
+    """Layers of one parameter vector: the no-leading-axis case of _unpack_rows."""
+    return _unpack_rows(spec, _check_params(spec, params))
 
 
 def init_params(spec: ModelSpec, seed: int) -> Array:
     """Zero-mean uniform weights scaled by 1/sqrt(fan_in); biases zero."""
     rng = np.random.default_rng(seed)
-    parts = []
-    sizes = spec.layer_sizes
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        bound = 1.0 / np.sqrt(fan_in)
-        W = rng.uniform(-bound, bound, size=(1, fan_out, fan_in))
-        parts.append((W, np.zeros((1, fan_out))))
-    return _pack_rows(parts)[0]
+    params = np.zeros(spec.param_count)
+    for W, _ in _unpack_rows(spec, params):
+        bound = 1.0 / np.sqrt(W.shape[1])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+    return params
+
+
+class _Workspace:
+    """The kernel's output arrays for stacked batches X (R, b, d), y (R, b), made once by a
+    caller that runs it many times on that shape. _forward, _loss_pass, _backprop and
+    _summed_grad given one write each result into its array (out=), over the last call's;
+    given None (ws and ws.<array> is then None) they allocate. Lists are indexed by layer."""
+
+    def __init__(self, spec: ModelSpec, R: int, b: int):
+        sizes, C = spec.layer_sizes, spec.num_classes
+        self.acts = [np.empty((R, b, k)) for k in sizes[1:]]
+        self.deltas = [np.empty((R, b, k)) for k in sizes[1:]]
+        self.s = [None] + [np.empty((R, b, k)) for k in sizes[1:-1]]
+        self.phi1 = [None] + [np.empty((R, b, k)) for k in sizes[1:-1]]
+        self.reduce, self.logp, self.exp = (np.empty((R, b, k)) for k in (1, C, C))
+        self.rows = np.arange(0, R * b * C, C)  # flat position in logp of each example's row
+        self.label, self.loss = np.empty(R * b, np.int64), np.empty(R * b)
+        self.grad = np.empty((R, spec.param_count))
+        self.grad_layers = _unpack_rows(spec, self.grad)
 
 
 def _act(spec: ModelSpec, Z: Array) -> Array:
+    """The activation, in place of Z."""
     if spec.activation == "tanh":
-        return np.tanh(Z)
-    return np.maximum(Z, 0.0)
+        return np.tanh(Z, out=Z)
+    return np.maximum(Z, 0.0, out=Z)
 
 
-def _act_deriv(spec: ModelSpec, A: Array) -> Array:
-    # Expressed through the activation value; for relu, A > 0 iff Z > 0.
+def _act_deriv(spec: ModelSpec, A: Array, out: Array | None = None) -> Array:
+    # Expressed through the activation value; for relu, A > 0 iff Z > 0, as a
+    # boolean mask unless out is float: either multiplies as 1.0 or 0.0.
     if spec.activation == "tanh":
-        return 1.0 - A * A
-    return (A > 0.0).astype(np.float64)
+        d = np.multiply(A, A, out=out)
+        return np.subtract(1.0, d, out=d)
+    return np.greater(A, 0.0, out=out)
 
 
 def _act_second_deriv(spec: ModelSpec, A: Array) -> Array:
@@ -183,7 +196,7 @@ def _act_second_deriv(spec: ModelSpec, A: Array) -> Array:
     return np.zeros_like(A)
 
 
-def _forward(spec: ModelSpec, layers, X: Array) -> list[Array]:
+def _forward(spec: ModelSpec, layers, X: Array, ws: _Workspace | None = None) -> list[Array]:
     """Return activations [A0=X, A1, ..., Z_L]; the last entry is raw logits.
 
     layers come from _unpack, or from _unpack_rows with X stacked (R, b, d)
@@ -192,12 +205,13 @@ def _forward(spec: ModelSpec, layers, X: Array) -> list[Array]:
     acts = [X]
     L = len(layers)
     for idx, (W, b) in enumerate(layers):
-        Z = acts[-1] @ W.swapaxes(-1, -2) + b[..., None, :]
+        Z = np.matmul(acts[-1], W.swapaxes(-1, -2), out=ws and ws.acts[idx])
+        Z += b[..., None, :]
         acts.append(Z if idx == L - 1 else _act(spec, Z))
     return acts
 
 
-def _class_reduce(ufunc: np.ufunc, Z: Array) -> Array:
+def _class_reduce(ufunc: np.ufunc, Z: Array, out: Array | None = None) -> Array:
     """ufunc.reduce(Z, axis=-1, keepdims=True) for ufunc np.maximum or
     np.add, with the same bits. Below 8 entries NumPy's add-reduce sums a
     row left to right starting from +0.0 (so an all -0.0 row sums to
@@ -207,12 +221,15 @@ def _class_reduce(ufunc: np.ufunc, Z: Array) -> Array:
     in any order, save for a NaN's sign and for which zero a row that ties
     +0.0 with -0.0 keeps, which NumPy's own SIMD paths do not agree on;
     the softmax shift by either zero gives the same bits, because such a
-    row's exp-sum is at least 2."""
+    row's exp-sum is at least 2. out, if given, is a C-contiguous
+    (..., 1) array that takes the result."""
     C = Z.shape[-1]
     if C >= 8 or Z.size < C * CLASS_LOOP_MIN_ROWS:
-        return ufunc.reduce(Z, axis=-1, keepdims=True)
+        return ufunc.reduce(Z, axis=-1, keepdims=True, out=out)
     cols = Z.reshape(-1, C).T
-    out = cols[0] + 0.0 if ufunc is np.add else cols[0].copy()
+    # The first column: plus +0.0 for a sum, itself for a maximum (max(x, x) is x).
+    out = ufunc(cols[0], 0.0 if ufunc is np.add else cols[0],
+                out=None if out is None else out.reshape(-1))
     for col in cols[1:]:
         ufunc(out, col, out=out)
     return out.reshape(*Z.shape[:-1], 1)
@@ -234,39 +251,45 @@ def _check_examples(spec: ModelSpec, X: Array, y: Array) -> tuple[Array, Array]:
     return X, y
 
 
-def _loss_pass(spec: ModelSpec, layers, X: Array, y: Array) -> tuple[list, Array, Array, Array]:
+def _loss_pass(spec: ModelSpec, layers, X: Array, y: Array, ws: _Workspace | None = None,
+               loss: bool = True) -> tuple[list, Array, Array, Array | None]:
     """The forward pass and softmax cross-entropy; layers and X as for
     _forward, y (..., b) the labels. Returns the activations, the
     log-probabilities logp (..., b, C), the flat position in logp of each
-    label logit and the per-example losses (..., b). Gradients and
-    curvature go on to _backprop; a loss-only caller stops here."""
-    acts = _forward(spec, layers, X)
+    label logit and the per-example losses (..., b), or None if not loss.
+    Gradients and curvature go on to _backprop; a loss-only caller stops here."""
+    acts = _forward(spec, layers, X, ws)
     Z = acts[-1]
-    m = Z - _class_reduce(np.maximum, Z)
-    logp = m - np.log(_class_reduce(np.add, np.exp(m)))
-    label = np.arange(y.size) * Z.shape[-1] + y.ravel()
-    return acts, logp, label, -logp.reshape(-1)[label].reshape(y.shape)
+    C = Z.shape[-1]
+    m = np.subtract(Z, _class_reduce(np.maximum, Z, ws and ws.reduce), out=ws and ws.logp)
+    s = _class_reduce(np.add, np.exp(m, out=ws and ws.exp), ws and ws.reduce)
+    logp = np.subtract(m, np.log(s, out=s), out=m)
+    label = np.add(ws.rows if ws else np.arange(0, y.size * C, C), y.ravel(), out=ws and ws.label)
+    if not loss:
+        return acts, logp, label, None
+    # "wrap" takes into out without a copy of it; every label is in range.
+    losses = np.take(logp.reshape(-1), label, out=ws and ws.loss, mode="wrap")
+    return acts, logp, label, np.negative(losses, out=losses).reshape(y.shape)
 
 
-def _backprop(
-    spec: ModelSpec, layers, acts: list[Array], logp: Array, label: Array
-) -> tuple[list, list, list]:
+def _backprop(spec: ModelSpec, layers, acts: list[Array], logp: Array, label: Array,
+              ws: _Workspace | None = None) -> tuple[list, list, list]:
     """The backward delta recursion over _loss_pass's outputs: deltas[l],
     the loss's derivative at layer l's pre-activations, starting from
     exp(logp) minus the label one-hot; and, for l >= 1, s[l] = deltas[l] @
     W_l and phi1[l] = act'(acts[l]), so that deltas[l - 1] = phi1[l] * s[l]."""
     L = len(layers)
-    delta = np.exp(logp)
-    delta.reshape(-1)[label] -= 1.0
+    delta = np.exp(logp, out=ws and ws.deltas[L - 1])
+    np.subtract.at(delta.reshape(-1), label, 1.0)
     deltas: list[Array] = [None] * L
     s: list[Array] = [None] * L
     phi1: list[Array] = [None] * L
     for l in range(L - 1, -1, -1):
         deltas[l] = delta
         if l > 0:
-            s[l] = delta @ layers[l][0]
-            phi1[l] = _act_deriv(spec, acts[l])
-            delta = phi1[l] * s[l]
+            s[l] = np.matmul(delta, layers[l][0], out=ws and ws.s[l])
+            phi1[l] = _act_deriv(spec, acts[l], ws and ws.phi1[l])
+            delta = np.multiply(phi1[l], s[l], out=ws and ws.deltas[l - 1])
     return deltas, s, phi1
 
 
@@ -305,13 +328,19 @@ def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Ar
     of delta_l. Like the factors, row r does not depend on the other rows.
     """
     loss, factors = stacked_loss_factors(spec, W, X, y)
-    return loss, _summed_grad(factors)
+    return loss, _summed_grad(spec, factors)
 
 
-def _summed_grad(factors) -> Array:
+def _summed_grad(spec: ModelSpec, factors, ws: _Workspace | None = None) -> Array:
     """Per-example factors (delta_l, a_l) summed over their batch axis and
-    packed: delta_l^T a_l for layer l's weights, sum of delta_l for its bias."""
-    return _pack_rows([(d.swapaxes(-1, -2) @ a, d.sum(axis=-2)) for d, a in factors])
+    packed (..., P), into ws.grad if ws is given: delta_l^T a_l for layer
+    l's weights, sum of delta_l for its bias."""
+    factors = list(factors)
+    out = ws.grad if ws else np.empty((*factors[0][0].shape[:-2], spec.param_count))
+    for (d, a), (gW, gb) in zip(factors, ws.grad_layers if ws else _unpack_rows(spec, out)):
+        np.matmul(d.swapaxes(-1, -2), a, out=gW)
+        np.sum(d, axis=-2, out=gb)
+    return out
 
 
 def _rows(spec: ModelSpec, dataset: Dataset, indices, who: str) -> tuple[Array, Array]:
@@ -379,9 +408,9 @@ def hvp_operator(
     """
     layers = _unpack(spec, params)
     L = len(layers)
-    acts, logp, label, _ = _loss_pass(spec, layers, X, y)
+    acts, logp, label, _ = _loss_pass(spec, layers, X, y, loss=False)
     deltas, s, phi1 = _backprop(spec, layers, acts, logp, label)
-    grad = scale * _summed_grad(zip(deltas, acts[:-1]))
+    grad = scale * _summed_grad(spec, zip(deltas, acts[:-1]))
     P = np.exp(logp)
     phi2 = [None] + [_act_second_deriv(spec, A) for A in acts[1:L]]
 
@@ -408,16 +437,17 @@ def hvp_operator(
         dZ = dacts[-1]
         # Tangent of softmax: dP = P * (dZ - sum(P * dZ)).
         ddelta = P * (dZ - _class_reduce(np.add, P * dZ))
-        hparts: list[tuple[Array, Array]] = [None] * L
+        H = np.empty((len(dZ), spec.param_count))
+        hparts = _unpack_rows(spec, H)
         for l in range(L - 1, -1, -1):
-            hW = np.swapaxes(ddelta, -1, -2) @ acts[l]
+            hW = np.matmul(np.swapaxes(ddelta, -1, -2), acts[l], out=hparts[l][0])
             if l > 0:
                 hW += deltas[l].T @ dacts[l]
-            hparts[l] = (hW, ddelta.sum(axis=-2))
+            np.sum(ddelta, axis=-2, out=hparts[l][1])
             if l > 0:
                 ds = ddelta @ layers[l][0] + deltas[l] @ tangents[l][0]
                 ddelta = phi2[l] * dZs[l] * s[l] + phi1[l] * ds
-        return (scale * _pack_rows(hparts)).reshape(v.shape)
+        return (scale * H).reshape(v.shape)
 
     return grad, apply
 

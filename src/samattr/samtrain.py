@@ -121,6 +121,10 @@ class Trajectory:
         if not isinstance(self.config_digest, bytes) or len(self.config_digest) != 32:
             raise InvalidInputError(f"trajectory config digest must be 32 bytes, got "
                                     f"{self.config_digest!r}")
+        if not (np.issubdtype(self.batches.dtype, np.integer)
+                and self.params.dtype == self.etas.dtype == np.float64):
+            raise InvalidInputError(f"trajectory needs integer batches and float64 params and etas, "
+                                    f"got {self.batches.dtype}, {self.params.dtype}, {self.etas.dtype}")
         T = len(self.batches)
         if (self.params.ndim, self.params.shape[:1], self.batches.ndim, self.etas.shape
                 ) != (2, (T + 1,), 2, (T,)) or self.batches.shape[1] < 1:
@@ -207,6 +211,10 @@ def train_sam_many(
     replica row is bitwise what a run of its own would give. record, if
     given, is a (T+1, P) array filled with replica 0's run: row t its
     parameters before update t, row T its final ones.
+
+    The steps run on arrays made for this call's (R, b) shape (the batch,
+    a model._Workspace and W + eps), and W is updated in place; per step
+    only worst_perturbation and the divergence check allocate.
     """
     if len(loss_scales) != len(labels):
         raise InvalidInputError(
@@ -214,24 +222,44 @@ def train_sam_many(
             f"for {len(labels)} labels"
         )
     W = np.tile(mod.init_params(spec, config.seed), (len(labels), 1))
+    W_eps = np.empty_like(W)
+    R, b = np.shape(batches[0])
+    if not -len(y_train) <= np.min(batches) <= np.max(batches) < len(y_train):
+        raise InvalidInputError("train_sam_many: a batch position is outside the train split")
+    X, y = np.empty((R, b, X_train.shape[1])), np.empty((R, b), y_train.dtype)
+    ws = mod._Workspace(spec, R, b)
+    G = ws.grad
+
+    def gradient(layers, loss: bool):
+        # stacked_loss_grad's steps into ws: G, and the per-example losses if loss.
+        acts, logp, label, losses = mod._loss_pass(spec, layers, X, y, ws, loss)
+        mod._summed_grad(spec, zip(mod._backprop(spec, layers, acts, logp, label, ws)[0],
+                                   acts[:-1]), ws)
+        return losses
+
+    layers, layers_eps = mod._unpack_rows(spec, W), mod._unpack_rows(spec, W_eps)
+    scale = loss_scales / b
     for t in range(config.steps):
-        batch = batches[t]
         eta = config.eta_at(t)
-        scale = loss_scales / batch.shape[1]
-        # np.take gathers the feature rows faster than indexing; labels stay indexed.
-        X, y = np.take(X_train, batch, axis=0), y_train[batch]
-        loss, G = mod.stacked_loss_grad(spec, W, X, y)
-        loss, G = scale * loss, scale[:, None] * G
+        # np.take gathers rows faster than indexing; "wrap" (positions are checked
+        # above) writes into X and y without the copy an out= array gets under "raise".
+        np.take(X_train, batches[t], axis=0, out=X, mode="wrap")
+        np.take(y_train, batches[t], out=y, mode="wrap")
+        loss = scale * gradient(layers, True).sum(axis=-1)
+        G *= scale[:, None]
         bad = ~np.isfinite(loss) | (loss > 1e6)
         if bad.any():
             r = int(np.argmax(bad))
             raise DivergenceError(f"{labels[r]} diverged at step {t} (batch loss {float(loss[r])})")
-        eps = worst_perturbation(G, config.rho, config.p)
-        _, G_pert = mod.stacked_loss_grad(spec, W + eps, X, y)
-        G_sam = scale[:, None] * G_pert + config.lam * W
+        np.add(W, worst_perturbation(G, config.rho, config.p), out=W_eps)
+        gradient(layers_eps, False)
+        # G_sam = scale * G_pert + lam * W; W -= eta * G_sam, with W_eps free for lam * W.
+        G *= scale[:, None]
+        G += np.multiply(config.lam, W, out=W_eps)
         if record is not None:
             record[t] = W[0]
-        W = W - eta * G_sam
+        G *= eta
+        W -= G
     bad = ~np.all(np.isfinite(W), axis=1)
     if bad.any():
         label = labels[int(np.argmax(bad))]

@@ -70,6 +70,13 @@ class TestExitCodes:
         assert main(["calibrate", "--config", cfg]) == 2
         assert "sample_size" in capsys.readouterr().err
 
+    def test_malformed_blobs_separation_is_config_error(self, tmp_path, capsys):
+        # The spec's pattern once admitted "1e", and float() then raised a bare
+        # ValueError (exit 1, a traceback).
+        cfg = write_config(tmp_path, dataset="blobs(20, 3, 2, 1e, 1)")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: malformed blobs spec ")
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         # NumPy's seeding would raise a bare ValueError (exit 1, a traceback).
         assert main(["train", "--config", write_config(tmp_path), "--seed", "-1"]) == 2

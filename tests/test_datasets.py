@@ -188,6 +188,16 @@ class TestIngest:
         with pytest.raises(ConfigError):
             ingest("blobs(30, 4)")
 
+    @pytest.mark.parametrize("sep", ["3.", ".5", "+1E+1", "-1e-2", "3"])
+    def test_blobs_separation_in_any_float_form(self, sep):
+        assert ingest(f"blobs(30, 4, 2, {sep}, 7)").labels.tolist() == \
+            make_blobs(30, 4, 2, float(sep), 7).labels.tolist()
+
+    @pytest.mark.parametrize("sep", ["1e", "1.2.3", "1e+", ".", "+-1", "1e5.0"])
+    def test_blobs_separation_float_refuses(self, sep):
+        with pytest.raises(ConfigError, match="^malformed blobs spec "):
+            ingest(f"blobs(20, 3, 2, {sep}, 1)")
+
     def test_csv_prefix(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,label\n1,0\n2,1\n")

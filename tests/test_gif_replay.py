@@ -102,6 +102,12 @@ def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
                 assert np.array_equal(got, full[ks])
 
 
+def _pack(parts):
+    """Parameter rows packed from per-layer (W, b) parts with any leading axes."""
+    lead = parts[0][1].shape[:-1]
+    return np.concatenate([a.reshape(*lead, -1) for W, b in parts for a in (W, b)], axis=-1)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_factors_reduce_to_stacked_loss_grad(spec):
     ds = make_blobs(30, 4, 3, 2.5, seed=32)
@@ -116,10 +122,10 @@ def test_factors_reduce_to_stacked_loss_grad(spec):
     for (d, a), fan_in, fan_out in zip(factors, sizes[:-1], sizes[1:]):
         assert d.shape == (*idx.shape, fan_out) and a.shape == (*idx.shape, fan_in)
     # The reduction over each batch is stacked_loss_grad's, bit for bit.
-    reduced = mod._pack_rows([(d.swapaxes(-1, -2) @ a, d.sum(axis=-2)) for d, a in factors])
+    reduced = _pack([(d.swapaxes(-1, -2) @ a, d.sum(axis=-2)) for d, a in factors])
     assert np.array_equal(reduced, G)
     # Example i's outer products are its gradient, and they sum to the row's.
-    outer = mod._pack_rows([(d[..., :, None] * a[..., None, :], d) for d, a in factors])
+    outer = _pack([(d[..., :, None] * a[..., None, :], d) for d, a in factors])
     for r in range(len(W)):
         want = mod.example_grads(spec, W[r], ds, idx[r])
         assert np.all(np.abs(outer[r] - want) <= 1e-12 * np.abs(want).max())

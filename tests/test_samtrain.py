@@ -15,6 +15,7 @@ from samattr.model import ModelSpec
 from samattr.numcore import p_norm, sample_batches
 from samattr.samtrain import (
     SAMConfig,
+    Trajectory,
     read_trajectory,
     recorded_trajectory,
     stationarity_report,
@@ -476,6 +477,30 @@ class TestTrajectoryIO:
         traj = self._traj()
         with pytest.raises(InvalidInputError, match=r"\(T\+1, P\) params"):
             replace(traj, **{field: np.zeros(shape, getattr(traj, field).dtype)})
+
+    @pytest.mark.parametrize("field,dtype", [
+        ("batches", np.float64), ("batches", np.bool_), ("params", np.float32),
+        ("etas", np.float32), ("etas", np.int64),
+    ])
+    def test_dtype_rejected(self, field, dtype):
+        # write_trajectory casts to <i8 and <f8, so any other dtype would be
+        # written as another run.
+        traj = self._traj()
+        with pytest.raises(InvalidInputError, match="needs integer batches and float64 params"):
+            replace(traj, **{field: getattr(traj, field).astype(dtype)})
+
+    def test_float_batches_rejected(self):
+        # Once written as [[0, 1], [2, 3]] and read back as that run.
+        with pytest.raises(InvalidInputError, match=r"got float64, float64, float64$"):
+            Trajectory(params=np.zeros((3, 2)), batches=np.array([[0.0, 1.0], [2.0, 3.7]]),
+                       etas=np.full(2, 0.1), n_train=4, rho=0.05, p=2.0)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+    def test_any_integer_batches_accepted(self, dtype, tmp_path):
+        traj = self._traj()
+        narrow = replace(traj, batches=traj.batches.astype(dtype))
+        write_trajectory(narrow, tmp_path / "run.samt")
+        _assert_same_run(read_trajectory(tmp_path / "run.samt"), traj)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.samt"
