@@ -68,7 +68,7 @@ def make_blobs(n: int, d: int, C: int, sep: float, seed: int) -> Dataset:
 def load_csv(path: str, label_column: str = "label") -> Dataset:
     """CSV with a header row; one named label column, the rest numeric
     features. All rows arrive tagged train; use split_dataset after."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -134,6 +134,8 @@ def load_idx_pair(images_path: str, labels_path: str) -> Dataset:
         labels = np.frombuffer(raw, dtype=np.uint8)
     if count != lcount:
         raise FormatError(f"IDX pair mismatch: {count} images vs {lcount} labels")
+    if count == 0:
+        raise FormatError(f"{images_path}: IDX pair has no items")
     return Dataset(features=images.astype(np.float64) / 255.0, labels=labels.astype(np.int64))
 
 

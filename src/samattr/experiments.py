@@ -73,6 +73,8 @@ class ExperimentConfig:
         object.__setattr__(self, "estimator", est)
         if self.model not in ("logistic", "mlp"):
             raise ConfigError(f"unknown model kind {self.model!r}")
+        if self.activation not in mod.ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.gif_mode not in GIF_MODES:
             raise ConfigError(f"unknown gif mode {self.gif_mode!r}")
         self.neumann()  # the solver settings are checked before any training
@@ -111,7 +113,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     values: dict = {}
     key_lines: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             lines = f.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
@@ -188,14 +190,15 @@ def setup(cfg: ExperimentConfig) -> tuple[mod.ModelSpec, mod.Dataset, SAMConfig]
     return spec, ds, sam
 
 
-def _scores(
+def _estimate(
     cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig, params: Array,
-    trajectory, queries: Array,
+    trajectory, ks, queries: Array | None = None,
 ) -> Array:
-    """scores[n, m] of every training point against m query gradients."""
-    return influence_scores(cfg.estimator, spec, ds, params, sam.rho, sam.p, sam.lam,
-                            cfg.neumann(), range(ds.indices("train").size), trajectory,
-                            cfg.gif_mode, queries)
+    """The config's estimator over the removal sets ks: their influence
+    vectors, one row per set, or with queries (m, P) their scores[len(ks), m]."""
+    args = (cfg.estimator, spec, ds, params, sam.rho, sam.p, sam.lam, cfg.neumann(), ks,
+            trajectory, cfg.gif_mode)
+    return influence_vectors(*args) if queries is None else influence_scores(*args, queries)
 
 
 def _val_scores(
@@ -208,16 +211,8 @@ def _val_scores(
     (removal predicted to raise validation loss)."""
     X, y = val
     gval = mod.stacked_loss_grad(spec, params[None], X[None], y[None])[1]
-    return _scores(cfg, spec, ds, sam, params, trajectory, gval)[:, 0]
-
-
-def _vectors(
-    cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig, params: Array,
-    trajectory, ks,
-) -> Array:
-    """Influence vectors of the removal sets ks, one row per set."""
-    return influence_vectors(cfg.estimator, spec, ds, params, sam.rho, sam.p, sam.lam,
-                             cfg.neumann(), ks, trajectory, cfg.gif_mode)
+    n = ds.indices("train").size
+    return _estimate(cfg, spec, ds, sam, params, trajectory, range(n), gval)[:, 0]
 
 
 def score_all(
@@ -239,7 +234,7 @@ def score_all(
     """
     n = ds.indices("train").size
     scores = _val_scores(cfg, spec, ds, sam, params, trajectory, mod._split_rows(spec, ds, "val"))
-    return scores, _vectors(cfg, spec, ds, sam, params, trajectory, range(n))
+    return scores, _estimate(cfg, spec, ds, sam, params, trajectory, range(n))
 
 
 def rank_descending(scores: Array) -> Array:
@@ -330,7 +325,7 @@ def cmd_valuate(cfg: ExperimentConfig) -> Report:
     fractions = list(cfg.removal_fractions)
     acc_retrain, acc_random, retrained, wall = _removal_accuracies(
         cfg, spec, ds, sam, order, 0x7A, test)
-    edited = params - _vectors(cfg, spec, ds, sam, params, traj, [order[:m] for m in sizes])
+    edited = params - _estimate(cfg, spec, ds, sam, params, traj, [order[:m] for m in sizes])
     accs = mod._evaluate(spec, np.vstack([params, edited]), *test)[1]  # baseline first
     report = Report("valuate", cfg.digest())
     report.add("acc_retrain", fractions, acc_retrain, [wall])
@@ -398,7 +393,7 @@ def cmd_trace(cfg: ExperimentConfig) -> Report:
         return report
     start = time.perf_counter()
     g_test = mod.example_grads(spec, params, ds, mis)
-    scores = _scores(cfg, spec, ds, sam, params, traj, g_test)  # one column per test point
+    scores = _estimate(cfg, spec, ds, sam, params, traj, range(ds.indices("train").size), g_test)
     m = min(cfg.top_m, scores.shape[0])
     for row, point_scores in zip(mis, scores.T):
         helpful = rank_descending(point_scores)[:m]
@@ -431,7 +426,7 @@ def cmd_edit(cfg: ExperimentConfig) -> Report:
     if val is not None:
         removed = rank_ascending(_val_scores(cfg, spec, ds, sam, params, traj, val))[:size]
     start = time.perf_counter()
-    w_edit = params - _vectors(cfg, spec, ds, sam, params, traj, [removed])[0]
+    w_edit = params - _estimate(cfg, spec, ds, sam, params, traj, [removed])[0]
     edit_wall = time.perf_counter() - start
     start = time.perf_counter()
     w_retrain = oracle.loo_retrain(spec, ds, removed, sam)

@@ -161,8 +161,6 @@ def _auto_alpha(apply_A: LinearOperator, dim: int, iters: int = 20) -> float:
             break
         lam_max = norm
         z = az / norm
-    if lam_max <= 0.0:
-        return 1.0
     return 0.9 / lam_max
 
 

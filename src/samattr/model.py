@@ -39,6 +39,8 @@ Array = np.ndarray
 CLASS_LOOP_MIN_ROWS = 128
 # Floats of one layer's activations in one stacked _evaluate pass (512 KiB).
 _EVAL_STACK_FLOATS = 2**16
+# Hidden-layer activations; ExperimentConfig checks its own against these too.
+ACTIVATIONS = ("tanh", "relu")
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,12 @@ class ModelSpec:
 
     kind: str  # "logistic" | "mlp"
     layer_sizes: tuple[int, ...]
-    activation: str = "tanh"  # "tanh" | "relu"; hidden layers only
+    activation: str = "tanh"  # one of ACTIVATIONS; hidden layers only
 
     def __post_init__(self):
         if self.kind not in ("logistic", "mlp"):
             raise InvalidInputError(f"unknown model kind {self.kind!r}")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise InvalidInputError(f"unknown activation {self.activation!r}")
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):

@@ -24,11 +24,7 @@ def p_norm(v: np.ndarray, p: float) -> float:
     a = np.abs(v)
     if math.isinf(p):
         return float(a.max())
-    if p == 1.0:
-        return float(a.sum())
-    if p == 2.0:
-        return float(np.sqrt(np.dot(v, v)))
-    # Rescale by the max to avoid overflow for large p.
+    # Rescale by the max, so no power overflows.
     m = float(a.max())
     if m == 0.0:
         return 0.0

@@ -164,7 +164,8 @@ def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
 
     epsilon = rho * sign(g) * |g|^(q-1) / (||g||_q^q)^(1/p) with the dual
     exponent q. grad is one gradient (P,) or a stack of rows (R, P), each
-    perturbed on its own ball. A zero gradient row or rho = 0 gives zeros.
+    perturbed on its own ball. rho = 0 gives zeros; so does a zero gradient
+    row, which divides by 1 wherever the formula would divide by 0.
     """
     g = np.asarray(grad, dtype=np.float64)
     if rho < 0.0:
@@ -172,22 +173,20 @@ def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
     G = g.reshape(-1, g.shape[-1])
     if not np.all(np.isfinite(G)):
         raise InvalidInputError("worst_perturbation: gradient has non-finite entries")
-    live = G.any(axis=1)
-    if rho == 0.0 or not live.all():
-        eps = np.zeros_like(G)
-        if rho > 0.0 and live.any():
-            eps[live] = worst_perturbation(G[live], rho, p)
-        return eps.reshape(g.shape)
+    if rho == 0.0:
+        return np.zeros_like(g)
     if p == 2.0:
         # Per-row dot products through matmul, bit for bit np.dot(g, g).
-        eps = rho * G / np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0]
+        norm = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0]
+        eps = rho * G / np.where(norm == 0.0, 1.0, norm)
     else:
         q = dual_exponent(p)
         a = np.abs(G)
-        a = a / a.max(axis=1, keepdims=True)  # rescale; the formula is scale-invariant in g
+        m = a.max(axis=1, keepdims=True)
+        a /= np.where(m == 0.0, 1.0, m)  # rescale; the formula is scale-invariant in g
         num = np.sign(G) * np.power(a, q - 1.0)
-        denom = np.power(np.power(a, q).sum(axis=1, keepdims=True), 1.0 / p)
-        eps = rho * num / denom
+        total = np.power(a, q).sum(axis=1, keepdims=True)
+        eps = rho * num / np.power(np.where(total == 0.0, 1.0, total), 1.0 / p)
     return eps.reshape(g.shape)
 
 

@@ -1,8 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from samattr import datasets
 from samattr.cli import main
 from samattr.report import parse_report
 
@@ -76,6 +78,25 @@ class TestExitCodes:
         cfg = write_config(tmp_path, dataset="blobs(20, 3, 2, 1e, 1)")
         assert main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: malformed blobs spec ")
+
+    def test_empty_idx_pair_is_format_error(self, tmp_path, capsys):
+        # Exit 4 naming the images file, as an empty CSV names its file.
+        img, lbl = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+        img.write_bytes(struct.pack(">iiii", 0x803, 0, 2, 2))
+        lbl.write_bytes(struct.pack(">ii", 0x801, 0))
+        assert main(["train", "--config", write_config(tmp_path, dataset=f"idx:{img},{lbl}")]) == 4
+        assert capsys.readouterr().err == f"I/O error: {img}: IDX pair has no items\n"
+
+    @pytest.mark.parametrize("model", ["logistic", "mlp"])
+    def test_unknown_activation_is_config_error(self, tmp_path, capsys, monkeypatch, model):
+        # Refused before ingest, whether or not the model has hidden layers.
+        def no_ingest(*args):
+            raise AssertionError("ingested before the config was checked")
+
+        monkeypatch.setattr(datasets, "ingest", no_ingest)
+        cfg = write_config(tmp_path, model=model, activation="sigmoid")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: unknown activation 'sigmoid'\n"
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         # NumPy's seeding would raise a bare ValueError (exit 1, a traceback).

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -102,6 +103,13 @@ class TestCSV:
         with pytest.raises(FormatError, match="empty"):
             load_csv(str(path))
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\ufefflabel,a\n1,5.0\n0,6.0\n", encoding="utf-8")
+        ds = load_csv(str(path))
+        assert ds.labels.tolist() == [1, 0]
+        np.testing.assert_array_equal(ds.features, [[5.0], [6.0]])
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,label\n")
@@ -155,6 +163,12 @@ class TestIDX:
             f.write(struct.pack(">ii", 0x801, 7))
             f.write(rng.integers(0, 10, size=7, dtype=np.uint8).tobytes())
         with pytest.raises(FormatError, match="mismatch"):
+            load_idx_pair(str(img), str(lbl))
+
+    def test_empty_pair(self, tmp_path):
+        # Like a header-only CSV: a FormatError naming the file, not an empty Dataset.
+        img, lbl, _, _ = write_idx_pair(tmp_path, count=0)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(img))}: IDX pair has no items$"):
             load_idx_pair(str(img), str(lbl))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from samattr import experiments, oracle
+from samattr.cli import main
 from samattr.errors import ConfigError, InvalidInputError
 from samattr.experiments import (
     ExperimentConfig,
@@ -95,6 +96,19 @@ class TestLoadConfig:
         assert cfg.removal_fractions == (0.1, 0.2)
         assert cfg.epoch_shuffled is True
         assert cfg.parsed_eta() == ((0, 0.5), (25, 0.1))
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # An editor's UTF-8 byte-order mark: the same config, so the same digest and file names.
+        text = f"dataset = blobs(30, 4, 2, 2.5, 3)\nsteps = 20\nout = {tmp_path / 'out'}\n"
+        plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert load_config(str(marked)) == load_config(str(plain))
+        assert load_config(str(marked)).digest() == load_config(str(plain)).digest()
+        assert main(["train", "--config", str(marked)]) == 0
+        assert main(["train", "--config", str(plain)]) == 0
+        written = capsys.readouterr().out.splitlines()
+        assert written[: len(written) // 2] == written[len(written) // 2 :]
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "exp.conf"
@@ -265,7 +279,7 @@ class TestDrivers:
         def no_scores(*args):
             raise AssertionError("trace scored with no misclassified test point")
 
-        monkeypatch.setattr(experiments, "_scores", no_scores)
+        monkeypatch.setattr(experiments, "_estimate", no_scores)
         report = cmd_trace(fast_config(out=str(tmp_path), dataset="blobs(40, 4, 2, 20.0, 7)"))
         assert [(run.metric, run.y) for run in report.runs] == [("misclassified_count", [0.0])]
 

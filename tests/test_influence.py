@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samattr import model as mod
+from samattr import influence, model as mod
 from samattr.datasets import make_blobs
 from samattr.errors import DivergenceError, InvalidInputError
 from samattr.influence import (
@@ -87,6 +87,11 @@ class TestNeumann:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
                 neumann_ihvp(lambda x: A @ x, g, cfg)
+
+    @pytest.mark.parametrize("value", [0.0, np.inf], ids=["zero", "inf"])
+    def test_auto_alpha_keeps_its_start_when_a_product_is_useless(self, value):
+        # The power iteration stops at a zero or non-finite product and keeps lam_max = 1.
+        assert influence._auto_alpha(lambda z: np.full_like(z, value), 6) == 0.9
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,22 @@ class TestPNorm:
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
             p_norm(np.array([1.0, np.nan]), 2)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-2, 1.0, 1e2, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    def test_matches_numpy_norm(self, p, scale):
+        # One max-rescaled formula for every finite p, p = 1 and p = 2 included.
+        rng = np.random.default_rng(int(p * 10))
+        for _ in range(20):
+            v = scale * rng.standard_normal(int(rng.integers(1, 200)))
+            assert p_norm(v, p) == pytest.approx(np.linalg.norm(v, p), rel=1e-15, abs=0.0)
+
+    def test_large_entries_do_not_overflow(self):
+        # Squaring 1e200 overflows to inf; squaring entries rescaled by the max does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = p_norm(np.array([1e200, 1e200, -3e199]), 2)
+        assert math.isfinite(norm) and norm == pytest.approx(1.4457e200, rel=1e-4)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(InvalidInputError):

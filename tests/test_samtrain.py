@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,20 @@ class TestWorstPerturbation:
         g = np.random.default_rng(2).standard_normal(5)
         assert np.all(worst_perturbation(g, 0.0, 2.0) == 0.0)
         assert np.all(worst_perturbation(np.zeros(5), 0.5, 2.0) == 0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_all_zero_stack_gives_zeros(self, p):
+        # The one formula divides by 1 wherever a zero row would divide by 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = worst_perturbation(np.zeros((3, 7)), 0.4, p)
+        assert eps.shape == (3, 7) and np.all(eps == 0.0)
+
+    def test_all_zero_stack_checks_p(self):
+        # p = 1 has no dual exponent, whatever the gradient; rho = 0 reads no p.
+        with pytest.raises(InvalidInputError, match="dual_exponent"):
+            worst_perturbation(np.zeros((3, 7)), 0.4, 1.0)
+        assert np.all(worst_perturbation(np.zeros((3, 7)), 0.0, 1.0) == 0.0)
 
     def test_maximizes_linear_ascent(self):
         # Among random directions on the rho-ball, the closed form attains

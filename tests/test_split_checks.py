@@ -130,7 +130,8 @@ def test_train_loss_and_val_query_are_the_subset_gradients(tmp_path):
     report = experiments.cmd_train(cfg)
     assert report.runs[0].metric == "train_loss" and report.runs[0].y == [loss]
     _, gval = mod.subset_loss_grad(spec, params, ds, ds.indices("val"), 1.0)
-    expected = experiments._scores(cfg, spec, ds, sam, params, traj, gval[None])[:, 0]
+    expected = experiments._estimate(cfg, spec, ds, sam, params, traj, range(train.size),
+                                     gval[None])[:, 0]
     val = mod._split_rows(spec, ds, "val")
     got = experiments._val_scores(cfg, spec, ds, sam, params, traj, val)
     assert got.tobytes() == expected.tobytes()

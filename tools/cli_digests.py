@@ -9,14 +9,16 @@ Runs `train`, then `attribute`, `calibrate`, `valuate`, `edit`, `trace`
 and `detect-noise` with each estimator (if-fast, hif, gif), in this
 process through samattr.cli.main, on each config: the three benchmark
 workloads' configs at seed 9317 (with `flip_fraction = 0.1` added, which
-only detect-noise reads), README's example config, and three configs for
+only detect-noise reads), README's example config, and four configs for
 paths those four never run: a relu MLP with p = 3, a step-decay eta, an
-epoch-shuffled schedule and gif's gd mode; a 10-class tanh MLP (the
-class-axis reduction of 8 or more classes); and `csv-split`, CSV ingestion
-and setup's seeded split into shuffled val and test rows, over a CSV of an
-overlapping 3-class Gaussian mixture that this script writes with NumPy
-alone. The outputs go to a temporary directory that is removed; the jobs
-run there, so the config names its CSV by a relative path. It prints the
+epoch-shuffled schedule and gif's gd mode; a tanh MLP with p = 1.5, whose
+ascent's dual exponent q = 3 lies on the other side of 2 from p = 3's
+q = 1.5; a 10-class tanh MLP (the class-axis reduction of 8 or more
+classes); and `csv-split`, CSV ingestion and setup's seeded split into
+shuffled val and test rows, over a CSV of an overlapping 3-class Gaussian
+mixture that this script writes with NumPy alone. The outputs go to a
+temporary directory that is removed; the jobs run there, so the config
+names its CSV by a relative path. It prints the
 path of the samattr package it imported, then one line per job, its exit
 code and the SHA-256 of its stderr, then one line per output file: the
 SHA-256 of every `.tsv`, `.npy` and `.samt` file as written, and of every
@@ -76,6 +78,8 @@ CONFIGS = {
     "relu-p3": f"dataset = blobs(120, 8, 3, 2.0, {SEED})\nmodel = mlp\nactivation = relu\n"
                "p = 3\nhidden = 12\nbatch_size = 24\nsteps = 200\neta = 0:0.1,100:0.05\n"
                "epoch_shuffled = 1\ngif_mode = gd\n" + _NOISE_SEED,
+    "tanh-p1.5": f"dataset = blobs(60, 6, 3, 2.0, {SEED})\n" + _MLP + "p = 1.5\nhidden = 8\n"
+                 "batch_size = 12\nsteps = 100\nsample_size = 12\n" + _NOISE_SEED,
     "tanh-10-class": f"dataset = blobs(300, 12, 10, 3.0, {SEED})\n" + _MLP
                      + "hidden = 16\nbatch_size = 32\nsteps = 200\n" + _NOISE_SEED,
     "csv-split": "dataset = csv:mixture.csv\nval_fraction = 0.2\ntest_fraction = 0.2\n"
