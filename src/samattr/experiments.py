@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model kind {self.model!r}")
         if self.activation not in mod.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if any(size < 1 for size in self.hidden):
+            raise ConfigError(f"hidden layer sizes must be >= 1, got {self.hidden}")
         if self.gif_mode not in GIF_MODES:
             raise ConfigError(f"unknown gif mode {self.gif_mode!r}")
         self.neumann()  # the solver settings are checked before any training

@@ -341,7 +341,7 @@ def _summed_grad(spec: ModelSpec, factors, ws: _Workspace | None = None) -> Arra
     out = ws.grad if ws else np.empty((*factors[0][0].shape[:-2], spec.param_count))
     for (d, a), (gW, gb) in zip(factors, ws.grad_layers if ws else _unpack_rows(spec, out)):
         np.matmul(d.swapaxes(-1, -2), a, out=gW)
-        np.sum(d, axis=-2, out=gb)
+        np.add.reduce(d, axis=-2, out=gb)  # np.sum's ufunc without its Python wrapper
     return out
 
 
@@ -445,7 +445,7 @@ def hvp_operator(
             hW = np.matmul(np.swapaxes(ddelta, -1, -2), acts[l], out=hparts[l][0])
             if l > 0:
                 hW += deltas[l].T @ dacts[l]
-            np.sum(ddelta, axis=-2, out=hparts[l][1])
+            np.add.reduce(ddelta, axis=-2, out=hparts[l][1])
             if l > 0:
                 ds = ddelta @ layers[l][0] + deltas[l] @ tangents[l][0]
                 ddelta = phi2[l] * dZs[l] * s[l] + phi1[l] * ds

@@ -68,29 +68,35 @@ def _replayed_steps(base: Array, n: int, S: Array, config: SAMConfig) -> Array:
     set S taken out, in original train positions, sorted within each step.
 
     Slots holding a removed index are resampled (seeded by config.seed and
-    S) from the points neither in the batch nor in S, or dropped when there
-    are none (full batch).
+    S), step by step and slot by slot, from the points neither in the batch
+    nor in S, as one Generator.choice over those points per slot draws them.
+    A step with h removed slots has c = n-|S|-(b-h) candidates, so every
+    bound c-j is known before the first draw and one integers call draws
+    the whole set. When b >= n-|S| every step holds all kept points.
     """
     is_removed = np.zeros(n, dtype=bool)
     is_removed[S] = True
     T, b = base.shape
-    if b == n:  # nothing to resample into: every step is the kept points
+    if b >= n - S.size:  # every step holds all n-|S| kept points, whatever is drawn
         return np.broadcast_to(np.flatnonzero(~is_removed), (T, n - S.size))
-    rng = np.random.default_rng([config.seed & 0xFFFFFFFF, *S.tolist(), 0x10E])
     hit = is_removed[base]
-    # Steps without a removed point stay as drawn. When b > n-|S|, every
-    # step holds one and shrinks to n-|S|.
-    steps = base.copy() if b <= n - S.size else np.empty((T, n - S.size), dtype=np.int64)
-    for t in np.flatnonzero(hit.any(axis=1)):
-        batch, free = base[t].copy(), ~is_removed
-        free[batch] = False
-        for slot in np.flatnonzero(hit[t]):
-            candidates = np.flatnonzero(free)
-            if not candidates.size:  # this slot and the later ones keep their index and are dropped
-                break
-            batch[slot] = rng.choice(candidates)
-            free[batch[slot]] = False
-        steps[t] = np.sort(batch[~is_removed[batch]])
+    rows = np.flatnonzero(hit.any(axis=1))  # the steps that hold a removed point
+    h = hit[rows].sum(axis=1)  # and their removed slots
+    first = np.cumsum(h) - h  # each one's first pick
+    rank = np.arange(h.sum()) - np.repeat(first, h)
+    rng = np.random.default_rng([config.seed & 0xFFFFFFFF, *S.tolist(), 0x10E])
+    picks = rng.integers(0, np.repeat(n - S.size - b + h, h) - rank)
+    free = np.repeat(~is_removed[None], rows.size, axis=0)
+    free[np.arange(rows.size)[:, None], base[rows]] = False
+    for j in range(h.max(initial=0)):  # pick j of every step with more than j removed slots
+        active = np.flatnonzero(h > j)
+        pick = first[active] + j
+        # The pick-th free point: the first whose running count of free points exceeds pick.
+        picks[pick] = np.argmax(np.cumsum(free[active], axis=1) > picks[pick, None], axis=1)
+        free[active, picks[pick]] = False
+    steps = base.copy()
+    steps[hit] = picks  # step by step, slots ascending: the order of the picks
+    steps[rows] = np.sort(steps[rows], axis=1)
     return steps
 
 

@@ -159,35 +159,48 @@ class Trajectory:
         return self.etas * (1.0 / self.batches.shape[1])
 
 
-def worst_perturbation(grad: Array, rho: float, p: float) -> Array:
+def worst_perturbation(grad: Array, rho: float, p: float, out: Array | None = None) -> Array:
     """Closed-form ascent direction on the boundary of the rho-ball.
 
     epsilon = rho * sign(g) * |g|^(q-1) / (||g||_q^q)^(1/p) with the dual
     exponent q. grad is one gradient (P,) or a stack of rows (R, P), each
     perturbed on its own ball. rho = 0 gives zeros; so does a zero gradient
-    row, which divides by 1 wherever the formula would divide by 0.
+    row, which divides by 1 wherever the formula would divide by 0. out, if
+    given, is a C-contiguous float64 array of grad's shape that takes
+    epsilon and is returned; at p = 2 nothing of grad's size is allocated.
     """
     g = np.asarray(grad, dtype=np.float64)
     if rho < 0.0:
         raise InvalidInputError("rho must be >= 0")
+    if out is not None and not (out.shape == g.shape and out.dtype == np.float64
+                                and out.flags.c_contiguous):
+        raise InvalidInputError("worst_perturbation: out must be a C-contiguous float64 array "
+                                "of the gradient's shape")
     G = g.reshape(-1, g.shape[-1])
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise InvalidInputError("worst_perturbation: gradient has non-finite entries")
+    eps = np.empty(g.shape) if out is None else out
+    E = eps.reshape(G.shape)  # a view: eps is C-contiguous
     if rho == 0.0:
-        return np.zeros_like(g)
+        E.fill(0.0)
+        return eps
     if p == 2.0:
         # Per-row dot products through matmul, bit for bit np.dot(g, g).
         norm = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0]
-        eps = rho * G / np.where(norm == 0.0, 1.0, norm)
+        norm[norm == 0.0] = 1.0
+        np.multiply(rho, G, out=E)
+        E /= norm
     else:
         q = dual_exponent(p)
         a = np.abs(G)
         m = a.max(axis=1, keepdims=True)
         a /= np.where(m == 0.0, 1.0, m)  # rescale; the formula is scale-invariant in g
-        num = np.sign(G) * np.power(a, q - 1.0)
-        total = np.power(a, q).sum(axis=1, keepdims=True)
-        eps = rho * num / np.power(np.where(total == 0.0, 1.0, total), 1.0 / p)
-    return eps.reshape(g.shape)
+        np.sign(G, out=E)
+        E *= np.power(a, q - 1.0)
+        total = np.power(a, q, out=a).sum(axis=1, keepdims=True)
+        E *= rho
+        E /= np.power(np.where(total == 0.0, 1.0, total), 1.0 / p)
+    return eps
 
 
 def train_sam_many(
@@ -212,8 +225,9 @@ def train_sam_many(
     parameters before update t, row T its final ones.
 
     The steps run on arrays made for this call's (R, b) shape (the batch,
-    a model._Workspace and W + eps), and W is updated in place; per step
-    only worst_perturbation and the divergence check allocate.
+    a model._Workspace and W + eps, which worst_perturbation writes eps
+    into), and W is updated in place; per step only the divergence check
+    allocates, and at p != 2 worst_perturbation's power terms.
     """
     if len(loss_scales) != len(labels):
         raise InvalidInputError(
@@ -238,22 +252,24 @@ def train_sam_many(
 
     layers, layers_eps = mod._unpack_rows(spec, W), mod._unpack_rows(spec, W_eps)
     scale = loss_scales / b
+    row_scale = scale[:, None]
     for t in range(config.steps):
         eta = config.eta_at(t)
         # np.take gathers rows faster than indexing; "wrap" (positions are checked
         # above) writes into X and y without the copy an out= array gets under "raise".
         np.take(X_train, batches[t], axis=0, out=X, mode="wrap")
         np.take(y_train, batches[t], out=y, mode="wrap")
-        loss = scale * gradient(layers, True).sum(axis=-1)
-        G *= scale[:, None]
+        loss = scale * np.add.reduce(gradient(layers, True), axis=-1)
+        G *= row_scale
         bad = ~np.isfinite(loss) | (loss > 1e6)
         if bad.any():
             r = int(np.argmax(bad))
             raise DivergenceError(f"{labels[r]} diverged at step {t} (batch loss {float(loss[r])})")
-        np.add(W, worst_perturbation(G, config.rho, config.p), out=W_eps)
+        worst_perturbation(G, config.rho, config.p, out=W_eps)
+        W_eps += W  # eps + W, the same IEEE sum as W + eps
         gradient(layers_eps, False)
         # G_sam = scale * G_pert + lam * W; W -= eta * G_sam, with W_eps free for lam * W.
-        G *= scale[:, None]
+        G *= row_scale
         G += np.multiply(config.lam, W, out=W_eps)
         if record is not None:
             record[t] = W[0]

@@ -110,6 +110,38 @@ def _plain_retrain(spec, ds, removed, cfg):
     return w
 
 
+def _plain_replayed_steps(base, n, S, config):
+    """The replay as one Generator.choice call per resampled slot, looping
+    over the steps that hold a removed point and over their slots."""
+    is_removed = np.zeros(n, dtype=bool)
+    is_removed[S] = True
+    T, b = base.shape
+    if b == n:
+        return np.broadcast_to(np.flatnonzero(~is_removed), (T, n - S.size))
+    rng = np.random.default_rng([config.seed & 0xFFFFFFFF, *S.tolist(), 0x10E])
+    hit = is_removed[base]
+    steps = base.copy() if b <= n - S.size else np.empty((T, n - S.size), dtype=np.int64)
+    for t in np.flatnonzero(hit.any(axis=1)):
+        batch, free = base[t].copy(), ~is_removed
+        free[batch] = False
+        for slot in np.flatnonzero(hit[t]):
+            candidates = np.flatnonzero(free)
+            if not candidates.size:  # this slot and the later ones are dropped
+                break
+            batch[slot] = rng.choice(candidates)
+            free[batch[slot]] = False
+        steps[t] = np.sort(batch[~is_removed[batch]])
+    return steps
+
+
+def _assert_replays_equal(n, sets, cfg):
+    base = cfg.schedule(n)
+    for S in sets:
+        S = np.sort(np.asarray(S, dtype=np.int64))
+        got, ref = oracle._replayed_steps(base, n, S, cfg), _plain_replayed_steps(base, n, S, cfg)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), S.tolist()
+
+
 def _problem(kind, seed=0, n=24):
     spec = SPECS[kind]
     return spec, make_blobs(n, spec.input_dim, spec.num_classes, 2.0, seed=seed)
@@ -131,6 +163,29 @@ def _assert_rows_equal(spec, ds, sets, cfg):
     for row, S in zip(W, sets):
         assert np.array_equal(row, loo_retrain(spec, ds, S, cfg))
         assert np.array_equal(row, _plain_retrain(spec, ds, S, cfg))
+
+
+@pytest.mark.parametrize("n,b,steps", [(80, 16, 300), (400, 32, 300), (80, 16, 3)])
+def test_replay_matches_plain_loop_for_every_leave_one_out_set(n, b, steps):
+    # The nonconvex-mlp-solve and minibatch-mlp-oracle benchmark shapes, and
+    # a short run that never draws most points; the empty set replays the run.
+    cfg = SAMConfig(batch_size=b, steps=steps, seed=17)
+    _assert_replays_equal(n, [[]] + [[k] for k in range(n)], cfg)
+
+
+@pytest.mark.parametrize("b,epoch_shuffled,seed", [
+    (6, False, 5), (16, False, 5), (23, False, 6), (5, True, 7), (16, True, 8),
+    (6, False, 2**32 + 5), (16, False, 2**40 + 3),
+])
+def test_replay_matches_plain_loop_for_sets_of_every_size(b, epoch_shuffled, seed):
+    # Sizes 2..n-1 cover b <= n-|S| (each removed slot resampled) and
+    # b > n-|S| (candidates run out mid-step and the later slots are
+    # dropped); a seed of 2**32 or more enters the stream as its low 32 bits.
+    n = 24
+    cfg = SAMConfig(batch_size=b, steps=40, seed=seed, epoch_shuffled=epoch_shuffled)
+    rng = np.random.default_rng(seed)
+    sets = [rng.choice(n, size=k, replace=False) for k in range(2, n) for _ in range(3)]
+    _assert_replays_equal(n, sets, cfg)
 
 
 def test_worst_perturbation_rows_are_independent():

@@ -98,6 +98,21 @@ class TestExitCodes:
         assert main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err == "config error: unknown activation 'sigmoid'\n"
 
+    @pytest.mark.parametrize("model", ["logistic", "mlp"])
+    @pytest.mark.parametrize("hidden", ["0", "8,-1"])
+    def test_hidden_size_below_one_is_config_error(self, tmp_path, capsys, monkeypatch, model,
+                                                   hidden):
+        # Refused before ingest, as an unknown activation is, for either model kind.
+        def no_ingest(*args):
+            raise AssertionError("ingested before the config was checked")
+
+        monkeypatch.setattr(datasets, "ingest", no_ingest)
+        cfg = write_config(tmp_path, model=model, hidden=hidden)
+        assert main(["train", "--config", cfg]) == 2
+        sizes = tuple(int(h) for h in hidden.split(","))
+        expected = f"config error: hidden layer sizes must be >= 1, got {sizes}\n"
+        assert capsys.readouterr().err == expected
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         # NumPy's seeding would raise a bare ValueError (exit 1, a traceback).
         assert main(["train", "--config", write_config(tmp_path), "--seed", "-1"]) == 2

@@ -156,6 +156,23 @@ class TestWorstPerturbation:
             worst_perturbation(np.zeros((3, 7)), 0.4, 1.0)
         assert np.all(worst_perturbation(np.zeros((3, 7)), 0.0, 1.0) == 0.0)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.07])
+    def test_out_takes_the_same_bits(self, p, rho):
+        # Written over a NaN-filled buffer, which it returns; rho = 0 writes +0.0.
+        G = np.random.default_rng(4).standard_normal((3, 9))
+        G[1] = 0.0
+        out = np.full_like(G, np.nan)
+        assert worst_perturbation(G, rho, p, out=out) is out
+        assert out.tobytes() == worst_perturbation(G, rho, p).tobytes()
+        assert not np.signbit(out[1]).any()
+
+    @pytest.mark.parametrize("out", [np.empty((9, 3)).T, np.empty((3, 9), np.float32),
+                                     np.empty(27)])
+    def test_out_of_another_layout_is_refused(self, out):
+        with pytest.raises(InvalidInputError, match="out must be"):
+            worst_perturbation(np.ones((3, 9)), 0.1, 2.0, out=out)
+
     def test_maximizes_linear_ascent(self):
         # Among random directions on the rho-ball, the closed form attains
         # the largest inner product with the gradient.
