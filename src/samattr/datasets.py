@@ -6,6 +6,7 @@ noise-detection experiments.
 from __future__ import annotations
 
 import csv
+import math
 import re
 import struct
 
@@ -66,8 +67,10 @@ def make_blobs(n: int, d: int, C: int, sep: float, seed: int) -> Dataset:
 
 
 def load_csv(path: str, label_column: str = "label") -> Dataset:
-    """CSV with a header row; one named label column, the rest numeric
-    features. All rows arrive tagged train; use split_dataset after."""
+    """CSV with a header row; one named label column of nonnegative
+    integers, the rest finite numeric features; a cell that is neither is
+    a FormatError naming its row and column. All rows arrive tagged train;
+    use split_dataset after."""
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
@@ -88,6 +91,10 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
                 raise FormatError(
                     f"{path}: row {row_no}, column {label_column!r}: non-integer label {row[label_idx]!r}"
                 ) from None
+            if labels[-1] < 0:
+                raise FormatError(
+                    f"{path}: row {row_no}, column {label_column!r}: negative label {row[label_idx]!r}"
+                )
             vals = []
             for i in feat_cols:
                 try:
@@ -96,6 +103,10 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
                     raise FormatError(
                         f"{path}: row {row_no}, column {header[i]!r}: non-numeric cell {row[i]!r}"
                     ) from None
+                if not math.isfinite(vals[-1]):
+                    raise FormatError(
+                        f"{path}: row {row_no}, column {header[i]!r}: non-finite cell {row[i]!r}"
+                    )
             feats.append(vals)
     if not feats:
         raise FormatError(f"{path}: CSV has a header but no data rows")

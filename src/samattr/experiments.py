@@ -260,16 +260,16 @@ def _removal_sizes(fractions, n: int) -> list[int]:
 
 def _removal_accuracies(
     cfg: ExperimentConfig, spec: mod.ModelSpec, ds: mod.Dataset, sam: SAMConfig,
-    order: Array, salt: int, test: tuple[Array, Array],
+    order: Array, sizes: list[int], salt: int, test: tuple[Array, Array],
 ) -> tuple[Array, Array, Array, float]:
-    """Per removal fraction f: accuracy on the checked test rows after retraining without
-    the first round(f*n) points of order and without a seeded random set of the same size,
-    in one sweep and one _evaluate; the first sets' retrained rows; the sweep's wall time.
-    A fraction that removes nothing retrains on the empty set: the trained model, bit for bit."""
+    """Per removal size m (_removal_sizes'): accuracy on the checked test rows after
+    retraining without the first m points of order and without a seeded random set of the
+    same size, in one sweep and one _evaluate; the first sets' retrained rows; the sweep's
+    wall time. A size of 0 retrains on the empty set: the trained model, bit for bit."""
     start = time.perf_counter()
     n = order.size
     sets = []
-    for fi, m in enumerate(_removal_sizes(cfg.removal_fractions, n)):
+    for fi, m in enumerate(sizes):
         rand = np.random.default_rng([cfg.seed, salt, fi]).choice(n, size=m, replace=False)
         sets += [order[:m], rand]
     retrained = oracle.loo_retrain_many(spec, ds, sets, sam)
@@ -326,7 +326,7 @@ def cmd_valuate(cfg: ExperimentConfig) -> Report:
     order = rank_descending(_val_scores(cfg, spec, ds, sam, params, traj, val))
     fractions = list(cfg.removal_fractions)
     acc_retrain, acc_random, retrained, wall = _removal_accuracies(
-        cfg, spec, ds, sam, order, 0x7A, test)
+        cfg, spec, ds, sam, order, sizes, 0x7A, test)
     edited = params - _estimate(cfg, spec, ds, sam, params, traj, [order[:m] for m in sizes])
     accs = mod._evaluate(spec, np.vstack([params, edited]), *test)[1]  # baseline first
     report = Report("valuate", cfg.digest())
@@ -350,7 +350,7 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
     val = mod._split_rows(spec, ds, "val")  # both read below; checked before training
     test = mod._split_rows(spec, ds, "test")  # flip_labels leaves these rows as they are
     n = ds.indices("train").size
-    _removal_sizes(cfg.removal_fractions, n)
+    sizes = _removal_sizes(cfg.removal_fractions, n)
     noisy, flipped = datasets.flip_labels(ds, cfg.flip_fraction, cfg.seed)  # train labels only
     if flipped.size == 0:
         raise ConfigError(f"flip_fraction {cfg.flip_fraction} flips no label of {n} train points")
@@ -358,22 +358,18 @@ def cmd_detect_noise(cfg: ExperimentConfig) -> Report:
     scores = _val_scores(cfg, spec, noisy, sam, params, traj, val)
     order = rank_ascending(scores)  # most harmful (most negative) first
     random_order = np.random.default_rng([cfg.seed, 0x4E]).permutation(n)
-    flipped_set = set(flipped.tolist())
+    inspected = np.ceil(np.array(_RECALL_GRID) * n).astype(np.int64)  # >= 1 per grid point
 
     def recall_curve(ranking):
-        out = []
-        for q in _RECALL_GRID:
-            inspected = ranking[: int(np.ceil(q * n))]
-            hits = sum(1 for i in inspected if int(i) in flipped_set)
-            out.append(hits / len(flipped_set))
-        return out
+        return np.cumsum(np.isin(ranking, flipped))[inspected - 1] / flipped.size
 
     report = Report("detect_noise", cfg.digest())
     report.add("recall_is", _RECALL_GRID, recall_curve(order))
     report.add("recall_random", _RECALL_GRID, recall_curve(random_order))
 
     fractions = list(cfg.removal_fractions)
-    acc_is, acc_random, _, wall = _removal_accuracies(cfg, spec, noisy, sam, order, 0x4F, test)
+    acc_is, acc_random, _, wall = _removal_accuracies(cfg, spec, noisy, sam, order, sizes, 0x4F,
+                                                      test)
     report.add("acc_removed_is", fractions, acc_is, [wall])
     report.add("acc_removed_random", fractions, acc_random)
     return report

@@ -59,7 +59,6 @@ sum of its points'.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,26 +119,6 @@ class NeumannConfig:
         if not (0.0 <= self.damp < math.inf and self.zeta > 0.0):
             raise InvalidInputError(f"need a finite damp >= 0 and zeta > 0, got damp "
                                     f"{self.damp}, zeta {self.zeta}")
-
-
-@dataclass(frozen=True)
-class InfluenceRequest:
-    k: int
-    estimator: str = "if_fast"
-    delta: float = -1.0  # up-weight factor; -1 models removal
-
-    def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
-            raise InvalidInputError(f"unknown estimator {self.estimator!r}")
-
-
-@dataclass
-class InfluenceRecord:
-    k: int
-    estimator: str
-    influence: Array
-    score: float
-    wall_time: float
 
 
 def _auto_alpha(apply_A: LinearOperator, dim: int, iters: int = 20) -> float:
@@ -409,13 +388,11 @@ def _block_solve(apply_A: LinearOperator, rhs: Array, ncfg: NeumannConfig) -> Ar
 def _removal_sets(n: int, ks, who: str) -> tuple[Array, LinearOperator]:
     """The removal sets ks, checked as loo_retrain_many checks its sets: their points, sorted
     and distinct, and the map from the points' rows to each set's sum (for one-point sets,
-    each set's row: the identity when ks is already sorted and distinct, as every command's is)."""
+    each set's row, gathered)."""
     if all(isinstance(k, (int, np.integer)) for k in ks):
         points, inverse = np.unique(np.asarray(ks, dtype=np.int64), return_inverse=True)
         for k in points[[0, -1]] if points.size else ():  # every one-point set passes if these do
             _removal_set(n, k, who)
-        if np.array_equal(points, ks):
-            return points, lambda rows: rows
         return points, lambda rows: rows[inverse]
     sets = [_removal_set(n, S, who) for S in ks]
     points = np.unique(np.concatenate(sets))
@@ -758,32 +735,13 @@ def influence_score(
 
 
 def compute_influence(
-    request: InfluenceRequest,
-    spec: mod.ModelSpec,
-    dataset: mod.Dataset,
-    params: Array,
-    rho: float,
-    p: float,
-    lam: float,
-    ncfg: NeumannConfig,
-    trajectory: Trajectory | None = None,
+    estimator: str, spec: mod.ModelSpec, dataset: mod.Dataset, params: Array, rho: float,
+    p: float, lam: float, k: int, ncfg: NeumannConfig, trajectory: Trajectory | None = None,
     gif_mode: str = "sgd",
-    val_indices=None,
-) -> InfluenceRecord:
-    """Run one estimator for one training point and score it against the
-    validation split (or explicit validation rows)."""
-    start = time.perf_counter()
-    base = influence_vectors(request.estimator, spec, dataset, params, rho, p, lam, ncfg,
-                             [request.k], trajectory, gif_mode)[0]
-    # delta scales the up-weighting; removal (delta=-1) is the identity here.
-    ifvec = (-request.delta) * base
-    if val_indices is None:
-        val_indices = dataset.indices("val")
-    score = influence_score(spec, params, dataset, val_indices, ifvec)
-    return InfluenceRecord(
-        k=request.k,
-        estimator=request.estimator,
-        influence=ifvec,
-        score=score,
-        wall_time=time.perf_counter() - start,
-    )
+) -> tuple[Array, float]:
+    """One estimator for one training point k: its influence vector,
+    influence_vectors' one-row case, and that vector's influence_score
+    over the validation split."""
+    ifvec = influence_vectors(estimator, spec, dataset, params, rho, p, lam, ncfg, [k],
+                              trajectory, gif_mode)[0]
+    return ifvec, influence_score(spec, params, dataset, dataset.indices("val"), ifvec)

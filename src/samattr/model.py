@@ -295,13 +295,6 @@ def _backprop(spec: ModelSpec, layers, acts: list[Array], logp: Array, label: Ar
     return deltas, s, phi1
 
 
-def example_loss(spec: ModelSpec, params: Array, example: tuple[Array, int]) -> float:
-    """Softmax cross-entropy of one example."""
-    x, y = example
-    X, yv = _check_examples(spec, x, np.asarray([y]))
-    return float(_loss_pass(spec, _unpack(spec, params), X, yv)[3].sum())
-
-
 def stacked_loss_factors(
     spec: ModelSpec, W: Array, X: Array, y: Array
 ) -> tuple[Array, list[tuple[Array, Array]]]:

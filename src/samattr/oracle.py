@@ -377,12 +377,7 @@ def calibrate_estimator(
         raise InvalidInputError(f"sample_size must lie in 1..{n}, got {sample_size}")
     X_val, y_val = mod._split_rows(spec, dataset, "val")  # checked before the sweep, once
     ncfg = ncfg or NeumannConfig()
-    if sample_size == n:
-        sample = np.arange(n)
-    else:
-        sample = np.sort(
-            np.random.default_rng(config.seed).choice(n, size=sample_size, replace=False)
-        )
+    sample = np.sort(np.random.default_rng(config.seed).choice(n, size=sample_size, replace=False))
     base = config.schedule(n)
     recorded = np.empty((config.steps + 1, spec.param_count))
     swept = _retrain_sweep(spec, X, y, base, [[], *sample], config, recorded)

@@ -626,7 +626,9 @@ def test_removal_fractions_retrain_ranked_and_random_together(monkeypatch):
     ecfg = experiments.ExperimentConfig(removal_fractions=(0.0, 0.25, 0.5), seed=6)
     order = np.arange(ds.indices("train").size)[::-1]
     test = mod._split_rows(spec, ds, "test")
-    ranked, rand, _, _ = experiments._removal_accuracies(ecfg, spec, ds, cfg, order, 0x7A, test)
+    sizes = experiments._removal_sizes(ecfg.removal_fractions, order.size)
+    ranked, rand, _, _ = experiments._removal_accuracies(ecfg, spec, ds, cfg, order, sizes, 0x7A,
+                                                         test)
     assert calls == [[0, 0, 6, 6, 12, 12]]
     assert ranked[1] == mod.accuracy(spec, _plain_retrain(spec, ds, order[:6], cfg), ds, "test")
 

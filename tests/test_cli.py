@@ -87,6 +87,18 @@ class TestExitCodes:
         assert main(["train", "--config", write_config(tmp_path, dataset=f"idx:{img},{lbl}")]) == 4
         assert capsys.readouterr().err == f"I/O error: {img}: IDX pair has no items\n"
 
+    @pytest.mark.parametrize("rows, where", [
+        ("1.0,2.0,0\nnan,1.0,1\n", "row 3, column 'a': non-finite cell 'nan'"),
+        ("1.0,2.0,0\n1.0,inf,1\n", "row 3, column 'b': non-finite cell 'inf'"),
+        ("1.0,2.0,-1\n1.0,1.0,1\n", "row 2, column 'label': negative label '-1'"),
+    ])
+    def test_bad_csv_cell_is_format_error(self, tmp_path, capsys, rows, where):
+        # Exit 4 naming the file and the cell, as a non-numeric cell does.
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,label\n" + rows)
+        assert main(["train", "--config", write_config(tmp_path, dataset=f"csv:{path}")]) == 4
+        assert capsys.readouterr().err == f"I/O error: {path}: {where}\n"
+
     @pytest.mark.parametrize("model", ["logistic", "mlp"])
     def test_unknown_activation_is_config_error(self, tmp_path, capsys, monkeypatch, model):
         # Refused before ingest, whether or not the model has hidden layers.

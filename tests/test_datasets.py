@@ -97,6 +97,19 @@ class TestCSV:
         with pytest.raises(FormatError, match="'a'"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,b,label\n1.0,2.0,0\n3.0,{cell},1\n")
+        with pytest.raises(FormatError, match=f"data.csv: row 3, column 'b': non-finite cell '{cell}'"):
+            load_csv(str(path))
+
+    def test_negative_label_reports_row_and_column(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,label\n1.0,0\n2.0,1\n3.0,-2\n")
+        with pytest.raises(FormatError, match="data.csv: row 4, column 'label': negative label '-2'"):
+            load_csv(str(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("")

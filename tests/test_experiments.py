@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from samattr import experiments, oracle
+from samattr import datasets, experiments, oracle
 from samattr.cli import main
 from samattr.errors import ConfigError, InvalidInputError
 from samattr.experiments import (
@@ -247,6 +247,15 @@ class TestDrivers:
         assert all(b >= a for a, b in zip(recall.y, recall.y[1:]))
         assert recall.y[-1] == 1.0
         assert by_metric["recall_random"].y[-1] == 1.0
+        # The per-grid-point loop the curve's cumulative sum replaced, over
+        # the same seeded random ranking, gives the same values.
+        _, ds, _ = setup(cfg)
+        n = ds.indices("train").size
+        flipped = set(datasets.flip_labels(ds, cfg.flip_fraction, cfg.seed)[1].tolist())
+        ranking = np.random.default_rng([cfg.seed, 0x4E]).permutation(n)
+        expected = [sum(1 for i in ranking[: int(np.ceil(q * n))] if int(i) in flipped) / len(flipped)
+                    for q in recall.x]
+        assert by_metric["recall_random"].y == expected
 
     def test_detect_noise_requires_flips(self):
         with pytest.raises(ConfigError):

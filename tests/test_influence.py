@@ -5,7 +5,6 @@ from samattr import influence, model as mod
 from samattr.datasets import make_blobs
 from samattr.errors import DivergenceError, InvalidInputError
 from samattr.influence import (
-    InfluenceRequest,
     NeumannConfig,
     compute_influence,
     eps_jacobian_vec,
@@ -357,38 +356,28 @@ class TestScoreAndEdit:
 
 
 class TestComputeInfluence:
-    def test_request_validates_estimator(self):
-        with pytest.raises(InvalidInputError):
-            InfluenceRequest(k=0, estimator="nope")
-
-    def test_removal_record(self, convex_setup):
-        spec, ds, cfg, params, traj = convex_setup
-        ncfg = NeumannConfig(order=3000, zeta=1e-12)
-        rec = compute_influence(
-            InfluenceRequest(k=1, estimator="if_fast"),
-            spec, ds, params, cfg.rho, cfg.p, cfg.lam, ncfg,
-        )
-        assert rec.k == 1 and rec.estimator == "if_fast"
-        assert rec.influence.shape == (spec.param_count,)
-        assert np.isfinite(rec.score) and rec.wall_time >= 0.0
-
-    def test_delta_scales_output(self, convex_setup):
+    def test_unknown_estimator_is_refused(self, convex_setup):
         spec, ds, cfg, params, _ = convex_setup
-        ncfg = NeumannConfig(order=3000, zeta=1e-12)
-        rm = compute_influence(
-            InfluenceRequest(k=1, estimator="if_fast", delta=-1.0),
-            spec, ds, params, cfg.rho, cfg.p, cfg.lam, ncfg,
-        )
-        up = compute_influence(
-            InfluenceRequest(k=1, estimator="if_fast", delta=0.5),
-            spec, ds, params, cfg.rho, cfg.p, cfg.lam, ncfg,
-        )
-        np.testing.assert_allclose(up.influence, -0.5 * rm.influence, rtol=1e-12)
+        with pytest.raises(InvalidInputError, match="unknown estimator 'nope'"):
+            compute_influence("nope", spec, ds, params, cfg.rho, cfg.p, cfg.lam, 0,
+                              NeumannConfig())
+
+    @pytest.mark.parametrize("estimator", ["if_fast", "hif", "gif"])
+    def test_is_the_one_row_case(self, convex_setup, estimator):
+        # The vector is influence_vectors' row for [k] and the score is
+        # influence_score's over the val split, both bit for bit.
+        spec, ds, cfg, params, traj = convex_setup
+        ncfg = NeumannConfig(order=3000)
+        ifvec, score = compute_influence(estimator, spec, ds, params, cfg.rho, cfg.p, cfg.lam, 1,
+                                         ncfg, traj)
+        row = influence_vectors(estimator, spec, ds, params, cfg.rho, cfg.p, cfg.lam, ncfg, [1],
+                                traj, "sgd")[0]
+        assert np.array_equal(ifvec, row)
+        assert score == influence_score(spec, params, ds, ds.indices("val"), row)
+        assert np.isfinite(score)
 
     def test_gif_requires_trajectory(self, convex_setup):
         spec, ds, cfg, params, _ = convex_setup
         with pytest.raises(InvalidInputError):
-            compute_influence(
-                InfluenceRequest(k=0, estimator="gif"),
-                spec, ds, params, cfg.rho, cfg.p, cfg.lam, NeumannConfig(),
-            )
+            compute_influence("gif", spec, ds, params, cfg.rho, cfg.p, cfg.lam, 0,
+                              NeumannConfig())

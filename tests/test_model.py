@@ -128,14 +128,6 @@ class TestLossGrad:
         assert loss == pytest.approx(loss_sum, rel=1e-12)
         np.testing.assert_allclose(g, g_sum, rtol=1e-12, atol=1e-14)
 
-    def test_example_loss_matches_subset(self):
-        spec = ModelSpec(kind="logistic", layer_sizes=(3, 3))
-        ds = tiny_dataset()
-        params = mod.init_params(spec, seed=4)
-        l1 = mod.example_loss(spec, params, (ds.features[2], int(ds.labels[2])))
-        l2, _ = mod.subset_loss_grad(spec, params, ds, 2, 1.0)
-        assert l1 == pytest.approx(l2, rel=1e-14)
-
     def test_label_out_of_range(self):
         spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
         ds = tiny_dataset(C=3)  # labels up to 2, model only has 2 outputs

@@ -9,7 +9,6 @@ from samattr import model as mod
 from samattr.datasets import make_blobs
 from samattr.experiments import ExperimentConfig, score_all
 from samattr.influence import (
-    InfluenceRequest,
     NeumannConfig,
     compute_influence,
     sam_gif,
@@ -45,12 +44,9 @@ def test_score_all_matches_per_point_estimators(trained, estimator):
     n = ds.indices("train").size
     assert np.array_equal(ifvecs, np.stack([per_point(k) for k in range(n)]))
     for k in (0, n // 2, n - 1):
-        rec = compute_influence(
-            InfluenceRequest(k=k, estimator=estimator),
-            spec, ds, params, sam.rho, sam.p, sam.lam, ncfg,
-            trajectory=traj, gif_mode=cfg.gif_mode,
-        )
-        assert np.array_equal(rec.influence, ifvecs[k])
+        ifvec, _ = compute_influence(estimator, spec, ds, params, sam.rho, sam.p, sam.lam, k, ncfg,
+                                     trajectory=traj, gif_mode=cfg.gif_mode)
+        assert np.array_equal(ifvec, ifvecs[k])
 
 
 @pytest.mark.parametrize("estimator", ["if_fast", "hif"])
