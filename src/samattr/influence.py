@@ -46,10 +46,10 @@ one block application per iteration. The perturbation's Jacobian
 is the closed form (d eps / d g) H for every p, symmetric in its gradient
 factor, which is what makes A^T as cheap as A. The trajectory estimator
 replays the recorded steps once (_gif_replay), in blocks of consecutive
-steps of at most GIF_BLOCK_FLOATS factor floats: per block, one stacked
-gradient call gives every step's perturbation and one factor call at the
-perturbed weights gives every per-example gradient as (delta, a) factors.
-For vectors, one batched matmul per layer adds them into the scored
+steps of at most GIF_BLOCK_FLOATS factor floats: per block, one factor
+call at the recorded perturbed points w_t + eps_t gives every per-example
+gradient as (delta, a) factors, with no perturbation recomputed. For
+vectors, one batched matmul per layer adds them into the scored
 points' rows. For scores, two matmuls per layer project every row onto
 the queries (delta^T Q a + delta . q_b), and each scored point's products
 add into its scores, a TracIn-style sum. A set's vector or scores are the
@@ -67,7 +67,8 @@ import numpy as np
 from . import model as mod
 from .errors import DivergenceError, InvalidInputError
 from .numcore import _removal_set, dual_exponent
-from .samtrain import Trajectory, _sam_point, worst_perturbation
+from .samtrain import Trajectory, _sam_point
+from .samtrain import worst_perturbation  # noqa: F401  re-exported; bench/ traces it here
 
 Array = np.ndarray
 LinearOperator = Callable[[Array], Array]
@@ -508,13 +509,12 @@ def sam_gif(
     mode: str = "sgd",
 ) -> Array:
     """Trajectory estimator: IF(k) = -sum_t w_t * [k in batch t] * grad_k
-    at the perturbed params[t], with w_t the recorded per-example
-    coefficient weights[t]. gd mode drops the batch-membership gate.
+    at params[t], the perturbed point the trainer took update t's gradient
+    at, with w_t the recorded per-example coefficient weights[t]. gd mode
+    drops the batch-membership gate.
 
-    The perturbation at each step is recomputed from that step's batch
-    gradient, matching what the trainer actually applied. One call
-    replays the whole trajectory; for many points, influence_vectors or
-    influence_scores replays it once for all of them.
+    One call replays the whole trajectory; for many points,
+    influence_vectors or influence_scores replays it once for all of them.
     """
     ks = _removal_set(trajectory.n_train, k, "sam_gif")
     return _gif_vectors(trajectory, spec, *mod._split_rows(spec, dataset, "train"), ks, mode)[0]
@@ -528,15 +528,14 @@ def _gif_replay(
     its callers check, over the train split's checked rows X_train, y_train,
     with no per-step kernel call. The T steps are cut into windows of C
     consecutive steps, the same whatever points is, and the steps of a window
-    that score a point make one block of two calls: stacked_loss_grad over
-    their parameter rows and batches, whose gradients give every
-    perturbation in one worst_perturbation call, and stacked_loss_factors at
-    the perturbed rows over a fixed-shape input, the step's batch in sgd
-    mode and the whole train split in gd mode. C keeps a block's factors
-    within GIF_BLOCK_FLOATS. add_block(first, sel, factors, hits) takes each
-    block: its window's first step, its steps, their factors, and hits[c, j],
-    the row of points that input row j of step sel[c] is, or -1. A batch
-    entry outside 0..n_train-1 is rejected before any replay work."""
+    that score a point make one block: one stacked_loss_factors call at
+    their recorded perturbed points over a fixed-shape input, the step's
+    batch in sgd mode and the whole train split in gd mode. C keeps a
+    block's factors within GIF_BLOCK_FLOATS. add_block(first, sel, factors,
+    hits) takes each block: its window's first step, its steps, their
+    factors, and hits[c, j], the row of points that input row j of step
+    sel[c] is, or -1. A batch entry outside 0..n_train-1 is rejected before
+    any replay work."""
     if mode not in GIF_MODES:
         raise InvalidInputError(f"unknown gif mode {mode!r}")
     if trajectory.param_count != spec.param_count:
@@ -561,12 +560,9 @@ def _gif_replay(
         sel = first + np.flatnonzero(live[first : first + C])
         if sel.size == 0:
             continue
-        W = trajectory.params[sel]  # a gathered copy: the perturbation is added in place
-        batch, rows_in = batches[sel], scored[sel]
-        _, G = mod.stacked_loss_grad(spec, W, np.take(X_train, batch, axis=0), y_train[batch])
-        W += worst_perturbation((1.0 / batch.shape[1]) * G, trajectory.rho, trajectory.p)
-        factors = mod.stacked_loss_factors(
-            spec, W, np.take(X_train, rows_in, axis=0), y_train[rows_in])[1]
+        rows_in = scored[sel]
+        factors = mod.stacked_loss_factors(spec, trajectory.params[sel],
+                                           np.take(X_train, rows_in, axis=0), y_train[rows_in])[1]
         add_block(first, sel, factors, slot[rows_in])
         del factors  # held no longer than its block
 

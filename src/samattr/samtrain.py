@@ -9,11 +9,13 @@ the standard practical algorithm. L2 regularization applies only to the
 outer descent gradient. The one step loop trains R replicas at once as an
 (R, P) block; a single run is its R = 1 case.
 
-A run is recorded as step-indexed arrays: the parameters *before* each
-update and the final ones, each update's batch and learning rate, and the
-run's rho and p: all that the trajectory estimator needs, so a Trajectory
-is never built without them. The per-example coefficient eta_t / b follows
-from them. A trajectory file is one header and the same three arrays.
+A run is recorded as step-indexed arrays: the perturbed point w_t + eps_t
+each update took its gradient at, then the final weights, each update's
+batch and learning rate, and the run's rho and p. The trajectory
+estimator differentiates at the recorded points as they are, so it
+recomputes no perturbation. The per-example coefficient eta_t / b
+follows from them. A trajectory file is one header and the same three
+arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ from .numcore import dual_exponent, p_norm, sample_batches
 Array = np.ndarray
 
 TRAJ_MAGIC = b"SAMT"
-TRAJ_VERSION = 3  # the only version read; versions 1 and 2 hold per-step records
+# The only version read. Versions 1 and 2 hold per-step records, and
+# version 3 the same arrays as 4 with params[t] the weights before update t,
+# not the perturbed point: read as version 4 it would give wrong gif answers.
+TRAJ_VERSION = 4
 # Magic, version, 2 pad bytes (so the arrays start 8-byte aligned), P,
 # n_train, T, b, the config digest, rho and p.
 _TRAJ_HEADER = struct.Struct("<4sH2xQQQQ32sdd")
@@ -99,16 +104,18 @@ class SAMConfig:
 
 @dataclass
 class Trajectory:
-    """A recorded SAM run of T updates with batch size b >= 1. Each step's
-    batch lists distinct train-split positions 0..n_train-1, and
-    config_digest is 32 bytes (SAMConfig.digest)."""
+    """A recorded SAM run of T updates with batch size b >= 1. Row t of
+    params is the perturbed point w_t + eps_t update t took its gradient
+    at. Each step's batch lists distinct train-split positions
+    0..n_train-1, and config_digest is 32 bytes (SAMConfig.digest)."""
 
-    params: Array  # (T+1, P) float64: row t the parameters before update t, row T the final ones
+    params: Array  # (T+1, P) float64: row t update t's w_t + eps_t, row T the final weights
     batches: Array  # (T, b) int64: update t's train-split positions
     etas: Array  # (T,) float64: learning rate of update t
     n_train: int
-    # The run's SAM settings, checked as SAMConfig checks them: gif
-    # recomputes each step's perturbation from them.
+    # The run's SAM settings, checked as SAMConfig checks them. They
+    # describe the run; gif recomputes nothing from them, since params
+    # already holds each step's perturbed point.
     rho: float
     p: float
     config_digest: bytes = b"\x00" * 32
@@ -165,9 +172,12 @@ def worst_perturbation(grad: Array, rho: float, p: float, out: Array | None = No
     epsilon = rho * sign(g) * |g|^(q-1) / (||g||_q^q)^(1/p) with the dual
     exponent q. grad is one gradient (P,) or a stack of rows (R, P), each
     perturbed on its own ball. rho = 0 gives zeros; so does a zero gradient
-    row, which divides by 1 wherever the formula would divide by 0. out, if
-    given, is a C-contiguous float64 array of grad's shape that takes
-    epsilon and is returned; at p = 2 nothing of grad's size is allocated.
+    row, which divides by 1 wherever the formula would divide by 0. At
+    p = 2 a row whose norm falls outside [1e-150, 1e150] is measured
+    rescaled by its largest entry, so neither underflow nor overflow moves
+    it off the ball. out, if given, is a C-contiguous float64 array of
+    grad's shape that takes epsilon and is returned; at p = 2 nothing of
+    grad's size is allocated.
     """
     g = np.asarray(grad, dtype=np.float64)
     if rho < 0.0:
@@ -177,7 +187,18 @@ def worst_perturbation(grad: Array, rho: float, p: float, out: Array | None = No
         raise InvalidInputError("worst_perturbation: out must be a C-contiguous float64 array "
                                 "of the gradient's shape")
     G = g.reshape(-1, g.shape[-1])
-    if not np.isfinite(G).all():
+    if p != 2.0:
+        finite = np.isfinite(G).all()
+    else:
+        # Per-row dot products through matmul, bit for bit np.dot(g, g). A
+        # non-finite entry makes its row's norm non-finite (NaN fails both
+        # bounds), so only the odd rows, whose norm falls outside
+        # [1e-150, 1e150], need the entry check.
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0]
+        odd = [r for r, v in enumerate(norm.ravel().tolist()) if not 1e-150 <= v <= 1e150]
+        finite = not odd or np.isfinite(G[odd]).all()
+    if not finite:
         raise InvalidInputError("worst_perturbation: gradient has non-finite entries")
     eps = np.empty(g.shape) if out is None else out
     E = eps.reshape(G.shape)  # a view: eps is C-contiguous
@@ -185,9 +206,8 @@ def worst_perturbation(grad: Array, rho: float, p: float, out: Array | None = No
         E.fill(0.0)
         return eps
     if p == 2.0:
-        # Per-row dot products through matmul, bit for bit np.dot(g, g).
-        norm = np.sqrt(G[:, None, :] @ G[:, :, None])[:, 0]
-        norm[norm == 0.0] = 1.0
+        for i in odd:  # p_norm rescales by the row max, so it neither underflows nor overflows
+            norm[i] = p_norm(G[i], 2.0) or 1.0  # a zero row divides by 1
         np.multiply(rho, G, out=E)
         E /= norm
     else:
@@ -221,8 +241,9 @@ def train_sam_many(
     config's seeded init_params; replica r weights its batch-mean data
     loss by loss_scales[r] and is named labels[r] if it diverges. Every
     replica row is bitwise what a run of its own would give. record, if
-    given, is a (T+1, P) array filled with replica 0's run: row t its
-    parameters before update t, row T its final ones.
+    given, is a (T+1, P) array filled with replica 0's run: row t the
+    perturbed point w_t + eps_t update t took its gradient at, row T its
+    final weights.
 
     The steps run on arrays made for this call's (R, b) shape (the batch,
     a model._Workspace and W + eps, which worst_perturbation writes eps
@@ -267,12 +288,12 @@ def train_sam_many(
             raise DivergenceError(f"{labels[r]} diverged at step {t} (batch loss {float(loss[r])})")
         worst_perturbation(G, config.rho, config.p, out=W_eps)
         W_eps += W  # eps + W, the same IEEE sum as W + eps
+        if record is not None:
+            record[t] = W_eps[0]
         gradient(layers_eps, False)
         # G_sam = scale * G_pert + lam * W; W -= eta * G_sam, with W_eps free for lam * W.
         G *= row_scale
         G += np.multiply(config.lam, W, out=W_eps)
-        if record is not None:
-            record[t] = W[0]
         G *= eta
         W -= G
     bad = ~np.all(np.isfinite(W), axis=1)
@@ -332,7 +353,7 @@ def stationarity_report(
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    """Binary trajectory file, version 3: one header (_TRAJ_HEADER), then
+    """Binary trajectory file, version 4: one header (_TRAJ_HEADER), then
     etas (T,) <f8, batches (T, b) <i8 and params (T+1, P) <f8, each written
     from the buffer the Trajectory holds (no copy when it is in those
     dtypes and C-contiguous)."""
@@ -345,7 +366,7 @@ def write_trajectory(traj: Trajectory, path) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    """Load a version 3 trajectory file into one buffer, whose writable
+    """Load a version 4 trajectory file into one buffer, whose writable
     views are the Trajectory's arrays. Bad magic, any other version, a
     size other than the header's arrays need, or a rho, p or batch entry
     that Trajectory refuses is a FormatError."""

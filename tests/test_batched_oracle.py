@@ -73,8 +73,9 @@ def _plain_worst_perturbation(g, rho, p):
 
 
 def _plain_train_sam(spec, ds, cfg, schedule=None, loss_scale=1.0):
-    """One replica, one step at a time: params and (step, params, eta,
-    batch, weight) per recorded step."""
+    """One replica, one step at a time: params and (step, w + eps, eta,
+    batch, weight) per recorded step, w + eps the perturbed point the
+    step's second gradient is taken at."""
     rows = ds.indices("train")
     if schedule is None:
         schedule = sample_batches(rows.size, cfg.batch_size, cfg.steps, cfg.seed, cfg.epoch_shuffled)
@@ -88,7 +89,7 @@ def _plain_train_sam(spec, ds, cfg, schedule=None, loss_scale=1.0):
         eps = _plain_worst_perturbation(scale * g, cfg.rho, cfg.p)
         _, g_pert = _plain_loss_grad(spec, w + eps, X, y)
         g_sam = scale * g_pert + cfg.lam * w
-        record.append((t, w.copy(), eta, batch.copy(), eta * scale))
+        record.append((t, w + eps, eta, batch.copy(), eta * scale))
         w = w - eta * g_sam
     return w, record
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from samattr import influence
+from samattr import influence, samtrain
 from samattr import model as mod
 from samattr.datasets import make_blobs
 from samattr.errors import InvalidInputError
@@ -38,19 +38,24 @@ def _gif(setup, ks, mode):
                              ks, traj, mode)
 
 
-def _plain_gif(traj, spec, ds, ks, mode):
-    """The replay one step at a time: a perturbation per step, then the
-    per-example gradients of the scored points its batch used."""
+def _plain_gif(traj, spec, ds, sam, ks, mode):
+    """The replay one step at a time, on the weights w_t of a plain SAM
+    loop over the trajectory's batches, not on its recorded rows: a
+    perturbation per step from its batch gradient, then the per-example
+    gradients at w_t + eps_t of the scored points its batch used."""
     rows = ds.indices("train")
     ks = np.asarray(ks, dtype=np.int64)
     total = np.zeros((ks.size, spec.param_count))
-    for w, batch, weight in zip(traj.params, traj.batches, traj.weights):
-        used = np.flatnonzero(np.isin(ks, batch)) if mode == "sgd" else np.arange(ks.size)
-        if used.size == 0:
-            continue
+    w = mod.init_params(spec, sam.seed)
+    for t, (batch, weight) in enumerate(zip(traj.batches, traj.weights)):
         _, g = mod.subset_loss_grad(spec, w, ds, rows[batch], 1.0 / batch.size)
-        eps = worst_perturbation(g, traj.rho, traj.p)
-        total[used] += weight * mod.example_grads(spec, w + eps, ds, rows[ks[used]])
+        w_pert = w + worst_perturbation(g, sam.rho, sam.p)
+        used = np.flatnonzero(np.isin(ks, batch)) if mode == "sgd" else np.arange(ks.size)
+        if used.size:
+            total[used] += weight * mod.example_grads(spec, w_pert, ds, rows[ks[used]])
+        _, g_pert = mod.subset_loss_grad(spec, w_pert, ds, rows[batch], 1.0 / batch.size)
+        w = w - sam.eta_at(t) * (g_pert + sam.lam * w)
+    assert np.allclose(w, traj.final_params, rtol=0.0, atol=1e-12)
     return -total
 
 
@@ -97,7 +102,7 @@ def test_stacked_replay_equals_plain_loop(spec, p, epoch_shuffled, monkeypatch):
             for ks in samples.values():
                 got = _gif((spec, ds, sam, params, traj), ks, mode)
                 assert got.shape == (ks.size, P)
-                _close_rows(got, _plain_gif(traj, spec, ds, ks, mode))
+                _close_rows(got, _plain_gif(traj, spec, ds, sam, ks, mode))
                 # A row does not depend on the other points scored with it.
                 assert np.array_equal(got, full[ks])
 
@@ -134,9 +139,10 @@ def test_factors_reduce_to_stacked_loss_grad(spec):
 
 @pytest.mark.parametrize("mode", ["sgd", "gd"])
 def test_replay_kernel_call_count(minibatch_mlp, monkeypatch, mode):
-    """A replay makes 2 kernel calls per block and no per-step ones: one
-    block per window of C steps that scores a point, so ceil(T / C) blocks
-    when every step does, for a C that does not divide T."""
+    """A replay makes 1 kernel call per block, at the recorded points, and
+    no per-step ones, no batch gradient and no perturbation: one block per
+    window of C steps that scores a point, so ceil(T / C) blocks when every
+    step does, for a C that does not divide T."""
     spec, ds, _, _, traj = minibatch_mlp
     n = ds.indices("train").size
     rows = n if mode == "gd" else 6  # the train split in gd; a batch of 6 in sgd
@@ -162,18 +168,21 @@ def test_replay_kernel_call_count(minibatch_mlp, monkeypatch, mode):
 
     monkeypatch.setattr(mod, "stacked_loss_grad", counted("grad", mod.stacked_loss_grad))
     monkeypatch.setattr(mod, "stacked_loss_factors", counted("factors", mod.stacked_loss_factors))
+    for module in (influence, samtrain):
+        monkeypatch.setattr(module, "worst_perturbation",
+                            counted("eps", samtrain.worst_perturbation))
     monkeypatch.setattr(mod, "subset_loss_grad", forbidden)
     monkeypatch.setattr(mod, "example_grads", forbidden)
     _gif(minibatch_mlp, np.arange(n), mode)
     assert traj.total_steps % C != 0
-    assert calls == ["grad", "factors"] * math.ceil(traj.total_steps / C)
+    assert calls == ["factors"] * math.ceil(traj.total_steps / C)
     # One point: in sgd only the windows holding one of its steps make a block.
     calls.clear()
     _gif(minibatch_mlp, [11], mode)
     used = np.isin(traj.batches, 11).any(axis=1) if mode == "sgd" else np.ones(len(traj.batches))
     windows = np.add.reduceat(used, np.arange(0, len(used), C)) > 0
     assert windows.sum() < len(windows) or mode == "gd"
-    assert calls == ["grad", "factors"] * int(windows.sum())
+    assert calls == ["factors"] * int(windows.sum())
 
 
 @pytest.mark.parametrize("mode", ["sgd", "gd"])
@@ -228,12 +237,12 @@ def test_sampled_points_match_full_replay(minibatch_mlp, mode):
 
 @pytest.mark.parametrize("mode", ["sgd", "gd"])
 def test_duplicate_unsorted_points_get_their_own_rows(minibatch_mlp, mode):
-    spec, ds, _, _, traj = minibatch_mlp
+    spec, ds, sam, _, traj = minibatch_mlp
     full = _gif(minibatch_mlp, range(ds.indices("train").size), mode)
     ks = np.array([11, 3, 11, 29, 3, 0, 11])
     got = _gif(minibatch_mlp, ks, mode)
     assert np.array_equal(got, full[ks])
-    _close_rows(got, _plain_gif(traj, spec, ds, ks, mode))
+    _close_rows(got, _plain_gif(traj, spec, ds, sam, ks, mode))
 
 
 def test_read_trajectory_needs_no_settings(minibatch_mlp, tmp_path):

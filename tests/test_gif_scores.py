@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from samattr import influence
+from samattr import influence, samtrain
 from samattr import model as mod
 from samattr.datasets import make_blobs
 from samattr.influence import NeumannConfig, influence_scores, influence_vectors
@@ -93,6 +93,8 @@ def test_a_points_scores_do_not_depend_on_the_other_points(trained, monkeypatch,
 
 @pytest.mark.parametrize("mode", ["sgd", "gd"])
 def test_two_kernel_calls_per_block_and_no_vectors(trained, monkeypatch, mode):
+    # One kernel call per block: the trajectory records the perturbed
+    # points, so no batch gradient and no perturbation is recomputed.
     spec, ds, _, _, traj = trained
     n = ds.indices("train").size
     rows = n if mode == "gd" else 6
@@ -117,12 +119,15 @@ def test_two_kernel_calls_per_block_and_no_vectors(trained, monkeypatch, mode):
 
     monkeypatch.setattr(mod, "stacked_loss_grad", counted("grad", mod.stacked_loss_grad))
     monkeypatch.setattr(mod, "stacked_loss_factors", counted("factors", mod.stacked_loss_factors))
+    for module in (influence, samtrain):
+        monkeypatch.setattr(module, "worst_perturbation",
+                            counted("eps", samtrain.worst_perturbation))
     for name in ("subset_loss_grad", "example_grads"):
         monkeypatch.setattr(mod, name, forbidden)
     for name in ("_add_gif_terms", "_gif_vectors"):
         monkeypatch.setattr(influence, name, forbidden)
     influence_scores(*_args(trained, range(n), mode), _queries(spec, 10))
-    assert calls == ["grad", "factors"] * -(-traj.total_steps // C)
+    assert calls == ["factors"] * -(-traj.total_steps // C)
 
 
 @pytest.mark.parametrize("mode", ["sgd", "gd"])

@@ -32,11 +32,12 @@ def _assert_same_run(a, b):
         assert x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y), name
 
 
-def _write_v3(path, traj, arrays=None):
-    """A version 3 file: traj's header, then arrays (etas, batches, params;
-    traj's own by default)."""
+def _write_v4(path, traj, arrays=None, version=4):
+    """A version 4 file: traj's header, then arrays (etas, batches, params;
+    traj's own by default). Version 3 has the same layout, with params[t]
+    the weights before update t, not the perturbed point."""
     with open(path, "wb") as f:
-        f.write(b"SAMT" + struct.pack("<H2xQQQQ", 3, traj.param_count, traj.n_train,
+        f.write(b"SAMT" + struct.pack("<H2xQQQQ", version, traj.param_count, traj.n_train,
                                       *traj.batches.shape))
         f.write(traj.config_digest + struct.pack("<dd", traj.rho, traj.p))
         for array, dtype in zip(arrays or (traj.etas, traj.batches, traj.params),
@@ -142,6 +143,31 @@ class TestWorstPerturbation:
         assert np.all(worst_perturbation(g, 0.0, 2.0) == 0.0)
         assert np.all(worst_perturbation(np.zeros(5), 0.5, 2.0) == 0.0)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_p2_tiny_and_huge_rows_stay_on_the_ball(self, scale):
+        # The squared norm of 1e-170 * [3, 4] underflows to 0 and that of
+        # 1e160 * [3, 4] overflows; each row is rescaled by its largest entry.
+        g = scale * np.array([3.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = worst_perturbation(g, 0.5, 2.0)
+            stacked = worst_perturbation(np.stack([g, [3.0, 4.0], [0.0, -0.0]]), 0.5, 2.0)
+        assert abs(p_norm(eps, 2.0) / 0.5 - 1.0) <= 1e-15
+        np.testing.assert_allclose(eps, [0.3, 0.4], rtol=1e-15)
+        # A row in range keeps its bits beside a rescaled one, and a zero row
+        # its zeros, -0.0 included.
+        assert stacked[0].tobytes() == eps.tobytes()
+        assert stacked[1].tobytes() == worst_perturbation(np.array([3.0, 4.0]), 0.5, 2.0).tobytes()
+        assert stacked[2].tobytes() == np.array([0.0, -0.0]).tobytes()
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_is_refused(self, p, rho, bad):
+        G = np.array([[3.0, 4.0], [1.0, bad], [1e-170, 0.0]])
+        with pytest.raises(InvalidInputError, match="gradient has non-finite entries"):
+            worst_perturbation(G, rho, p)
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_all_zero_stack_gives_zeros(self, p):
         # The one formula divides by 1 wherever a zero row would divide by 0.
@@ -230,14 +256,21 @@ class TestTrainSAM:
         report = stationarity_report(spec, ds, w, cfg)
         assert report["grad_plus_l2_norm"] < 2.0 * cfg.rho
 
-    def test_checkpoints_record_pre_update_params(self):
+    def test_checkpoints_record_perturbed_points(self):
         ds = make_blobs(30, 3, 2, 2.0, seed=4)
         spec = ModelSpec(kind="logistic", layer_sizes=(3, 2))
         cfg = SAMConfig(rho=0.05, eta=0.1, batch_size=30, steps=10, seed=5)
         w, traj = train_sam(spec, ds, cfg)
         assert traj.params.shape == (11, spec.param_count) and traj.batches.shape == (10, 30)
         assert (traj.total_steps, traj.param_count) == (10, spec.param_count)
-        np.testing.assert_array_equal(traj.params[0], mod.init_params(spec, 5))
+        # Row 0 is init + eps_0, eps_0 from the first batch's mean gradient at init.
+        init = mod.init_params(spec, 5)
+        X, y = mod._split_rows(spec, ds, "train")
+        batch = traj.batches[0]
+        _, G = mod.stacked_loss_grad(spec, init[None], X[batch][None], y[batch][None])
+        eps0 = worst_perturbation((1.0 / 30) * G[0], 0.05, 2.0)
+        np.testing.assert_array_equal(traj.params[0], init + eps0)
+        assert p_norm(traj.params[0] - init, 2.0) == pytest.approx(0.05, rel=1e-12)
         np.testing.assert_array_equal(traj.final_params, w)
         assert not np.shares_memory(w, traj.params)
         # weight = eta / batch size at every update.
@@ -354,7 +387,7 @@ class TestTrajectoryIO:
     def test_file_is_one_header_and_three_arrays(self, tmp_path):
         traj = self._traj()
         write_trajectory(traj, tmp_path / "run.samt")
-        _write_v3(tmp_path / "want.samt", traj)
+        _write_v4(tmp_path / "want.samt", traj)
         data = (tmp_path / "run.samt").read_bytes()
         assert data == (tmp_path / "want.samt").read_bytes()
         T, b, P = 7, 5, traj.param_count
@@ -391,6 +424,15 @@ class TestTrajectoryIO:
         path = tmp_path / "run.samt"
         _write_old(self._traj(), path, 1)
         with pytest.raises(FormatError, match="^unsupported trajectory version 1$"):
+            read_trajectory(path)
+
+    def test_version_3_file_rejected(self, tmp_path):
+        # Version 3 has version 4's header and arrays, but its params rows
+        # are the weights before each update: read as version 4, gif would
+        # differentiate at the wrong points.
+        path = tmp_path / "run.samt"
+        _write_v4(path, self._traj(), version=3)
+        with pytest.raises(FormatError, match="^unsupported trajectory version 3$"):
             read_trajectory(path)
 
     def test_version_2_file_rejected(self, tmp_path):
@@ -464,7 +506,7 @@ class TestTrajectoryIO:
         traj = self._traj()
         path = tmp_path / "run.samt"
         with open(path, "wb") as f:
-            f.write(b"SAMT" + struct.pack("<H2xQQQQ", 3, 8, 20, 7, 0) + traj.config_digest
+            f.write(b"SAMT" + struct.pack("<H2xQQQQ", 4, 8, 20, 7, 0) + traj.config_digest
                     + struct.pack("<dd", 0.05, 2.0) + traj.etas.tobytes() + traj.params.tobytes())
         with pytest.raises(FormatError, match=r"^trajectory needs .* batches with b >= 1"):
             read_trajectory(path)
@@ -475,12 +517,12 @@ class TestTrajectoryIO:
         traj = self._traj()
         steps = [0, 2, 4, 6]
         path = tmp_path / "thinned.samt"
-        _write_v3(path, traj, arrays=(traj.etas[steps], traj.batches[steps],
+        _write_v4(path, traj, arrays=(traj.etas[steps], traj.batches[steps],
                                       traj.params[steps + [7]]))
         with pytest.raises(FormatError, match="^trajectory file truncated: "):
             read_trajectory(path)
         # Thinned parameters only, with every step's eta and batch.
-        _write_v3(path, traj, arrays=(traj.etas, traj.batches, traj.params[steps + [7]]))
+        _write_v4(path, traj, arrays=(traj.etas, traj.batches, traj.params[steps + [7]]))
         with pytest.raises(FormatError, match="^trajectory file truncated: "):
             read_trajectory(path)
 
@@ -497,7 +539,7 @@ class TestTrajectoryIO:
             etas, batches = np.append(etas, etas[-1]), np.vstack([batches, batches[-1]])
             params = np.vstack([params, params[-1]])
         path = tmp_path / "run.samt"
-        _write_v3(path, traj, arrays=(etas, batches, params))
+        _write_v4(path, traj, arrays=(etas, batches, params))
         with pytest.raises(FormatError, match="^trajectory file (truncated|too long): "):
             read_trajectory(path)
 
