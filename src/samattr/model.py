@@ -1,16 +1,21 @@
 """Small differentiable classifiers over flat parameter vectors.
 
 Two model kinds share one code path: ``logistic`` is a zero-hidden-layer
-MLP. Losses are softmax cross-entropy, computed in one place
-(``_loss_pass``); gradients are hand-written reverse-mode through one delta
-recursion (``_backprop``). Hessian-vector products propagate a forward
-tangent through both passes, so they are exact (no finite differences):
+MLP. The forward pass, the softmax cross-entropy and the hand-written
+reverse-mode delta recursion have one implementation, ``_Kernel``, bound
+once to a parameter block and an input shape: it makes every output
+array and every view its passes read when it is built, so a pass is a
+run of out= calls. The SAM trainer binds one for a whole run; every other
+caller (the stacked gradients, gif's factors, ``_evaluate``, the
+predictions and ``hvp_operator``'s primal pass) builds one over fresh
+arrays for its call. Hessian-vector products propagate a forward tangent
+through both passes, so they are exact (no finite differences):
 ``hvp_operator`` runs the gradient's primal pass once per linearization
 point and adds only the tangent sweeps. Everything is float64 and
 vectorized over the batch axis.
 
 The softmax's reductions over the class axis (the max shift, the exp-sum
-and the curvature's tangent sum) go through _class_reduce. NumPy reduces
+and the curvature's tangent sum) go through _class_reducer. NumPy reduces
 a short last axis row by row, at tens of nanoseconds a row, so with fewer
 than 8 classes and at least CLASS_LOOP_MIN_ROWS (128) rows it makes one
 vectorized call per class column instead, with the same bits. Stacks of
@@ -22,7 +27,9 @@ train split) keeps NumPy's axis reduction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,7 +38,7 @@ from .errors import InvalidInputError
 
 Array = np.ndarray
 
-# Fewest rows at which _class_reduce loops over the class columns. Timed
+# Fewest rows at which _class_reducer loops over the class columns. Timed
 # with timeit on a 2-vCPU x86-64 host, for 2-4 classes the loop breaks
 # even with NumPy's axis reduction at 64-96 rows for the max and at
 # 128-256 rows for the sum; at 128 a loss pass (one of each) gains and a
@@ -142,11 +149,6 @@ def _unpack_rows(spec: ModelSpec, V: Array) -> list[tuple[Array, Array]]:
     return layers
 
 
-def _unpack(spec: ModelSpec, params: Array) -> list[tuple[Array, Array]]:
-    """Layers of one parameter vector: the no-leading-axis case of _unpack_rows."""
-    return _unpack_rows(spec, _check_params(spec, params))
-
-
 def init_params(spec: ModelSpec, seed: int) -> Array:
     """Zero-mean uniform weights scaled by 1/sqrt(fan_in); biases zero."""
     rng = np.random.default_rng(seed)
@@ -157,84 +159,44 @@ def init_params(spec: ModelSpec, seed: int) -> Array:
     return params
 
 
-class _Workspace:
-    """The kernel's output arrays for stacked batches X (R, b, d), y (R, b), made once by a
-    caller that runs it many times on that shape. _forward, _loss_pass, _backprop and
-    _summed_grad given one write each result into its array (out=), over the last call's;
-    given None (ws and ws.<array> is then None) they allocate. Lists are indexed by layer."""
-
-    def __init__(self, spec: ModelSpec, R: int, b: int):
-        sizes, C = spec.layer_sizes, spec.num_classes
-        self.acts = [np.empty((R, b, k)) for k in sizes[1:]]
-        self.deltas = [np.empty((R, b, k)) for k in sizes[1:]]
-        self.s = [None] + [np.empty((R, b, k)) for k in sizes[1:-1]]
-        self.phi1 = [None] + [np.empty((R, b, k)) for k in sizes[1:-1]]
-        self.reduce, self.logp, self.exp = (np.empty((R, b, k)) for k in (1, C, C))
-        self.rows = np.arange(0, R * b * C, C)  # flat position in logp of each example's row
-        self.label, self.loss = np.empty(R * b, np.int64), np.empty(R * b)
-        self.grad = np.empty((R, spec.param_count))
-        self.grad_layers = _unpack_rows(spec, self.grad)
-
-
-def _act(spec: ModelSpec, Z: Array) -> Array:
-    """The activation, in place of Z."""
-    if spec.activation == "tanh":
-        return np.tanh(Z, out=Z)
-    return np.maximum(Z, 0.0, out=Z)
-
-
-def _act_deriv(spec: ModelSpec, A: Array, out: Array | None = None) -> Array:
-    # Expressed through the activation value; for relu, A > 0 iff Z > 0, as a
-    # boolean mask unless out is float: either multiplies as 1.0 or 0.0.
-    if spec.activation == "tanh":
-        d = np.multiply(A, A, out=out)
-        return np.subtract(1.0, d, out=d)
-    return np.greater(A, 0.0, out=out)
-
-
 def _act_second_deriv(spec: ModelSpec, A: Array) -> Array:
     if spec.activation == "tanh":
         return -2.0 * A * (1.0 - A * A)
     return np.zeros_like(A)
 
 
-def _forward(spec: ModelSpec, layers, X: Array, ws: _Workspace | None = None) -> list[Array]:
-    """Return activations [A0=X, A1, ..., Z_L]; the last entry is raw logits.
-
-    layers come from _unpack, or from _unpack_rows with X stacked (R, b, d)
-    to match (one parameter row broadcasts over every stack): each stack
-    row then goes through its own matmuls."""
-    acts = [X]
-    L = len(layers)
-    for idx, (W, b) in enumerate(layers):
-        Z = np.matmul(acts[-1], W.swapaxes(-1, -2), out=ws and ws.acts[idx])
-        Z += b[..., None, :]
-        acts.append(Z if idx == L - 1 else _act(spec, Z))
-    return acts
-
-
-def _class_reduce(ufunc: np.ufunc, Z: Array, out: Array | None = None) -> Array:
-    """ufunc.reduce(Z, axis=-1, keepdims=True) for ufunc np.maximum or
-    np.add, with the same bits. Below 8 entries NumPy's add-reduce sums a
-    row left to right starting from +0.0 (so an all -0.0 row sums to
+def _class_reducer(ufunc: np.ufunc, Z: Array, out: Array) -> Callable[[], Array]:
+    """A call, bound once, that writes ufunc.reduce(Z, axis=-1, keepdims=True)
+    into out (a C-contiguous (..., 1) array) for ufunc np.maximum or np.add,
+    with the same bits, and returns out. Below 8 entries NumPy's add-reduce
+    sums a row left to right starting from +0.0 (so an all -0.0 row sums to
     +0.0), and the column loop does the same; from 8 entries NumPy sums
     pairwise, so those calls, and those with fewer than
     CLASS_LOOP_MIN_ROWS rows, keep the axis reduction. A maximum is exact
     in any order, save for a NaN's sign and for which zero a row that ties
     +0.0 with -0.0 keeps, which NumPy's own SIMD paths do not agree on;
     the softmax shift by either zero gives the same bits, because such a
-    row's exp-sum is at least 2. out, if given, is a C-contiguous
-    (..., 1) array that takes the result."""
+    row's exp-sum is at least 2. The column loop reads Z through views, so
+    the call sees what is written into a C-contiguous Z after binding."""
     C = Z.shape[-1]
     if C >= 8 or Z.size < C * CLASS_LOOP_MIN_ROWS:
-        return ufunc.reduce(Z, axis=-1, keepdims=True, out=out)
-    cols = Z.reshape(-1, C).T
+        return partial(ufunc.reduce, Z, -1, None, out, True)  # axis, dtype, out, keepdims
+    cols, flat = Z.reshape(-1, C).T, out.reshape(-1)
     # The first column: plus +0.0 for a sum, itself for a maximum (max(x, x) is x).
-    out = ufunc(cols[0], 0.0 if ufunc is np.add else cols[0],
-                out=None if out is None else out.reshape(-1))
-    for col in cols[1:]:
-        ufunc(out, col, out=out)
-    return out.reshape(*Z.shape[:-1], 1)
+    first = 0.0 if ufunc is np.add else cols[0]
+
+    def reduce() -> Array:
+        ufunc(cols[0], first, out=flat)
+        for col in cols[1:]:
+            ufunc(flat, col, out=flat)
+        return out
+
+    return reduce
+
+
+def _class_reduce(ufunc: np.ufunc, Z: Array) -> Array:
+    """ufunc.reduce(Z, axis=-1, keepdims=True) through _class_reducer, once."""
+    return _class_reducer(ufunc, Z, np.empty((*Z.shape[:-1], 1)))()
 
 
 def _check_features(spec: ModelSpec, X: Array) -> Array:
@@ -253,46 +215,120 @@ def _check_examples(spec: ModelSpec, X: Array, y: Array) -> tuple[Array, Array]:
     return X, y
 
 
-def _loss_pass(spec: ModelSpec, layers, X: Array, y: Array, ws: _Workspace | None = None,
-               loss: bool = True) -> tuple[list, Array, Array, Array | None]:
-    """The forward pass and softmax cross-entropy; layers and X as for
-    _forward, y (..., b) the labels. Returns the activations, the
-    log-probabilities logp (..., b, C), the flat position in logp of each
-    label logit and the per-example losses (..., b), or None if not loss.
-    Gradients and curvature go on to _backprop; a loss-only caller stops here."""
-    acts = _forward(spec, layers, X, ws)
-    Z = acts[-1]
-    C = Z.shape[-1]
-    m = np.subtract(Z, _class_reduce(np.maximum, Z, ws and ws.reduce), out=ws and ws.logp)
-    s = _class_reduce(np.add, np.exp(m, out=ws and ws.exp), ws and ws.reduce)
-    logp = np.subtract(m, np.log(s, out=s), out=m)
-    label = np.add(ws.rows if ws else np.arange(0, y.size * C, C), y.ravel(), out=ws and ws.label)
-    if not loss:
-        return acts, logp, label, None
-    # "wrap" takes into out without a copy of it; every label is in range.
-    losses = np.take(logp.reshape(-1), label, out=ws and ws.loss, mode="wrap")
-    return acts, logp, label, np.negative(losses, out=losses).reshape(y.shape)
+class _Kernel:
+    """The forward pass, softmax cross-entropy and backward pass of spec, bound
+    once to a parameter block W (..., P) and an input stack X (..., b, d),
+    whose leading axes broadcast (one parameter row over every stack row, or
+    one input stack under every parameter row); each stack row goes through
+    its own matmuls, so row r does not depend on the other rows, bit for bit.
 
+    Every output array, and every view a pass reads (transposed weights,
+    broadcast biases, the flat logp and delta views, transposed deltas and
+    the class-axis reductions), is made here, so the passes make only out=
+    calls and each call writes over the last one's results. A caller that
+    runs many steps on one shape binds one kernel, writes each step's inputs
+    into X and W in place, and binds a second set of weights with at(); a
+    one-off caller binds one over fresh arrays. Lists are indexed by layer:
+    layers[l] holds W's views (W_l, b_l); acts[0] is X and acts[L] the
+    logits; deltas[l] is the loss's derivative at layer l's pre-activations;
+    for l >= 1, s[l] = deltas[l] @ W_l and phi1[l] = act'(acts[l]) (1.0 or
+    0.0 for relu), so that deltas[l - 1] = phi1[l] * s[l]. backward=False
+    makes no backward arrays, for callers that stop at the loss pass."""
 
-def _backprop(spec: ModelSpec, layers, acts: list[Array], logp: Array, label: Array,
-              ws: _Workspace | None = None) -> tuple[list, list, list]:
-    """The backward delta recursion over _loss_pass's outputs: deltas[l],
-    the loss's derivative at layer l's pre-activations, starting from
-    exp(logp) minus the label one-hot; and, for l >= 1, s[l] = deltas[l] @
-    W_l and phi1[l] = act'(acts[l]), so that deltas[l - 1] = phi1[l] * s[l]."""
-    L = len(layers)
-    delta = np.exp(logp, out=ws and ws.deltas[L - 1])
-    np.subtract.at(delta.reshape(-1), label, 1.0)
-    deltas: list[Array] = [None] * L
-    s: list[Array] = [None] * L
-    phi1: list[Array] = [None] * L
-    for l in range(L - 1, -1, -1):
-        deltas[l] = delta
-        if l > 0:
-            s[l] = np.matmul(delta, layers[l][0], out=ws and ws.s[l])
-            phi1[l] = _act_deriv(spec, acts[l], ws and ws.phi1[l])
-            delta = np.multiply(phi1[l], s[l], out=ws and ws.deltas[l - 1])
-    return deltas, s, phi1
+    def __init__(self, spec: ModelSpec, W: Array, X: Array, backward: bool = True):
+        sizes, C = spec.layer_sizes, spec.num_classes
+        lead, b = np.broadcast_shapes(W.shape[:-1], X.shape[:-2]), X.shape[-2]
+        self.spec, self.tanh = spec, spec.activation == "tanh"
+        self.acts = [X] + [np.empty((*lead, b, k)) for k in sizes[1:]]
+        self.logp, self._exp, reduce = (np.empty((*lead, b, k)) for k in (C, C, 1))
+        self._logp_flat = self.logp.reshape(-1)
+        self._max = _class_reducer(np.maximum, self.acts[-1], reduce)
+        self._sum = _class_reducer(np.add, self._exp, reduce)
+        self.rows = np.arange(0, self.logp.size, C).reshape(*lead, b)  # each example's row in logp
+        self.label, self.losses = np.empty_like(self.rows), np.empty(self.rows.shape)
+        self.deltas = [np.empty((*lead, b, k)) for k in sizes[1:]] if backward else None
+        if backward:
+            self.s, self.phi1 = ([None] + [np.empty((*lead, b, k)) for k in sizes[1:-1]]
+                                 for _ in range(2))
+            self._delta_flat = self.deltas[-1].reshape(-1)
+            self.grad = np.empty((*lead, spec.param_count))
+            self._sums = [(d.swapaxes(-1, -2), a, gW, d, gb) for d, a, (gW, gb)
+                          in zip(self.deltas, self.acts, _unpack_rows(spec, self.grad))]
+        self._bind(W)
+
+    def _bind(self, W: Array) -> None:
+        acts = self.acts
+        self.layers = layers = _unpack_rows(self.spec, W)  # views (W_l, b_l) of W
+        # The activation, in place of each hidden layer's Z; the logits get none.
+        hidden = [partial(np.tanh, Z, out=Z) if self.tanh else partial(np.maximum, Z, 0.0, out=Z)
+                  for Z in acts[1:-1]]
+        self._layers = [(A, Wl.swapaxes(-1, -2), bl[..., None, :], Z, act) for A, Z, (Wl, bl), act
+                        in zip(acts, acts[1:], layers, hidden + [None])]
+        if self.deltas:
+            self._back = [(self.deltas[l], layers[l][0], self.s[l], acts[l], self.phi1[l],
+                           self.deltas[l - 1]) for l in range(len(layers) - 1, 0, -1)]
+
+    def at(self, W: Array) -> _Kernel:
+        """A kernel at the parameter block W, of this one's shape, sharing every
+        output array with this one."""
+        other = copy.copy(self)
+        other._bind(W)
+        return other
+
+    def labels(self, y: Array) -> Array:
+        """The flat position in logp of each example's label logit, for labels y
+        that broadcast to the stack's (..., b)."""
+        return np.add(self.rows, y, out=self.label)
+
+    def forward(self) -> list[Array]:
+        for A, WT, B, Z, act in self._layers:
+            np.matmul(A, WT, out=Z)
+            Z += B
+            if act:
+                act()
+        return self.acts
+
+    def loss_pass(self, label: Array, loss: bool = True) -> Array | None:
+        """The forward pass and softmax cross-entropy, for label positions from
+        labels(): fills acts and logp, and returns the per-example losses
+        (..., b), or None if not loss."""
+        self.forward()
+        logp = np.subtract(self.acts[-1], self._max(), out=self.logp)
+        np.exp(logp, out=self._exp)
+        s = self._sum()
+        np.subtract(logp, np.log(s, out=s), out=logp)
+        if not loss:
+            return None
+        # "wrap" takes into out without a copy of it; every position is in range.
+        losses = self._logp_flat.take(label, out=self.losses, mode="wrap")
+        return np.negative(losses, out=losses)
+
+    def backprop(self, label: Array, loss: bool = True) -> Array | None:
+        """loss_pass, then the backward delta recursion from exp(logp) minus
+        the label one-hot: fills deltas, s and phi1 as well."""
+        losses = self.loss_pass(label, loss)
+        np.exp(self.logp, out=self.deltas[-1])
+        self._delta_flat[label] -= 1.0  # every position is distinct
+        for delta, Wl, s, A, phi, prev in self._back:
+            np.matmul(delta, Wl, out=s)
+            # act' from the activation's value: 1 - A^2 for tanh, A > 0 (iff Z > 0) for relu.
+            if self.tanh:
+                np.multiply(A, A, out=phi)
+                np.subtract(1.0, phi, out=phi)
+            else:
+                np.greater(A, 0.0, out=phi)
+            np.multiply(phi, s, out=prev)
+        return losses
+
+    def gradient(self, label: Array, loss: bool = True) -> Array | None:
+        """backprop, then the per-example gradient factors (deltas[l], acts[l])
+        summed over the batch axis into grad (..., P): delta_l^T a_l for layer
+        l's weights, the sum of delta_l for its bias."""
+        losses = self.backprop(label, loss)
+        for dT, A, gW, d, gb in self._sums:
+            np.matmul(dT, A, out=gW)
+            np.add.reduce(d, axis=-2, out=gb)  # np.sum's ufunc without its Python wrapper
+        return losses
 
 
 def stacked_loss_factors(
@@ -310,10 +346,9 @@ def stacked_loss_factors(
     through its own stacked matmuls, so row r does not depend on the other
     rows of the stack, bit for bit.
     """
-    layers = _unpack_rows(spec, W)
-    acts, logp, label, losses = _loss_pass(spec, layers, X, y)
-    deltas = _backprop(spec, layers, acts, logp, label)[0]
-    return losses.sum(axis=-1), list(zip(deltas, acts[:-1]))
+    kernel = _Kernel(spec, W, X)
+    losses = kernel.backprop(kernel.labels(y))
+    return losses.sum(axis=-1), list(zip(kernel.deltas, kernel.acts[:-1]))
 
 
 def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Array, Array]:
@@ -322,20 +357,8 @@ def stacked_loss_grad(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Ar
     stacked_loss_factors reduced over each batch, delta_l^T a_l and the sum
     of delta_l. Like the factors, row r does not depend on the other rows.
     """
-    loss, factors = stacked_loss_factors(spec, W, X, y)
-    return loss, _summed_grad(spec, factors)
-
-
-def _summed_grad(spec: ModelSpec, factors, ws: _Workspace | None = None) -> Array:
-    """Per-example factors (delta_l, a_l) summed over their batch axis and
-    packed (..., P), into ws.grad if ws is given: delta_l^T a_l for layer
-    l's weights, sum of delta_l for its bias."""
-    factors = list(factors)
-    out = ws.grad if ws else np.empty((*factors[0][0].shape[:-2], spec.param_count))
-    for (d, a), (gW, gb) in zip(factors, ws.grad_layers if ws else _unpack_rows(spec, out)):
-        np.matmul(d.swapaxes(-1, -2), a, out=gW)
-        np.add.reduce(d, axis=-2, out=gb)  # np.sum's ufunc without its Python wrapper
-    return out
+    kernel = _Kernel(spec, W, X)
+    return kernel.gradient(kernel.labels(y)).sum(axis=-1), kernel.grad
 
 
 def _rows(spec: ModelSpec, dataset: Dataset, indices, who: str) -> tuple[Array, Array]:
@@ -388,7 +411,7 @@ def hvp_operator(
     """The gradient scale * (sum_i d loss_i) at params over the examples X
     (n, d), y (n,), bitwise subset_loss_grad's over the same rows, and the
     curvature operator v -> scale * (sum_i d2 loss_i) v there, built once:
-    the gradient's primal pass (_loss_pass and _backprop) runs here, with
+    the gradient's primal pass (one _Kernel's gradient) runs here, with
     the softmax probabilities exp(logp) and the activation's derivatives,
     and each application runs only the tangent sweeps. The rows are not
     checked; callers validate them once (_rows, _split_rows).
@@ -401,12 +424,12 @@ def hvp_operator(
     products, so a row's result does not depend on the other rows of the
     block, and an application writes into nothing the operator holds.
     """
-    layers = _unpack(spec, params)
+    kernel = _Kernel(spec, _check_params(spec, params), X)
+    kernel.gradient(kernel.labels(y), loss=False)
+    acts, deltas, s, phi1, layers = kernel.acts, kernel.deltas, kernel.s, kernel.phi1, kernel.layers
     L = len(layers)
-    acts, logp, label, _ = _loss_pass(spec, layers, X, y, loss=False)
-    deltas, s, phi1 = _backprop(spec, layers, acts, logp, label)
-    grad = scale * _summed_grad(spec, zip(deltas, acts[:-1]))
-    P = np.exp(logp)
+    grad = scale * kernel.grad
+    P = np.exp(kernel.logp)
     phi2 = [None] + [_act_second_deriv(spec, A) for A in acts[1:L]]
 
     def apply(v: Array) -> Array:
@@ -461,28 +484,31 @@ def hvp(
 
 def predict(spec: ModelSpec, params: Array, x: Array) -> tuple[int, Array]:
     """Argmax label for one input; ties break toward the smallest class."""
-    logits = _forward(spec, _unpack(spec, params), _check_features(spec, x))[-1][0]
+    logits = _logits(spec, params, x)[0]
     return int(np.argmax(logits)), logits
 
 
 def predict_labels(spec: ModelSpec, params: Array, X: Array) -> Array:
     """Vectorized argmax labels for a matrix of inputs."""
-    logits = _forward(spec, _unpack(spec, params), _check_features(spec, X))[-1]
-    return np.argmax(logits, axis=1).astype(np.int64)
+    return np.argmax(_logits(spec, params, X), axis=1).astype(np.int64)
+
+
+def _logits(spec: ModelSpec, params: Array, X: Array) -> Array:
+    """The logits (n, C) of one parameter vector over the inputs X, both checked here."""
+    params = _check_params(spec, params)
+    return _Kernel(spec, params, _check_features(spec, X), backward=False).forward()[-1]
 
 
 def _evaluate(spec: ModelSpec, W: Array, X: Array, y: Array) -> tuple[Array, Array]:
     """Summed loss (R,) and accuracy (R,) of every row of W (R, P) over checked rows X, y:
-    stacked _loss_pass calls of at most _EVAL_STACK_FLOATS activations a layer, labels the
+    stacked loss passes of at most _EVAL_STACK_FLOATS activations a layer, labels the
     logits' argmax as in predict_labels. Row r does not depend on the other rows, bit for bit."""
     size = max(1, _EVAL_STACK_FLOATS // (y.size * max(spec.layer_sizes[1:])))
     losses, accs = np.empty(len(W)), np.empty(len(W))
     for lo in range(0, len(W), size):
-        rows = W[lo : lo + size]
-        acts, _, _, loss = _loss_pass(
-            spec, _unpack_rows(spec, rows), X[None], np.broadcast_to(y, (len(rows), y.size)))
-        losses[lo : lo + size] = loss.sum(axis=-1)
-        accs[lo : lo + size] = np.mean(np.argmax(acts[-1], axis=-1) == y, axis=-1)
+        kernel = _Kernel(spec, W[lo : lo + size], X[None], backward=False)
+        losses[lo : lo + size] = kernel.loss_pass(kernel.labels(y)).sum(axis=-1)
+        accs[lo : lo + size] = np.mean(np.argmax(kernel.acts[-1], axis=-1) == y, axis=-1)
     return losses, accs
 
 

@@ -43,6 +43,8 @@ TRAJ_VERSION = 4
 # Magic, version, 2 pad bytes (so the arrays start 8-byte aligned), P,
 # n_train, T, b, the config digest, rho and p.
 _TRAJ_HEADER = struct.Struct("<4sH2xQQQQ32sdd")
+# Label positions train_sam_many forms per np.take call (256 KiB), a step's at least.
+_LABEL_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,9 @@ def worst_perturbation(grad: Array, rho: float, p: float, out: Array | None = No
     exponent q. grad is one gradient (P,) or a stack of rows (R, P), each
     perturbed on its own ball. rho = 0 gives zeros; so does a zero gradient
     row, which divides by 1 wherever the formula would divide by 0. At
-    p = 2 a row whose norm falls outside [1e-150, 1e150] is measured
-    rescaled by its largest entry, so neither underflow nor overflow moves
-    it off the ball. out, if given, is a C-contiguous float64 array of
+    p = 2 a row whose norm falls outside [1e-150, 1e150] is divided by its
+    largest entry before rho multiplies it, so neither underflow nor
+    overflow moves it off the ball. out, if given, is a C-contiguous float64 array of
     grad's shape that takes epsilon and is returned; at p = 2 nothing of
     grad's size is allocated.
     """
@@ -206,10 +208,12 @@ def worst_perturbation(grad: Array, rho: float, p: float, out: Array | None = No
         E.fill(0.0)
         return eps
     if p == 2.0:
-        for i in odd:  # p_norm rescales by the row max, so it neither underflows nor overflows
-            norm[i] = p_norm(G[i], 2.0) or 1.0  # a zero row divides by 1
-        np.multiply(rho, G, out=E)
-        E /= norm
+        keep = (1e-150 <= norm) & (norm <= 1e150) if odd else True  # the odd rows go below
+        np.multiply(rho, G, out=E, where=keep)
+        np.divide(E, norm, out=E, where=keep)
+        for i in odd:  # divided by the row max first, so no step overflows or loses digits
+            np.divide(G[i], np.abs(G[i]).max() or 1.0, out=E[i])  # a zero row divides by 1
+            E[i] *= rho / (math.sqrt(E[i] @ E[i]) or 1.0)
     else:
         q = dual_exponent(p)
         a = np.abs(G)
@@ -243,12 +247,17 @@ def train_sam_many(
     replica row is bitwise what a run of its own would give. record, if
     given, is a (T+1, P) array filled with replica 0's run: row t the
     perturbed point w_t + eps_t update t took its gradient at, row T its
-    final weights.
+    final weights. A batch loss that is NaN, infinite or above 1e6 at step
+    t raises DivergenceError naming the lowest-index such replica and t.
 
-    The steps run on arrays made for this call's (R, b) shape (the batch,
-    a model._Workspace and W + eps, which worst_perturbation writes eps
-    into), and W is updated in place; per step only the divergence check
-    allocates, and at p != 2 worst_perturbation's power terms.
+    The steps run on arrays made for this call's (R, b) shape: the batch,
+    W + eps (which worst_perturbation writes eps into) and two
+    model._Kernel bindings, at W and at W + eps, that share every output
+    array; W is updated in place. Each label's position in the kernel's
+    logp is formed once per chunk of steps, for both passes, and each
+    step's eta is read from a list made once. Per step only the divergence
+    check's (R,) losses allocate, and at p != 2 worst_perturbation's power
+    terms.
     """
     if len(loss_scales) != len(labels):
         raise InvalidInputError(
@@ -260,42 +269,40 @@ def train_sam_many(
     R, b = np.shape(batches[0])
     if not -len(y_train) <= np.min(batches) <= np.max(batches) < len(y_train):
         raise InvalidInputError("train_sam_many: a batch position is outside the train split")
-    X, y = np.empty((R, b, X_train.shape[1])), np.empty((R, b), y_train.dtype)
-    ws = mod._Workspace(spec, R, b)
-    G = ws.grad
-
-    def gradient(layers, loss: bool):
-        # stacked_loss_grad's steps into ws: G, and the per-example losses if loss.
-        acts, logp, label, losses = mod._loss_pass(spec, layers, X, y, ws, loss)
-        mod._summed_grad(spec, zip(mod._backprop(spec, layers, acts, logp, label, ws)[0],
-                                   acts[:-1]), ws)
-        return losses
-
-    layers, layers_eps = mod._unpack_rows(spec, W), mod._unpack_rows(spec, W_eps)
+    X = np.empty((R, b, X_train.shape[1]))
+    kernel = mod._Kernel(spec, W, X)
+    kernel_eps, G = kernel.at(W_eps), kernel.grad  # one set of arrays for both passes
     scale = loss_scales / b
     row_scale = scale[:, None]
-    for t in range(config.steps):
-        eta = config.eta_at(t)
-        # np.take gathers rows faster than indexing; "wrap" (positions are checked
-        # above) writes into X and y without the copy an out= array gets under "raise".
-        np.take(X_train, batches[t], axis=0, out=X, mode="wrap")
-        np.take(y_train, batches[t], out=y, mode="wrap")
-        loss = scale * np.add.reduce(gradient(layers, True), axis=-1)
-        G *= row_scale
-        bad = ~np.isfinite(loss) | (loss > 1e6)
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise DivergenceError(f"{labels[r]} diverged at step {t} (batch loss {float(loss[r])})")
-        worst_perturbation(G, config.rho, config.p, out=W_eps)
-        W_eps += W  # eps + W, the same IEEE sum as W + eps
-        if record is not None:
-            record[t] = W_eps[0]
-        gradient(layers_eps, False)
-        # G_sam = scale * G_pert + lam * W; W -= eta * G_sam, with W_eps free for lam * W.
-        G *= row_scale
-        G += np.multiply(config.lam, W, out=W_eps)
-        G *= eta
-        W -= G
+    etas = [config.eta_at(t) for t in range(config.steps)]
+    chunk = max(1, _LABEL_CHUNK // (R * b))
+    positions = np.empty((min(chunk, config.steps), R, b), np.int64)
+    for first in range(0, config.steps, chunk):
+        # Every label's flat position in the kernel's logp, for a chunk of steps at once.
+        steps = batches[first : first + chunk]
+        part = np.take(y_train, steps, out=positions[: len(steps)], mode="wrap")
+        part += kernel.rows
+        for t, batch, label in zip(range(first, config.steps), steps, part):
+            # take gathers rows faster than indexing; "wrap" (positions are checked
+            # above) writes into X without the copy an out= array gets under "raise".
+            X_train.take(batch, axis=0, out=X, mode="wrap")
+            loss = scale * np.add.reduce(kernel.gradient(label), axis=-1)
+            G *= row_scale
+            # NaN fails both bounds; the (R,) losses are checked as Python floats.
+            bad = [r for r, v in enumerate(loss.tolist()) if not -math.inf < v <= 1e6]
+            if bad:
+                raise DivergenceError(f"{labels[bad[0]]} diverged at step {t} "
+                                      f"(batch loss {float(loss[bad[0]])})")
+            worst_perturbation(G, config.rho, config.p, out=W_eps)
+            W_eps += W  # eps + W, the same IEEE sum as W + eps
+            if record is not None:
+                record[t] = W_eps[0]
+            kernel_eps.gradient(label, loss=False)
+            # G_sam = scale * G_pert + lam * W; W -= eta * G_sam, with W_eps free for lam * W.
+            G *= row_scale
+            G += np.multiply(config.lam, W, out=W_eps)
+            G *= etas[t]
+            W -= G
     bad = ~np.all(np.isfinite(W), axis=1)
     if bad.any():
         label = labels[int(np.argmax(bad))]

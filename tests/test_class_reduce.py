@@ -79,9 +79,15 @@ def test_the_zero_a_tied_row_keeps_does_not_reach_the_softmax():
     np.testing.assert_array_equal(bits(logp[0]), bits(logp[1]))
 
 
-def old_loss_pass(spec, layers, X, y):
-    """_loss_pass before the class-axis helper: NumPy's axis reductions."""
-    acts = mod._forward(spec, layers, X)
+def loss_pass(spec, W, X, y):
+    """logp and the per-example losses of a kernel's loss pass over fresh arrays."""
+    kernel = mod._Kernel(spec, W, X)
+    return kernel.logp, kernel.loss_pass(kernel.labels(y))
+
+
+def old_loss_pass(spec, W, X, y):
+    """The loss pass before the class-axis helper: NumPy's axis reductions."""
+    acts = mod._Kernel(spec, W, X).forward()
     Z = acts[-1]
     m = Z - Z.max(axis=-1, keepdims=True)
     logp = m - np.log(np.exp(m).sum(axis=-1, keepdims=True))
@@ -96,8 +102,8 @@ def test_loss_pass_equals_the_axis_reduction_formula(spec, R, b):
     W = 2.0 * rng.standard_normal((R, spec.param_count))
     X = rng.standard_normal((R, b, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=(R, b))
-    _, logp, _, losses = mod._loss_pass(spec, mod._unpack_rows(spec, W), X, y)
-    old_logp, old_losses = old_loss_pass(spec, mod._unpack_rows(spec, W), X, y)
+    logp, losses = loss_pass(spec, W, X, y)
+    old_logp, old_losses = old_loss_pass(spec, W, X, y)
     np.testing.assert_array_equal(bits(logp), bits(old_logp))
     np.testing.assert_array_equal(bits(losses), bits(old_losses))
 
@@ -129,7 +135,7 @@ def test_stacked_validation_losses_equal_the_validation_loss_loop(spec, R, stack
     W = np.random.default_rng(R).standard_normal((R, spec.param_count))
     val = ds.indices("val")
     X, y = ds.features[val], ds.labels[val]
-    unstacked = [float(mod._loss_pass(spec, mod._unpack(spec, w), X, y)[3].sum()) for w in W]
+    unstacked = [float(loss_pass(spec, w, X, y)[1].sum()) for w in W]
     stacked = mod._evaluate(spec, W, *mod._split_rows(spec, ds, "val"))[0]
     np.testing.assert_array_equal(bits(stacked), bits(np.array(unstacked)))
     one_by_one = np.array([validation_loss(spec, w, ds) for w in W])

@@ -31,8 +31,8 @@ def old_losses(spec, W, X, y):
     for lo in range(0, len(W), size):
         rows = W[lo : lo + size]
         y_rows = np.broadcast_to(y, (len(rows), y.size))
-        losses[lo : lo + size] = mod._loss_pass(
-            spec, mod._unpack_rows(spec, rows), X[None], y_rows)[3].sum(axis=-1)
+        kernel = mod._Kernel(spec, rows, X[None], backward=False)
+        losses[lo : lo + size] = kernel.loss_pass(kernel.labels(y_rows)).sum(axis=-1)
     return losses
 
 

@@ -275,6 +275,6 @@ class TestPredict:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         # Biases are zero at initialization.
-        layers = mod._unpack(spec, a)
+        layers = mod._unpack_rows(spec, a)
         for _, bias in layers:
             assert np.all(bias == 0.0)

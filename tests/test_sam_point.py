@@ -41,15 +41,15 @@ SHAPES = {
 
 @pytest.fixture
 def forwards(monkeypatch):
-    """The forward passes (model._forward calls) made since the last clear()."""
+    """The forward passes (model._Kernel.forward calls) made since the last clear()."""
     calls = []
-    forward = mod._forward
+    forward = mod._Kernel.forward
 
-    def counted(*args):
+    def counted(kernel):
         calls.append(1)
-        return forward(*args)
+        return forward(kernel)
 
-    monkeypatch.setattr(mod, "_forward", counted)
+    monkeypatch.setattr(mod._Kernel, "forward", counted)
     return calls
 
 

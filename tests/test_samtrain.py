@@ -160,6 +160,23 @@ class TestWorstPerturbation:
         assert stacked[1].tobytes() == worst_perturbation(np.array([3.0, 4.0]), 0.5, 2.0).tobytes()
         assert stacked[2].tobytes() == np.array([0.0, -0.0]).tobytes()
 
+    @pytest.mark.parametrize("g,rho,direction", [
+        ([1e308, 1e308], 2.0, [1.0, 1.0]), ([1e-310, 3e-310], 0.05, [1.0, 3.0]),
+    ])
+    def test_p2_rows_at_the_float_limits_stay_on_the_ball(self, g, rho, direction):
+        # rho * g overflows for the first row, and the second is subnormal;
+        # each is divided by its largest entry before rho multiplies it.
+        direction = np.array(direction) / np.hypot(*direction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = worst_perturbation(np.array(g), rho, 2.0)
+            stacked = worst_perturbation(np.array([g, [3.0, 4.0]]), rho, 2.0)
+        assert np.all(np.isfinite(eps))
+        assert abs(p_norm(eps, 2.0) / rho - 1.0) <= 1e-15
+        np.testing.assert_allclose(eps, rho * direction, rtol=1e-13)
+        assert stacked[0].tobytes() == eps.tobytes()
+        assert stacked[1].tobytes() == worst_perturbation(np.array([3.0, 4.0]), rho, 2.0).tobytes()
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

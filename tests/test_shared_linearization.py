@@ -59,11 +59,11 @@ def test_solve_runs_each_primal_pass_once(monkeypatch, estimator):
     params, _ = train_sam(spec, ds, sam)
     _, q = mod.subset_loss_grad(spec, params, ds, ds.indices("val"))
     forwards, applications = [], []
-    forward, solve = mod._forward, influence.gmres_solve
+    forward, solve = mod._Kernel.forward, influence.gmres_solve
 
-    def counted_forward(*args):
+    def counted_forward(kernel):
         forwards.append(1)
-        return forward(*args)
+        return forward(kernel)
 
     def counted_solve(apply_A, rhs, damp, order):
         def counted(v):
@@ -72,7 +72,7 @@ def test_solve_runs_each_primal_pass_once(monkeypatch, estimator):
 
         return solve(counted, rhs, damp, order)
 
-    monkeypatch.setattr(mod, "_forward", counted_forward)
+    monkeypatch.setattr(mod._Kernel, "forward", counted_forward)
     monkeypatch.setattr(influence, "gmres_solve", counted_solve)
     n = ds.indices("train").size
     scores = influence.influence_scores(

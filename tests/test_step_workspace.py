@@ -1,13 +1,17 @@
 """The SAM step loop runs on arrays made once per train_sam_many call.
 
-The model kernel (_loss_pass, _backprop, _summed_grad) writes into a
-model._Workspace when given one and allocates when given None; both are
-the same code, so their results must match bit for bit. The trainer must
-neither change its inputs nor hand back an array that a later call, or
-its own record, shares.
+The model kernel (model._Kernel) is bound once to a parameter block and an
+input stack, and each pass writes over the last call's arrays; a kernel
+reused that way, with new inputs written into its bound arrays, and a
+second binding at other weights that shares its arrays (at()) must give
+what a freshly built kernel gives, bit for bit. The trainer must neither
+change its inputs nor hand back an array that a later call, or its own
+record, shares.
 """
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +22,7 @@ import pytest
 from samattr import model as mod
 from samattr import samtrain
 from samattr.datasets import make_blobs
-from samattr.errors import InvalidInputError
+from samattr.errors import DivergenceError, InvalidInputError
 from samattr.model import ModelSpec
 from samattr.samtrain import SAMConfig
 
@@ -32,14 +36,11 @@ SPECS = {
 }
 
 
-def _kernel(spec, W, X, y, ws):
+def _kernel(kernel, y):
     """Per-example losses, logp, every delta, s and phi1, and the summed gradient."""
-    layers = mod._unpack_rows(spec, W)
-    acts, logp, label, losses = mod._loss_pass(spec, layers, X, y, ws)
-    deltas, s, phi1 = mod._backprop(spec, layers, acts, logp, label, ws)
-    grad = mod._summed_grad(spec, zip(deltas, acts[:-1]), ws)
-    arrays = [losses, logp, grad, *acts[1:], *deltas, *s[1:]]
-    return [a.copy() for a in arrays] + [p.astype(np.float64) for p in phi1[1:]]
+    losses = kernel.gradient(kernel.labels(y))
+    arrays = [losses, kernel.logp, kernel.grad, *kernel.acts[1:], *kernel.deltas, *kernel.s[1:]]
+    return [a.copy() for a in arrays] + [p.astype(np.float64) for p in kernel.phi1[1:]]
 
 
 def _data(spec, R, b, seed):
@@ -54,25 +55,30 @@ def _data(spec, R, b, seed):
 @pytest.mark.parametrize("R,b", [(1, 1), (2, 5), (8, 20)])
 @pytest.mark.parametrize("name", SPECS)
 def test_workspace_results_equal_the_allocating_kernel(name, R, b):
+    # A kernel bound once and run twice, on new inputs written into its bound
+    # arrays as the trainer writes them, against a kernel built for each call.
     spec = SPECS[name]
-    ws = mod._Workspace(spec, R, b)
+    W_at, X_at = np.empty((R, spec.param_count)), np.empty((R, b, spec.input_dim))
+    W_other = np.empty_like(W_at)
+    reused = mod._Kernel(spec, W_at, X_at)
+    other = reused.at(W_other)  # the trainer's second binding, at W + eps
+    assert np.shares_memory(other.grad, reused.grad)
     for seed in (0, 1):  # the second call writes over the first call's arrays
         W, X, y = _data(spec, R, b, seed)
-        got, want = _kernel(spec, W, X, y, ws), _kernel(spec, W, X, y, None)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        W_at[...], X_at[...], W_other[...] = W, X, W[::-1]
+        for kernel, weights in ((reused, W), (other, W[::-1])):
+            got, want = _kernel(kernel, y), _kernel(mod._Kernel(spec, weights, X), y)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_skipped_loss_leaves_the_gradient_unchanged():
     spec = SPECS["tanh"]
     W, X, y = _data(spec, 3, 4, 2)
-    layers = mod._unpack_rows(spec, W)
-    acts, logp, label, losses = mod._loss_pass(spec, layers, X, y, loss=False)
-    assert losses is None
-    grad = mod._summed_grad(spec, zip(mod._backprop(spec, layers, acts, logp, label)[0],
-                                      acts[:-1]))
-    assert grad.tobytes() == mod.stacked_loss_grad(spec, W, X, y)[1].tobytes()
+    kernel = mod._Kernel(spec, W, X)
+    assert kernel.gradient(kernel.labels(y), loss=False) is None
+    assert kernel.grad.tobytes() == mod.stacked_loss_grad(spec, W, X, y)[1].tobytes()
 
 
 def _problem(R=3):
@@ -118,6 +124,70 @@ def test_negative_positions_count_from_the_end_as_indexing_does():
     labels = ["a", "b", "c"]
     assert np.array_equal(samtrain.train_sam_many(spec, X, y, cfg, wrapped, scales, labels),
                           samtrain.train_sam_many(spec, X, y, cfg, batches, scales, labels))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 29])
+def test_label_chunks_give_the_same_run(chunk, monkeypatch):
+    # The label positions are formed for a chunk of steps at a time: every
+    # step its own chunk, 30 steps as 4 chunks of 7 and one of 2, or 29 and 1.
+    spec, X, y, cfg, batches, scales = _problem()
+    labels = ["a", "b", "c"]
+    runs = []
+    for size in (samtrain._LABEL_CHUNK, chunk * batches[0].size):
+        monkeypatch.setattr(samtrain, "_LABEL_CHUNK", size)
+        record = np.empty((cfg.steps + 1, spec.param_count))
+        runs.append((samtrain.train_sam_many(spec, X, y, cfg, batches, scales, labels, record),
+                     record))
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()
+
+
+def _poison(monkeypatch, step, replicas, value):
+    """Make train_sam_many's first-pass kernel report, at the given step, a
+    per-example loss of value for the first example of each given replica
+    and 0.0 for its others; the gradient is left as it is."""
+
+    class Poisoned(mod._Kernel):
+        calls = 0
+
+        def gradient(self, label, loss=True):
+            losses = super().gradient(label, loss)
+            if loss:
+                if Poisoned.calls == step:
+                    losses[replicas] = 0.0
+                    losses[replicas, 0] = value
+                Poisoned.calls += 1
+            return losses
+
+    monkeypatch.setattr(mod, "_Kernel", Poisoned)
+
+
+@pytest.mark.parametrize("replicas", [[2], [1, 2], [2, 0, 1]])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e8])
+def test_divergence_names_the_lowest_bad_replica_and_the_step(monkeypatch, value, replicas):
+    # A batch loss (scale * the per-example losses' sum) that is NaN, +-inf or
+    # above 1e6 at step 7 raises there, naming the lowest-index bad replica.
+    spec, X, y, cfg, batches, scales = _problem()
+    _poison(monkeypatch, 7, replicas, value)
+    first = min(replicas)
+    b = batches.shape[-1]
+    loss = float((scales / b)[first] * np.add.reduce(np.r_[value, np.zeros(b - 1)]))
+    assert not -math.inf < loss <= 1e6
+    with pytest.raises(DivergenceError, match=rf"^{'abc'[first]} diverged at step 7 "
+                                              rf"\(batch loss {re.escape(str(loss))}\)$"):
+        samtrain.train_sam_many(spec, X, y, cfg, batches, scales, ["a", "b", "c"])
+
+
+def test_a_batch_loss_up_to_1e6_trains_on():
+    # The check reads only the losses: a poisoned loss within the bound leaves
+    # the run bitwise as it was.
+    spec, X, y, cfg, batches, scales = _problem()
+    labels = ["a", "b", "c"]
+    want = samtrain.train_sam_many(spec, X, y, cfg, batches, scales, labels)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _poison(monkeypatch, 7, [0, 1, 2], 1e6)  # at most 0.2 * 1e6 per batch
+        got = samtrain.train_sam_many(spec, X, y, cfg, batches, scales, labels)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts are read on Linux")

@@ -9,19 +9,21 @@ Runs `train`, then `attribute`, `calibrate`, `valuate`, `edit`, `trace`
 and `detect-noise` with each estimator (if-fast, hif, gif), in this
 process through samattr.cli.main, on each config: the three benchmark
 workloads' configs at seed 9317 (with `flip_fraction = 0.1` added, which
-only detect-noise reads), README's example config, and five configs for
+only detect-noise reads), README's example config, and six configs for
 paths those four never run: a relu MLP with p = 3, a step-decay eta, an
 epoch-shuffled schedule and gif's gd mode; a tanh MLP with p = 1.5, whose
 ascent's dual exponent q = 3 lies on the other side of 2 from p = 3's
 q = 1.5; a 10-class tanh MLP (the class-axis reduction of 8 or more
 classes); `csv-split`, CSV ingestion and setup's seeded split into
 shuffled val and test rows, over a CSV of an overlapping 3-class Gaussian
-mixture that this script writes with NumPy alone; and `shrinking-batch`,
+mixture that this script writes with NumPy alone; `shrinking-batch`,
 whose largest valuate and detect-noise removal sets leave fewer train
 points (12 of 24) than the batch size (16), so those retrains' replayed
-batches shrink to the points kept. The outputs go to a temporary
-directory that is removed; the jobs run there, so the config names its
-CSV by a relative path. It prints the
+batches shrink to the points kept; and `two-hidden-relu`, a relu MLP with
+two hidden layers (8 and 6 units), the only config whose backward pass
+runs the delta recursion through a hidden-to-hidden layer. The outputs go
+to a temporary directory that is removed; the jobs run there, so the
+config names its CSV by a relative path. It prints the
 path of the samattr package it imported, then one line per job, its exit
 code and the SHA-256 of its stderr, then one line per output file: the
 SHA-256 of every `.tsv`, `.npy` and `.samt` file as written, and of every
@@ -90,6 +92,9 @@ CONFIGS = {
                  + _NOISE_SEED,
     "shrinking-batch": f"dataset = blobs(24, 5, 3, 2.0, {SEED})\n" + _MLP + "hidden = 6\n"
                        "batch_size = 16\nsteps = 60\nremoval_fractions = 0.1, 0.3, 0.5\n"
+                       + _NOISE_SEED,
+    "two-hidden-relu": f"dataset = blobs(90, 8, 3, 2.5, {SEED})\nmodel = mlp\nactivation = relu\n"
+                       "hidden = 8, 6\neta = 0.1\nbatch_size = 16\nsteps = 120\nsample_size = 15\n"
                        + _NOISE_SEED,
 }
 COMMANDS = ("attribute", "calibrate", "valuate", "edit", "trace", "detect-noise")
