@@ -91,6 +91,14 @@ class SAMConfig:
                 value = e
         return value
 
+    def etas(self) -> np.ndarray:
+        """The (T,) float64 learning rate of every step: eta_at(t) for
+        t = 0 .. T-1, picked from the schedule in one pass."""
+        if isinstance(self.eta, (int, float)):
+            return np.full(self.steps, float(self.eta))
+        starts, values = zip(*self.eta)
+        return np.array(values)[np.searchsorted(starts, np.arange(self.steps), side="right") - 1]
+
     def schedule(self, n: int) -> np.ndarray:
         """The run's seeded (T, b) batch schedule over an n-point train
         split (numcore.sample_batches); a batch size above n is a ConfigError."""
@@ -274,7 +282,7 @@ def train_sam_many(
     kernel_eps, G = kernel.at(W_eps), kernel.grad  # one set of arrays for both passes
     scale = loss_scales / b
     row_scale = scale[:, None]
-    etas = [config.eta_at(t) for t in range(config.steps)]
+    etas = config.etas().tolist()
     chunk = max(1, _LABEL_CHUNK // (R * b))
     positions = np.empty((min(chunk, config.steps), R, b), np.int64)
     for first in range(0, config.steps, chunk):
@@ -328,8 +336,7 @@ def train_sam(
 def recorded_trajectory(params: Array, batches: Array, n: int, config: SAMConfig) -> Trajectory:
     """The Trajectory of a run of config on an n-point train split: params
     (T+1, P) holds its recorded parameters and batches (T, b) its schedule."""
-    etas = np.array([config.eta_at(t) for t in range(config.steps)])
-    return Trajectory(params=params, batches=batches, etas=etas, n_train=n,
+    return Trajectory(params=params, batches=batches, etas=config.etas(), n_train=n,
                       config_digest=config.digest(), rho=config.rho, p=config.p)
 
 

@@ -10,6 +10,7 @@ from samattr.errors import ConfigError, InvalidInputError
 from samattr.datasets import make_blobs
 from samattr.influence import perturbed_params
 from samattr.model import ModelSpec, init_params
+from samattr import numcore
 from samattr.numcore import dual_exponent, p_norm, sample_batches
 from samattr.samtrain import worst_perturbation
 
@@ -95,7 +96,59 @@ class TestDualExponent:
         assert dual_exponent(dual_exponent(p)) == pytest.approx(p, rel=1e-12)
 
 
+def _choice_schedule(n, b, T, seed):
+    """The default-mode schedule as one Generator.choice call per step draws it."""
+    rng = np.random.default_rng(seed)
+    return np.stack([np.sort(rng.choice(n, size=b, replace=False)) for _ in range(T)])
+
+
+_default_rng = np.random.default_rng  # the real one, which the draw-count tests patch
+
+
+class _CountedRng:
+    """A Generator that counts its integers and choice calls."""
+
+    def __init__(self, seed, calls):
+        self._rng, self._calls = _default_rng(seed), calls
+
+    def integers(self, *args, **kwargs):
+        self._calls.append("integers")
+        return self._rng.integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        self._calls.append("choice")
+        return self._rng.choice(*args, **kwargs)
+
+
 class TestSampleBatches:
+    # (n, b, T): one batch point; each side of the rounds' cut; n - b = 1;
+    # n = 2; T over several draw chunks (2114 steps of 31 draws at b = 16,
+    # 516 of 127 at b = 64); each side of numpy's tail-shuffle cut-off.
+    @pytest.mark.parametrize("n,b,T", [
+        (30, 1, 40), (100, 64, 30), (100, 65, 30), (17, 16, 40), (2, 1, 40),
+        (80, 16, 5000), (300, 64, 1200), (10001, 200, 3), (10001, 201, 3),
+    ])
+    def test_default_mode_is_choices_stream(self, n, b, T):
+        for seed in (0, 1, 9317):
+            got = sample_batches(n, b, T, seed)
+            assert got.dtype == np.int64
+            assert got.tobytes() == _choice_schedule(n, b, T, seed).tobytes()
+
+    @pytest.mark.parametrize("b,T", [(1, 70000), (16, 300), (16, 5000), (64, 1200)])
+    def test_small_batches_draw_once_per_chunk(self, monkeypatch, b, T):
+        calls = []
+        monkeypatch.setattr(numcore.np.random, "default_rng", lambda s: _CountedRng(s, calls))
+        sample_batches(400, b, T, seed=3)
+        chunk = numcore._DRAW_BUDGET // (2 * b - 1)
+        assert b <= numcore._FLOYD_MAX_BATCH
+        assert calls == ["integers"] * -(-T // chunk)
+
+    def test_large_batches_call_choice_per_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(numcore.np.random, "default_rng", lambda s: _CountedRng(s, calls))
+        sample_batches(400, numcore._FLOYD_MAX_BATCH + 1, 25, seed=3)
+        assert calls == ["choice"] * 25
+
     def test_full_batch(self):
         sched = sample_batches(4, 4, 3, seed=0)
         for step in sched:

@@ -99,6 +99,14 @@ class TestSAMConfig:
         assert cfg.eta_at(100) == 0.05
         assert cfg.eta_at(5000) == 0.005
 
+    @pytest.mark.parametrize("eta", [0.3, 2, ((0, 0.5), (100, 0.05), (200, 0.005)),
+                                     ((0, 0.1), (1, 0.2))], ids=["float", "int", "decay", "step-1"])
+    def test_etas_is_eta_at_of_every_step(self, eta):
+        cfg = SAMConfig(eta=eta, steps=250)
+        etas = cfg.etas()
+        assert etas.dtype == np.float64 and etas.shape == (250,)
+        assert etas.tolist() == [cfg.eta_at(t) for t in range(250)]
+
     def test_step_decay_must_start_at_zero(self):
         with pytest.raises(ConfigError):
             SAMConfig(eta=((10, 0.5),))

@@ -9,7 +9,7 @@ Runs `train`, then `attribute`, `calibrate`, `valuate`, `edit`, `trace`
 and `detect-noise` with each estimator (if-fast, hif, gif), in this
 process through samattr.cli.main, on each config: the three benchmark
 workloads' configs at seed 9317 (with `flip_fraction = 0.1` added, which
-only detect-noise reads), README's example config, and six configs for
+only detect-noise reads), README's example config, and seven configs for
 paths those four never run: a relu MLP with p = 3, a step-decay eta, an
 epoch-shuffled schedule and gif's gd mode; a tanh MLP with p = 1.5, whose
 ascent's dual exponent q = 3 lies on the other side of 2 from p = 3's
@@ -19,9 +19,12 @@ shuffled val and test rows, over a CSV of an overlapping 3-class Gaussian
 mixture that this script writes with NumPy alone; `shrinking-batch`,
 whose largest valuate and detect-noise removal sets leave fewer train
 points (12 of 24) than the batch size (16), so those retrains' replayed
-batches shrink to the points kept; and `two-hidden-relu`, a relu MLP with
+batches shrink to the points kept; `two-hidden-relu`, a relu MLP with
 two hidden layers (8 and 6 units), the only config whose backward pass
-runs the delta recursion through a hidden-to-hidden layer. The outputs go
+runs the delta recursion through a hidden-to-hidden layer; and
+`large-batch`, a tanh MLP whose batch of 96 lies above the batch size up
+to which numcore.sample_batches resolves Floyd's draws in array rounds,
+so its schedule takes the per-step Generator.choice branch. The outputs go
 to a temporary directory that is removed; the jobs run there, so the
 config names its CSV by a relative path. It prints the
 path of the samattr package it imported, then one line per job, its exit
@@ -96,6 +99,8 @@ CONFIGS = {
     "two-hidden-relu": f"dataset = blobs(90, 8, 3, 2.5, {SEED})\nmodel = mlp\nactivation = relu\n"
                        "hidden = 8, 6\neta = 0.1\nbatch_size = 16\nsteps = 120\nsample_size = 15\n"
                        + _NOISE_SEED,
+    "large-batch": f"dataset = blobs(200, 6, 3, 2.0, {SEED})\n" + _MLP + "hidden = 8\n"
+                   "batch_size = 96\nsteps = 40\n" + _NOISE_SEED,
 }
 COMMANDS = ("attribute", "calibrate", "valuate", "edit", "trace", "detect-noise")
 ESTIMATORS = ("if-fast", "hif", "gif")
