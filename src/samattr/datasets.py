@@ -113,39 +113,43 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     return Dataset(features=np.asarray(feats), labels=np.asarray(labels))
 
 
-def _read_be32(f, path: str, what: str) -> int:
-    data = f.read(4)
-    if len(data) != 4:
-        raise FormatError(f"{path}: truncated while reading {what}")
-    return struct.unpack(">i", data)[0]
+def _idx_items(path: str, magic: int) -> np.ndarray:
+    """The items of one IDX file of unsigned bytes, as a (count, item size)
+    uint8 view of the file read in one call. The header is the big-endian
+    unsigned 32-bit magic, whose last byte is the number of sizes, then the
+    sizes, count first; the bytes after it must hold count items of the
+    product of the other sizes, and any more are ignored. A wrong magic, a
+    file shorter than its header, or sizes the file cannot hold is a
+    FormatError naming the file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    header = struct.Struct(f">{1 + (magic & 0xFF)}I")
+    if len(data) < header.size:
+        raise FormatError(f"{path}: header truncated: {len(data)} bytes, the header needs {header.size}")
+    found, count, *sizes = header.unpack_from(data)
+    if found != magic:
+        raise FormatError(f"{path}: magic 0x{found:08x} != IDX magic 0x{magic:08x}")
+    item, held = math.prod(sizes), len(data) - header.size
+    if held < count * item:  # Python ints, so no overflow
+        raise FormatError(f"{path}: item data truncated: {held} bytes after the header, "
+                          f"{count} items of {item} bytes need {count * item}")
+    if item > np.iinfo(np.intp).max:  # with no items, the check above passes any size
+        raise FormatError(f"{path}: item size {item} is more than an array axis holds")
+    return np.frombuffer(data, np.uint8, count * item, header.size).reshape(count, item)
 
 
 def load_idx_pair(images_path: str, labels_path: str) -> Dataset:
-    """Standard IDX image/label pair; pixels scaled to [0, 1], images
-    flattened row-wise. All rows arrive tagged train."""
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(f"{images_path}: magic 0x{magic:08x} != image magic 0x{IDX_IMAGE_MAGIC:08x}")
-        count = _read_be32(f, images_path, "item count")
-        rows = _read_be32(f, images_path, "row count")
-        cols = _read_be32(f, images_path, "column count")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise FormatError(f"{images_path}: pixel data truncated")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"{labels_path}: magic 0x{magic:08x} != label magic 0x{IDX_LABEL_MAGIC:08x}")
-        lcount = _read_be32(f, labels_path, "item count")
-        raw = f.read(lcount)
-        if len(raw) != lcount:
-            raise FormatError(f"{labels_path}: label data truncated")
-        labels = np.frombuffer(raw, dtype=np.uint8)
-    if count != lcount:
-        raise FormatError(f"IDX pair mismatch: {count} images vs {lcount} labels")
-    if count == 0:
+    """Standard IDX image/label pair (magics 0x803 and 0x801, unsigned
+    bytes), read by _idx_items; pixels scaled to [0, 1], images flattened
+    row-wise. Sizes are unsigned, so a header whose sizes its file cannot
+    hold is a FormatError, as are a wrong magic, a file cut inside its
+    header, counts that differ and a pair with no items; bytes after the
+    items are ignored. All rows arrive tagged train."""
+    images = _idx_items(images_path, IDX_IMAGE_MAGIC)
+    labels = _idx_items(labels_path, IDX_LABEL_MAGIC)[:, 0]
+    if len(images) != len(labels):
+        raise FormatError(f"IDX pair mismatch: {len(images)} images vs {len(labels)} labels")
+    if len(images) == 0:
         raise FormatError(f"{images_path}: IDX pair has no items")
     return Dataset(features=images.astype(np.float64) / 255.0, labels=labels.astype(np.int64))
 

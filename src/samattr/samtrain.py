@@ -163,14 +163,6 @@ class Trajectory:
         return self.params.shape[1]
 
     @property
-    def total_steps(self) -> int:
-        return len(self.batches)
-
-    @property
-    def final_params(self) -> Array:
-        return self.params[-1]
-
-    @property
     def weights(self) -> Array:
         """(T,) per-example coefficient eta_t / b applied at update t."""
         return self.etas * (1.0 / self.batches.shape[1])
@@ -381,21 +373,21 @@ def write_trajectory(traj: Trajectory, path) -> None:
 
 def read_trajectory(path) -> Trajectory:
     """Load a version 4 trajectory file into one buffer, whose writable
-    views are the Trajectory's arrays. Bad magic, any other version, a
-    size other than the header's arrays need, or a rho, p or batch entry
-    that Trajectory refuses is a FormatError."""
+    views are the Trajectory's arrays. Bad magic, a file cut inside its
+    header (the version is read from the header, after that check), any
+    other version, a size other than the header's arrays need, or a rho, p
+    or batch entry that Trajectory refuses is a FormatError."""
     with open(path, "rb") as f:
         data = bytearray(os.fstat(f.fileno()).st_size)
         del data[f.readinto(data):]
     if data[:4] != TRAJ_MAGIC:
         raise FormatError("bad magic bytes; not a trajectory file")
-    version = int.from_bytes(data[4:6], "little")
-    if version != TRAJ_VERSION:
-        raise FormatError(f"unsupported trajectory version {version}")
     head = _TRAJ_HEADER.size
     if len(data) < head:
         raise FormatError(f"trajectory file truncated: {len(data)} bytes, the header needs {head}")
-    _, _, P, n, T, b, digest, rho, p = _TRAJ_HEADER.unpack_from(data)
+    _, version, P, n, T, b, digest, rho, p = _TRAJ_HEADER.unpack_from(data)
+    if version != TRAJ_VERSION:
+        raise FormatError(f"unsupported trajectory version {version}")
     size = head + 8 * (T + T * b + (T + 1) * P)
     if len(data) != size:
         what = "truncated" if len(data) < size else "too long"

@@ -87,6 +87,15 @@ class TestExitCodes:
         assert main(["train", "--config", write_config(tmp_path, dataset=f"idx:{img},{lbl}")]) == 4
         assert capsys.readouterr().err == f"I/O error: {img}: IDX pair has no items\n"
 
+    def test_idx_sizes_read_unsigned_is_format_error(self, tmp_path, capsys):
+        # Sizes (-1, -1, 1) read as signed ints once raised a bare ValueError
+        # out of main; read unsigned, the file cannot hold them.
+        img, lbl = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+        img.write_bytes(struct.pack(">iiii", 0x803, -1, -1, 1) + bytes(6))
+        lbl.write_bytes(struct.pack(">ii", 0x801, 1) + bytes(1))
+        assert main(["train", "--config", write_config(tmp_path, dataset=f"idx:{img},{lbl}")]) == 4
+        assert capsys.readouterr().err.startswith(f"I/O error: {img}: item data truncated: ")
+
     @pytest.mark.parametrize("rows, where", [
         ("1.0,2.0,0\nnan,1.0,1\n", "row 3, column 'a': non-finite cell 'nan'"),
         ("1.0,2.0,0\n1.0,inf,1\n", "row 3, column 'b': non-finite cell 'inf'"),

@@ -1,6 +1,7 @@
 """Smoke test of tools/cli_digests.py: two runs of a tiny config and a
 tiny CSV config (split by setup) into different directories give the same
-digests, each trajectory file has a decoded-content line, and a --src the
+digests, each trajectory file has a decoded-content line, a tiny config
+over an IDX pair the tool writes runs every job, and a --src the
 imported samattr does not come from is refused."""
 
 import importlib.util
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import samattr.cli  # noqa: F401  (imported from this tree's src)
+from samattr.datasets import load_idx_pair
 from samattr.samtrain import read_trajectory, write_trajectory
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
@@ -25,6 +27,10 @@ seed = 3
 # The same run over a CSV the tool writes, which setup splits 18/6/6.
 TINY_CSV = TINY.replace("blobs(16, 5, 3, 3.0, 2)", "csv:tiny.csv\nval_fraction = 0.2\n"
                         "test_fraction = 0.2")
+
+# The same run over an IDX pair the tool writes as bytes, split as above.
+TINY_IDX = TINY.replace("blobs(16, 5, 3, 3.0, 2)", "idx:tiny-images.idx,tiny-labels.idx\n"
+                        "val_fraction = 0.2\ntest_fraction = 0.2")
 
 
 def _tool():
@@ -56,6 +62,17 @@ def test_two_runs_print_the_same_digests(tmp_path):
         assert tool.trajectory_digest(tmp_path / "rewritten.samt") == tool.trajectory_digest(path)
     # The lines do not depend on where the outputs were written.
     assert not any(str(tmp_path) in line for line in runs[0])
+
+
+def test_an_idx_pair_is_written_as_bytes_and_ingested(tmp_path):
+    tool = _tool()
+    images, labels = tool.idx_pair(30, 3, 3, 3)
+    lines = tool.digests({"tiny-idx": TINY_IDX}, tmp_path,
+                         {"tiny-images.idx": images, "tiny-labels.idx": labels})
+    jobs = [line for line in lines if " exit=" in line]
+    assert len(jobs) == 1 + 6 * 3 and all(" exit=0 " in line for line in jobs)
+    ds = load_idx_pair(str(tmp_path / "tiny-images.idx"), str(tmp_path / "tiny-labels.idx"))
+    assert ds.features.shape == (30, 9) and ds.labels.tolist() == [0, 1, 2] * 10
 
 
 def test_a_package_from_elsewhere_is_refused(tmp_path, capsys, monkeypatch):

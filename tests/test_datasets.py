@@ -184,6 +184,50 @@ class TestIDX:
         with pytest.raises(FormatError, match=f"^{re.escape(str(img))}: IDX pair has no items$"):
             load_idx_pair(str(img), str(lbl))
 
+    @pytest.mark.parametrize("count, rows, cols, pixels", [
+        (-1, -1, 1, 6),  # once a bare ValueError from reshape
+        (-2, 1, 1, 6),
+        (2**31 - 1, 2**31 - 1, 2**31 - 1, 6),  # once an OverflowError
+        (1, -2, -3, 6),  # once a silent (1, 6) image
+    ])
+    def test_sizes_the_file_cannot_hold(self, tmp_path, count, rows, cols, pixels):
+        # IDX sizes are unsigned: read so, each of these asks for more
+        # bytes than the file holds.
+        img, lbl, _, _ = write_idx_pair(tmp_path, count=1, rows=2, cols=3)
+        img.write_bytes(struct.pack(">iiii", 0x803, count, rows, cols) + bytes(pixels))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(img))}: item data truncated: "):
+            load_idx_pair(str(img), str(lbl))
+
+    def test_item_size_no_array_holds(self, tmp_path):
+        # No items, so no bytes are missing, but no array axis spans the size.
+        img, lbl, _, _ = write_idx_pair(tmp_path, count=0)
+        img.write_bytes(struct.pack(">IIII", 0x803, 0, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(img))}: item size "):
+            load_idx_pair(str(img), str(lbl))
+
+    @pytest.mark.parametrize("which, keep, needs", [("images", 10, 16), ("labels", 6, 8)])
+    def test_header_cut_short(self, tmp_path, which, keep, needs):
+        img, lbl, _, _ = write_idx_pair(tmp_path)
+        path = img if which == "images" else lbl
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: header truncated: "
+                                              f"{keep} bytes, the header needs {needs}$"):
+            load_idx_pair(str(img), str(lbl))
+
+    def test_bad_label_magic(self, tmp_path):
+        img, lbl, _, _ = write_idx_pair(tmp_path)
+        lbl.write_bytes(struct.pack(">i", 0x803) + lbl.read_bytes()[4:])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(lbl))}: magic 0x00000803 "):
+            load_idx_pair(str(img), str(lbl))
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        img, lbl, pixels, labels = write_idx_pair(tmp_path)
+        img.write_bytes(img.read_bytes() + b"\x07" * 5)
+        lbl.write_bytes(lbl.read_bytes() + b"\x07" * 3)
+        ds = load_idx_pair(str(img), str(lbl))
+        np.testing.assert_array_equal(ds.features, pixels.reshape(10, -1) / 255.0)
+        np.testing.assert_array_equal(ds.labels, labels)
+
 
 class TestSplitDataset:
     def test_fractions(self):

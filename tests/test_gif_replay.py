@@ -55,7 +55,7 @@ def _plain_gif(traj, spec, ds, sam, ks, mode):
             total[used] += weight * mod.example_grads(spec, w_pert, ds, rows[ks[used]])
         _, g_pert = mod.subset_loss_grad(spec, w_pert, ds, rows[batch], 1.0 / batch.size)
         w = w - sam.eta_at(t) * (g_pert + sam.lam * w)
-    assert np.allclose(w, traj.final_params, rtol=0.0, atol=1e-12)
+    assert np.allclose(w, traj.params[-1], rtol=0.0, atol=1e-12)
     return -total
 
 
@@ -174,8 +174,8 @@ def test_replay_kernel_call_count(minibatch_mlp, monkeypatch, mode):
     monkeypatch.setattr(mod, "subset_loss_grad", forbidden)
     monkeypatch.setattr(mod, "example_grads", forbidden)
     _gif(minibatch_mlp, np.arange(n), mode)
-    assert traj.total_steps % C != 0
-    assert calls == ["factors"] * math.ceil(traj.total_steps / C)
+    assert len(traj.batches) % C != 0
+    assert calls == ["factors"] * math.ceil(len(traj.batches) / C)
     # One point: in sgd only the windows holding one of its steps make a block.
     calls.clear()
     _gif(minibatch_mlp, [11], mode)

@@ -127,7 +127,7 @@ def test_two_kernel_calls_per_block_and_no_vectors(trained, monkeypatch, mode):
     for name in ("_add_gif_terms", "_gif_vectors"):
         monkeypatch.setattr(influence, name, forbidden)
     influence_scores(*_args(trained, range(n), mode), _queries(spec, 10))
-    assert calls == ["factors"] * -(-traj.total_steps // C)
+    assert calls == ["factors"] * -(-len(traj.batches) // C)
 
 
 @pytest.mark.parametrize("mode", ["sgd", "gd"])

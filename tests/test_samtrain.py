@@ -287,7 +287,7 @@ class TestTrainSAM:
         cfg = SAMConfig(rho=0.05, eta=0.1, batch_size=30, steps=10, seed=5)
         w, traj = train_sam(spec, ds, cfg)
         assert traj.params.shape == (11, spec.param_count) and traj.batches.shape == (10, 30)
-        assert (traj.total_steps, traj.param_count) == (10, spec.param_count)
+        assert (len(traj.batches), traj.param_count) == (10, spec.param_count)
         # Row 0 is init + eps_0, eps_0 from the first batch's mean gradient at init.
         init = mod.init_params(spec, 5)
         X, y = mod._split_rows(spec, ds, "train")
@@ -296,7 +296,7 @@ class TestTrainSAM:
         eps0 = worst_perturbation((1.0 / 30) * G[0], 0.05, 2.0)
         np.testing.assert_array_equal(traj.params[0], init + eps0)
         assert p_norm(traj.params[0] - init, 2.0) == pytest.approx(0.05, rel=1e-12)
-        np.testing.assert_array_equal(traj.final_params, w)
+        np.testing.assert_array_equal(traj.params[-1], w)
         assert not np.shares_memory(w, traj.params)
         # weight = eta / batch size at every update.
         assert traj.weights[0] == pytest.approx(0.1 / 30)
@@ -382,7 +382,7 @@ class TestTrajectoryIO:
         back = read_trajectory(path)
         assert back.param_count == traj.param_count
         assert back.n_train == traj.n_train
-        assert back.total_steps == traj.total_steps
+        assert len(back.batches) == len(traj.batches)
         assert back.config_digest == traj.config_digest
         _assert_same_run(back, traj)
         # The file stores the SAM settings the trajectory estimator needs.
@@ -485,6 +485,15 @@ class TestTrajectoryIO:
         path.write_bytes(data[:50])  # inside the header
         with pytest.raises(FormatError, match="^trajectory file truncated: 50 bytes, the header "
                                               "needs 88$"):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("data", [b"SAMT", b"SAMT\x04"])
+    def test_cut_before_the_version_is_truncated(self, tmp_path, data):
+        # The version is read from a whole header, not from what is left of it.
+        path = tmp_path / "run.samt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^trajectory file truncated: {len(data)} bytes, "
+                                              "the header needs 88$"):
             read_trajectory(path)
 
     @pytest.mark.parametrize("change", ["trailing byte", "missing byte"])

@@ -9,7 +9,7 @@ Runs `train`, then `attribute`, `calibrate`, `valuate`, `edit`, `trace`
 and `detect-noise` with each estimator (if-fast, hif, gif), in this
 process through samattr.cli.main, on each config: the three benchmark
 workloads' configs at seed 9317 (with `flip_fraction = 0.1` added, which
-only detect-noise reads), README's example config, and seven configs for
+only detect-noise reads), README's example config, and eight configs for
 paths those four never run: a relu MLP with p = 3, a step-decay eta, an
 epoch-shuffled schedule and gif's gd mode; a tanh MLP with p = 1.5, whose
 ascent's dual exponent q = 3 lies on the other side of 2 from p = 3's
@@ -21,12 +21,15 @@ whose largest valuate and detect-noise removal sets leave fewer train
 points (12 of 24) than the batch size (16), so those retrains' replayed
 batches shrink to the points kept; `two-hidden-relu`, a relu MLP with
 two hidden layers (8 and 6 units), the only config whose backward pass
-runs the delta recursion through a hidden-to-hidden layer; and
+runs the delta recursion through a hidden-to-hidden layer;
 `large-batch`, a tanh MLP whose batch of 96 lies above the batch size up
 to which numcore.sample_batches resolves Floyd's draws in array rounds,
-so its schedule takes the per-step Generator.choice branch. The outputs go
-to a temporary directory that is removed; the jobs run there, so the
-config names its CSV by a relative path. It prints the
+so its schedule takes the per-step Generator.choice branch; and
+`idx-pair`, IDX ingestion (the only config that reads an
+`idx:<images>,<labels>` pair) of 60 4x4-pixel images in 3 classes that
+this script writes with NumPy alone, split by setup, logistic model. The
+outputs go to a temporary directory that is removed; the jobs run there,
+so the configs name their data files by relative paths. It prints the
 path of the samattr package it imported, then one line per job, its exit
 code and the SHA-256 of its stderr, then one line per output file: the
 SHA-256 of every `.tsv`, `.npy` and `.samt` file as written, and of every
@@ -101,6 +104,9 @@ CONFIGS = {
                        + _NOISE_SEED,
     "large-batch": f"dataset = blobs(200, 6, 3, 2.0, {SEED})\n" + _MLP + "hidden = 8\n"
                    "batch_size = 96\nsteps = 40\n" + _NOISE_SEED,
+    "idx-pair": "dataset = idx:images.idx,labels.idx\nval_fraction = 0.2\ntest_fraction = 0.2\n"
+                "model = logistic\neta = 0.5\nbatch_size = 12\nsteps = 48\nsample_size = 12\n"
+                + _NOISE_SEED,
 }
 COMMANDS = ("attribute", "calibrate", "valuate", "edit", "trace", "detect-noise")
 ESTIMATORS = ("if-fast", "hif", "gif")
@@ -117,6 +123,19 @@ def mixture_csv(n: int, d: int, C: int, scale: float, seed: int) -> str:
     X = means[labels] + rng.standard_normal((n, d))
     rows = [",".join([*(repr(float(v)) for v in x), str(c)]) for x, c in zip(X, labels)]
     return "\n".join([",".join([*(f"x{j}" for j in range(d)), "label"]), *rows]) + "\n"
+
+
+def idx_pair(n: int, side: int, C: int, seed: int) -> tuple[bytes, bytes]:
+    """IDX image and label file bytes of n side x side images of a seeded
+    C-class mixture: each class's pixels scatter around their own mean
+    levels (uniform in [60, 200]) with standard deviation 40, clipped to
+    [0, 255]; labels in round-robin order."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % C
+    means = rng.uniform(60.0, 200.0, (C, side * side))
+    pixels = np.clip(means[labels] + 40.0 * rng.standard_normal((n, side * side)), 0, 255)
+    return (struct.pack(">IIII", 0x803, n, side, side) + pixels.astype(np.uint8).tobytes(),
+            struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes())
 
 
 def _sha(data: bytes) -> str:
@@ -145,8 +164,9 @@ def trajectory_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def digests(configs: dict[str, str], out: Path, files: dict[str, str] | None = None) -> list[str]:
-    """Write files (name -> text) into out, run every job of every config
+def digests(configs: dict[str, str], out: Path,
+            files: dict[str, str | bytes] | None = None) -> list[str]:
+    """Write files (name -> text or bytes) into out, run every job of every config
     (name -> config text) with out as the working directory, and return
     the job and file lines."""
     from samattr import cli
@@ -155,8 +175,11 @@ def digests(configs: dict[str, str], out: Path, files: dict[str, str] | None = N
     lines = []
     out = out.resolve()
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in (files or {}).items():
-        (out / name).write_text(text, encoding="utf-8")
+    for name, content in (files or {}).items():
+        if isinstance(content, bytes):
+            (out / name).write_bytes(content)
+        else:
+            (out / name).write_text(content, encoding="utf-8")
     cwd = os.getcwd()
     os.chdir(out)  # a config names its files relative to out
     try:
@@ -196,7 +219,9 @@ def main(argv=None) -> int:
         return 2
     print(f"samattr {package}")
     with tempfile.TemporaryDirectory() as out:
-        files = {"mixture.csv": mixture_csv(150, 6, 3, 0.5, SEED)}
+        images, labels = idx_pair(60, 4, 3, SEED)
+        files = {"mixture.csv": mixture_csv(150, 6, 3, 0.5, SEED), "images.idx": images,
+                 "labels.idx": labels}
         lines = digests(CONFIGS, Path(out), files)
     for line in lines:
         print(line)
